@@ -15,9 +15,11 @@ variants:
 * :func:`shotnoise_rhs` -- root-count prediction for impulse-sum fields,
 * :func:`microlens_rhs` -- image-count prediction for point-mass deflection
   fields,
-* :func:`second_factorial_moment_rhs` -- mean number of ordered root pairs,
-* :func:`ae_level_consistency` -- both sides of the prediction integrated
-  against a bump in the level variable.
+* :func:`second_factorial_moment_rhs` -- mean number of ordered root pairs.
+
+Integrating both sides against a bump in the level variable is a comparison
+of measurement and prediction, so it lives in :mod:`ricelab.harness`
+(``ae_level_consistency``).
 
 Conventions shared by every evaluator:
 
@@ -26,9 +28,8 @@ Conventions shared by every evaluator:
   form.  Sampling obeys the keyed-stream contract of :mod:`ricelab.rng`.
 * Deterministic quadrature error and Monte Carlo standard error are tracked
   separately and reported side by side in the result objects.
-* Stationary models short-circuit the outer quadrature (the integrand is
-  constant); the explicit quadrature path is kept available and agrees with
-  the short-circuit to floating-point accuracy.
+* Stationary models short-circuit the outer quadrature: the integrand is
+  constant, so the prediction is the rate times the box volume.
 """
 
 from __future__ import annotations
@@ -54,9 +55,7 @@ from .fields import (
     ShotNoiseModel,
     SpectralGaussian1D,
     SpectralGaussian2D,
-    check_supercritical,
 )
-from .geometry import crofton_constant  # noqa: F401  (re-exported convenience)
 from .rng import stream
 
 DEFAULT_INNER_MC = 4096
@@ -75,7 +74,6 @@ __all__ = [
     "shotnoise_rhs",
     "microlens_rhs",
     "second_factorial_moment_rhs",
-    "ae_level_consistency",
 ]
 
 
@@ -198,16 +196,6 @@ class GaussianRegression:
         # enforce symmetry lost to round-off
         cov = 0.5 * (cov + cov.T)
         return mean, cov
-
-    def obs_density(self, values: np.ndarray) -> float:
-        """Density of the observed block at ``values``."""
-        v = np.atleast_1d(np.asarray(values, dtype=float))
-        n = self.cov_obs.shape[0]
-        sign, logdet = np.linalg.slogdet(self.cov_obs)
-        if sign <= 0:
-            raise DegeneracyError("observed block is not positive definite")
-        quad = float(v @ np.linalg.solve(self.cov_obs, v))
-        return math.exp(-0.5 * quad - 0.5 * logdet - 0.5 * n * math.log(2.0 * math.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +343,10 @@ def level_density(model, t, u, *, inner_mc: int = DEFAULT_INNER_MC, seed: int = 
                                    inner_mc=inner_mc, seed=seed, **shot_kwargs)
         return parts["value"]
     if isinstance(model, (MicrolensModel, MicrolensSystem)):
-        view = model if isinstance(model, MicrolensSystem) else _EnsembleView(model)
+        base = model.model if isinstance(model, MicrolensSystem) else model
         x = np.asarray(t, dtype=float)
         y = np.asarray(u, dtype=float)
-        val, _se, _cl = _microlens_designated(view, x, y, want="density",
+        val, _se, _cl = _microlens_designated(base, x, y, want="density",
                                               inner_mc=_check_inner_mc(inner_mc),
                                               rng=stream(seed, "lens-density"))
         return val
@@ -377,6 +365,8 @@ def conditional_jacobian_expectation(model, t, u, *, inner_mc: int = DEFAULT_INN
     elementary (stationary Gaussian value/derivative independence); otherwise
     the exact conditional Gaussian law is sampled.  The returned pair is
     (estimate, one-sigma standard error); the error is 0.0 for closed forms.
+    Impulse-sum and deflection models have no rule here: their predictions
+    are :func:`shotnoise_rhs` and :func:`microlens_rhs`.
     """
     inner_mc = _check_inner_mc(inner_mc)
     if isinstance(model, SpectralGaussian1D):
@@ -408,35 +398,6 @@ def conditional_jacobian_expectation(model, t, u, *, inner_mc: int = DEFAULT_INN
         rng = stream(seed, "cond-jacobian")
         vals = _chi2_jacobian_draws(model, uf, rng, inner_mc)
         return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(inner_mc))
-    if isinstance(model, ShotNoiseModel):
-        uf = float(u)
-        if uf == 0.0:
-            raise DomainError("impulse-sum conditioning is undefined at u = 0")
-        joint = _shotnoise_mixture(model, uf, want="joint", inner_mc=inner_mc,
-                                   seed=seed)
-        dens = _shotnoise_mixture(model, uf, want="density", inner_mc=inner_mc,
-                                  seed=seed + 1)
-        if dens["value"] <= 0.0:
-            raise DegeneracyError("level density vanished; conditioning undefined")
-        val = joint["value"] / dens["value"]
-        rel = joint["mc_error"] / max(joint["value"], 1e-300) + \
-            dens["mc_error"] / dens["value"]
-        return val, abs(val) * rel
-    if isinstance(model, (MicrolensModel, MicrolensSystem)):
-        view = model if isinstance(model, MicrolensSystem) else _EnsembleView(model)
-        x = np.asarray(t, dtype=float)
-        y = np.asarray(u, dtype=float)
-        jv, jse, _ = _microlens_designated(view, x, y, want="joint",
-                                           inner_mc=inner_mc,
-                                           rng=stream(seed, "lens-joint"))
-        dv, dse, _ = _microlens_designated(view, x, y, want="density",
-                                           inner_mc=inner_mc,
-                                           rng=stream(seed, "lens-density"))
-        if dv <= 0.0:
-            raise DegeneracyError("image density vanished; conditioning undefined")
-        val = jv / dv
-        rel = jse / max(jv, 1e-300) + dse / dv
-        return val, abs(val) * rel
     raise CapabilityError(
         f"no conditional Jacobian rule for {type(model).__name__}"
     )
@@ -479,23 +440,19 @@ def _chi2_jacobian_draws(model: ChiSquareField, u: float, rng, n: int) -> np.nda
 
 
 def kacrice_rhs(model, box, u, *, quadrature=None, inner_mc: int = DEFAULT_INNER_MC,
-                seed: int = 0, method: str = "auto") -> RhsEvaluation:
+                seed: int = 0) -> RhsEvaluation:
     """Predicted mean measure of the level set {X = u} over ``box``.
 
-    ``method`` selects the outer integration: "stationary" multiplies the
-    constant rate by the box volume, "quadrature" sums the rate over a
-    midpoint grid, "auto" uses the stationary shortcut for stationary models.
-    Both paths agree to floating point for stationary models because the
-    integrand is evaluated from the same closed forms (or the same keyed
-    Monte Carlo stream) at every node.
+    Impulse-sum and deflection models go to :func:`shotnoise_rhs` and
+    :func:`microlens_rhs` (``quadrature`` applies to the latter only).  Every
+    other family is stationary, so the prediction is the constant rate
+    density * E[normal Jacobian | X = u] times the box volume.
     """
     if isinstance(model, ShotNoiseModel):
         return shotnoise_rhs(model, box, u, inner_mc=inner_mc, seed=seed)
     if isinstance(model, (MicrolensModel, MicrolensSystem)):
         return microlens_rhs(model, u, box, quadrature=quadrature,
                              inner_mc=inner_mc, seed=seed)
-    if method not in ("auto", "stationary", "quadrature"):
-        raise ConfigurationError(f"unknown method {method!r}")
     dim = _model_domain_dim(model)
     arr = _box_array(box, dim)
     vol = _box_volume(arr)
@@ -503,32 +460,10 @@ def kacrice_rhs(model, box, u, *, quadrature=None, inner_mc: int = DEFAULT_INNER
     cond, cond_se = conditional_jacobian_expectation(
         model, arr[:, 0], u, inner_mc=inner_mc, seed=seed)
     rate = dens * cond
-    rate_se = dens * cond_se
-    if method in ("auto", "stationary"):
-        value = rate * vol
-        return RhsEvaluation(
-            value=value, quadrature_error=0.0, mc_error=rate_se * vol,
-            n_quadrature=1, n_mc=(inner_mc if cond_se > 0.0 else 0),
-            detail={"rate": rate, "volume": vol, "path": "stationary"},
-        )
-    nodes = _normalize_nodes(quadrature)
-    # stationary integrand: every node evaluates to the same rate, drawn once
-    total = 0.0
-    if dim == 1:
-        h = (arr[0, 1] - arr[0, 0]) / nodes
-        for _ in range(nodes):
-            total += rate * h
-        n_quad = nodes
-    else:
-        hx = (arr[0, 1] - arr[0, 0]) / nodes
-        hy = (arr[1, 1] - arr[1, 0]) / nodes
-        total = float(np.sum(np.full((nodes, nodes), rate * hx * hy)))
-        n_quad = nodes * nodes
     return RhsEvaluation(
-        value=total, quadrature_error=abs(total - rate * vol),
-        mc_error=rate_se * vol, n_quadrature=n_quad,
-        n_mc=(inner_mc if cond_se > 0.0 else 0),
-        detail={"rate": rate, "volume": vol, "path": "quadrature"},
+        value=rate * vol, quadrature_error=0.0, mc_error=dens * cond_se * vol,
+        n_quadrature=1, n_mc=(inner_mc if cond_se > 0.0 else 0),
+        detail={"rate": rate, "volume": vol, "path": "stationary"},
     )
 
 
@@ -862,7 +797,7 @@ def shotnoise_rhs(model: ShotNoiseModel, box, u, *, p_max: int = 12,
 # point-mass deflection fields
 
 
-def _microlens_designated(sys: MicrolensSystem, x: np.ndarray, y: np.ndarray, *,
+def _microlens_designated(model: MicrolensModel, x: np.ndarray, y: np.ndarray, *,
                           want: str, inner_mc: int, rng,
                           eps_star: float = 1e-6) -> tuple[float, float, dict]:
     """Inner Monte Carlo for the deflection-map density at a point.
@@ -877,7 +812,6 @@ def _microlens_designated(sys: MicrolensSystem, x: np.ndarray, y: np.ndarray, *,
     |det jacobian|) estimate.  Samples with any mass within ``eps_star`` of
     ``x`` are excluded; their count is reported as clamped mass.
     """
-    model = sys.model
     n_rest = model.n_stars - 1
     m = model.m
     c = model.c
@@ -981,16 +915,15 @@ def microlens_rhs(model, y, region, *, quadrature=None,
     designated-mass construction is not validated there.
     """
     if isinstance(model, MicrolensSystem):
-        check_supercritical(model)
         base = model.model
     elif isinstance(model, MicrolensModel):
         base = model
-        if base.c >= 0.0:
-            raise CapabilityError(
-                "image-count prediction requires a supercritical deflection "
-                f"(1 - kappa_c + gamma = {base.c} >= 0)")
     else:
         raise CapabilityError("expected a point-mass deflection model")
+    if base.c >= 0.0:
+        raise CapabilityError(
+            "image-count prediction requires a supercritical deflection "
+            f"(1 - kappa_c + gamma = {base.c} >= 0)")
     y = np.asarray(y, dtype=float)
     if y.shape != (2,):
         raise ConfigurationError("source position must be a 2-vector")
@@ -1022,30 +955,18 @@ def microlens_rhs(model, y, region, *, quadrature=None,
 def _microlens_quadrature(base: MicrolensModel, y: np.ndarray, pts: np.ndarray,
                           w: np.ndarray, inner_mc: int, seed: int,
                           eps_star: float) -> tuple[float, float, int]:
-    sys = _EnsembleView(base)
     total = 0.0
     var_sum = 0.0
     excluded = 0
     for i, (pt, wi) in enumerate(zip(pts, w)):
         rng = stream(seed, "lens-node", i)
-        est, se, cl = _microlens_designated(sys, pt, y, want="joint",
+        est, se, cl = _microlens_designated(base, pt, y, want="joint",
                                             inner_mc=inner_mc, rng=rng,
                                             eps_star=eps_star)
         total += wi * est
         var_sum += (wi * se) ** 2
         excluded += cl["excluded"]
     return total, var_sum, excluded
-
-
-class _EnsembleView:
-    """Minimal stand-in exposing ensemble parameters to the inner sampler."""
-
-    def __init__(self, base: MicrolensModel) -> None:
-        self._base = base
-
-    @property
-    def model(self) -> MicrolensModel:
-        return self._base
 
 
 def _point_in_region(p: np.ndarray, region) -> bool:
@@ -1124,155 +1045,24 @@ def second_factorial_moment_rhs(model: SpectralGaussian1D, interval, u, *,
         dens = np.exp(-u * u / (lam0 + c)) / (2.0 * math.pi * np.sqrt(det_obs))
         return np.abs(v1 * v2) * dens[None, :]
 
-    def integrate(band: float) -> tuple[float, np.ndarray]:
-        h = (T - band) / nodes
-        tau = band + (np.arange(nodes) + 0.5) * h
-        vals = f_values(tau)  # (n_mc, nodes)
+    def integrate(band: float, n_nodes: int) -> tuple[float, np.ndarray]:
+        h = (T - band) / n_nodes
+        tau = band + (np.arange(n_nodes) + 0.5) * h
+        vals = f_values(tau)  # (n_mc, n_nodes)
         weights = 2.0 * (T - tau) * h
         per_sample = vals @ weights
         return float(per_sample.mean()), per_sample
 
     band = band_fraction * T
-    wide, _ = integrate(2.0 * band)
-    narrow, per_sample = integrate(band)
+    wide, _ = integrate(2.0 * band, nodes)
+    narrow, per_sample = integrate(band, nodes)
     # band integral is O(band^2): one Richardson step
     value = narrow + (narrow - wide) / 3.0
     quad_err = abs(narrow - wide) / 3.0
     # node-count error estimate on the narrow band
-    half_nodes, _ = _integrate_half(model, u, T, band, nodes // 2, z, f_values)
+    half_nodes, _ = integrate(band, nodes // 2)
     quad_err += abs(narrow - half_nodes)
     mc_se = float(per_sample.std(ddof=1) / math.sqrt(inner_mc))
     return SignedEstimate(value=value, quadrature_error=quad_err, mc_error=mc_se,
                           detail={"band": band, "nodes": nodes,
                                   "n_mc": inner_mc})
-
-
-def _integrate_half(model, u, T, band, nodes, z, f_values):
-    h = (T - band) / nodes
-    tau = band + (np.arange(nodes) + 0.5) * h
-    vals = f_values(tau)
-    weights = 2.0 * (T - tau) * h
-    per_sample = vals @ weights
-    return float(per_sample.mean()), per_sample
-
-
-# ---------------------------------------------------------------------------
-# almost-every-level consistency
-
-
-def ae_level_consistency(model, box, levels, *, quadrature=None,
-                         n_realizations: int = 1024, grid: int = 2048,
-                         inner_mc: int = DEFAULT_INNER_MC, seed: int = 0,
-                         g_center: float | None = None,
-                         g_width: float | None = None) -> dict:
-    """Empirical and predicted root counts integrated against a level bump.
-
-    Evaluates the empirical mean root count ("lhs") and the prediction
-    ("rhs") on the level grid, then integrates both against the quartic bump
-    g by the trapezoid rule.  The bump defaults to being centred on the level
-    grid and supported in its interior.  Works for scalar line fields
-    (Gaussian or squared-sum over a Gaussian base).  The returned table
-    carries per-level values with errors and the two integrals with
-    conservative error bounds (sum of |weight| times the per-level error, a
-    bound that stays valid under correlated level counts).
-    """
-    from .fields import batch_coefficients, trig_basis_1d
-
-    levels = np.asarray(levels, dtype=float)
-    if levels.ndim != 1 or levels.size < 3:
-        raise ConfigurationError("need a one-dimensional grid of >= 3 levels")
-    if np.any(np.diff(levels) <= 0.0):
-        raise ConfigurationError("levels must be strictly increasing")
-    arr = _box_array(box, 1)
-    if g_center is None:
-        g_center = 0.5 * (levels[0] + levels[-1])
-    if g_width is None:
-        g_width = 0.45 * (levels[-1] - levels[0])
-    if g_width <= 0.0:
-        raise ConfigurationError("bump width must be positive")
-    rel = (levels - g_center) / g_width
-    g = np.where(np.abs(rel) < 1.0, (1.0 - rel ** 2) ** 2, 0.0)
-
-    # empirical side: batched corpus of realizations on a shared grid
-    if isinstance(model, ChiSquareField):
-        base = model.base
-        if not isinstance(base, SpectralGaussian1D):
-            raise CapabilityError("level table needs a line field")
-        values = _chi2_corpus_values(model, arr, grid, n_realizations, seed)
-    elif isinstance(model, SpectralGaussian1D):
-        seeds = [int(s) for s in
-                 stream(seed, "level-table-seeds").integers(0, 2 ** 62,
-                                                            size=n_realizations)]
-        coef = batch_coefficients(model, seeds)
-        ts = np.linspace(arr[0, 0], arr[0, 1], grid)
-        values = coef @ trig_basis_1d(model, ts, order=0)
-    else:
-        raise CapabilityError(
-            f"no level table for {type(model).__name__}")
-
-    lhs = np.empty(levels.size)
-    lhs_se = np.empty(levels.size)
-    for i, lev in enumerate(levels):
-        below = values < lev
-        counts = np.count_nonzero(below[:, :-1] != below[:, 1:], axis=1)
-        lhs[i] = counts.mean()
-        lhs_se[i] = counts.std(ddof=1) / math.sqrt(n_realizations)
-
-    rhs = np.empty(levels.size)
-    rhs_err = np.empty(levels.size)
-    for i, lev in enumerate(levels):
-        if isinstance(model, ChiSquareField) and lev <= 0.0:
-            rhs[i] = 0.0
-            rhs_err[i] = 0.0
-            continue
-        ev = kacrice_rhs(model, box, lev, inner_mc=inner_mc, seed=seed + i)
-        rhs[i] = ev.value
-        rhs_err[i] = ev.total_error
-
-    tw = _trapezoid_weights(levels)
-    lhs_int = float(np.sum(tw * g * lhs))
-    rhs_int = float(np.sum(tw * g * rhs))
-    lhs_int_err = float(np.sum(np.abs(tw * g) * lhs_se))
-    rhs_int_err = float(np.sum(np.abs(tw * g) * rhs_err))
-    return {
-        "levels": levels.tolist(),
-        "bump": g.tolist(),
-        "lhs": lhs.tolist(),
-        "lhs_se": lhs_se.tolist(),
-        "rhs": rhs.tolist(),
-        "rhs_error": rhs_err.tolist(),
-        "lhs_integral": lhs_int,
-        "lhs_integral_error": lhs_int_err,
-        "rhs_integral": rhs_int,
-        "rhs_integral_error": rhs_int_err,
-        "n_realizations": int(n_realizations),
-        "grid": int(grid),
-        "bump_center": float(g_center),
-        "bump_width": float(g_width),
-    }
-
-
-def _chi2_corpus_values(model: ChiSquareField, arr: np.ndarray, grid: int,
-                        n_realizations: int, seed: int) -> np.ndarray:
-    from .fields import batch_coefficients, trig_basis_1d
-    from .rng import fanout_seed
-
-    base = model.base
-    ts = np.linspace(arr[0, 0], arr[0, 1], grid)
-    basis = trig_basis_1d(base, ts, order=0)
-    master = stream(seed, "level-table-seeds").integers(0, 2 ** 62,
-                                                        size=n_realizations)
-    total = np.zeros((n_realizations, grid))
-    for j in range(model.n):
-        seeds = [fanout_seed(int(s), "chi2-component", j) for s in master]
-        comp = batch_coefficients(base, seeds) @ basis
-        total += comp ** 2
-    return total
-
-
-def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
-    w = np.zeros_like(x)
-    dx = np.diff(x)
-    w[:-1] += 0.5 * dx
-    w[1:] += 0.5 * dx
-    return w

@@ -188,6 +188,79 @@ def _chunked_cols(n_cols: int, n_rows: int):
         yield start, min(start + step, n_cols)
 
 
+def _trig_table(waves: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """(2K, n) table [cos(w_k . t_j); sin(w_k . t_j)] for waves (K, D), points (n, D).
+
+    The one place where the cosines and sines of spectral phases are computed.
+    """
+    k = waves.shape[0]
+    ph = waves @ pts.T
+    table = np.empty((2 * k, pts.shape[0]))
+    np.cos(ph, out=table[:k])
+    np.sin(ph, out=table[k:])
+    return table
+
+
+def _partial_rows(waves: np.ndarray, coef_cos, coef_sin, partials) -> np.ndarray:
+    """Coefficient rows over the table that evaluate the partial derivatives `partials`.
+
+    A partial is a tuple of axes, () for the value.  Each order multiplies a
+    wave by w_k[axis] and turns its (cos, sin) pair by a quarter,
+    (c, s) -> (s, -c), so row @ table is the derivative of
+    sum_k c_k cos(w_k . t) + s_k sin(w_k . t).
+    """
+    k = waves.shape[0]
+    rows = np.empty((len(partials), 2 * k))
+    for r, axes in enumerate(partials):
+        c, s = coef_cos, coef_sin
+        factor = np.ones(k)
+        for axis in axes:
+            c, s = s, -c
+            factor = factor * waves[:, axis]
+        rows[r, :k] = c * factor
+        rows[r, k:] = s * factor
+    return rows
+
+
+def _trig_sum(waves: np.ndarray, coef_cos, coef_sin, pts: np.ndarray, partials) -> np.ndarray:
+    """(len(partials), n) partial derivatives of one trigonometric sum at points (n, D)."""
+    k = waves.shape[0]
+    rows = _partial_rows(waves, coef_cos, coef_sin, partials)
+    out = np.empty((len(partials), pts.shape[0]))
+    for lo, hi in _chunked_cols(pts.shape[0], 2 * k):
+        table = _trig_table(waves, pts[lo:hi])
+        # contracting the cos and sin halves apart keeps values bitwise equal to
+        # sum c_k cos + sum s_k sin; one 2K-long contraction rounds differently
+        out[:, lo:hi] = rows[:, :k] @ table[:k] + rows[:, k:] @ table[k:]
+    return out
+
+
+_VALUE = ((),)
+_FIRST = ((0,),)
+_SECOND = ((0, 0),)
+_GRADIENT = ((0,), (1,))
+_HESSIAN = ((0, 0), (0, 1), (1, 0), (1, 1))  # row-major entries of the 2x2 matrix
+
+
+def _eval_1d(real: "TrigRealization1D", t, partials):
+    t = np.asarray(t, dtype=float)
+    waves = real.model.frequencies[:, None]
+    out = _trig_sum(waves, real.coef_cos, real.coef_sin, t.reshape(-1, 1), partials)
+    return float(out[0, 0]) if t.ndim == 0 else out[0].reshape(t.shape)
+
+
+def _eval_2d(real: "TrigRealization2D", pts, partials, shape: tuple):
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim == 0 or pts.shape[-1] != 2:
+        raise ConfigurationError("points must have shape (..., 2)")
+    out = _trig_sum(real.model.wavevectors, real.coef_cos, real.coef_sin,
+                    pts.reshape(-1, 2), partials)
+    out = out.T.reshape((-1,) + shape)
+    if pts.ndim > 1:
+        return out
+    return float(out[0]) if shape == () else out[0]
+
+
 @dataclass(frozen=True)
 class TrigRealization1D:
     model: SpectralGaussian1D
@@ -198,32 +271,14 @@ class TrigRealization1D:
     d = 1
     D = 1
 
-    def _eval(self, t, order: int) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        w = self.model.frequencies
-        out = np.empty(t.shape, dtype=float)
-        for lo, hi in _chunked_cols(t.size, w.size):
-            ph = np.outer(w, t[lo:hi])
-            c, s = np.cos(ph), np.sin(ph)
-            if order == 0:
-                out[lo:hi] = self.coef_cos @ c + self.coef_sin @ s
-            elif order == 1:
-                out[lo:hi] = (self.coef_sin * w) @ c - (self.coef_cos * w) @ s
-            else:
-                out[lo:hi] = -(self.coef_cos * w**2) @ c - (self.coef_sin * w**2) @ s
-        return out
-
     def value(self, t):
-        r = self._eval(t, 0)
-        return float(r[0]) if np.isscalar(t) or np.ndim(t) == 0 else r
+        return _eval_1d(self, t, _VALUE)
 
     def derivative(self, t):
-        r = self._eval(t, 1)
-        return float(r[0]) if np.isscalar(t) or np.ndim(t) == 0 else r
+        return _eval_1d(self, t, _FIRST)
 
     def second_derivative(self, t):
-        r = self._eval(t, 2)
-        return float(r[0]) if np.isscalar(t) or np.ndim(t) == 0 else r
+        return _eval_1d(self, t, _SECOND)
 
     jacobian = derivative
     hessian = second_derivative
@@ -239,50 +294,14 @@ class TrigRealization2D:
     d = 1
     D = 2
 
-    def _phases(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        if pts.shape[-1] != 2:
-            raise ConfigurationError("points must have shape (..., 2)")
-        return pts, single
-
     def value(self, pts):
-        pts, single = self._phases(pts)
-        w = self.model.wavevectors
-        out = np.empty(pts.shape[0])
-        for lo, hi in _chunked_cols(pts.shape[0], w.shape[0]):
-            ph = w @ pts[lo:hi].T
-            out[lo:hi] = self.coef_cos @ np.cos(ph) + self.coef_sin @ np.sin(ph)
-        return float(out[0]) if single else out
+        return _eval_2d(self, pts, _VALUE, ())
 
     def gradient(self, pts):
-        pts, single = self._phases(pts)
-        w = self.model.wavevectors
-        out = np.empty((pts.shape[0], 2))
-        for lo, hi in _chunked_cols(pts.shape[0], 2 * w.shape[0]):
-            ph = w @ pts[lo:hi].T
-            c, s = np.cos(ph), np.sin(ph)
-            for axis in range(2):
-                out[lo:hi, axis] = (self.coef_sin * w[:, axis]) @ c - (
-                    self.coef_cos * w[:, axis]
-                ) @ s
-        return out[0] if single else out
+        return _eval_2d(self, pts, _GRADIENT, (2,))
 
     def hessian(self, pts):
-        pts, single = self._phases(pts)
-        w = self.model.wavevectors
-        out = np.empty((pts.shape[0], 2, 2))
-        for lo, hi in _chunked_cols(pts.shape[0], 4 * w.shape[0]):
-            ph = w @ pts[lo:hi].T
-            c, s = np.cos(ph), np.sin(ph)
-            for i in range(2):
-                for j in range(i, 2):
-                    wij = w[:, i] * w[:, j]
-                    h = -(self.coef_cos * wij) @ c - (self.coef_sin * wij) @ s
-                    out[lo:hi, i, j] = h
-                    out[lo:hi, j, i] = h
-        return out[0] if single else out
+        return _eval_2d(self, pts, _HESSIAN, (2, 2))
 
     jacobian = gradient
 
@@ -585,11 +604,6 @@ class MicrolensSystem:
         return out[0] if single else out
 
 
-def check_supercritical(sys) -> bool:
-    """True iff 1 - kappa_c + gamma < 0."""
-    return (1.0 - sys.kappa_c + sys.gamma) < 0.0
-
-
 # ---------------------------------------------------------------------------
 # Deterministic fields (worked examples, counterexamples, trivial cases)
 # ---------------------------------------------------------------------------
@@ -672,23 +686,6 @@ def sample_realization(model, seed: int):
     raise ConfigurationError(f"unknown model type {type(model).__name__}")
 
 
-def eval_field(realization, t):
-    """Evaluate a realization at one point: (value in R^d, Jacobian in R^{d x D})."""
-    d, D = realization.d, realization.D
-    v = realization.value(t)
-    j = realization.jacobian(t)
-    return np.atleast_1d(np.asarray(v, dtype=float)), np.reshape(
-        np.asarray(j, dtype=float), (d, D)
-    )
-
-
-def eval_shot_noise(realization, t):
-    """Value and gradient of a shot-noise realization at t."""
-    if not isinstance(realization, ShotNoiseRealization):
-        raise ConfigurationError("eval_shot_noise expects a shot-noise realization")
-    return realization.value(t), realization.derivative(t)
-
-
 # ---------------------------------------------------------------------------
 # Batched corpus evaluation
 # ---------------------------------------------------------------------------
@@ -713,32 +710,7 @@ def batch_coefficients(model, seeds) -> np.ndarray:
     return out
 
 
-def trig_basis_1d(model: SpectralGaussian1D, ts, order: int = 0) -> np.ndarray:
-    """(2K, T) basis so that coefficients @ basis evaluates the order-th derivative."""
+def trig_basis_1d(model: SpectralGaussian1D, ts) -> np.ndarray:
+    """(2K, T) table [cos(w_k t); sin(w_k t)]: coefficient rows @ table evaluates realizations."""
     ts = np.asarray(ts, dtype=float)
-    w = model.frequencies
-    ph = np.outer(w, ts)
-    c, s = np.cos(ph), np.sin(ph)
-    if order == 0:
-        return np.vstack([c, s])
-    if order == 1:
-        return np.vstack([-w[:, None] * s, w[:, None] * c])
-    if order == 2:
-        return np.vstack([-(w**2)[:, None] * c, -(w**2)[:, None] * s])
-    raise ConfigurationError(f"unsupported derivative order {order}")
-
-
-def trig_basis_2d(model: SpectralGaussian2D, pts, deriv: tuple = ()) -> np.ndarray:
-    """(2K, n) basis for the mixed partial indexed by `deriv` (e.g. (0,) is d/dx)."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    w = model.wavevectors
-    ph = w @ pts.T
-    factor = np.ones(w.shape[0])
-    for axis in deriv:
-        factor = factor * w[:, axis]
-    c, s = np.cos(ph), np.sin(ph)
-    k = len(deriv) % 4
-    # derivative cycle: cos -> -sin -> -cos -> sin; sin -> cos -> -sin -> -cos
-    tops = [c, -s, -c, s][k]
-    bots = [s, c, -s, -c][k]
-    return np.vstack([factor[:, None] * tops, factor[:, None] * bots])
+    return _trig_table(model.frequencies[:, None], ts.reshape(-1, 1))

@@ -229,24 +229,6 @@ class Polyline:
                 for vi, (x, y) in enumerate(c):
                     w.writerow([ci, vi, repr(float(x)), repr(float(y))])
 
-    @classmethod
-    def from_csv(cls, path) -> "Polyline":
-        rows = {}
-        with open(path, newline="") as fh:
-            r = csv.DictReader(fh)
-            required = {"component", "vertex", "x", "y"}
-            if r.fieldnames is None or set(r.fieldnames) != required:
-                raise ConfigurationError(f"polyline CSV must have columns {sorted(required)}")
-            for rec in r:
-                rows.setdefault(int(rec["component"]), []).append(
-                    (int(rec["vertex"]), float(rec["x"]), float(rec["y"]))
-                )
-        comps = []
-        for ci in sorted(rows):
-            verts = sorted(rows[ci])
-            comps.append(np.array([[x, y] for _, x, y in verts]))
-        return cls(tuple(comps))
-
 
 def favard_measure(shape: Polyline, n_lines: int, seed: int) -> tuple:
     """Length of a planar polyline by random line counting.

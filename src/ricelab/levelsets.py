@@ -107,6 +107,12 @@ def _lattice_axes(box: np.ndarray, res: int):
     return [np.linspace(lo, hi, res) for lo, hi in box]
 
 
+def _lattice_points(axes) -> np.ndarray:
+    """(n0 * n1, 2) nodes of the tensor lattice on two axes, first axis slowest."""
+    xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
+    return np.column_stack([xx.ravel(), yy.ravel()])
+
+
 def sample_grid(realization, box, resolution: int) -> GridSample:
     """Evaluate a realization on a regular lattice; nodes match pointwise eval exactly."""
     res = int(resolution)
@@ -122,9 +128,7 @@ def sample_grid(realization, box, resolution: int) -> GridSample:
         return GridSample(b, res, vals, grads.reshape(res, realization.d, 1), realization)
     if D == 2:
         b = _box2d(box)
-        ax = _lattice_axes(b, res)
-        xx, yy = np.meshgrid(ax[0], ax[1], indexing="ij")
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
+        pts = _lattice_points(_lattice_axes(b, res))
         vals = np.asarray(realization.value(pts), dtype=float)
         grads = np.asarray(realization.jacobian(pts), dtype=float)
         d = realization.d
@@ -174,9 +178,12 @@ class RootSet:
 def count_roots_1d(realization, interval, u: float, grid: int = 2048) -> RootSet:
     """Sign-change detection on the grid plus bisection/Newton refinement.
 
-    Roots are refined to residual <= 1e-10 and reported only strictly inside
-    the open interval.  Tangential (non-crossing) roots are a resolution
-    limitation, not an error.
+    All brackets are refined together: each bisection or Newton step is one
+    field call over the brackets still active, so the number of calls is
+    bounded by the iteration caps, not by the number of roots.  Roots are
+    refined to residual <= 1e-10 and reported only strictly inside the open
+    interval.  Tangential (non-crossing) roots are a resolution limitation,
+    not an error.
     """
     lo, hi = _interval(interval)
     grid = int(grid)
@@ -187,56 +194,58 @@ def count_roots_1d(realization, interval, u: float, grid: int = 2048) -> RootSet
     neg = vals < 0.0
     idx = np.nonzero(neg[:-1] != neg[1:])[0]
 
-    roots = []
-    for i in idx:
-        a, b = ts[i], ts[i + 1]
-        fa = vals[i]
-        # bisection to a tight bracket, then Newton polish
-        fb = vals[i + 1]
-        for _ in range(40):
-            m = 0.5 * (a + b)
-            fm = float(realization.value(m)) - u
-            if (fm < 0.0) == (fa < 0.0):
-                a, fa = m, fm
-            else:
-                b, fb = m, fm
-            if b - a < 1e-13 * max(1.0, abs(a)):
-                break
-        t = 0.5 * (a + b)
-        for _ in range(8):
-            f = float(realization.value(t)) - u
-            if abs(f) <= 1e-12:
-                break
-            df = float(realization.derivative(t))
-            if df == 0.0:
-                break
-            step = f / df
-            t_new = t - step
-            if not (a - (b - a) <= t_new <= b + (b - a)):
-                break
-            t = t_new
-        roots.append(t)
+    # bisection to a tight bracket
+    a, b, fa = ts[idx], ts[idx + 1], vals[idx]
+    active = np.ones(idx.size, dtype=bool)
+    for _ in range(40):
+        k = np.nonzero(active)[0]
+        if k.size == 0:
+            break
+        m = 0.5 * (a[k] + b[k])
+        fm = np.asarray(realization.value(m), dtype=float) - u
+        left = (fm < 0.0) == (fa[k] < 0.0)
+        a[k[left]], fa[k[left]] = m[left], fm[left]
+        b[k[~left]] = m[~left]
+        active[k] = ~(b[k] - a[k] < 1e-13 * np.maximum(1.0, np.abs(a[k])))
+
+    # Newton polish; a step leaving the bracket widened by its width stops it
+    t = 0.5 * (a + b)
+    width = b - a
+    active = np.ones(idx.size, dtype=bool)
+    for _ in range(8):
+        k = np.nonzero(active)[0]
+        if k.size == 0:
+            break
+        f = np.asarray(realization.value(t[k]), dtype=float) - u
+        far = np.abs(f) > 1e-12
+        active[k[~far]] = False
+        k, f = k[far], f[far]
+        if k.size == 0:
+            break
+        df = np.asarray(realization.derivative(t[k]), dtype=float)
+        with np.errstate(divide="ignore"):
+            t_new = t[k] - f / df
+        ok = (a[k] - width[k] <= t_new) & (t_new <= b[k] + width[k])
+        t[k[ok]] = t_new[ok]
+        active[k[~ok]] = False
 
     h = (hi - lo) / (grid - 1)
-    pts, deltas, residuals = [], [], []
-    for t in sorted(roots):
-        if not lo < t < hi:
+    t = np.sort(t)
+    t = t[(lo < t) & (t < hi)]
+    res = np.zeros(0)
+    if t.size:
+        res = np.abs(np.asarray(realization.value(t), dtype=float) - u)
+    kept = []
+    for i in range(t.size):
+        if kept and t[i] - t[kept[-1]] < 0.5 * h:
             continue
-        if pts and t - pts[-1] < 0.5 * h:
-            continue
-        r = abs(float(realization.value(t)) - u)
-        if r > 1e-10:
-            continue
-        pts.append(t)
-        deltas.append(abs(float(realization.derivative(t))))
-        residuals.append(r)
-    return RootSet(
-        np.asarray(pts, dtype=float).reshape(-1, 1),
-        np.asarray(deltas, dtype=float),
-        np.asarray(residuals, dtype=float),
-        float(u),
-        0.5 * h,
-    )
+        if res[i] <= 1e-10:
+            kept.append(i)
+    pts, residuals = t[kept], res[kept]
+    deltas = np.zeros(0)
+    if kept:
+        deltas = np.abs(np.asarray(realization.derivative(pts), dtype=float))
+    return RootSet(pts.reshape(-1, 1), deltas, residuals, float(u), 0.5 * h)
 
 
 def _batch_solve_2x2(J, F):
@@ -272,8 +281,7 @@ def count_roots_2d(
     ax = _lattice_axes(b, grid)
     h = float(max((b[0, 1] - b[0, 0]), (b[1, 1] - b[1, 0])) / (grid - 1))
 
-    xx, yy = np.meshgrid(ax[0], ax[1], indexing="ij")
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
+    pts = _lattice_points(ax)
     singular = getattr(realization, "star_positions", None)
     if singular is not None and singular.shape[0] == 0:
         singular = None
@@ -376,8 +384,7 @@ def _midpoint_eval(realization, box, grid):
     b = _box2d(box)
     h = (b[:, 1] - b[:, 0]) / grid
     axes = [b[i, 0] + (np.arange(grid) + 0.5) * h[i] for i in range(2)]
-    xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
-    return np.column_stack([xx.ravel(), yy.ravel()]), float(h[0] * h[1])
+    return _lattice_points(axes), float(h[0] * h[1])
 
 
 def _delta_values(realization, pts) -> np.ndarray:
@@ -502,11 +509,15 @@ def nodal_length(realization, box, u: float, grid: int = 512) -> LevelCurve:
     """
     if realization.d != 1 or realization.D != 2:
         raise CapabilityError("nodal_length needs a scalar field on R^2")
-    gs = sample_grid(realization, box, grid)
-    b, res = gs.box, gs.resolution
-    v = gs.values - float(u)
+    b = _box2d(box)
+    res = int(grid)
+    if res < 2:
+        raise ConfigurationError("resolution must be >= 2")
+    # values only: marching squares never reads gradients on the lattice
     ax = _lattice_axes(b, res)
-    hx, hy = gs.spacing
+    v = np.asarray(realization.value(_lattice_points(ax)), dtype=float)
+    v = v.reshape(res, res) - float(u)
+    hx, hy = (b[:, 1] - b[:, 0]) / (res - 1)
 
     v0 = v[:-1, :-1]
     v1 = v[1:, :-1]
@@ -632,10 +643,7 @@ def irregularity_scan(
         dev = np.abs(vals - float(u))
         qpts = pts.reshape(-1, 1)
     else:
-        b = _box2d(box)
-        ax = _lattice_axes(b, int(grid))
-        xx, yy = np.meshgrid(ax[0], ax[1], indexing="ij")
-        qpts = np.column_stack([xx.ravel(), yy.ravel()])
+        qpts = _lattice_points(_lattice_axes(_box2d(box), int(grid)))
         vals = np.asarray(realization.value(qpts), dtype=float)
         if realization.d == 1:
             dev = np.abs(vals - float(u))

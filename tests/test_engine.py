@@ -6,7 +6,6 @@ from scipy import integrate, stats
 
 from ricelab.engine import (
     RhsEvaluation,
-    ae_level_consistency,
     euler_char_expectation,
     kacrice_rhs,
     level_density,
@@ -28,7 +27,9 @@ from ricelab.fields import (
     ShotNoiseModel,
     SpectralGaussian1D,
     SpectralGaussian2D,
+    sample_realization,
 )
+from ricelab.harness import ae_level_consistency
 from ricelab.rng import stream
 
 TWO_PI = 2.0 * math.pi
@@ -87,17 +88,6 @@ def test_single_harmonic_over_one_period_is_two():
     model = SpectralGaussian1D(frequencies=np.array([1.0]), amplitudes=np.array([1.0]))
     ev = kacrice_rhs(model, (0.0, TWO_PI), 0.0)
     assert ev.value == pytest.approx(2.0, abs=1e-9)
-
-
-def test_stationary_and_quadrature_paths_agree():
-    model = _line_model()
-    a = kacrice_rhs(model, (0.0, 5.0), 0.7, method="stationary")
-    b = kacrice_rhs(model, (0.0, 5.0), 0.7, method="quadrature", quadrature=64)
-    assert b.value == pytest.approx(a.value, rel=1e-12)
-    assert a.detail["path"] == "stationary"
-    assert b.detail["path"] == "quadrature"
-    with pytest.raises(ConfigurationError):
-        kacrice_rhs(model, (0.0, 5.0), 0.7, method="simpson")
 
 
 def test_level_density_gaussian_families():
@@ -377,6 +367,13 @@ def test_lens_requires_supercritical_strength():
     sub = MicrolensModel(kappa_c=0.5, gamma=0.0, m=0.2, n_stars=3, R=1.0)
     with pytest.raises(CapabilityError):
         microlens_rhs(sub, np.zeros(2), {"kind": "disk", "center": [0, 0], "radius": 2.0})
+    # a frozen subcritical system (c = 0.8) is refused like its ensemble
+    frozen = sample_realization(
+        MicrolensModel(kappa_c=0.2, gamma=0.0, m=0.05, n_stars=5, R=1.0), 4)
+    with pytest.raises(CapabilityError):
+        microlens_rhs(frozen, np.array([0.1, 0.0]),
+                      {"kind": "disk", "center": [0, 0], "radius": 2.0},
+                      quadrature=6, inner_mc=200)
 
 
 def test_lens_prediction_plausible_for_small_field():

@@ -17,12 +17,12 @@ from ricelab.fields import (
     ShotNoiseModel,
     SpectralGaussian1D,
     SpectralGaussian2D,
+    _partial_rows,
     batch_coefficients,
-    check_supercritical,
     sample_realization,
     trig_basis_1d,
-    trig_basis_2d,
 )
+from ricelab.harness import _corpus_values
 from ricelab.modelspec import model_from_doc, model_from_json, model_to_doc, model_to_json
 
 small_seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -149,21 +149,84 @@ def test_trig_basis_evaluates_like_realizations():
     m = SpectralGaussian1D.harmonics(9, seed=5)
     ts = np.linspace(-2.0, 4.0, 63)
     r = sample_realization(m, 21)
+    basis = trig_basis_1d(m, ts)
     coeffs = batch_coefficients(m, [21])
-    for order, direct in ((0, r.value), (1, r.derivative), (2, r.second_derivative)):
-        basis = trig_basis_1d(m, ts, order=order)
-        assert np.allclose((coeffs @ basis)[0], direct(ts), atol=1e-12)
+    assert np.allclose((coeffs @ basis)[0], r.value(ts), atol=1e-12)
+    waves = m.frequencies[:, None]
+    for partial, direct in (((0,), r.derivative), ((0, 0), r.second_derivative)):
+        rows = _partial_rows(waves, r.coef_cos, r.coef_sin, (partial,))
+        assert np.allclose((rows @ basis)[0], direct(ts), atol=1e-12)
 
 
-def test_trig_basis_2d_matches_gradient():
-    m = SpectralGaussian2D.isotropic_ring(5, 2.0)
-    pts = np.array([[0.1, 0.2], [1.0, -0.5]])
-    r = sample_realization(m, 8)
-    coeffs = np.concatenate([r.coef_cos, r.coef_sin])[None, :]
-    val = (coeffs @ trig_basis_2d(m, pts))[0]
-    assert np.allclose(val, r.value(pts), atol=1e-12)
-    gx = (coeffs @ trig_basis_2d(m, pts, deriv=(0,)))[0]
-    assert np.allclose(gx, r.gradient(pts)[:, 0], atol=1e-12)
+# ---------------------------------------------------------------------------
+# spectral sums against a plain per-wave loop
+# ---------------------------------------------------------------------------
+
+
+def _wave_sum(waves, coef_cos, coef_sin, pts, axes=()):
+    """sum_k of the partial `axes` of c_k cos(w_k . t) + s_k sin(w_k . t), wave by wave."""
+    total = np.zeros(pts.shape[0])
+    for w, c, s in zip(waves, coef_cos, coef_sin):
+        cos, sin = np.cos(pts @ w), np.sin(pts @ w)
+        factor = np.prod([w[i] for i in axes])
+        if len(axes) == 0:
+            total += c * cos + s * sin
+        elif len(axes) == 1:
+            total += factor * (s * cos - c * sin)
+        else:
+            total += factor * (-c * cos - s * sin)
+    return total
+
+
+def _assert_rel_close(got, ref, rel=1e-12):
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
+
+
+def test_trig1d_matches_per_wave_loop():
+    m = SpectralGaussian1D.harmonics(9, seed=5)
+    ts = np.linspace(-7.0, 11.0, 501)
+    pts = ts[:, None]
+    w = m.frequencies[:, None]
+    for seed in (2, 31):
+        r = sample_realization(m, seed)
+        _assert_rel_close(r.value(ts), _wave_sum(w, r.coef_cos, r.coef_sin, pts))
+        _assert_rel_close(r.derivative(ts), _wave_sum(w, r.coef_cos, r.coef_sin, pts, (0,)))
+        _assert_rel_close(r.second_derivative(ts),
+                          _wave_sum(w, r.coef_cos, r.coef_sin, pts, (0, 0)))
+
+
+def test_trig2d_matches_per_wave_loop():
+    m = SpectralGaussian2D.isotropic_ring(7, 2.5)
+    pts = np.random.default_rng(4).uniform(-6.0, 6.0, size=(300, 2))
+    w = m.wavevectors
+    for seed in (2, 31):
+        r = sample_realization(m, seed)
+        cc, cs = r.coef_cos, r.coef_sin
+        _assert_rel_close(r.value(pts), _wave_sum(w, cc, cs, pts))
+        grad = r.gradient(pts)
+        hess = r.hessian(pts)
+        for i in range(2):
+            _assert_rel_close(grad[:, i], _wave_sum(w, cc, cs, pts, (i,)))
+            for j in range(2):
+                _assert_rel_close(hess[:, i, j], _wave_sum(w, cc, cs, pts, (i, j)))
+
+
+def test_corpus_rows_match_per_wave_loop():
+    base = SpectralGaussian1D.harmonics(7, seed=3)
+    ts = np.linspace(0.0, 9.0, 257)
+    pts = ts[:, None]
+    w = base.frequencies[:, None]
+    seeds = [5, 17, 2**40]
+    for row, s in zip(_corpus_values(base, seeds, ts), seeds):
+        r = sample_realization(base, s)
+        _assert_rel_close(row, _wave_sum(w, r.coef_cos, r.coef_sin, pts))
+    chi = ChiSquareField(n=3, base=base)
+    for row, s in zip(_corpus_values(chi, seeds, ts), seeds):
+        comps = sample_realization(chi, s).components
+        ref = sum(_wave_sum(w, c.coef_cos, c.coef_sin, pts) ** 2 for c in comps)
+        _assert_rel_close(row, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +340,6 @@ def test_deflection_singular_at_star_and_supercriticality():
     sys = _one_star_system()
     with pytest.raises(SingularityError):
         sys.value(np.zeros(2))
-    assert check_supercritical(sys)
-    assert not check_supercritical(
-        MicrolensModel(kappa_c=0.2, gamma=0.0, m=0.5, n_stars=1, R=1.0))
 
 
 def test_zero_star_deflection_is_linear():

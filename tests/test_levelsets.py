@@ -98,6 +98,25 @@ def test_roots_1d_empty_when_level_unreached():
     assert rs.count == 0 and len(rs) == 0
 
 
+def test_roots_1d_field_calls_bounded_by_iterations_not_roots():
+    calls = []
+
+    def val(t):
+        calls.append("value")
+        return np.sin(TWO_PI * np.asarray(t, float))
+
+    def jac(t):
+        calls.append("derivative")
+        return TWO_PI * np.cos(TWO_PI * np.asarray(t, float))
+
+    f = DeterministicField(value_fn=val, jacobian_fn=jac, d=1, D=1)
+    rs = count_roots_1d(f, (0.01, 25.01), 0.0)
+    assert rs.count == 50
+    assert np.allclose(rs.points.ravel(), 0.5 * np.arange(1, 51), atol=1e-9)
+    # one grid call, 40 bisection steps, 8 Newton steps of two calls, 2 final calls
+    assert len(calls) <= 1 + 40 + 2 * 8 + 2
+
+
 def test_root_set_csv_round_trip(tmp_path):
     rs = count_roots_1d(_sine(), (0.1, 1.1), 0.0)
     path = tmp_path / "roots.csv"
