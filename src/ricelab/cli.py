@@ -12,6 +12,7 @@ import glob
 import json
 import os
 import sys
+import traceback
 
 from .errors import ConfigurationError, DomainError, RicelabError
 from .fields import sample_realization
@@ -260,6 +261,12 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except Exception as exc:  # a bug, not a verdict: keep exit 1 for verdicts
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        print(f"internal error: {type(exc).__name__}: {exc} "
+              f"(at {os.path.basename(frame.filename)}:{frame.lineno})",
+              file=sys.stderr)
         return EXIT_RUNTIME
 
 

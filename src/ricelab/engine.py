@@ -23,20 +23,26 @@ of measurement and prediction, so it lives in :mod:`ricelab.harness`
 
 Conventions shared by every evaluator:
 
-* Conditional laws are Gaussian regressions computed exactly; Monte Carlo is
-  used only where the conditional expectation itself has no convenient closed
-  form.  Sampling obeys the keyed-stream contract of :mod:`ricelab.rng`.
+* Conditional laws of the Gaussian families are Gaussian regressions computed
+  exactly; Monte Carlo is used only where the conditional expectation itself
+  has no convenient closed form, and for the impulse-sum and point-mass
+  families, which are not Gaussian.  Sampling obeys the keyed-stream contract
+  of :mod:`ricelab.rng`.
 * Deterministic quadrature error and Monte Carlo standard error are tracked
-  separately and reported side by side in the result objects.
-* Stationary models short-circuit the outer quadrature: the integrand is
-  constant, so the prediction is the rate times the box volume.
+  separately and reported side by side in the result objects.  Where Monte
+  Carlo sits inside a quadrature (signed counts, pair moments, image counts),
+  one set of draws serves every node of the fine and the coarse rule: the
+  standard error is the spread of each draw's integrated value, and the
+  fine-minus-coarse difference on the same draws is discretisation only.
+* The Gaussian and squared-sum families are stationary, so the mean-measure
+  prediction is a rate times the box volume, with no outer quadrature.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -61,6 +67,10 @@ from .rng import stream
 DEFAULT_INNER_MC = 4096
 DEFAULT_NODES = 256
 MIN_INNER_MC = 100
+# (draw, node) pairs per block of the lens kernel.  Its dozen temporaries of
+# this size fit a 2 MB L2 cache; blocks of 2^15 and 2^16 pairs ran 1.5-2x
+# slower per pair on a 2-core Xeon host.
+_LENS_BLOCK = 1 << 14
 
 __all__ = [
     "GaussianRegression",
@@ -100,9 +110,9 @@ class RhsEvaluation:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.value) or self.value < 0.0:
-            raise ValueError("prediction value must be finite and >= 0")
+            raise ModelError("prediction value must be finite and >= 0")
         if self.quadrature_error < 0.0 or self.mc_error < 0.0:
-            raise ValueError("error components must be >= 0")
+            raise ModelError("error components must be >= 0")
 
     @property
     def total_error(self) -> float:
@@ -346,10 +356,11 @@ def level_density(model, t, u, *, inner_mc: int = DEFAULT_INNER_MC, seed: int = 
         base = model.model if isinstance(model, MicrolensSystem) else model
         x = np.asarray(t, dtype=float)
         y = np.asarray(u, dtype=float)
-        val, _se, _cl = _microlens_designated(base, x, y, want="density",
-                                              inner_mc=_check_inner_mc(inner_mc),
-                                              rng=stream(seed, "lens-density"))
-        return val
+        xi = _lens_ensemble(base, _check_inner_mc(inner_mc),
+                            stream(seed, "lens-density"))
+        weight, _ = _microlens_designated(base, x.reshape(1, 2), y, xi,
+                                          want="density")
+        return float(weight.mean())
     raise CapabilityError(f"no level density for {type(model).__name__}")
 
 
@@ -444,10 +455,16 @@ def kacrice_rhs(model, box, u, *, quadrature=None, inner_mc: int = DEFAULT_INNER
     """Predicted mean measure of the level set {X = u} over ``box``.
 
     Impulse-sum and deflection models go to :func:`shotnoise_rhs` and
-    :func:`microlens_rhs` (``quadrature`` applies to the latter only).  Every
-    other family is stationary, so the prediction is the constant rate
-    density * E[normal Jacobian | X = u] times the box volume.
+    :func:`microlens_rhs`.  Every other family is stationary, so the
+    prediction is the constant rate density * E[normal Jacobian | X = u] times
+    the box volume.  ``quadrature`` applies to deflection models only; any
+    other model given one raises :class:`ConfigurationError` rather than
+    ignoring it.
     """
+    if quadrature is not None and not isinstance(model, (MicrolensModel,
+                                                         MicrolensSystem)):
+        raise ConfigurationError(
+            f"quadrature applies to deflection models only, not {type(model).__name__}")
     if isinstance(model, ShotNoiseModel):
         return shotnoise_rhs(model, box, u, inner_mc=inner_mc, seed=seed)
     if isinstance(model, (MicrolensModel, MicrolensSystem)):
@@ -797,83 +814,72 @@ def shotnoise_rhs(model: ShotNoiseModel, box, u, *, p_max: int = 12,
 # point-mass deflection fields
 
 
-def _microlens_designated(model: MicrolensModel, x: np.ndarray, y: np.ndarray, *,
-                          want: str, inner_mc: int, rng,
-                          eps_star: float = 1e-6) -> tuple[float, float, dict]:
-    """Inner Monte Carlo for the deflection-map density at a point.
+def _lens_ensemble(model: MicrolensModel, inner_mc: int, rng) -> np.ndarray:
+    """Positions of the ``n_stars - 1`` non-designated masses, one row per draw.
 
-    One point mass is designated and solved for: given the other masses, the
-    deflection equation at ``x`` pins the designated offset vector ``z*``
-    (the inversion ``z* = 2 m w / |w|^2`` of the excess deflection ``w``),
-    hence the designated position ``xi* = x - z*``.  The change of variables
-    carries the Jacobian ``|z*|^4 / (4 m^2)``, which cancels the blow-up of
-    the lens Jacobian determinant near the mass, so the integrand stays
-    bounded.  ``want`` selects the plain density or the joint (density times
-    |det jacobian|) estimate.  Samples with any mass within ``eps_star`` of
-    ``x`` are excluded; their count is reported as clamped mass.
+    Each mass is uniform on the configuration disk (r = R sqrt(u0),
+    theta = 2 pi u1); positions are complex numbers x1 + i x2, shape
+    (inner_mc, n_stars - 1).
     """
-    n_rest = model.n_stars - 1
-    m = model.m
-    c = model.c
-    area = math.pi * model.R ** 2
-    if n_rest > 0:
-        rest = rng.uniform(size=(inner_mc, n_rest, 2))
-        radii = model.R * np.sqrt(rest[..., 0])
-        angles = 2.0 * math.pi * rest[..., 1]
-        rest_pos = np.stack([radii * np.cos(angles), radii * np.sin(angles)],
-                            axis=-1)
-        zr = x[None, None, :] - rest_pos  # (n, n_rest, 2)
-        r2 = np.einsum("ijk,ijk->ij", zr, zr)
-        ok = np.all(r2 > eps_star ** 2, axis=1)
-        r2s = np.where(r2 > 0.0, r2, 1.0)
-        defl = 2.0 * m * np.einsum("ijk,ij->ik", zr, 1.0 / r2s)
-    else:
-        ok = np.ones(inner_mc, dtype=bool)
-        defl = np.zeros((inner_mc, 2))
-        rest_pos = np.zeros((inner_mc, 0, 2))
-    w = c * x[None, :] - defl - y[None, :]  # (n, 2)
-    w2 = np.einsum("ij,ij->i", w, w)
-    nz = w2 > 1e-28
-    ok &= nz
-    w2s = np.where(nz, w2, 1.0)
-    zstar = 2.0 * m * w / w2s[:, None]
-    xi = x[None, :] - zstar
-    inside = np.einsum("ij,ij->i", xi, xi) <= model.R ** 2
-    zstar_r2 = np.einsum("ij,ij->i", zstar, zstar)
-    near = zstar_r2 <= eps_star ** 2
-    ok &= ~near
-    weight = np.where(ok & inside,
-                      (zstar_r2 ** 2) / (4.0 * m * m) / area, 0.0)
-    if want == "joint":
-        # |det jac| at x with the designated mass in place
-        dets = _lens_det_batch(model, x, zstar, rest_pos)
-        weight = weight * np.abs(dets)
-    est = float(weight.mean())
-    se = float(weight.std(ddof=1) / math.sqrt(max(weight.size, 2)))
-    clamped = {"excluded": int(np.count_nonzero(~ok)), "eps_star": eps_star,
-               "max_weight": float(weight.max(initial=0.0))}
-    return est, se, clamped
+    u = rng.uniform(size=(inner_mc, model.n_stars - 1, 2))
+    return model.R * np.sqrt(u[..., 0]) * np.exp(2j * math.pi * u[..., 1])
 
 
-def _lens_det_batch(model: MicrolensModel, x: np.ndarray, zstar: np.ndarray,
-                    rest_pos: np.ndarray) -> np.ndarray:
-    """det(jac eta)(x) for a batch of mass layouts sharing the point x."""
-    n = zstar.shape[0]
-    jac = np.zeros((n, 2, 2))
-    jac[:, 0, 0] = model.c
-    jac[:, 1, 1] = model.c
-    blocks = [zstar[:, None, :]]
-    if rest_pos.shape[1] > 0:
-        blocks.append(x[None, None, :] - rest_pos)
-    for z in blocks:
-        r2b = np.einsum("ijk,ijk->ij", z, z)
-        r2b = np.where(r2b > 0.0, r2b, 1.0)
-        unit = z / np.sqrt(r2b)[..., None]
-        outer = np.einsum("ijk,ijl->ijkl", unit, unit)
-        eye = np.eye(2)[None, None, :, :]
-        jac -= np.sum(2.0 * model.m * (eye - 2.0 * outer) / r2b[..., None, None],
-                      axis=1)
-    return jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+def _microlens_designated(model: MicrolensModel, nodes: np.ndarray, y: np.ndarray,
+                          xi: np.ndarray, *, want: str,
+                          eps_star: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+    """Designated-mass weights for every (draw, node) pair.
+
+    ``nodes`` is an (n_nodes, 2) array of image-plane points x and ``xi`` the
+    (n_draws, n_stars - 1) complex positions of the other masses from
+    :func:`_lens_ensemble`; every node sees the same draws.  In complex form
+    (x = x1 + i x2, offsets z = x - xi) the deflection map is
+    eta(x) = c x - 2m sum 1/conj(z).  Given the other masses, eta(x) = y pins
+    the designated offset z* = 2m / conj(w) with the excess deflection
+    w = c x - y - 2m sum 1/conj(z), so the designated mass sits at x - z*.
+    The change of variables carries the Jacobian |z*|^4 / (4 m^2), which
+    cancels the blow-up of the lens Jacobian near the mass, so the weight
+    stays bounded.
+
+    Returns ``(weight, excluded)``, both (n_draws, n_nodes).  ``want="density"``
+    gives |z*|^4 / (4 m^2) over the disk area, or 0 where the designated mass
+    falls off the disk; ``want="joint"`` multiplies it by |det J| with the
+    complex form det J = c^2 - (2m)^2 |sum 1/z^2 + 1/z*^2|^2 (Witt 1990).
+    ``excluded`` marks pairs with a mass, designated or not, within
+    ``eps_star`` of the node, or a vanishing excess deflection
+    (|w|^2 <= 1e-28); their weight is 0.  The other masses are added one at a
+    time into accumulators of the output's size: no array has more than two
+    axes.
+    """
+    m2 = 2.0 * model.m
+    eps2 = eps_star * eps_star
+    # (nodes, draws) layout: the draws axis is the long contiguous one
+    x = (nodes[:, 0] + 1j * nodes[:, 1])[:, None]
+    shape = (x.shape[0], xi.shape[0])
+    defl = np.zeros(shape, dtype=complex)  # sum 1/conj(z)
+    curv = np.zeros(shape, dtype=complex)  # sum 1/conj(z)^2 = conj(sum 1/z^2)
+    excluded = np.zeros(shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for xi_j in np.ascontiguousarray(xi.T):
+            z = x - xi_j
+            r2 = np.square(z.real) + np.square(z.imag)
+            excluded |= r2 <= eps2
+            p = z * (1.0 / r2)  # 1/conj(z)
+            defl += p
+            curv += p * p
+        w = (model.c * x - (y[0] + 1j * y[1])) - m2 * defl
+        w2 = np.square(w.real) + np.square(w.imag)
+        excluded |= (w2 <= 1e-28) | (w2 >= m2 * m2 / eps2)  # |z*| <= eps_star
+        g = m2 / w2
+        xs = x - g * w  # designated position x - z*, z* = 2m w / |w|^2
+        outside = np.square(xs.real) + np.square(xs.imag) > model.R ** 2
+        weight = g * g * (1.0 / (math.pi * model.R ** 2))
+        if want == "joint":
+            # 1/conj(z*)^2 = w^2 / (2m)^2, so (2m) |sum 1/z^2 + 1/z*^2| = |t|
+            t = m2 * curv + w * w * (1.0 / m2)
+            weight *= np.abs(model.c * model.c - np.square(t.real) - np.square(t.imag))
+    weight[excluded | outside] = 0.0
+    return weight.T, excluded.T
 
 
 def _region_nodes(region, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -909,10 +915,18 @@ def microlens_rhs(model, y, region, *, quadrature=None,
                   eps_star: float = 1e-6) -> RhsEvaluation:
     """Predicted mean image count of source ``y`` over the region.
 
-    Averages over the point-mass ensemble (independent uniform positions on
-    the configuration disk).  Requires a supercritical deflection strength;
-    subcritical configurations flip the Jacobian sign at infinity and the
-    designated-mass construction is not validated there.
+    Averages the designated-mass integrand (:func:`_microlens_designated`)
+    over the point-mass ensemble (independent uniform positions on the
+    configuration disk) and over a midpoint rule on the region.  One set of
+    ``inner_mc`` ensemble draws serves every node of both the fine rule and
+    the half-resolution coarse rule, and each draw's integrated value is its
+    weighted sum over the nodes.  The value is the mean of the fine per-draw
+    integrals; ``mc_error`` is their standard deviation over sqrt(inner_mc),
+    the standard error of that mean with the correlation between nodes
+    included; ``quadrature_error`` is |fine - coarse| on the same draws, so it
+    measures discretisation only.  Requires a supercritical deflection
+    strength; subcritical configurations flip the Jacobian sign at infinity
+    and the designated-mass construction is not validated there.
     """
     if isinstance(model, MicrolensSystem):
         base = model.model
@@ -935,38 +949,40 @@ def microlens_rhs(model, y, region, *, quadrature=None,
                              detail={"path": "deterministic", "image": img.tolist()})
     nodes = _normalize_nodes(quadrature, default=24)
     inner_mc = _check_inner_mc(inner_mc)
+    xi = _lens_ensemble(base, inner_mc, stream(seed, "lens-ensemble"))
     pts, w = _region_nodes(region, nodes)
-    pts_c, w_c = _region_nodes(region, max(nodes // 2, 2))
-    total, var_sum, excluded = _microlens_quadrature(
-        base, y, pts, w, inner_mc, seed, eps_star)
-    coarse, _vc, _ec = _microlens_quadrature(
-        base, y, pts_c, w_c, max(inner_mc // 2, MIN_INNER_MC), seed + 1, eps_star)
+    fine, excluded = _lens_per_draw(base, y, pts, w, xi, eps_star)
+    coarse, _ = _lens_per_draw(base, y, *_region_nodes(region, max(nodes // 2, 2)),
+                               xi, eps_star)
+    value = float(fine.mean())
     return RhsEvaluation(
-        value=max(total, 0.0),
-        quadrature_error=abs(total - coarse),
-        mc_error=math.sqrt(var_sum),
+        value=value,
+        quadrature_error=abs(value - float(coarse.mean())),
+        mc_error=float(fine.std(ddof=1) / math.sqrt(inner_mc)),
         n_quadrature=pts.shape[0],
-        n_mc=inner_mc * pts.shape[0],
+        n_mc=inner_mc,
         detail={"excluded_samples": excluded, "eps_star": eps_star,
-                "nodes": nodes},
+                "nodes": nodes, "path": "shared-draws"},
     )
 
 
-def _microlens_quadrature(base: MicrolensModel, y: np.ndarray, pts: np.ndarray,
-                          w: np.ndarray, inner_mc: int, seed: int,
-                          eps_star: float) -> tuple[float, float, int]:
-    total = 0.0
-    var_sum = 0.0
+def _lens_per_draw(base: MicrolensModel, y: np.ndarray, pts: np.ndarray,
+                   w: np.ndarray, xi: np.ndarray,
+                   eps_star: float) -> tuple[np.ndarray, int]:
+    """Per-draw integrals sum_nodes w * f over one rule, and the excluded count.
+
+    Nodes go through the kernel in chunks of about ``_LENS_BLOCK`` (draw, node)
+    pairs, so the working arrays stay cache-sized for any rule.
+    """
+    per_draw = np.zeros(xi.shape[0])
     excluded = 0
-    for i, (pt, wi) in enumerate(zip(pts, w)):
-        rng = stream(seed, "lens-node", i)
-        est, se, cl = _microlens_designated(base, pt, y, want="joint",
-                                            inner_mc=inner_mc, rng=rng,
-                                            eps_star=eps_star)
-        total += wi * est
-        var_sum += (wi * se) ** 2
-        excluded += cl["excluded"]
-    return total, var_sum, excluded
+    step = max(1, _LENS_BLOCK // xi.shape[0])
+    for lo in range(0, pts.shape[0], step):
+        weight, out = _microlens_designated(base, pts[lo:lo + step], y, xi,
+                                            want="joint", eps_star=eps_star)
+        per_draw += weight @ w[lo:lo + step]
+        excluded += int(np.count_nonzero(out))
+    return per_draw, excluded
 
 
 def _point_in_region(p: np.ndarray, region) -> bool:

@@ -13,8 +13,8 @@ counter-based streams keyed by (seed, tag), see :mod:`ricelab.rng`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 

@@ -8,7 +8,6 @@ length estimator form the geometric half of every level-set formula check.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 

@@ -43,9 +43,7 @@ from .fields import (
     GradientField,
     GradientFieldRealization,
     MicrolensModel,
-    ShotNoiseModel,
     SpectralGaussian1D,
-    SpectralGaussian2D,
     batch_coefficients,
     sample_realization,
     trig_basis_1d,
@@ -53,7 +51,7 @@ from .fields import (
 from .geometry import favard_measure
 from .levelsets import count_roots_1d, count_roots_2d, local_time, nodal_length
 from .modelspec import SCHEMA_VERSION, model_from_doc
-from .rng import fanout_seed, stream
+from .rng import check_seed, fanout_seed, stream
 
 ESTIMATORS = ("roots", "length", "weighted", "local_time", "euler", "moment2")
 
@@ -256,6 +254,12 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     if kind not in _COMPAT[cfg.estimator]:
         raise ConfigurationError(
             f"estimator {cfg.estimator!r} does not apply to model kind {kind!r}")
+    if (cfg.quadrature is not None and cfg.estimator not in ("euler", "moment2")
+            and kind != "microlens"):
+        raise ConfigurationError(
+            "quadrature is read only by the euler and moment2 estimators and by "
+            f"deflection models; estimator {cfg.estimator!r} on model kind "
+            f"{kind!r} would ignore it")
 
     levels = cfg.levels
     if not isinstance(levels, Sequence) or isinstance(levels, (str, bytes)) or not levels:
@@ -820,8 +824,7 @@ def _rhs_for_level(cfg: ExperimentConfig, model, level, seed: int):
     if est == "weighted":
         return weighted_kacrice_rhs(model, cfg.box, u, cfg.weight,
                                     inner_mc=cfg.inner_mc, seed=seed)
-    return kacrice_rhs(model, cfg.box, u, quadrature=cfg.quadrature,
-                       inner_mc=cfg.inner_mc, seed=seed)
+    return kacrice_rhs(model, cfg.box, u, inner_mc=cfg.inner_mc, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -884,6 +887,7 @@ def run_experiment(config, master_seed: int = 0, workers: int = 1) -> Experiment
     """Run one closed-pipeline experiment and score every level."""
     if isinstance(config, Mapping) and not isinstance(config, ExperimentConfig):
         config = ExperimentConfig.from_doc(config)
+    master_seed = check_seed(master_seed)
     t0 = time.perf_counter()
     n = config.n_realizations
     values, extras = _measure_values(config, master_seed, workers)
@@ -904,7 +908,7 @@ def run_experiment(config, master_seed: int = 0, workers: int = 1) -> Experiment
             rhs_quadrature_error=float(rhs.quadrature_error),
             rhs_mc_error=float(rhs.mc_error), z_score=z, passed=passed))
     return ExperimentReport(
-        config=config, master_seed=int(master_seed), rows=tuple(rows),
+        config=config, master_seed=master_seed, rows=tuple(rows),
         extras=extras, passed=all(r.passed for r in rows),
         wall_time_s=time.perf_counter() - t0)
 
@@ -913,6 +917,7 @@ def measure_only(config, master_seed: int = 0, workers: int = 1) -> dict:
     """Empirical side alone: per-level corpus means without a prediction."""
     if isinstance(config, Mapping):
         config = ExperimentConfig.from_doc(config)
+    master_seed = check_seed(master_seed)
     n = config.n_realizations
     values, extras = _measure_values(config, master_seed, workers)
     rows = []
@@ -922,7 +927,7 @@ def measure_only(config, master_seed: int = 0, workers: int = 1) -> dict:
                      "lhs_mean": float(col.mean()),
                      "lhs_se": float(col.std(ddof=1) / math.sqrt(n))})
     return {"schema_version": SCHEMA_VERSION, "kind": "measurement",
-            "experiment_id": config.experiment_id, "master_seed": int(master_seed),
+            "experiment_id": config.experiment_id, "master_seed": master_seed,
             "n_realizations": n, "rows": rows, "extras": _as_plain(extras)}
 
 
@@ -930,6 +935,7 @@ def predict_only(config, master_seed: int = 0) -> dict:
     """Prediction side alone: per-level values with both error channels."""
     if isinstance(config, Mapping):
         config = ExperimentConfig.from_doc(config)
+    master_seed = check_seed(master_seed)
     model = model_from_doc(dict(config.model))
     rows = []
     for j, level in enumerate(config.levels):
@@ -940,7 +946,7 @@ def predict_only(config, master_seed: int = 0) -> dict:
                      "rhs_quadrature_error": float(rhs.quadrature_error),
                      "rhs_mc_error": float(rhs.mc_error)})
     return {"schema_version": SCHEMA_VERSION, "kind": "prediction",
-            "experiment_id": config.experiment_id, "master_seed": int(master_seed),
+            "experiment_id": config.experiment_id, "master_seed": master_seed,
             "rows": rows}
 
 
@@ -1108,6 +1114,7 @@ def run_suite(manifest, master_seed: int = 0, workers: int = 1,
     rest.  With ``out_dir`` set, each report lands in
     ``<out_dir>/<experiment_id>.report.json`` next to ``suite_summary.csv``.
     """
+    master_seed = check_seed(master_seed)
     entries = load_manifest(manifest)
     ids = [e["experiment_id"] for e in entries
            if isinstance(e, Mapping) and "experiment_id" in e]

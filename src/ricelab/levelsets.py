@@ -14,12 +14,12 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import CapabilityError, ConfigurationError
-from .geometry import Polyline, normal_jacobian
+from .geometry import Polyline
 
 __all__ = [
     "GridSample",

@@ -9,10 +9,13 @@ byte-identical draws.
 from __future__ import annotations
 
 import hashlib
+import operator
 
 import numpy as np
 
-__all__ = ["stream", "fanout_seed"]
+from .errors import ConfigurationError
+
+__all__ = ["stream", "fanout_seed", "check_seed"]
 
 
 def _digest(*parts) -> bytes:
@@ -29,14 +32,23 @@ def _digest(*parts) -> bytes:
     return h.digest()
 
 
+def check_seed(seed) -> int:
+    """``seed`` as an int; :class:`ConfigurationError` unless it is a uint64."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise ConfigurationError(f"seed must be an integer, got {seed!r}") from None
+    if not 0 <= value < 2**64:
+        raise ConfigurationError(f"seed must be a uint64 (0 <= seed < 2**64), got {value}")
+    return value
+
+
 def stream(seed: int, tag: str, index: int = 0) -> np.random.Generator:
     """Deterministic Philox generator for (seed, tag, index)."""
-    if not 0 <= int(seed) < 2**64:
-        raise ValueError(f"seed must be a uint64, got {seed}")
-    key = int.from_bytes(_digest(int(seed), tag, int(index)), "little")
+    key = int.from_bytes(_digest(check_seed(seed), tag, int(index)), "little")
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def fanout_seed(master_seed: int, label: str, index: int = 0) -> int:
     """Derive a child uint64 seed from (master seed, label, index)."""
-    return int.from_bytes(_digest(int(master_seed), label, int(index))[:8], "little")
+    return int.from_bytes(_digest(check_seed(master_seed), label, int(index))[:8], "little")

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from ricelab import cli
 from ricelab.cli import main
 
 TWO_PI = 2.0 * math.pi
@@ -79,6 +80,28 @@ def test_runtime_errors_exit_three(tmp_path, capsys):
     cfg = _write(tmp_path, "exp.json", doc)
     assert main(["validate", "--config", cfg]) == 3
     assert "runtime error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_out_of_range_seed_exits_two(tmp_path, capsys, seed):
+    # seeds are uint64: -1 once overflowed inside the stream hash (exit 1,
+    # read as a failed verdict) and 2**64 was accepted silently (exit 0)
+    cfg = _write(tmp_path, "exp.json", _exact_experiment())
+    for command in ("validate", "measure", "kacrice"):
+        assert main([command, "--config", cfg, "--seed", seed]) == 2
+        assert "uint64" in capsys.readouterr().err
+    assert main(["crofton", "--samples", "100", "--seed", seed]) == 2
+
+
+def test_unexpected_exception_exits_three(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_validate", broken)
+    cfg = _write(tmp_path, "exp.json", _exact_experiment())
+    assert main(["validate", "--config", cfg]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "internal error: RuntimeError: boom" in err[0]
 
 
 def test_simulate_exports_grids(tmp_path, capsys):

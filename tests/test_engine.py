@@ -6,6 +6,9 @@ from scipy import integrate, stats
 
 from ricelab.engine import (
     RhsEvaluation,
+    _lens_ensemble,
+    _microlens_designated,
+    _region_nodes,
     euler_char_expectation,
     kacrice_rhs,
     level_density,
@@ -19,11 +22,13 @@ from ricelab.errors import (
     ConfigurationError,
     DegeneracyError,
     DomainError,
+    ModelError,
 )
 from ricelab.fields import (
     ChiSquareField,
     GradientField,
     MicrolensModel,
+    MicrolensSystem,
     ShotNoiseModel,
     SpectralGaussian1D,
     SpectralGaussian2D,
@@ -62,11 +67,11 @@ def test_rhs_evaluation_validation_and_doc():
     assert ev.total_error == pytest.approx(0.03)
     doc = ev.to_doc()
     assert doc["value"] == 2.0 and doc["total_error"] == pytest.approx(0.03)
-    with pytest.raises(ValueError):
+    with pytest.raises(ModelError):
         RhsEvaluation(value=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ModelError):
         RhsEvaluation(value=1.0, mc_error=-0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ModelError):
         RhsEvaluation(value=math.nan)
 
 
@@ -392,6 +397,99 @@ def test_lens_prediction_plausible_for_small_field():
     with pytest.raises(ConfigurationError):
         microlens_rhs(model, np.zeros(3), {"kind": "disk", "center": [0, 0],
                                            "radius": 1.0})
+
+
+def _lens_node_reference(model, x, y, rest, eps_star=1e-6):
+    """Joint designated-mass weight at one node for every draw, in real form.
+
+    The designated offset z* solves the lens equation at ``x`` given the
+    other masses ``rest`` (n_draws, k, 2); the Jacobian is the real 2x2 sum
+    c I - 2m sum (I - 2 u u^T) / |z|^2 over every offset, designated included.
+    """
+    m, c = model.m, model.c
+    z = x[None, None, :] - rest
+    r2 = np.sum(z * z, axis=-1)
+    w = c * x[None, :] - 2.0 * m * np.sum(z / r2[..., None], axis=1) - y[None, :]
+    w2 = np.sum(w * w, axis=-1)
+    zstar = 2.0 * m * w / w2[:, None]
+    jac = np.zeros((w.shape[0], 2, 2))
+    jac[:, 0, 0] = jac[:, 1, 1] = c
+    for off in [zstar] + [z[:, j] for j in range(z.shape[1])]:
+        d2 = np.sum(off * off, axis=-1)
+        outer = off[:, :, None] * off[:, None, :] / d2[:, None, None]
+        jac -= 2.0 * m * (np.eye(2)[None] - 2.0 * outer) / d2[:, None, None]
+    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    zs2 = np.sum(zstar * zstar, axis=-1)
+    ok = np.all(r2 > eps_star ** 2, axis=1) & (w2 > 1e-28) & (zs2 > eps_star ** 2)
+    inside = np.sum((x[None, :] - zstar) ** 2, axis=-1) <= model.R ** 2
+    weight = zs2 ** 2 / (4.0 * m * m) / (math.pi * model.R ** 2) * np.abs(det)
+    return np.where(ok & inside, weight, 0.0)
+
+
+def test_lens_complex_det_matches_frozen_system_jacobian():
+    model = MicrolensModel(kappa_c=2.0, gamma=0.1, m=0.2, n_stars=4, R=1.0)
+    rng = stream(3, "lens-det-test")
+    xi = _lens_ensemble(model, 40, rng)
+    nodes = rng.uniform(-0.8, 0.8, size=(5, 2))
+    y = np.array([0.25, 0.1])
+    joint, excluded = _microlens_designated(model, nodes, y, xi, want="joint")
+    dens, _ = _microlens_designated(model, nodes, y, xi, want="density")
+    assert joint.shape == dens.shape == excluded.shape == (40, 5)
+    checked = 0
+    for i, j in zip(*np.nonzero(dens > 0.0)):
+        x = nodes[j]
+        rest = np.column_stack([xi[i].real, xi[i].imag])
+        w = MicrolensSystem(model.kappa_c, model.gamma, model.m, rest,
+                            model.R).value(x) - y
+        designated = x - 2.0 * model.m * w / (w @ w)
+        frozen = MicrolensSystem(model.kappa_c, model.gamma, model.m,
+                                 np.vstack([rest, designated]), model.R)
+        assert np.allclose(frozen.value(x), y, rtol=0.0, atol=1e-12)
+        det = np.linalg.det(frozen.jacobian(x))
+        assert joint[i, j] / dens[i, j] == pytest.approx(abs(det), rel=1e-12)
+        checked += 1
+    assert checked >= 50
+
+
+@pytest.mark.parametrize("n_stars", [1, 3])
+def test_lens_shared_draws_match_per_node_loop(n_stars):
+    model = MicrolensModel(kappa_c=2.0, gamma=0.0, m=0.2, n_stars=n_stars, R=1.0)
+    y = np.array([0.25, 0.1])
+    region = {"kind": "disk", "center": [0.0, 0.0], "radius": 1.97}
+    inner_mc, seed = 512, 5
+    ev = microlens_rhs(model, y, region, quadrature=6, inner_mc=inner_mc, seed=seed)
+    u = stream(seed, "lens-ensemble").uniform(size=(inner_mc, n_stars - 1, 2))
+    r = model.R * np.sqrt(u[..., 0])
+    rest = np.stack([r * np.cos(2.0 * math.pi * u[..., 1]),
+                     r * np.sin(2.0 * math.pi * u[..., 1])], axis=-1)
+
+    def per_draw(nodes):
+        pts, w = _region_nodes(region, nodes)
+        total = np.zeros(inner_mc)
+        for x, wx in zip(pts, w):
+            total += wx * _lens_node_reference(model, x, y, rest)
+        return total
+
+    fine, coarse = per_draw(6), per_draw(3)
+    assert ev.value == pytest.approx(fine.mean(), rel=1e-12)
+    assert ev.quadrature_error == pytest.approx(abs(fine.mean() - coarse.mean()),
+                                                rel=1e-12, abs=1e-15)
+    # the standard error rests on the inner_mc independent per-draw integrals
+    assert ev.mc_error * math.sqrt(inner_mc) == pytest.approx(fine.std(ddof=1),
+                                                             rel=1e-12, abs=1e-15)
+    assert ev.n_mc == inner_mc and ev.n_quadrature == 72
+    assert ev.detail["path"] == "shared-draws" and ev.detail["nodes"] == 6
+    if n_stars == 1:
+        assert ev.mc_error == 0.0  # no ensemble left to average over
+
+
+def test_lens_level_density_finite_positive_and_deterministic():
+    model = MicrolensModel(kappa_c=2.0, gamma=0.0, m=0.2, n_stars=3, R=1.0)
+    x, y = np.array([0.3, -0.2]), np.array([0.25, 0.1])
+    a = level_density(model, x, y, inner_mc=2048, seed=9)
+    assert math.isfinite(a) and a > 0.0
+    assert level_density(model, x, y, inner_mc=2048, seed=9) == a
+    assert level_density(model, x, y, inner_mc=2048, seed=10) != a
 
 
 # ---------------------------------------------------------------------------

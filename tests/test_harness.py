@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
+from ricelab.engine import kacrice_rhs
 from ricelab.errors import ConfigurationError
+from ricelab.fields import SpectralGaussian1D
 from ricelab.harness import (
     ExperimentConfig,
     ExperimentReport,
@@ -114,6 +116,26 @@ def test_config_region_only_for_deflection_models():
         grid=64,
     )
     assert cfg.region["kind"] == "disk"
+
+
+def test_config_rejects_quadrature_nothing_reads():
+    # roots and weighted predictions of stationary families take no
+    # quadrature; accepting one would let a config promise a rule never run
+    with pytest.raises(ConfigurationError, match="quadrature"):
+        _cfg(quadrature=32)
+    with pytest.raises(ConfigurationError, match="quadrature"):
+        _cfg(model=CHI2, levels=[1.0], quadrature=16)
+    with pytest.raises(ConfigurationError, match="quadrature"):
+        _cfg(estimator="weighted", weight="upcrossing", quadrature=16)
+    with pytest.raises(ConfigurationError, match="quadrature"):
+        kacrice_rhs(SpectralGaussian1D(frequencies=np.array([1.0]),
+                                       amplitudes=np.array([1.0])),
+                    (0.0, TWO_PI), 0.0, quadrature=16)
+    assert _cfg(estimator="euler", quadrature=16).quadrature == 16
+    assert _cfg(estimator="moment2", box=[0.0, 3.0], quadrature=16).quadrature == 16
+    lens = _cfg(model=LENS0, levels=[[0.25, 0.1]], box=None, quadrature=8,
+                n_realizations=30, grid=64)
+    assert lens.quadrature == 8
 
 
 def test_config_doc_round_trip_and_strictness():

@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ricelab.rng import fanout_seed, stream
+from ricelab.errors import ConfigurationError
+from ricelab.rng import check_seed, fanout_seed, stream
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -48,3 +50,12 @@ def test_fanout_feeds_distinct_streams():
             for i in range(50)]
     flat = np.array(vals).ravel()
     assert np.unique(flat).size == flat.size
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64, 1.5, "7"])
+def test_seeds_outside_uint64_are_configuration_errors(bad):
+    # -1 used to escape as an OverflowError from the key hash
+    for call in (check_seed, lambda s: stream(s, "t"), lambda s: fanout_seed(s, "t")):
+        with pytest.raises(ConfigurationError):
+            call(bad)
+    assert check_seed(np.uint64(2**64 - 1)) == 2**64 - 1
