@@ -31,9 +31,12 @@ Conventions shared by every evaluator:
 * Deterministic quadrature error and Monte Carlo standard error are tracked
   separately and reported side by side in the result objects.  Where Monte
   Carlo sits inside a quadrature (signed counts, pair moments, image counts),
-  one set of draws serves every node of the fine and the coarse rule: the
-  standard error is the spread of each draw's integrated value, and the
+  one reducer, ``_shared_draw_quadrature``, integrates every draw over the
+  rule: one set of draws serves every node of the fine and the coarse rule,
+  the standard error is the spread of each draw's integrated value, and the
   fine-minus-coarse difference on the same draws is discretisation only.
+  Nodes go through the integrand in blocks of a fixed number of
+  (node, draw) pairs, so memory stays bounded for any rule.
 * The Gaussian and squared-sum families are stationary, so the mean-measure
   prediction is a rate times the box volume, with no outer quadrature.
 """
@@ -62,15 +65,17 @@ from .fields import (
     SpectralGaussian1D,
     SpectralGaussian2D,
 )
-from .rng import stream
+from .rng import mean_se, stream
 
 DEFAULT_INNER_MC = 4096
 DEFAULT_NODES = 256
 MIN_INNER_MC = 100
-# (draw, node) pairs per block of the lens kernel.  Its dozen temporaries of
-# this size fit a 2 MB L2 cache; blocks of 2^15 and 2^16 pairs ran 1.5-2x
-# slower per pair on a 2-core Xeon host.
-_LENS_BLOCK = 1 << 14
+# (node, draw) pairs per block of _shared_draw_quadrature: timed on its three
+# users on a 2-core Xeon host, 2^14 was fastest or within noise for each.
+# Smaller blocks pay more per-block Python; at 2^15-2^16 the lens kernel ran
+# 30-55% slower, mostly not under a raised glibc mmap/trim threshold, so that
+# cost is page faults on freshly mapped temporaries, not cache size.
+_SHARED_BLOCK = 1 << 14
 
 __all__ = [
     "GaussianRegression",
@@ -230,6 +235,24 @@ def _check_inner_mc(inner_mc: int) -> int:
             f"inner_mc={n} is below the minimum of {MIN_INNER_MC}"
         )
     return n
+
+
+def _shared_draw_quadrature(f, weights: np.ndarray, n_draws: int) -> np.ndarray:
+    """Per-draw quadrature sums: entry i is sum_j weights[j] * f(node j, draw i).
+
+    ``f(sl)`` gives the (n, n_draws) integrand values at the nodes of the slice
+    ``sl`` of the rule, for blocks of about ``_SHARED_BLOCK`` (node, draw) pairs.
+    """
+    per_draw = np.zeros(n_draws)
+    step = max(1, _SHARED_BLOCK // n_draws)
+    for lo in range(0, weights.size, step):
+        sl = slice(lo, lo + step)
+        # kept bound until the next block replaces it: freeing each result at
+        # once timed slower on the lens kernel
+        vals = f(sl)
+        # np.dot, not @: a one-node block went through @ about 5x slower
+        per_draw += np.dot(weights[sl], vals)
+    return per_draw
 
 
 def _box_volume(box) -> float:
@@ -395,31 +418,27 @@ def conditional_jacobian_expectation(model, t, u, *, inner_mc: int = DEFAULT_INN
         rng = stream(seed, "cond-jacobian")
         chol = np.linalg.cholesky(lam)
         draws = rng.standard_normal((inner_mc, 2)) @ chol.T
-        norms = np.hypot(draws[:, 0], draws[:, 1])
-        return float(norms.mean()), float(norms.std(ddof=1) / math.sqrt(inner_mc))
+        return mean_se(np.hypot(draws[:, 0], draws[:, 1]))
     if isinstance(model, GradientField):
-        rng = stream(seed, "cond-jacobian")
-        dets = _sample_hessian_dets(model.base, rng, inner_mc)
-        vals = np.abs(dets)
-        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(inner_mc))
+        dets, _ = _sample_hessians(model.base, stream(seed, "cond-jacobian"), inner_mc)
+        return mean_se(np.abs(dets))
     if isinstance(model, ChiSquareField):
         uf = float(u)
         if uf <= 0.0:
             raise DomainError("squared-sum conditioning requires u > 0")
         rng = stream(seed, "cond-jacobian")
-        vals = _chi2_jacobian_draws(model, uf, rng, inner_mc)
-        return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(inner_mc))
+        return mean_se(_chi2_jacobian_draws(model, uf, rng, inner_mc))
     raise CapabilityError(
         f"no conditional Jacobian rule for {type(model).__name__}"
     )
 
 
-def _sample_hessian_dets(base: SpectralGaussian2D, rng, n: int) -> np.ndarray:
-    """Draws of det(Hess Y) at a point, unconditional (grad-independent)."""
+def _sample_hessians(base: SpectralGaussian2D, rng, n: int) -> tuple:
+    """Draws of (det, trace) of Hess Y at a point, unconditional (grad-independent)."""
     cov = _hessian_cov_matrix(base)
     chol = np.linalg.cholesky(cov + 1e-14 * np.trace(cov) * np.eye(3))
     z = rng.standard_normal((n, 3)) @ chol.T
-    return z[:, 0] * z[:, 1] - z[:, 2] ** 2
+    return z[:, 0] * z[:, 1] - z[:, 2] ** 2, z[:, 0] + z[:, 1]
 
 
 def _chi2_jacobian_draws(model: ChiSquareField, u: float, rng, n: int) -> np.ndarray:
@@ -538,21 +557,15 @@ def weighted_kacrice_rhs(model, box, u, weight, *, inner_mc: int = DEFAULT_INNER
         dens = level_density(model, None, u)
         # shared stream across k so the three signature classes partition
         # the same determinant draws
-        rng = stream(seed, "index-weight")
-        cov = _hessian_cov_matrix(model.base)
-        chol = np.linalg.cholesky(cov + 1e-14 * np.trace(cov) * np.eye(3))
-        z = rng.standard_normal((inner_mc, 3)) @ chol.T
-        det = z[:, 0] * z[:, 1] - z[:, 2] ** 2
-        trace = z[:, 0] + z[:, 1]
+        det, trace = _sample_hessians(model.base, stream(seed, "index-weight"),
+                                      inner_mc)
         if k == 1:
             sel = det < 0.0
         elif k == 0:
             sel = (det > 0.0) & (trace > 0.0)
         else:
             sel = (det > 0.0) & (trace < 0.0)
-        vals = np.abs(det) * sel
-        est = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(inner_mc))
+        est, se = mean_se(np.abs(det) * sel)
         return RhsEvaluation(value=dens * est * vol, mc_error=dens * se * vol,
                              n_mc=inner_mc, detail={"weight": f"index-{k}"})
     if callable(weight):
@@ -568,9 +581,7 @@ def weighted_kacrice_rhs(model, box, u, weight, *, inner_mc: int = DEFAULT_INNER
             raise ConfigurationError("weight callable must map draws to draws")
         if np.any(w < 0.0) or not np.all(np.isfinite(w)):
             raise ConfigurationError("weights must be finite and >= 0")
-        vals = np.abs(slope) * w
-        est = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(inner_mc))
+        est, se = mean_se(np.abs(slope) * w)
         return RhsEvaluation(value=dens * est * vol, mc_error=dens * se * vol,
                              n_mc=inner_mc, detail={"weight": "callable"})
     raise ConfigurationError(f"unknown weight specification {weight!r}")
@@ -625,36 +636,32 @@ def euler_char_expectation(model, box, u, *, quadrature=None,
     gain = reg.cov_cross[:, 0] / lam0  # conditional mean = gain * x
     rng = stream(seed, "euler-hessian")
     z = rng.standard_normal((inner_mc, cov.shape[0])) @ chol.T
+    zs = z.T.copy()  # one contiguous row per Hessian entry
 
-    def node_values(x: np.ndarray) -> np.ndarray:
-        """(n_mc, n_x) conditional det-Hessian draws times the joint density."""
-        mean = np.outer(gain, x)  # (n_latent, n_x)
-        if d == 1:
-            h = z[:, 0][:, None] + mean[0][None, :]
-            dets = h
-        else:
-            h11 = z[:, 0][:, None] + mean[0][None, :]
-            h22 = z[:, 1][:, None] + mean[1][None, :]
-            h12 = z[:, 2][:, None] + mean[2][None, :]
-            dets = h11 * h22 - h12 * h12
-        dens = np.exp(-0.5 * x * x / lam0) / math.sqrt(2.0 * math.pi * lam0)
-        return dets * (dens * grad_dens)[None, :]
-
-    def integrate(n_nodes: int) -> tuple[float, np.ndarray]:
+    def per_draw(n_nodes: int) -> np.ndarray:
+        """Per-draw midpoint rule in s of det Hess times the joint density."""
         s = (np.arange(n_nodes) + 0.5) / n_nodes
         x = u + s / (1.0 - s)
-        w = (1.0 / n_nodes) / (1.0 - s) ** 2
-        vals = node_values(x)  # (n_mc, n_nodes)
-        per_sample = vals @ w
-        return float(per_sample.mean()), per_sample
+        mean = np.outer(gain, x)[:, :, None]  # conditional mean of the Hessian
+        dens = np.exp(-0.5 * x * x / lam0) / math.sqrt(2.0 * math.pi * lam0) * grad_dens
 
-    coarse, _ = integrate(nodes // 2)
-    fine, per_sample = integrate(nodes)
+        def node_values(sl: slice) -> np.ndarray:
+            if d == 1:
+                dets = zs[0] + mean[0, sl]
+            else:
+                h12 = zs[2] + mean[2, sl]
+                dets = (zs[0] + mean[0, sl]) * (zs[1] + mean[1, sl]) - h12 * h12
+            return dets * dens[sl, None]
+
+        return _shared_draw_quadrature(node_values, (1.0 / n_nodes) / (1.0 - s) ** 2,
+                                       inner_mc)
+
+    coarse = float(per_draw(nodes // 2).mean())
+    fine, mc_se = mean_se(per_draw(nodes))
     sign_factor = (-1.0) ** d
     value = sign_factor * fine * vol
     quad_err = abs(fine - coarse) * vol
-    mc_se = float(per_sample.std(ddof=1) / math.sqrt(inner_mc)) * vol
-    return SignedEstimate(value=value, quadrature_error=quad_err, mc_error=mc_se,
+    return SignedEstimate(value=value, quadrature_error=quad_err, mc_error=mc_se * vol,
                           detail={"nodes": nodes, "n_mc": inner_mc, "dim": d})
 
 
@@ -712,12 +719,7 @@ def _shotnoise_window_term(
     def pair(width: float) -> tuple[float, float, float, float]:
         hit = np.abs(vals - u) < width
         scale = 1.0 / (2.0 * width)
-        dens_draws = hit * scale
-        joint_draws = hit * np.abs(slopes) * scale
-        return (float(dens_draws.mean()),
-                float(dens_draws.std(ddof=1) / math.sqrt(n_mc)),
-                float(joint_draws.mean()),
-                float(joint_draws.std(ddof=1) / math.sqrt(n_mc)))
+        return (*mean_se(hit * scale), *mean_se(hit * np.abs(slopes) * scale))
 
     d_c, dse_c, j_c, jse_c = pair(delta)
     d_f, dse_f, j_f, jse_f = pair(delta / 2.0)
@@ -841,7 +843,7 @@ def _microlens_designated(model: MicrolensModel, nodes: np.ndarray, y: np.ndarra
     cancels the blow-up of the lens Jacobian near the mass, so the weight
     stays bounded.
 
-    Returns ``(weight, excluded)``, both (n_draws, n_nodes).  ``want="density"``
+    Returns ``(weight, excluded)``, both (n_nodes, n_draws).  ``want="density"``
     gives |z*|^4 / (4 m^2) over the disk area, or 0 where the designated mass
     falls off the disk; ``want="joint"`` multiplies it by |det J| with the
     complex form det J = c^2 - (2m)^2 |sum 1/z^2 + 1/z*^2|^2 (Witt 1990).
@@ -879,7 +881,7 @@ def _microlens_designated(model: MicrolensModel, nodes: np.ndarray, y: np.ndarra
             t = m2 * curv + w * w * (1.0 / m2)
             weight *= np.abs(model.c * model.c - np.square(t.real) - np.square(t.imag))
     weight[excluded | outside] = 0.0
-    return weight.T, excluded.T
+    return weight, excluded
 
 
 def _region_nodes(region, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -950,39 +952,33 @@ def microlens_rhs(model, y, region, *, quadrature=None,
     nodes = _normalize_nodes(quadrature, default=24)
     inner_mc = _check_inner_mc(inner_mc)
     xi = _lens_ensemble(base, inner_mc, stream(seed, "lens-ensemble"))
+
+    def per_draw(pts: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, int]:
+        """Per-draw integrals over one rule, and the excluded (draw, node) pairs."""
+        excluded = 0
+
+        def joint(sl: slice) -> np.ndarray:
+            nonlocal excluded
+            weight, out = _microlens_designated(base, pts[sl], y, xi, want="joint",
+                                                eps_star=eps_star)
+            excluded += int(np.count_nonzero(out))
+            return weight
+
+        return _shared_draw_quadrature(joint, w, inner_mc), excluded
+
     pts, w = _region_nodes(region, nodes)
-    fine, excluded = _lens_per_draw(base, y, pts, w, xi, eps_star)
-    coarse, _ = _lens_per_draw(base, y, *_region_nodes(region, max(nodes // 2, 2)),
-                               xi, eps_star)
-    value = float(fine.mean())
+    fine, excluded = per_draw(pts, w)
+    coarse, _ = per_draw(*_region_nodes(region, max(nodes // 2, 2)))
+    value, mc_error = mean_se(fine)
     return RhsEvaluation(
         value=value,
         quadrature_error=abs(value - float(coarse.mean())),
-        mc_error=float(fine.std(ddof=1) / math.sqrt(inner_mc)),
+        mc_error=mc_error,
         n_quadrature=pts.shape[0],
         n_mc=inner_mc,
         detail={"excluded_samples": excluded, "eps_star": eps_star,
                 "nodes": nodes, "path": "shared-draws"},
     )
-
-
-def _lens_per_draw(base: MicrolensModel, y: np.ndarray, pts: np.ndarray,
-                   w: np.ndarray, xi: np.ndarray,
-                   eps_star: float) -> tuple[np.ndarray, int]:
-    """Per-draw integrals sum_nodes w * f over one rule, and the excluded count.
-
-    Nodes go through the kernel in chunks of about ``_LENS_BLOCK`` (draw, node)
-    pairs, so the working arrays stay cache-sized for any rule.
-    """
-    per_draw = np.zeros(xi.shape[0])
-    excluded = 0
-    step = max(1, _LENS_BLOCK // xi.shape[0])
-    for lo in range(0, pts.shape[0], step):
-        weight, out = _microlens_designated(base, pts[lo:lo + step], y, xi,
-                                            want="joint", eps_star=eps_star)
-        per_draw += weight @ w[lo:lo + step]
-        excluded += int(np.count_nonzero(out))
-    return per_draw, excluded
 
 
 def _point_in_region(p: np.ndarray, region) -> bool:
@@ -1036,9 +1032,13 @@ def second_factorial_moment_rhs(model: SpectralGaussian1D, interval, u, *,
 
     rng = stream(seed, "pair-moment")
     z = rng.standard_normal((inner_mc, 2))
+    z1, z2 = z.T.copy()  # contiguous rows
 
-    def f_values(tau: np.ndarray) -> np.ndarray:
-        """(n_mc, n_tau) draws of |V1 V2| times the pair density."""
+    def per_draw(band: float, n_nodes: int) -> np.ndarray:
+        """Per-draw midpoint rule on (band, T) of |V1 V2| times the pair density."""
+        h = (T - band) / n_nodes
+        tau = band + (np.arange(n_nodes) + 0.5) * h
+        # the conditional law of (V1, V2) = (X'(s), X'(t)) at each lag, once per rule
         c = model.covariance(tau)
         cp = model.covariance(tau, order=1)
         cpp = model.covariance(tau, order=2)
@@ -1055,30 +1055,26 @@ def second_factorial_moment_rhs(model: SpectralGaussian1D, interval, u, *,
         rho = np.clip(np.where(q11 > 0.0, q12 / np.maximum(q11, 1e-300), 0.0),
                       -1.0, 1.0)
         sd2 = np.sqrt(np.maximum(q11 - rho * rho * q11, 0.0))
-        v1 = mu1[None, :] + z[:, 0][:, None] * sd1[None, :]
-        v2 = (mu2[None, :] + z[:, 0][:, None] * (rho * sd1)[None, :]
-              + z[:, 1][:, None] * sd2[None, :])
         dens = np.exp(-u * u / (lam0 + c)) / (2.0 * math.pi * np.sqrt(det_obs))
-        return np.abs(v1 * v2) * dens[None, :]
+        # per-lag columns against the rows of draws
+        mu1, mu2, sd1, rho_sd1, sd2, dens = (
+            a[:, None] for a in (mu1, mu2, sd1, rho * sd1, sd2, dens))
 
-    def integrate(band: float, n_nodes: int) -> tuple[float, np.ndarray]:
-        h = (T - band) / n_nodes
-        tau = band + (np.arange(n_nodes) + 0.5) * h
-        vals = f_values(tau)  # (n_mc, n_nodes)
-        weights = 2.0 * (T - tau) * h
-        per_sample = vals @ weights
-        return float(per_sample.mean()), per_sample
+        def node_values(sl: slice) -> np.ndarray:
+            v1 = mu1[sl] + z1 * sd1[sl]
+            v2 = mu2[sl] + z1 * rho_sd1[sl] + z2 * sd2[sl]
+            return np.abs(v1 * v2) * dens[sl]
+
+        return _shared_draw_quadrature(node_values, 2.0 * (T - tau) * h, inner_mc)
 
     band = band_fraction * T
-    wide, _ = integrate(2.0 * band, nodes)
-    narrow, per_sample = integrate(band, nodes)
+    wide = float(per_draw(2.0 * band, nodes).mean())
+    narrow, mc_se = mean_se(per_draw(band, nodes))
     # band integral is O(band^2): one Richardson step
     value = narrow + (narrow - wide) / 3.0
     quad_err = abs(narrow - wide) / 3.0
     # node-count error estimate on the narrow band
-    half_nodes, _ = integrate(band, nodes // 2)
-    quad_err += abs(narrow - half_nodes)
-    mc_se = float(per_sample.std(ddof=1) / math.sqrt(inner_mc))
+    quad_err += abs(narrow - float(per_draw(band, nodes // 2).mean()))
     return SignedEstimate(value=value, quadrature_error=quad_err, mc_error=mc_se,
                           detail={"band": band, "nodes": nodes,
                                   "n_mc": inner_mc})

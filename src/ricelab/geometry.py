@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .rng import stream
+from .rng import mean_se, stream
 
 __all__ = [
     "GrassmannElement",
@@ -168,9 +168,8 @@ def crofton_identity_mc(M, n: int, seed: int) -> tuple:
         Q = _haar_batch(D, d, hi - lo, rng)
         prod = np.einsum("ij,njk->nik", A, Q)
         vals[lo:hi] = np.abs(np.linalg.det(prod))
-    est = c * float(np.mean(vals))
-    se = c * float(np.std(vals, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-    return est, se
+    mean, se = mean_se(vals)
+    return c * mean, c * se
 
 
 def mean_normal_jacobian_mc(D: int, d: int, n: int, seed: int) -> tuple:
@@ -182,7 +181,7 @@ def mean_normal_jacobian_mc(D: int, d: int, n: int, seed: int) -> tuple:
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
         vals[lo:hi] = _batch_normal_jacobian(rng.standard_normal((hi - lo, d, D)))
-    return float(np.mean(vals)), float(np.std(vals, ddof=1)) / math.sqrt(n)
+    return mean_se(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +280,7 @@ def favard_measure(shape: Polyline, n_lines: int, seed: int) -> tuple:
         neg = s < 0.0
         crossings = np.sum((neg[:-1] != neg[1:]) & valid[:, None], axis=0)
         estimates[lo:hi] = c21 * window * crossings
-    est = float(np.mean(estimates))
-    se = float(np.std(estimates, ddof=1)) / math.sqrt(n_lines)
-    return est, se
+    return mean_se(estimates)
 
 
 def _chunk_lines(n_vertices: int) -> int:

@@ -51,7 +51,7 @@ from .fields import (
 from .geometry import favard_measure
 from .levelsets import count_roots_1d, count_roots_2d, local_time, nodal_length
 from .modelspec import SCHEMA_VERSION, model_from_doc
-from .rng import check_seed, fanout_seed, stream
+from .rng import check_seed, fanout_seed, mean_se, stream
 
 ESTIMATORS = ("roots", "length", "weighted", "local_time", "euler", "moment2")
 
@@ -125,7 +125,8 @@ class ExperimentConfig:
     ``delta`` is the window half-width of the "local_time" estimator.
     ``region`` (deflection models only) is the prediction region; omitted, a
     centered disk large enough to contain every image is derived per level.
-    ``n_lines`` > 0 adds a random-line length cross-check per realization.
+    ``n_lines`` > 0 adds a random-line length cross-check per realization
+    ("length" only).  ``p_max`` and ``rhs_delta`` tune the shot-noise prediction.
     """
 
     experiment_id: str
@@ -236,8 +237,9 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigurationError("grid must be >= 2")
     if cfg.quadrature is not None and cfg.quadrature < 2:
         raise ConfigurationError("quadrature must be >= 2")
-    if cfg.p_max < 1:
-        raise ConfigurationError("p_max must be >= 1")
+    if cfg.p_max < 2:
+        raise ConfigurationError(
+            "p_max must be >= 2 (the shot-noise mixture needs a window term)")
     if cfg.z_crit <= 0:
         raise ConfigurationError("z_crit must be positive")
     if cfg.abs_floor < 0:
@@ -254,12 +256,16 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     if kind not in _COMPAT[cfg.estimator]:
         raise ConfigurationError(
             f"estimator {cfg.estimator!r} does not apply to model kind {kind!r}")
-    if (cfg.quadrature is not None and cfg.estimator not in ("euler", "moment2")
-            and kind != "microlens"):
-        raise ConfigurationError(
-            "quadrature is read only by the euler and moment2 estimators and by "
-            f"deflection models; estimator {cfg.estimator!r} on model kind "
-            f"{kind!r} would ignore it")
+    # a value set away from its default where nothing reads it is an error
+    for key, readers, read in (
+            ("quadrature", "the euler and moment2 estimators and deflection models",
+             cfg.estimator in ("euler", "moment2") or kind == "microlens"),
+            ("delta", "the local_time estimator", cfg.estimator == "local_time"),
+            ("n_lines", "the length estimator", cfg.estimator == "length"),
+            ("rhs_delta", "shot-noise models", kind == "shot_noise")):
+        if not read and getattr(cfg, key) != ExperimentConfig.__dataclass_fields__[key].default:
+            raise ConfigurationError(f"{key} is read only by {readers}; estimator "
+                                     f"{cfg.estimator!r} on model kind {kind!r} would ignore it")
 
     levels = cfg.levels
     if not isinstance(levels, Sequence) or isinstance(levels, (str, bytes)) or not levels:
@@ -884,32 +890,23 @@ def _measure_values(config: ExperimentConfig, master_seed: int,
 
 
 def run_experiment(config, master_seed: int = 0, workers: int = 1) -> ExperimentReport:
-    """Run one closed-pipeline experiment and score every level."""
-    if isinstance(config, Mapping) and not isinstance(config, ExperimentConfig):
+    """Run one experiment: measure_only and predict_only, each level scored by verdict."""
+    if isinstance(config, Mapping):
         config = ExperimentConfig.from_doc(config)
-    master_seed = check_seed(master_seed)
     t0 = time.perf_counter()
-    n = config.n_realizations
-    values, extras = _measure_values(config, master_seed, workers)
-    model = model_from_doc(dict(config.model))
+    measured = measure_only(config, master_seed, workers)
+    predicted = predict_only(config, master_seed)
     rows = []
-    for j, level in enumerate(config.levels):
-        seed = fanout_seed(master_seed, config.experiment_id + "#rhs", j)
-        rhs = _rhs_for_level(config, model, level, seed)
-        col = values[:, j]
-        lhs_mean = float(col.mean())
-        lhs_se = float(col.std(ddof=1) / math.sqrt(n))
-        passed, z = verdict(lhs_mean, lhs_se, rhs.value,
-                            rhs.quadrature_error + rhs.mc_error,
+    for lhs, rhs in zip(measured["rows"], predicted["rows"]):
+        passed, z = verdict(lhs["lhs_mean"], lhs["lhs_se"], rhs["rhs_value"],
+                            rhs["rhs_quadrature_error"] + rhs["rhs_mc_error"],
                             config.z_crit, config.abs_floor)
-        rows.append(LevelRow(
-            level=level, lhs_mean=lhs_mean, lhs_se=lhs_se,
-            rhs_value=float(rhs.value),
-            rhs_quadrature_error=float(rhs.quadrature_error),
-            rhs_mc_error=float(rhs.mc_error), z_score=z, passed=passed))
+        rows.append(LevelRow(**lhs, rhs_value=rhs["rhs_value"],
+                             rhs_quadrature_error=rhs["rhs_quadrature_error"],
+                             rhs_mc_error=rhs["rhs_mc_error"], z_score=z, passed=passed))
     return ExperimentReport(
-        config=config, master_seed=master_seed, rows=tuple(rows),
-        extras=extras, passed=all(r.passed for r in rows),
+        config=config, master_seed=measured["master_seed"], rows=tuple(rows),
+        extras=measured["extras"], passed=all(r.passed for r in rows),
         wall_time_s=time.perf_counter() - t0)
 
 
@@ -918,17 +915,16 @@ def measure_only(config, master_seed: int = 0, workers: int = 1) -> dict:
     if isinstance(config, Mapping):
         config = ExperimentConfig.from_doc(config)
     master_seed = check_seed(master_seed)
-    n = config.n_realizations
     values, extras = _measure_values(config, master_seed, workers)
     rows = []
     for j, level in enumerate(config.levels):
-        col = values[:, j]
-        rows.append({"level": _as_plain(level),
-                     "lhs_mean": float(col.mean()),
-                     "lhs_se": float(col.std(ddof=1) / math.sqrt(n))})
+        lhs_mean, lhs_se = mean_se(values[:, j])
+        rows.append({"level": _as_plain(level), "lhs_mean": lhs_mean,
+                     "lhs_se": lhs_se})
     return {"schema_version": SCHEMA_VERSION, "kind": "measurement",
             "experiment_id": config.experiment_id, "master_seed": master_seed,
-            "n_realizations": n, "rows": rows, "extras": _as_plain(extras)}
+            "n_realizations": config.n_realizations, "rows": rows,
+            "extras": _as_plain(extras)}
 
 
 def predict_only(config, master_seed: int = 0) -> dict:
@@ -996,9 +992,8 @@ def ae_level_consistency(model, box, levels, *, n_realizations: int = 1024,
     lhs_se = np.empty(levels.size)
     for i, lev in enumerate(levels):
         below = values < lev
-        counts = np.count_nonzero(below[:, :-1] != below[:, 1:], axis=1)
-        lhs[i] = counts.mean()
-        lhs_se[i] = counts.std(ddof=1) / math.sqrt(n_realizations)
+        lhs[i], lhs_se[i] = mean_se(
+            np.count_nonzero(below[:, :-1] != below[:, 1:], axis=1))
 
     rhs = np.empty(levels.size)
     rhs_err = np.empty(levels.size)

@@ -9,13 +9,14 @@ byte-identical draws.
 from __future__ import annotations
 
 import hashlib
+import math
 import operator
 
 import numpy as np
 
 from .errors import ConfigurationError
 
-__all__ = ["stream", "fanout_seed", "check_seed"]
+__all__ = ["stream", "fanout_seed", "check_seed", "mean_se"]
 
 
 def _digest(*parts) -> bytes:
@@ -52,3 +53,9 @@ def stream(seed: int, tag: str, index: int = 0) -> np.random.Generator:
 def fanout_seed(master_seed: int, label: str, index: int = 0) -> int:
     """Derive a child uint64 seed from (master seed, label, index)."""
     return int.from_bytes(_digest(check_seed(master_seed), label, int(index))[:8], "little")
+
+
+def mean_se(draws) -> tuple[float, float]:
+    """Mean of i.i.d. draws and its standard error, sample sd (n - 1) / sqrt(n)."""
+    x = np.asarray(draws)
+    return float(x.mean()), float(x.std(ddof=1) / math.sqrt(x.size))

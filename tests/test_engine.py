@@ -305,6 +305,62 @@ def test_signed_count_plane_against_direct_mc():
     assert abs(est.value - oracle) <= 4.0 * (est.total_error + oracle_se)
 
 
+def _euler_per_draw_reference(model, u, n_nodes, inner_mc, seed):
+    """Per-draw integrals of the signed-count rule, one quadrature node at a time.
+
+    The conditional law of the Hessian given X = x (the gradient is
+    independent) is built here from the spectral sums, on the engine's draws
+    (tag "euler-hessian"), with its relative jitter so near-singular
+    factorisations agree.
+    """
+    lam0 = model.lambda0
+    if model.D == 1:
+        a2, h = model.amplitudes ** 2, -model.frequencies[:, None] ** 2
+        p_grad = 1.0 / math.sqrt(TWO_PI * model.lambda2)
+    else:
+        a2, k = model.amplitudes ** 2, model.wavevectors
+        h = -np.stack([k[:, 0] ** 2, k[:, 1] ** 2, k[:, 0] * k[:, 1]], axis=1)
+        p_grad = 1.0 / (TWO_PI * math.sqrt(np.linalg.det(model.lambda2_matrix)))
+    cross = a2 @ h  # Cov(Hessian entries, X)
+    cond = np.einsum("k,ki,kj->ij", a2, h, h) - np.outer(cross, cross) / lam0
+    cond += 1e-14 * max(np.trace(cond), 1.0) * np.eye(cond.shape[0])
+    z = stream(seed, "euler-hessian").standard_normal((inner_mc, cond.shape[0]))
+    z = z @ np.linalg.cholesky(cond).T
+    total = np.zeros(inner_mc)
+    for j in range(n_nodes):
+        s = (j + 0.5) / n_nodes
+        x = u + s / (1.0 - s)
+        hess = z + cross * (x / lam0)
+        det = hess[:, 0] if model.D == 1 else hess[:, 0] * hess[:, 1] - hess[:, 2] ** 2
+        p_x = math.exp(-0.5 * x * x / lam0) / math.sqrt(TWO_PI * lam0)
+        total += det * (p_x * p_grad / (n_nodes * (1.0 - s) ** 2))
+    return total
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_signed_count_shared_draws_match_per_node_loop(dim):
+    if dim == 1:
+        model = _line_model(freqs=(0.8, 1.7, 2.9), amps=(0.7, 0.5, 0.3))
+        box, sign = (0.0, 2.0), -1.0
+    else:
+        # waves of three lengths, so the Hessian is not tied to the value
+        k = np.array([[1.0, 0.0], [0.6, 1.1], [-1.3, 0.9], [0.4, -2.2], [2.1, 1.7]])
+        model = SpectralGaussian2D(wavevectors=k, amplitudes=np.full(5, math.sqrt(0.2)))
+        box, sign = [(0.0, 2.0), (0.0, 1.0)], 1.0
+    u, inner_mc, seed = 0.6, 3000, 4
+    est = euler_char_expectation(model, box, u, quadrature=40, inner_mc=inner_mc,
+                                 seed=seed)
+    fine = _euler_per_draw_reference(model, u, 40, inner_mc, seed)
+    coarse = _euler_per_draw_reference(model, u, 20, inner_mc, seed)
+    assert est.value == pytest.approx(sign * 2.0 * fine.mean(), rel=1e-12)
+    assert est.mc_error * math.sqrt(inner_mc) == pytest.approx(
+        2.0 * fine.std(ddof=1), rel=1e-12)
+    # a difference of two near-equal integrals: its rounding is the integrals'
+    assert est.quadrature_error == pytest.approx(
+        2.0 * abs(fine.mean() - coarse.mean()), rel=1e-12, abs=1e-13 * abs(est.value))
+    assert est.detail == {"nodes": 40, "n_mc": inner_mc, "dim": dim}
+
+
 # ---------------------------------------------------------------------------
 # impulse-sum fields
 # ---------------------------------------------------------------------------
@@ -434,9 +490,9 @@ def test_lens_complex_det_matches_frozen_system_jacobian():
     y = np.array([0.25, 0.1])
     joint, excluded = _microlens_designated(model, nodes, y, xi, want="joint")
     dens, _ = _microlens_designated(model, nodes, y, xi, want="density")
-    assert joint.shape == dens.shape == excluded.shape == (40, 5)
+    assert joint.shape == dens.shape == excluded.shape == (5, 40)
     checked = 0
-    for i, j in zip(*np.nonzero(dens > 0.0)):
+    for j, i in zip(*np.nonzero(dens > 0.0)):
         x = nodes[j]
         rest = np.column_stack([xi[i].real, xi[i].imag])
         w = MicrolensSystem(model.kappa_c, model.gamma, model.m, rest,
@@ -446,7 +502,7 @@ def test_lens_complex_det_matches_frozen_system_jacobian():
                                  np.vstack([rest, designated]), model.R)
         assert np.allclose(frozen.value(x), y, rtol=0.0, atol=1e-12)
         det = np.linalg.det(frozen.jacobian(x))
-        assert joint[i, j] / dens[i, j] == pytest.approx(abs(det), rel=1e-12)
+        assert joint[j, i] / dens[j, i] == pytest.approx(abs(det), rel=1e-12)
         checked += 1
     assert checked >= 50
 
@@ -538,6 +594,48 @@ def test_pair_moment_matches_independent_quadrature():
         limit=200,
     )
     assert abs(est.value - oracle) <= 4.0 * est.total_error + 10.0 * err + 1e-4
+
+
+def _pair_per_draw_reference(model, T, u, band, n_nodes, inner_mc, seed):
+    """Per-draw pair-moment integrals on (band, T), one lag at a time.
+
+    The conditional law of (X'(s), X'(t)) given X(s) = X(t) = u comes from a
+    2x2 solve and a Cholesky factor, on the engine's draws (tag "pair-moment").
+    """
+    lam0, lam2 = model.lambda0, model.lambda2
+    z = stream(seed, "pair-moment").standard_normal((inner_mc, 2))
+    total = np.zeros(inner_mc)
+    h = (T - band) / n_nodes
+    for j in range(n_nodes):
+        tau = band + (j + 0.5) * h
+        c, cp, cpp = (float(model.covariance(tau, order=o)) for o in (0, 1, 2))
+        obs = np.array([[lam0, c], [c, lam0]])
+        cross = np.array([[0.0, -cp], [cp, 0.0]])  # Cov((V1, V2), (X(s), X(t)))
+        gain = np.linalg.solve(obs, cross.T).T
+        cond = np.array([[lam2, -cpp], [-cpp, lam2]]) - gain @ cross.T
+        v = gain @ np.array([u, u]) + z @ np.linalg.cholesky(cond).T
+        dens = math.exp(-u * u / (lam0 + c)) / (TWO_PI * math.sqrt(np.linalg.det(obs)))
+        total += np.abs(v[:, 0] * v[:, 1]) * (dens * 2.0 * (T - tau) * h)
+    return total
+
+
+def test_pair_moment_shared_draws_match_per_node_loop():
+    model = _line_model(freqs=(1.0, 2.3), amps=(0.8, 0.6))
+    T, u, inner_mc, seed, nodes = 2.0, 0.4, 2000, 7, 48
+    est = second_factorial_moment_rhs(model, (0.0, T), u, quadrature=nodes,
+                                      inner_mc=inner_mc, seed=seed, band_fraction=0.05)
+    band = 0.05 * T
+    narrow = _pair_per_draw_reference(model, T, u, band, nodes, inner_mc, seed)
+    wide = _pair_per_draw_reference(model, T, u, 2.0 * band, nodes, inner_mc, seed)
+    half = _pair_per_draw_reference(model, T, u, band, nodes // 2, inner_mc, seed)
+    gap = narrow.mean() - wide.mean()
+    assert est.value == pytest.approx(narrow.mean() + gap / 3.0, rel=1e-12)
+    assert est.mc_error * math.sqrt(inner_mc) == pytest.approx(narrow.std(ddof=1),
+                                                              rel=1e-12)
+    assert est.quadrature_error == pytest.approx(
+        abs(gap) / 3.0 + abs(narrow.mean() - half.mean()),
+        rel=1e-12, abs=1e-13 * est.value)
+    assert est.detail == {"band": band, "nodes": nodes, "n_mc": inner_mc}
 
 
 def test_pair_moment_grows_with_interval():

@@ -120,7 +120,8 @@ def test_config_region_only_for_deflection_models():
 
 def test_config_rejects_quadrature_nothing_reads():
     # roots and weighted predictions of stationary families take no
-    # quadrature; accepting one would let a config promise a rule never run
+    # quadrature; accepting one would let a config promise a rule never run.
+    # The same holds for delta, n_lines, rhs_delta and a p_max below 2.
     with pytest.raises(ConfigurationError, match="quadrature"):
         _cfg(quadrature=32)
     with pytest.raises(ConfigurationError, match="quadrature"):
@@ -136,6 +137,18 @@ def test_config_rejects_quadrature_nothing_reads():
     lens = _cfg(model=LENS0, levels=[[0.25, 0.1]], box=None, quadrature=8,
                 n_realizations=30, grid=64)
     assert lens.quadrature == 8
+    with pytest.raises(ConfigurationError, match="delta is read only by the local_time"):
+        _cfg(delta=0.2)
+    with pytest.raises(ConfigurationError, match="n_lines"):
+        _cfg(n_lines=1000)
+    with pytest.raises(ConfigurationError, match="rhs_delta"):
+        _cfg(rhs_delta=0.05)
+    with pytest.raises(ConfigurationError, match="rhs_delta"):
+        _cfg(estimator="local_time", delta=0.2, rhs_delta=0.05)
+    with pytest.raises(ConfigurationError, match="p_max"):
+        _cfg(model=SHOT, levels=[0.5], box=[1.0, 11.0], p_max=1)
+    shot = _cfg(model=SHOT, levels=[0.5], box=[1.0, 11.0], p_max=2, rhs_delta=0.05)
+    assert (shot.p_max, shot.rhs_delta) == (2, 0.05)
 
 
 def test_config_doc_round_trip_and_strictness():
@@ -245,10 +258,22 @@ def test_measure_and_predict_only_documents():
     assert p["rows"][0]["rhs_value"] == pytest.approx(
         (8.0 / math.pi) * math.sqrt(lam2), rel=1e-9
     )
-    # the two halves recombine into the full comparison
-    full = run_experiment(cfg, master_seed=5)
-    assert full.rows[0].lhs_mean == pytest.approx(row["lhs_mean"], abs=0.0)
-    assert full.rows[0].rhs_value == pytest.approx(p["rows"][0]["rhs_value"], abs=0.0)
+    # the two halves, scored by verdict, are the full comparison; the lens
+    # run adds levels and parity-check extras
+    lens = _cfg(model=LENS0, levels=[[0.25, 0.1], [0.5, -0.2]], box=None,
+                n_realizations=30, grid=64)
+    for c in (cfg, lens):
+        m, p = measure_only(c, master_seed=5), predict_only(c, master_seed=5)
+        full = run_experiment(c, master_seed=5).canonical_doc()
+        assert len(full["rows"]) == len(c.levels)
+        for got, lhs, rhs in zip(full["rows"], m["rows"], p["rows"]):
+            total = rhs["rhs_quadrature_error"] + rhs["rhs_mc_error"]
+            passed, z = verdict(lhs["lhs_mean"], lhs["lhs_se"], rhs["rhs_value"],
+                                total, c.z_crit, c.abs_floor)
+            assert got == {**rhs, **lhs, "rhs_total_error": total, "z_score": z,
+                           "passed": passed}
+        assert full["extras"] == m["extras"]
+    assert m["extras"]
 
 
 def test_local_time_experiment_with_closed_form():

@@ -1,8 +1,9 @@
-"""Source hygiene: every module in src/ricelab uses each name it imports.
+"""Source hygiene of src/ricelab, by standard-library ``ast`` scans.
 
-A standard-library ``ast`` scan, so it runs wherever the tests run.  Names
-listed in the module's ``__all__`` count as used (re-exports), and
-``from __future__`` imports are exempt.
+Every module uses each name it imports: names listed in the module's
+``__all__`` count as used (re-exports), and ``from __future__`` imports are
+exempt.  Every Monte Carlo standard error comes from ``rng.mean_se``: no other
+function passes ``ddof``.
 """
 
 import ast
@@ -63,3 +64,26 @@ def test_scan_flags_unused_and_keeps_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def ddof_sites(source: str) -> list:
+    """Top-level function or class names (``<module>`` otherwise) of calls passing ddof."""
+    tree = ast.parse(source)
+    return [getattr(top, "name", "<module>") for top in tree.body
+            for node in ast.walk(top)
+            if isinstance(node, ast.keyword) and node.arg == "ddof"]
+
+
+def test_ddof_scan_names_the_enclosing_function():
+    source = (
+        "import numpy as np\n"
+        "def f(x):\n"
+        "    return x.std(ddof=1)\n"
+        "y = np.var([1.0, 2.0], ddof=0)\n"
+    )
+    assert ddof_sites(source) == ["f", "<module>"]
+
+
+def test_standard_errors_come_from_mean_se_only():
+    sites = {path.name: ddof_sites(path.read_text()) for path in MODULES}
+    assert {name: s for name, s in sites.items() if s} == {"rng.py": ["mean_se"]}
