@@ -220,8 +220,6 @@ class GaussianRegression:
 def _normalize_nodes(quadrature, default: int = DEFAULT_NODES) -> int:
     if quadrature is None:
         return default
-    if isinstance(quadrature, Mapping):
-        quadrature = quadrature.get("nodes", default)
     n = int(quadrature)
     if n < 2:
         raise ConfigurationError("quadrature needs at least 2 nodes")

@@ -235,11 +235,30 @@ def _trig_sum(waves: np.ndarray, coef_cos, coef_sin, pts: np.ndarray, partials) 
     return out
 
 
+def _trig_lattice(waves: np.ndarray, coef_cos, coef_sin, x0, x1, partials) -> np.ndarray:
+    """(len(partials), n0, n1) partials of one planar trigonometric sum on the lattice x0 x x1.
+
+    With a = w_k0 x and b = w_k1 y, cos(a + b) = cos a cos b - sin a sin b and
+    sin(a + b) = sin a cos b + cos a sin b, so c cos + s sin at (x, y) is
+    (c cos a + s sin a) cos b + (s cos a - c sin a) sin b: per-axis tables
+    (O(K (n0 + n1)) trig calls) and one contraction over 2K per partial.
+    """
+    k = waves.shape[0]
+    rows = _partial_rows(waves, coef_cos, coef_sin, partials)
+    t0 = _trig_table(waves[:, :1], x0.reshape(-1, 1))
+    t1 = _trig_table(waves[:, 1:], x1.reshape(-1, 1))
+    c, s = rows[:, :k, None], rows[:, k:, None]
+    left = np.concatenate([c * t0[:k] + s * t0[k:], s * t0[:k] - c * t0[k:]], axis=1)
+    return np.swapaxes(left, 1, 2) @ t1
+
+
 _VALUE = ((),)
 _FIRST = ((0,),)
 _SECOND = ((0, 0),)
 _GRADIENT = ((0,), (1,))
 _HESSIAN = ((0, 0), (0, 1), (1, 0), (1, 1))  # row-major entries of the 2x2 matrix
+# partials and pointwise result shape of the value, gradient and Hessian
+_ORDERS = ((_VALUE, ()), (_GRADIENT, (2,)), (_HESSIAN, (2, 2)))
 
 
 def _eval_1d(real: "TrigRealization1D", t, partials):
@@ -305,6 +324,21 @@ class TrigRealization2D:
 
     jacobian = gradient
 
+    def lattice(self, axes, order: int = 0):
+        """Value (order 0), gradient (1) or Hessian (2) on the tensor lattice axes[0] x axes[1].
+
+        Shape (n0, n1) + the pointwise result shape; entry [i, j] is the
+        pointwise result at (axes[0][i], axes[1][j]) up to rounding, from
+        separable phases (see ``_trig_lattice``) instead of one phase per node.
+        """
+        if order not in (0, 1, 2):
+            raise CapabilityError(f"lattice derivatives go up to order 2, got {order!r}")
+        partials, shape = _ORDERS[order]
+        x0, x1 = (np.asarray(a, dtype=float).ravel() for a in axes)
+        out = _trig_lattice(self.model.wavevectors, self.coef_cos, self.coef_sin,
+                            x0, x1, partials)
+        return np.moveaxis(out, 0, -1).reshape((x0.size, x1.size) + shape)
+
 
 @dataclass(frozen=True)
 class GradientField:
@@ -333,6 +367,12 @@ class GradientFieldRealization:
 
     def jacobian(self, pts):
         return self.scalar.hessian(pts)
+
+    def lattice(self, axes, order: int = 0):
+        """Value (order 0) or Jacobian (1) on a tensor lattice: the scalar's gradient or Hessian."""
+        if order not in (0, 1):
+            raise CapabilityError(f"gradient-field lattices go up to order 1, got {order!r}")
+        return self.scalar.lattice(axes, order + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,8 @@ class ExperimentConfig:
     ``region`` (deflection models only) is the prediction region; omitted, a
     centered disk large enough to contain every image is derived per level.
     ``n_lines`` > 0 adds a random-line length cross-check per realization
-    ("length" only).  ``p_max`` and ``rhs_delta`` tune the shot-noise prediction.
+    ("length" only).  ``p_max`` and ``rhs_delta`` tune the shot-noise prediction,
+    and ``inner_mc`` is the sample count of predictions that use Monte Carlo.
     """
 
     experiment_id: str
@@ -262,7 +263,13 @@ def _validate_config(cfg: ExperimentConfig) -> None:
              cfg.estimator in ("euler", "moment2") or kind == "microlens"),
             ("delta", "the local_time estimator", cfg.estimator == "local_time"),
             ("n_lines", "the length estimator", cfg.estimator == "length"),
-            ("rhs_delta", "shot-noise models", kind == "shot_noise")):
+            ("rhs_delta", "shot-noise models", kind == "shot_noise"),
+            ("p_max", "shot-noise models", kind == "shot_noise"),
+            # Monte Carlo predictions; spectral line fields outside euler and
+            # moment2 have closed forms, and local_time always has one
+            ("inner_mc", "Monte Carlo predictions",
+             cfg.estimator in ("euler", "moment2")
+             or (cfg.estimator != "local_time" and kind != "spectral_gaussian_1d"))):
         if not read and getattr(cfg, key) != ExperimentConfig.__dataclass_fields__[key].default:
             raise ConfigurationError(f"{key} is read only by {readers}; estimator "
                                      f"{cfg.estimator!r} on model kind {kind!r} would ignore it")
@@ -631,8 +638,7 @@ def _count_images(sys, box, y, region, grid0: int):
         roots = count_roots_2d(sys, box, y, grid=g)
         if roots.points.shape[0]:
             jac = np.asarray(sys.jacobian(roots.points)).reshape(-1, 2, 2)
-            dets = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-            parity = int(np.sum(np.sign(dets)))
+            parity = int(np.sum(np.sign(_det2(jac))))
         else:
             parity = 0
         resolved = parity == target
@@ -662,21 +668,41 @@ def _microlens_chunk(cfg, model, seeds) -> dict:
                        "parity_unresolved": unresolved}}
 
 
+def _det2(m: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of 2x2 matrices (..., 2, 2)."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
+def _degree_tally(extras: dict, roots, signs: np.ndarray) -> None:
+    """Count a root set whose sum of sign det J misses its boundary degree, or has none.
+
+    Report only: a mismatch means roots were missed (or found twice), and
+    it does not change the count.
+    """
+    if roots.degree is None:
+        extras["degree_unresolved"] += 1
+    elif int(np.sum(signs)) != roots.degree:
+        extras["degree_mismatches"] += 1
+
+
 def _gradient_roots_chunk(cfg, model, seeds) -> dict:
     grid = _grid_of(cfg)
     k_sel = cfg.weight["k"] if cfg.estimator == "weighted" else None
     out = np.empty((len(seeds), len(cfg.levels)))
+    extras = {"degree_mismatches": 0, "degree_unresolved": 0}
     for i, s in enumerate(seeds):
         real = sample_realization(model, s)
         for j, lvl in enumerate(cfg.levels):
             u = np.asarray(lvl, dtype=float)
             roots = count_roots_2d(real, cfg.box, u, grid=grid)
+            jac = np.asarray(real.jacobian(roots.points)).reshape(-1, 2, 2)
+            _degree_tally(extras, roots, np.sign(_det2(jac)))
             if k_sel is None:
                 out[i, j] = roots.points.shape[0]
             else:
                 out[i, j] = int(np.sum(_hessian_index(real.scalar,
                                                       roots.points) == k_sel))
-    return {"values": out, "extras": {}}
+    return {"values": out, "extras": extras}
 
 
 def _hessian_index(scalar, points: np.ndarray) -> np.ndarray:
@@ -684,7 +710,7 @@ def _hessian_index(scalar, points: np.ndarray) -> np.ndarray:
     if points.shape[0] == 0:
         return np.zeros(0, dtype=int)
     h = np.asarray(scalar.hessian(points)).reshape(-1, 2, 2)
-    det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
+    det = _det2(h)
     trace = h[:, 0, 0] + h[:, 1, 1]
     idx = np.ones(points.shape[0], dtype=int)  # saddles: det < 0
     idx[(det > 0) & (trace > 0)] = 0
@@ -761,20 +787,21 @@ def _euler_plane_chunk(cfg, model, seeds) -> dict:
     grid = _grid_of(cfg)
     grad_model = GradientField(model)
     out = np.empty((len(seeds), len(cfg.levels)))
+    extras = {"degree_mismatches": 0, "degree_unresolved": 0}
     for i, s in enumerate(seeds):
         scalar = sample_realization(model, s)
         grad = GradientFieldRealization(grad_model, int(s), scalar)
         crit = count_roots_2d(grad, cfg.box, (0.0, 0.0), grid=grid)
         pts = crit.points
+        signs = np.zeros(0)
         if pts.shape[0]:
-            h = np.asarray(scalar.hessian(pts)).reshape(-1, 2, 2)
-            det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
-            signs = np.sign(det)
+            signs = np.sign(_det2(np.asarray(scalar.hessian(pts)).reshape(-1, 2, 2)))
             vals = np.asarray(scalar.value(pts), dtype=float)
+        _degree_tally(extras, crit, signs)
         for j, u in enumerate(cfg.levels):
             out[i, j] = (float(np.sum(signs[vals > float(u)]))
                          if pts.shape[0] else 0.0)
-    return {"values": out, "extras": {}}
+    return {"values": out, "extras": extras}
 
 
 # ---------------------------------------------------------------------------

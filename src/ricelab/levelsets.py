@@ -14,7 +14,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -114,7 +114,12 @@ def _lattice_points(axes) -> np.ndarray:
 
 
 def sample_grid(realization, box, resolution: int) -> GridSample:
-    """Evaluate a realization on a regular lattice; nodes match pointwise eval exactly."""
+    """Evaluate a realization on a regular lattice; nodes match pointwise eval exactly.
+
+    Every node goes through the pointwise ``value``/``jacobian``, so this is
+    the exact reference for the separable lattice kernel that
+    ``count_roots_2d`` and ``nodal_length`` read (``_lattice_values``).
+    """
     res = int(resolution)
     if res < 2:
         raise ConfigurationError("resolution must be >= 2")
@@ -146,13 +151,18 @@ def sample_grid(realization, box, resolution: int) -> GridSample:
 
 @dataclass(frozen=True)
 class RootSet:
-    """Refined solutions of X(t) = u with per-root Delta and residual."""
+    """Refined solutions of X(t) = u with per-root Delta and residual.
+
+    ``degree`` (planar systems only) is the Brouwer degree of X - u on the
+    box, read off the boundary lattice; None where it was not resolved.
+    """
 
     points: np.ndarray  # (n, D)
     deltas: np.ndarray  # (n,)
     residuals: np.ndarray  # (n,)
     level: object
     dedup_radius: float
+    degree: Optional[int] = None
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -256,6 +266,65 @@ def _batch_solve_2x2(J, F):
     return np.column_stack([dx0, dx1])
 
 
+def _singular_points(realization):
+    """(N, 2) singular points of a deflection map (its point masses), or None."""
+    singular = getattr(realization, "star_positions", None)
+    if singular is not None and singular.shape[0] == 0:
+        return None
+    return singular
+
+
+def _near(pts: np.ndarray, singular: np.ndarray, d2_max: float) -> np.ndarray:
+    """Which points lie within squared distance d2_max of some singular point."""
+    d2 = np.min(np.sum((pts[:, None, :] - singular[None, :, :]) ** 2, axis=-1), axis=1)
+    return d2 < d2_max
+
+
+def _lattice_values(realization, axes) -> np.ndarray:
+    """Values on the tensor lattice axes[0] x axes[1]: shape (n0, n1), plus (d,) if d > 1.
+
+    A realization with a ``lattice`` method (spectral fields) factors its
+    phases over the two axes; any other is evaluated pointwise, after nodes
+    that land on a singular point are moved off it by 1e-9.
+    """
+    lattice = getattr(realization, "lattice", None)
+    if lattice is not None:
+        return lattice(axes)
+    pts = _lattice_points(axes)
+    singular = _singular_points(realization)
+    if singular is not None:
+        pts[_near(pts, singular, 1e-20)] += 1e-9
+    vals = np.asarray(realization.value(pts), dtype=float)
+    shape = (axes[0].size, axes[1].size)
+    return vals.reshape(shape if realization.d == 1 else shape + (realization.d,))
+
+
+def _winding_number(ring: np.ndarray):
+    """Turns of the closed lattice path ``ring`` (m, 2) around 0, or None.
+
+    None when the path meets 0 or one step turns by pi/2 or more: the
+    lattice then cannot tell which way the path went round.
+    """
+    ang = np.arctan2(ring[:, 1], ring[:, 0])
+    turn = np.diff(np.append(ang, ang[0]))
+    turn = (turn + np.pi) % (2.0 * np.pi) - np.pi
+    if np.any(np.all(ring == 0.0, axis=1)) or np.any(np.abs(turn) >= 0.5 * np.pi):
+        return None
+    return int(round(float(np.sum(turn)) / (2.0 * np.pi)))
+
+
+def _local_minima(norm: np.ndarray) -> np.ndarray:
+    """Lattice nodes no larger than any of their (up to) 8 neighbours."""
+    n0, n1 = norm.shape
+    padded = np.pad(norm, 1, constant_values=np.inf)
+    is_min = np.ones(norm.shape, dtype=bool)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di or dj:
+                is_min &= norm <= padded[1 + di:1 + di + n0, 1 + dj:1 + dj + n1]
+    return is_min
+
+
 def count_roots_2d(
     realization,
     box,
@@ -266,10 +335,20 @@ def count_roots_2d(
 ) -> RootSet:
     """Newton root finding for planar systems X(t) = u.
 
-    Seeds come from every grid cell whose corner values bracket u in both
-    components, plus a coarse sweep of every 4th cell per axis (tangential
-    roots need not bracket).  Converged points are deduplicated at radius
-    h/2; divergent seeds are silently discarded.
+    Seeds are the centres of the grid cells whose corner values bracket u in
+    both components, plus the lattice nodes where |X - u| is no larger than
+    at any of their 8 neighbours (tangential roots need not bracket).  All
+    seeds step together, each step capped at 4h; a seed retires once
+    |X - u| <= 1e-3 tol, or when its residual has not halved for 6
+    iterations in a row, and freezes at a singular point, on a singular
+    Jacobian, or far outside the box.  Points with residual <= tol strictly
+    inside the box are deduplicated at radius h/2; the rest are discarded.
+
+    ``degree`` is the winding number of X - u along the boundary nodes of the
+    lattice, the Brouwer degree that the sum of sign det J over all roots in
+    the box equals; it is None where the boundary lattice is too coarse to
+    follow the winding (see ``_winding_number``).  Each point mass of a
+    deflection map inside the box adds 1 to the winding number.
     """
     if realization.d != 2 or realization.D != 2:
         raise CapabilityError("count_roots_2d needs d = D = 2")
@@ -280,79 +359,68 @@ def count_roots_2d(
     u = np.asarray(u, dtype=float).reshape(2)
     ax = _lattice_axes(b, grid)
     h = float(max((b[0, 1] - b[0, 0]), (b[1, 1] - b[1, 0])) / (grid - 1))
+    singular = _singular_points(realization)
+    vals = _lattice_values(realization, ax) - u
 
-    pts = _lattice_points(ax)
-    singular = getattr(realization, "star_positions", None)
-    if singular is not None and singular.shape[0] == 0:
-        singular = None
-    if singular is not None:
-        # keep lattice nodes off the singular points before evaluating
-        d2 = np.min(
-            np.sum((pts[:, None, :] - singular[None, :, :]) ** 2, axis=-1), axis=1
-        )
-        pts[d2 < 1e-20] += 1e-9
-    vals = np.asarray(realization.value(pts), dtype=float).reshape(grid, grid, 2) - u
+    # counter-clockwise around the box, each boundary node once
+    degree = _winding_number(np.concatenate(
+        [vals[:-1, 0], vals[-1, :-1], vals[:0:-1, -1], vals[0, :0:-1]]))
 
     def corner_bracket(comp):
         v = vals[:, :, comp]
         c = np.stack([v[:-1, :-1], v[1:, :-1], v[1:, 1:], v[:-1, 1:]])
         return (c.min(axis=0) < 0.0) & (c.max(axis=0) > 0.0)
 
-    seed_mask = corner_bracket(0) & corner_bracket(1)
-    sweep = np.zeros_like(seed_mask)
-    sweep[2::4, 2::4] = True
-    seed_mask |= sweep
-    ci, cj = np.nonzero(seed_mask)
-    seeds = np.column_stack(
-        [ax[0][ci] + 0.5 * (ax[0][1] - ax[0][0]), ax[1][cj] + 0.5 * (ax[1][1] - ax[1][0])]
-    )
+    ci, cj = np.nonzero(corner_bracket(0) & corner_bracket(1))
+    ni, nj = np.nonzero(_local_minima(np.hypot(vals[:, :, 0], vals[:, :, 1])))
+    P = np.concatenate([
+        np.column_stack([ax[0][ci] + 0.5 * (ax[0][1] - ax[0][0]),
+                         ax[1][cj] + 0.5 * (ax[1][1] - ax[1][0])]),
+        np.column_stack([ax[0][ni], ax[1][nj]]),
+    ])
 
-    P = seeds.copy()
     active = np.ones(P.shape[0], dtype=bool)
+    last = np.full(P.shape[0], np.inf)
+    stalled = np.zeros(P.shape[0], dtype=int)
+    cap = 4.0 * h
+    span = np.max(b[:, 1] - b[:, 0])
     for _ in range(int(newton_iters)):
-        if not np.any(active):
-            break
         idx = np.nonzero(active)[0]
-        p = P[idx]
         if singular is not None:
-            d2 = np.min(
-                np.sum((p[:, None, :] - singular[None, :, :]) ** 2, axis=-1), axis=1
-            )
-            hit = d2 < 1e-16
-            if np.any(hit):
-                active[idx[hit]] = False
-                idx = idx[~hit]
-                if idx.size == 0:
-                    break
-                p = P[idx]
-        F = np.atleast_2d(realization.value(p)) - u
-        J = np.asarray(realization.jacobian(p)).reshape(-1, 2, 2)
+            hit = _near(P[idx], singular, 1e-16)
+            active[idx[hit]] = False
+            idx = idx[~hit]
+        if idx.size == 0:
+            break
+        F = np.atleast_2d(realization.value(P[idx])) - u
+        r = np.linalg.norm(F, axis=1)
+        stalled[idx] = np.where(r > 0.5 * last[idx], stalled[idx] + 1, 0)
+        last[idx] = r
+        done = (r <= 1e-3 * tol) | (stalled[idx] >= 6)
+        active[idx[done]] = False
+        idx, F = idx[~done], F[~done]
+        if idx.size == 0:
+            break
+        J = np.asarray(realization.jacobian(P[idx])).reshape(-1, 2, 2)
         step = _batch_solve_2x2(J, F)
         bad = ~np.all(np.isfinite(step), axis=1)
         norm = np.linalg.norm(step, axis=1)
-        cap = 4.0 * h
         big = norm > cap
         step[big] *= (cap / norm[big])[:, None]
         P[idx] -= step
         active[idx[bad]] = False
         # freeze points that wander far outside the box
-        span = np.max(b[:, 1] - b[:, 0])
         out = np.any((P[idx] < b[:, 0] - span) | (P[idx] > b[:, 1] + span), axis=1)
         active[idx[out]] = False
 
-    finite = np.all(np.isfinite(P), axis=1)
-    P = P[finite]
+    P = P[np.all((P > b[:, 0]) & (P < b[:, 1]), axis=1)]
+    res = np.zeros(0)
     if P.shape[0]:
         res = np.linalg.norm(np.atleast_2d(realization.value(P)) - u, axis=1)
-        inside = np.all((P > b[:, 0]) & (P < b[:, 1]), axis=1)
-        keep = (res <= tol) & inside
-        P, res = P[keep], res[keep]
-    else:
-        res = np.zeros(0)
+        P, res = P[res <= tol], res[res <= tol]
 
-    order = np.lexsort((P[:, 1], P[:, 0])) if P.shape[0] else np.zeros(0, dtype=int)
     kept_pts, kept_res = [], []
-    for i in order:
+    for i in np.lexsort((P[:, 1], P[:, 0])):
         p = P[i]
         if any(np.hypot(p[0] - q[0], p[1] - q[1]) < 0.5 * h for q in kept_pts):
             continue
@@ -365,7 +433,8 @@ def count_roots_2d(
     else:
         kp = np.zeros((0, 2))
         deltas = np.zeros(0)
-    return RootSet(kp, deltas, np.asarray(kept_res, dtype=float), u.copy(), 0.5 * h)
+    return RootSet(kp, deltas, np.asarray(kept_res, dtype=float), u.copy(), 0.5 * h,
+                   degree)
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +572,11 @@ def _edge_point(edge, x0, y0, x1, y1, v0, v1, v2, v3):
 def nodal_length(realization, box, u: float, grid: int = 512) -> LevelCurve:
     """Extract the level curve {X = u} by marching squares with exact saddle tests.
 
+    The lattice values come from ``_lattice_values``: separable phases for
+    spectral fields, so they agree with pointwise evaluation up to rounding.
     Vertices come from linear interpolation along cell edges; ambiguous
-    (double-saddle) cells are resolved by evaluating the field at the cell
-    center, which is exact for every model here.
+    (double-saddle) cells are resolved by evaluating the field pointwise at
+    the cell center, which is exact for every model here.
     """
     if realization.d != 1 or realization.D != 2:
         raise CapabilityError("nodal_length needs a scalar field on R^2")
@@ -515,8 +586,7 @@ def nodal_length(realization, box, u: float, grid: int = 512) -> LevelCurve:
         raise ConfigurationError("resolution must be >= 2")
     # values only: marching squares never reads gradients on the lattice
     ax = _lattice_axes(b, res)
-    v = np.asarray(realization.value(_lattice_points(ax)), dtype=float)
-    v = v.reshape(res, res) - float(u)
+    v = _lattice_values(realization, ax) - float(u)
     hx, hy = (b[:, 1] - b[:, 0]) / (res - 1)
 
     v0 = v[:-1, :-1]

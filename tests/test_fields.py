@@ -213,6 +213,30 @@ def test_trig2d_matches_per_wave_loop():
                 _assert_rel_close(hess[:, i, j], _wave_sum(w, cc, cs, pts, (i, j)))
 
 
+def test_trig2d_lattice_matches_pointwise_eval():
+    # non-square lattice: a swap of the two axes cannot pass
+    m = SpectralGaussian2D.isotropic_ring(7, 2.5)
+    axes = [np.linspace(-3.0, 5.0, 41), np.linspace(-1.0, 2.0, 17)]
+    xx, yy = np.meshgrid(*axes, indexing="ij")
+    pts = np.column_stack([xx.ravel(), yy.ravel()])
+    kmax = np.max(np.abs(m.wavevectors))
+    for seed in (2, 31):
+        r = sample_realization(m, seed)
+        coef = np.sum(np.abs(r.coef_cos) + np.abs(r.coef_sin))
+        for order, pointwise in enumerate((r.value, r.gradient, r.hessian)):
+            ref = np.asarray(pointwise(pts)).reshape(r.lattice(axes, order).shape)
+            assert ref.shape[:2] == (41, 17)
+            err = np.max(np.abs(r.lattice(axes, order) - ref))
+            assert err <= 1e-13 * coef * kmax**order
+        g = sample_realization(GradientField(m), seed)
+        assert np.array_equal(g.lattice(axes), r.lattice(axes, 1))
+        assert np.array_equal(g.lattice(axes, 1), r.lattice(axes, 2))
+    with pytest.raises(CapabilityError):
+        r.lattice(axes, 3)
+    with pytest.raises(CapabilityError):
+        g.lattice(axes, 2)
+
+
 def test_corpus_rows_match_per_wave_loop():
     base = SpectralGaussian1D.harmonics(7, seed=3)
     ts = np.linspace(0.0, 9.0, 257)

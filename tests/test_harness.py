@@ -7,7 +7,7 @@ import pytest
 
 from ricelab.engine import kacrice_rhs
 from ricelab.errors import ConfigurationError
-from ricelab.fields import SpectralGaussian1D
+from ricelab.fields import GradientField, SpectralGaussian1D, SpectralGaussian2D
 from ricelab.harness import (
     ExperimentConfig,
     ExperimentReport,
@@ -21,6 +21,7 @@ from ricelab.harness import (
     run_suite,
     verdict,
 )
+from ricelab.modelspec import model_to_doc
 
 TWO_PI = 2.0 * math.pi
 
@@ -121,7 +122,7 @@ def test_config_region_only_for_deflection_models():
 def test_config_rejects_quadrature_nothing_reads():
     # roots and weighted predictions of stationary families take no
     # quadrature; accepting one would let a config promise a rule never run.
-    # The same holds for delta, n_lines, rhs_delta and a p_max below 2.
+    # The same holds for delta, n_lines, rhs_delta, p_max and inner_mc.
     with pytest.raises(ConfigurationError, match="quadrature"):
         _cfg(quadrature=32)
     with pytest.raises(ConfigurationError, match="quadrature"):
@@ -149,6 +150,24 @@ def test_config_rejects_quadrature_nothing_reads():
         _cfg(model=SHOT, levels=[0.5], box=[1.0, 11.0], p_max=1)
     shot = _cfg(model=SHOT, levels=[0.5], box=[1.0, 11.0], p_max=2, rhs_delta=0.05)
     assert (shot.p_max, shot.rhs_delta) == (2, 0.05)
+    # p_max is read by shot-noise models only, inner_mc by Monte Carlo
+    # predictions only: closed forms on line fields and every local_time
+    with pytest.raises(ConfigurationError, match="p_max is read only by shot-noise"):
+        _cfg(p_max=40)
+    with pytest.raises(ConfigurationError, match="inner_mc"):
+        _cfg(inner_mc=50000)
+    with pytest.raises(ConfigurationError, match="inner_mc"):
+        _cfg(estimator="weighted", weight="upcrossing", inner_mc=8192)
+    with pytest.raises(ConfigurationError, match="inner_mc"):
+        _cfg(model=CHI2, levels=[1.0], estimator="local_time", delta=0.2, inner_mc=8192)
+    assert _cfg(inner_mc=4096).inner_mc == 4096
+    assert _cfg(estimator="euler", inner_mc=8192).inner_mc == 8192
+    assert _cfg(estimator="moment2", box=[0.0, 3.0], inner_mc=8192).inner_mc == 8192
+    assert _cfg(model=CHI2, levels=[1.0], inner_mc=8192).inner_mc == 8192
+    assert _cfg(model=SHOT, levels=[0.5], box=[1.0, 11.0], inner_mc=8192).inner_mc == 8192
+    assert lens.inner_mc == 4096
+    assert _cfg(model=LENS0, levels=[[0.25, 0.1]], box=None, n_realizations=30,
+                grid=64, inner_mc=8192).inner_mc == 8192
 
 
 def test_config_doc_round_trip_and_strictness():
@@ -318,6 +337,21 @@ def test_length_experiment_collects_line_cross_check():
     # its marching length
     assert report.extras["favard_within"][0] >= 28
     assert report.extras["favard_se"][0] > 0.0
+
+
+def test_planar_counts_report_degree_checks():
+    # report only: every realization (and level) is tallied once at most
+    ring = SpectralGaussian2D.isotropic_ring(6, 3.0)
+    for estimator, model, levels in (
+            ("euler", model_to_doc(ring), [0.5]),
+            ("roots", model_to_doc(GradientField(ring)), [[0.0, 0.0], [0.5, -0.5]])):
+        cfg = ExperimentConfig(experiment_id="deg", model=model, levels=levels,
+                               estimator=estimator, n_realizations=30,
+                               box=[[0.0, 1.0], [0.0, 1.0]], grid=64)
+        extras = measure_only(cfg, master_seed=3)["extras"]
+        assert set(extras) == {"degree_mismatches", "degree_unresolved"}
+        assert all(isinstance(v, int) for v in extras.values())
+        assert extras["degree_mismatches"] + extras["degree_unresolved"] <= 30 * len(levels)
 
 
 def test_default_image_region_contains_all_images():

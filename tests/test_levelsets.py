@@ -8,6 +8,7 @@ import pytest
 from ricelab.errors import CapabilityError, ConfigurationError
 from ricelab.fields import (
     DeterministicField,
+    GradientField,
     MicrolensModel,
     SpectralGaussian1D,
     SpectralGaussian2D,
@@ -193,6 +194,203 @@ def test_roots_2d_starless_lens_has_single_image():
     rs = count_roots_2d(r, [(-1, 1), (-1, 1)], y, grid=64)
     assert rs.count == 1
     assert np.allclose(rs.points[0], -y, atol=1e-9)
+
+
+def _reference_count_roots_2d(realization, box, u, grid, newton_iters=30, tol=1e-9):
+    """Exhaustive finder: Newton from every cell centre, all iterations, greedy dedup."""
+    b = np.asarray(box, dtype=float)
+    u = np.asarray(u, dtype=float)
+    ax = [np.linspace(lo, hi, grid) for lo, hi in b]
+    h = float(max(b[:, 1] - b[:, 0]) / (grid - 1))
+    cx, cy = np.meshgrid(0.5 * (ax[0][:-1] + ax[0][1:]), 0.5 * (ax[1][:-1] + ax[1][1:]),
+                         indexing="ij")
+    P = np.column_stack([cx.ravel(), cy.ravel()])
+    singular = getattr(realization, "star_positions", np.zeros((0, 2)))
+    span = np.max(b[:, 1] - b[:, 0])
+    active = np.ones(P.shape[0], dtype=bool)
+    for _ in range(newton_iters):
+        idx = np.nonzero(active)[0]
+        if singular.shape[0]:
+            d2 = np.min(np.sum((P[idx, None, :] - singular[None]) ** 2, axis=-1), axis=1)
+            active[idx[d2 < 1e-16]] = False
+            idx = idx[d2 >= 1e-16]
+        if idx.size == 0:
+            break
+        F = np.atleast_2d(realization.value(P[idx])) - u
+        J = np.asarray(realization.jacobian(P[idx])).reshape(-1, 2, 2)
+        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.column_stack([F[:, 0] * J[:, 1, 1] - F[:, 1] * J[:, 0, 1],
+                                    F[:, 1] * J[:, 0, 0] - F[:, 0] * J[:, 1, 0]]) / det[:, None]
+        bad = ~np.all(np.isfinite(step), axis=1)
+        norm = np.linalg.norm(step, axis=1)
+        big = norm > 4.0 * h
+        step[big] *= (4.0 * h / norm[big])[:, None]
+        P[idx] -= step
+        active[idx[bad]] = False
+        out = np.any((P[idx] < b[:, 0] - span) | (P[idx] > b[:, 1] + span), axis=1)
+        active[idx[out]] = False
+    P = P[np.all((P > b[:, 0]) & (P < b[:, 1]), axis=1)]
+    res = np.linalg.norm(np.atleast_2d(realization.value(P)) - u, axis=1)
+    P = P[res <= tol]
+    kept = []
+    for p in P[np.lexsort((P[:, 1], P[:, 0]))]:
+        if all(np.hypot(*(p - q)) >= 0.5 * h for q in kept):
+            kept.append(p)
+    return np.asarray(kept).reshape(-1, 2)
+
+
+def _ring_gradient(seed):
+    model = GradientField(SpectralGaussian2D.isotropic_ring(6, 3.0))
+    return sample_realization(model, seed)
+
+
+def _three_star_lens(seed):
+    return sample_realization(
+        MicrolensModel(kappa_c=2.0, gamma=0.0, m=0.2, n_stars=3, R=1.0), seed)
+
+
+@pytest.mark.parametrize("make, box, u, grid", [
+    (_ring_gradient, [(0.0, 2.0), (0.0, 2.0)], (0.0, 0.0), 128),
+    (_three_star_lens, [(-1.5, 1.5), (-1.5, 1.5)], (0.25, 0.1), 64),
+], ids=["ring-gradient-128", "three-star-lens-64"])
+def test_roots_2d_match_exhaustive_newton(make, box, u, grid):
+    # seeding only bracketing cells and local minima of |X - u|, and retiring
+    # seeds early, finds what Newton from every cell finds
+    for seed in range(1000, 1020):
+        real = make(seed)
+        ref = _reference_count_roots_2d(real, box, u, grid)
+        rs = count_roots_2d(real, box, u, grid=grid)
+        assert rs.count == ref.shape[0], seed
+        assert np.max(np.abs(rs.points - ref), initial=0.0) <= 1e-9, seed
+
+
+class _CountingRealization:
+    """Forwards to a planar realization and records the points of each pointwise call."""
+
+    d = 2
+    D = 2
+
+    def __init__(self, real):
+        self.real = real
+        self.value_points = []
+
+    def lattice(self, axes, order=0):
+        return self.real.lattice(axes, order)
+
+    def value(self, pts):
+        self.value_points.append(np.atleast_2d(pts).shape[0])
+        return self.real.value(pts)
+
+    def jacobian(self, pts):
+        return self.real.jacobian(pts)
+
+
+def test_roots_2d_newton_work_bounded_by_roots_not_lattice():
+    # 128^2 lattice, about 3 critical points: the first Newton step sees
+    # every seed, and there are tens, not one per few cells
+    for seed in (1000, 1001, 1002):
+        counting = _CountingRealization(_ring_gradient(seed))
+        rs = count_roots_2d(counting, [(0.0, 2.0), (0.0, 2.0)], (0.0, 0.0), grid=128)
+        assert 1 <= rs.count <= counting.value_points[0] <= 64
+        assert sum(counting.value_points) <= 64 * 8
+
+
+def _fold(shift):
+    # (x^2 + shift, y): a tangential root at the origin for shift 0, none for shift > 0
+    def val(p):
+        p = np.atleast_2d(p)
+        return np.column_stack([p[:, 0] ** 2 + shift, p[:, 1]])
+
+    def jac(p):
+        p = np.atleast_2d(p)
+        J = np.zeros((p.shape[0], 2, 2))
+        J[:, 0, 0] = 2.0 * p[:, 0]
+        J[:, 1, 1] = 1.0
+        return J
+
+    return val, jac
+
+
+def test_roots_2d_tangential_root_seeded_from_local_minimum():
+    # x^2 never changes sign, so no cell brackets; the lattice minimum of
+    # |X - u| next to the origin is the only seed that finds the root
+    val, jac = _fold(0.0)
+    f = DeterministicField(value_fn=val, jacobian_fn=jac, d=2, D=2)
+    rs = count_roots_2d(f, [(-1.0, 1.05), (-1.0, 1.05)], (0.0, 0.0), grid=64)
+    assert rs.count == 1
+    assert np.allclose(rs.points[0], 0.0, atol=1e-4)
+
+
+def test_roots_2d_seeds_that_stop_converging_retire():
+    # x^2 + 1 has no root: Newton wanders and the residual never halves, so
+    # each seed retires after 6 such steps instead of running all 30
+    calls = []
+    val, jac = _fold(1.0)
+
+    def counted(p):
+        calls.append(np.atleast_2d(p).shape[0])
+        return val(p)
+
+    f = DeterministicField(value_fn=counted, jacobian_fn=jac, d=2, D=2)
+    rs = count_roots_2d(f, [(-1.0, 1.05), (-1.0, 1.05)], (0.0, 0.0), grid=64)
+    assert rs.count == 0
+    # the lattice, at most 7 Newton evaluations and the final residual check
+    assert len(calls) <= 1 + 7 + 1
+
+
+def _sign_sum(f, rs):
+    J = np.asarray(f.jacobian(rs.points)).reshape(-1, 2, 2)
+    return int(np.sum(np.sign(np.linalg.det(J))))
+
+
+def test_roots_2d_degree_circle_line_is_zero():
+    f = _circle_line_system()
+    rs = count_roots_2d(f, [(-2, 2), (-2, 2)], (0.0, 0.0), grid=64)
+    signs = np.sign(np.linalg.det(np.asarray(f.jacobian(rs.points))))
+    assert sorted(signs) == [-1.0, 1.0]
+    assert rs.degree == 0 == _sign_sum(f, rs)
+
+
+@pytest.mark.parametrize("A", [[[1.0, 0.3], [-0.2, 1.0]], [[0.3, 1.0], [1.0, -0.2]]])
+def test_roots_2d_degree_affine_is_sign_det(A):
+    A = np.array(A)
+    f = DeterministicField(value_fn=lambda p: np.atleast_2d(p) @ A.T,
+                           jacobian_fn=lambda p: np.broadcast_to(
+                               A, (np.atleast_2d(p).shape[0], 2, 2)).copy(),
+                           d=2, D=2)
+    rs = count_roots_2d(f, [(-1, 1), (-1, 1)], A @ np.array([0.3, -0.4]), grid=32)
+    assert rs.count == 1
+    assert rs.degree == int(np.sign(np.linalg.det(A))) == _sign_sum(f, rs)
+
+
+def test_roots_2d_degree_flags_missed_roots():
+    # z^2 - eps^2 (complex form) has two roots of sign +1 at +/- eps; a grid
+    # whose dedup radius h/2 exceeds 2 eps reports one, the boundary two
+    from ricelab.harness import _degree_tally
+
+    eps = 0.01
+
+    def val(p):
+        p = np.atleast_2d(p)
+        return np.column_stack([p[:, 0] ** 2 - p[:, 1] ** 2 - eps**2, 2.0 * p[:, 0] * p[:, 1]])
+
+    def jac(p):
+        p = np.atleast_2d(p)
+        return np.stack([np.column_stack([2 * p[:, 0], -2 * p[:, 1]]),
+                         np.column_stack([2 * p[:, 1], 2 * p[:, 0]])], axis=1)
+
+    f = DeterministicField(value_fn=val, jacobian_fn=jac, d=2, D=2)
+    box = [(-1.0, 1.1), (-1.0, 1.1)]
+    fine = count_roots_2d(f, box, (0.0, 0.0), grid=512)
+    assert fine.count == 2 and fine.degree == 2 == _sign_sum(f, fine)
+    coarse = count_roots_2d(f, box, (0.0, 0.0), grid=12)
+    assert coarse.count == 1 and coarse.degree == 2
+    extras = {"degree_mismatches": 0, "degree_unresolved": 0}
+    for rs in (fine, coarse):
+        J = np.asarray(f.jacobian(rs.points)).reshape(-1, 2, 2)
+        _degree_tally(extras, rs, np.sign(np.linalg.det(J)))
+    assert extras == {"degree_mismatches": 1, "degree_unresolved": 0}
 
 
 # ---------------------------------------------------------------------------
