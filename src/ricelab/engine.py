@@ -80,7 +80,6 @@ _SHARED_BLOCK = 1 << 14
 __all__ = [
     "GaussianRegression",
     "RhsEvaluation",
-    "SignedEstimate",
     "level_density",
     "conditional_jacobian_expectation",
     "kacrice_rhs",
@@ -98,12 +97,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RhsEvaluation:
-    """A nonnegative mean-measure prediction with its error budget.
+    """A mean-measure prediction with its error budget.
 
     ``quadrature_error`` bounds the deterministic discretisation error
     (outer quadrature, window widths, series truncation); ``mc_error`` is the
     one-sigma Monte Carlo standard error.  ``total_error`` adds them, which is
-    conservative because the two sources are independent.
+    conservative because the two sources are independent.  The value must be
+    >= 0 unless ``signed`` is set (signed critical-point counts, and pair
+    moments extrapolated by a Richardson step).
     """
 
     value: float
@@ -112,9 +113,10 @@ class RhsEvaluation:
     n_quadrature: int = 0
     n_mc: int = 0
     detail: dict = field(default_factory=dict)
+    signed: bool = False
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.value) or self.value < 0.0:
+        if not math.isfinite(self.value) or (not self.signed and self.value < 0.0):
             raise ModelError("prediction value must be finite and >= 0")
         if self.quadrature_error < 0.0 or self.mc_error < 0.0:
             raise ModelError("error components must be >= 0")
@@ -131,31 +133,6 @@ class RhsEvaluation:
             "total_error": self.total_error,
             "n_quadrature": self.n_quadrature,
             "n_mc": self.n_mc,
-        }
-        if self.detail:
-            doc["detail"] = self.detail
-        return doc
-
-
-@dataclass(frozen=True)
-class SignedEstimate:
-    """A possibly signed estimate with the same split error budget."""
-
-    value: float
-    quadrature_error: float = 0.0
-    mc_error: float = 0.0
-    detail: dict = field(default_factory=dict)
-
-    @property
-    def total_error(self) -> float:
-        return self.quadrature_error + self.mc_error
-
-    def to_doc(self) -> dict:
-        doc = {
-            "value": self.value,
-            "quadrature_error": self.quadrature_error,
-            "mc_error": self.mc_error,
-            "total_error": self.total_error,
         }
         if self.detail:
             doc["detail"] = self.detail
@@ -591,7 +568,7 @@ def weighted_kacrice_rhs(model, box, u, weight, *, inner_mc: int = DEFAULT_INNER
 
 def euler_char_expectation(model, box, u, *, quadrature=None,
                            inner_mc: int = DEFAULT_INNER_MC,
-                           seed: int = 0) -> SignedEstimate:
+                           seed: int = 0) -> RhsEvaluation:
     """Expected signed count of critical points with value above ``u``.
 
     Critical points of index ``i`` carry weight (-1)^(d - i); for smooth
@@ -659,8 +636,9 @@ def euler_char_expectation(model, box, u, *, quadrature=None,
     sign_factor = (-1.0) ** d
     value = sign_factor * fine * vol
     quad_err = abs(fine - coarse) * vol
-    return SignedEstimate(value=value, quadrature_error=quad_err, mc_error=mc_se * vol,
-                          detail={"nodes": nodes, "n_mc": inner_mc, "dim": d})
+    return RhsEvaluation(value=value, quadrature_error=quad_err, mc_error=mc_se * vol,
+                         n_quadrature=nodes, n_mc=inner_mc, signed=True,
+                         detail={"nodes": nodes, "n_mc": inner_mc, "dim": d})
 
 
 # ---------------------------------------------------------------------------
@@ -994,7 +972,7 @@ def _point_in_region(p: np.ndarray, region) -> bool:
 def second_factorial_moment_rhs(model: SpectralGaussian1D, interval, u, *,
                                 quadrature=None, inner_mc: int = 8192,
                                 seed: int = 0,
-                                band_fraction: float = 1e-2) -> SignedEstimate:
+                                band_fraction: float = 1e-2) -> RhsEvaluation:
     """Mean number of ordered pairs of distinct roots on the interval.
 
     Integrates the two-point rate F(tau) = E[|X'(s) X'(t)| | X(s)=X(t)=u]
@@ -1073,6 +1051,6 @@ def second_factorial_moment_rhs(model: SpectralGaussian1D, interval, u, *,
     quad_err = abs(narrow - wide) / 3.0
     # node-count error estimate on the narrow band
     quad_err += abs(narrow - float(per_draw(band, nodes // 2).mean()))
-    return SignedEstimate(value=value, quadrature_error=quad_err, mc_error=mc_se,
-                          detail={"band": band, "nodes": nodes,
-                                  "n_mc": inner_mc})
+    return RhsEvaluation(value=value, quadrature_error=quad_err, mc_error=mc_se,
+                         n_quadrature=nodes, n_mc=inner_mc, signed=True,
+                         detail={"band": band, "nodes": nodes, "n_mc": inner_mc})

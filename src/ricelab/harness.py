@@ -295,6 +295,11 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigurationError(
                 "the shot-noise value distribution has an atom at 0; pick u != 0")
 
+    if kind == "chi_square" and model.D != 1 and cfg.estimator in ("roots", "local_time"):
+        raise ConfigurationError(
+            f"estimator {cfg.estimator!r} needs a squared-norm field over a line base, "
+            f"got a base on R^{model.D}")
+
     if cfg.box is None:
         if kind != "microlens":
             raise ConfigurationError("box is required (omitting it is allowed "
@@ -550,7 +555,7 @@ def _chunk_lhs(config_doc: dict, master_seed: int, lo: int, hi: int) -> dict:
     model = model_from_doc(dict(cfg.model))
     kind = cfg.model["kind"]
     seeds = [fanout_seed(master_seed, cfg.experiment_id, i) for i in range(lo, hi)]
-    if cfg.estimator in ("roots", "weighted", "moment2"):
+    if cfg.estimator in ("roots", "weighted", "moment2", "local_time"):
         if kind in ("spectral_gaussian_1d", "chi_square"):
             return _corpus_chunk(cfg, model, seeds)
         if kind == "shot_noise":
@@ -561,8 +566,6 @@ def _chunk_lhs(config_doc: dict, master_seed: int, lo: int, hi: int) -> dict:
             return _gradient_roots_chunk(cfg, model, seeds)
     if cfg.estimator == "length":
         return _length_chunk(cfg, model, seeds, master_seed, lo)
-    if cfg.estimator == "local_time":
-        return _local_time_chunk(cfg, model, seeds)
     if cfg.estimator == "euler":
         if kind == "spectral_gaussian_1d":
             return _euler_line_chunk(cfg, model, seeds)
@@ -593,27 +596,40 @@ def _corpus_values(model, seeds, ts) -> np.ndarray:
 
 
 def _sign_change_counts(vals: np.ndarray, u: float) -> np.ndarray:
-    v = vals - u
-    return np.sum(v[:, :-1] * v[:, 1:] < 0.0, axis=1)
+    """Grid crossings of u per row: steps where (v < u) changes, as in count_roots_1d."""
+    below = vals < u
+    return np.sum(below[:, :-1] != below[:, 1:], axis=1)
 
 
 def _upcrossing_counts(vals: np.ndarray, u: float) -> np.ndarray:
-    v = vals - u
-    return np.sum((v[:, :-1] < 0.0) & (v[:, 1:] > 0.0), axis=1)
+    below = vals < u
+    return np.sum(below[:, :-1] & ~below[:, 1:], axis=1)
 
 
 def _corpus_chunk(cfg, model, seeds) -> dict:
+    """Score every level on one value matrix per block of line realizations.
+
+    Crossing counts read the grid nodes; local time reads the cell midpoints
+    lo + (i + 1/2) h, h = (hi - lo) / grid.
+    """
     lo, hi = float(cfg.box[0]), float(cfg.box[1])
-    ts = np.linspace(lo, hi, _grid_of(cfg))
-    up = cfg.estimator == "weighted" and cfg.weight == "upcrossing"
+    grid = _grid_of(cfg)
+    if cfg.estimator == "local_time":
+        h = (hi - lo) / grid
+        ts = lo + (np.arange(grid) + 0.5) * h
+
+        def score(vals, u):
+            return local_time(vals, u, cfg.delta, h)
+    else:
+        ts = np.linspace(lo, hi, grid)
+        up = cfg.estimator == "weighted" and cfg.weight == "upcrossing"
+        score = _upcrossing_counts if up else _sign_change_counts
     out = np.empty((len(seeds), len(cfg.levels)))
     for blo in range(0, len(seeds), _CORPUS_BLOCK):
         block = seeds[blo:blo + _CORPUS_BLOCK]
         vals = _corpus_values(model, block, ts)
         for j, u in enumerate(cfg.levels):
-            counts = (_upcrossing_counts(vals, float(u)) if up
-                      else _sign_change_counts(vals, float(u)))
-            out[blo:blo + len(block), j] = counts
+            out[blo:blo + len(block), j] = score(vals, float(u))
     if cfg.estimator == "moment2":
         out = out * (out - 1.0)
     return {"values": out, "extras": {}}
@@ -736,7 +752,7 @@ def _length_chunk(cfg, model, seeds, master_seed, lo) -> dict:
             if cfg.n_lines:
                 fseed = fanout_seed(master_seed,
                                     f"{cfg.experiment_id}#lines{j}", lo + i)
-                est, se = favard_measure(curve.polyline, cfg.n_lines, fseed)
+                est, se = favard_measure(curve, cfg.n_lines, fseed)
                 if abs(est - curve.length) <= 3.0 * se:
                     extras["favard_within"][j] += 1
                 extras["favard_sum"][j] += est
@@ -744,16 +760,6 @@ def _length_chunk(cfg, model, seeds, master_seed, lo) -> dict:
         if cfg.n_lines:
             extras["favard_n"] += 1
     return {"values": out, "extras": extras}
-
-
-def _local_time_chunk(cfg, model, seeds) -> dict:
-    grid = _grid_of(cfg)
-    out = np.empty((len(seeds), len(cfg.levels)))
-    for i, s in enumerate(seeds):
-        real = sample_realization(model, s)
-        for j, u in enumerate(cfg.levels):
-            out[i, j] = local_time(real, cfg.box, float(u), cfg.delta, grid=grid)
-    return {"values": out, "extras": {}}
 
 
 def _euler_line_chunk(cfg, model, seeds) -> dict:
@@ -1018,9 +1024,7 @@ def ae_level_consistency(model, box, levels, *, n_realizations: int = 1024,
     lhs = np.empty(levels.size)
     lhs_se = np.empty(levels.size)
     for i, lev in enumerate(levels):
-        below = values < lev
-        lhs[i], lhs_se[i] = mean_se(
-            np.count_nonzero(below[:, :-1] != below[:, 1:], axis=1))
+        lhs[i], lhs_se[i] = mean_se(_sign_change_counts(values, lev))
 
     rhs = np.empty(levels.size)
     rhs_err = np.empty(levels.size)

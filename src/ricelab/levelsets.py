@@ -1,25 +1,23 @@
 """Empirical level-set measurement on frozen realizations.
 
-Everything here measures one fixed sample path: root counts with Newton
-refinement, marching-squares level curves, the delta-window (Kac) counter,
-occupation local time, weighted sums over roots, and a scanner for
-near-irregular points.  Statistical comparison against the corresponding
-integral formulas lives in the engine and harness modules.
+Everything here measures sample paths: root counts with Newton refinement,
+marching-squares level curves (as segments), occupation local time of a
+batch of sampled line realizations, and a scanner for near-irregular
+points.  Statistical comparison against the corresponding integral formulas
+lives in the engine and harness modules.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import CapabilityError, ConfigurationError
-from .geometry import Polyline
 
 __all__ = [
     "GridSample",
@@ -28,11 +26,9 @@ __all__ = [
     "sample_grid",
     "count_roots_1d",
     "count_roots_2d",
-    "kac_counter",
     "nodal_length",
     "local_time",
     "irregularity_scan",
-    "weighted_root_sum",
 ]
 
 
@@ -48,14 +44,6 @@ def _box2d(box) -> np.ndarray:
     if a.shape != (2, 2) or not np.all(a[:, 0] < a[:, 1]):
         raise ConfigurationError(f"2D box must be ((lo0,hi0),(lo1,hi1)), got {box!r}")
     return a
-
-
-def _ball_volume(d: int, delta: float) -> float:
-    if d == 1:
-        return 2.0 * delta
-    if d == 2:
-        return math.pi * delta**2
-    raise CapabilityError(f"ball volume implemented for d <= 2, got d={d}")
 
 
 # ---------------------------------------------------------------------------
@@ -438,77 +426,26 @@ def count_roots_2d(
 
 
 # ---------------------------------------------------------------------------
-# Kac counter and local time
+# Local time
 # ---------------------------------------------------------------------------
 
 
-def _midpoint_eval(realization, box, grid):
-    D = realization.D
-    grid = int(grid)
-    if D == 1:
-        lo, hi = _interval(box)
-        h = (hi - lo) / grid
-        ts = lo + (np.arange(grid) + 0.5) * h
-        return ts, h
-    b = _box2d(box)
-    h = (b[:, 1] - b[:, 0]) / grid
-    axes = [b[i, 0] + (np.arange(grid) + 0.5) * h[i] for i in range(2)]
-    return _lattice_points(axes), float(h[0] * h[1])
+def local_time(values, u: float, delta: float, spacing: float) -> np.ndarray:
+    """Occupation local time at level u of each sampled row of ``values``.
 
-
-def _delta_values(realization, pts) -> np.ndarray:
-    """Vectorized Delta = sqrt(det(J J^T)) at many points."""
-    d, D = realization.d, realization.D
-    J = np.asarray(realization.jacobian(pts), dtype=float)
-    n = np.atleast_2d(pts).shape[0] if D > 1 else np.atleast_1d(pts).size
-    J = J.reshape(n, d, D)
-    if d == 1:
-        return np.linalg.norm(J[:, 0, :], axis=1)
-    if d == D:
-        return np.abs(np.linalg.det(J))
-    gram = np.einsum("nij,nkj->nik", J, J)
-    return np.sqrt(np.clip(np.linalg.det(gram), 0.0, None))
-
-
-def kac_counter(realization, box, u, delta: float, grid: int = 2048) -> float:
-    """Delta-window root counter: (1/vol B(0,delta)) Int 1{|X-u|<delta} Delta dt.
-
-    Midpoint quadrature on `grid` cells per axis.  Converges to the root
-    count as delta shrinks (with the grid refined enough to resolve the
-    window).
+    Each row holds one realization at the cell midpoints lo + (i + 1/2) h of
+    a line window, h = ``spacing``.  Row by row this is #{|v - u| <= delta}
+    * h / (2 delta): the midpoint rule for the window form of the occupation
+    density, (1 / 2delta) Int 1{|X(t) - u| <= delta} dt (Azais & Wschebor,
+    *Level Sets and Extrema of Random Processes and Fields*, 2009).  For a
+    stationary field its mean is the window length times
+    P(|X - u| <= delta) / (2 delta).
     """
-    if realization.d != realization.D:
-        raise CapabilityError("kac_counter needs D = d")
     if delta <= 0:
         raise ConfigurationError("delta must be positive")
-    pts, cellvol = _midpoint_eval(realization, box, grid)
-    vals = np.asarray(realization.value(pts), dtype=float)
-    if realization.d == 1:
-        dev = np.abs(vals - float(u))
-    else:
-        dev = np.linalg.norm(vals.reshape(-1, realization.d) - np.asarray(u, float), axis=1)
-    mask = dev < delta
-    if not np.any(mask):
-        return 0.0
-    total = 0.0
-    psel = pts[mask]
-    deltas = _delta_values(realization, psel)
-    total = float(np.sum(deltas)) * cellvol
-    return total / _ball_volume(realization.d, float(delta))
-
-
-def local_time(realization, box, u, delta: float, grid: int = 2048) -> float:
-    """Occupation time of the delta-ball around u, normalized by the ball volume."""
-    if delta <= 0:
-        raise ConfigurationError("delta must be positive")
-    pts, cellvol = _midpoint_eval(realization, box, grid)
-    vals = np.asarray(realization.value(pts), dtype=float)
-    if realization.d == 1:
-        dev = np.abs(vals - float(u))
-    else:
-        dev = np.linalg.norm(vals.reshape(-1, realization.d) - np.asarray(u, float), axis=1)
-    occ = float(np.count_nonzero(dev <= delta)) * cellvol
-    return occ / _ball_volume(realization.d, float(delta))
+    hits = np.count_nonzero(np.abs(np.asarray(values, dtype=float) - float(u)) <= delta,
+                            axis=-1)
+    return hits * float(spacing) / (2.0 * float(delta))
 
 
 # ---------------------------------------------------------------------------
@@ -539,11 +476,14 @@ _MS_SADDLE = {
 
 @dataclass(frozen=True)
 class LevelCurve:
-    """Marching-squares level curve: assembled polyline plus raw segments."""
+    """Marching-squares level curve as its (S, 2, 2) straight segments.
 
-    polyline: Polyline
+    Segments are not chained: the length sums them, and ``favard_measure``
+    counts line crossings per segment from endpoint signs, which gives the
+    same counts as chains because shared endpoints are bitwise equal.
+    """
+
     segments: np.ndarray  # (S, 2, 2)
-    deltas: np.ndarray  # (S,) gradient norm at segment midpoints
     level: float
     spacing: float
 
@@ -576,7 +516,8 @@ def nodal_length(realization, box, u: float, grid: int = 512) -> LevelCurve:
     spectral fields, so they agree with pointwise evaluation up to rounding.
     Vertices come from linear interpolation along cell edges; ambiguous
     (double-saddle) cells are resolved by evaluating the field pointwise at
-    the cell center, which is exact for every model here.
+    the cell center, which is exact for every model here.  Returns the
+    segments of nonzero length, unchained (see ``LevelCurve``).
     """
     if realization.d != 1 or realization.D != 2:
         raise CapabilityError("nodal_length needs a scalar field on R^2")
@@ -642,59 +583,26 @@ def nodal_length(realization, box, u: float, grid: int = 512) -> LevelCurve:
     else:
         segments = np.zeros((0, 2, 2))
 
-    if segments.shape[0]:
-        mids = 0.5 * (segments[:, 0] + segments[:, 1])
-        deltas = np.linalg.norm(np.atleast_2d(realization.gradient(mids)), axis=1)
-    else:
-        deltas = np.zeros(0)
-
-    poly = _assemble_polyline(segments)
-    return LevelCurve(poly, segments, deltas, float(u), float(max(hx, hy)))
-
-
-def _assemble_polyline(segments: np.ndarray) -> Polyline:
-    """Link shared-endpoint segments into chains (endpoints match bitwise)."""
-    if segments.shape[0] == 0:
-        return Polyline(())
-    key = lambda p: (float(p[0]), float(p[1]))
-    adj = {}
-    for si in range(segments.shape[0]):
-        for end in range(2):
-            adj.setdefault(key(segments[si, end]), []).append((si, end))
-    used = np.zeros(segments.shape[0], dtype=bool)
-    comps = []
-
-    def walk(si, end):
-        # traverse starting at segment si leaving from endpoint `end`
-        chain = [segments[si, end], segments[si, 1 - end]]
-        used[si] = True
-        while True:
-            k = key(chain[-1])
-            nxt = [(s, e) for s, e in adj.get(k, []) if not used[s]]
-            if not nxt:
-                break
-            s, e = nxt[0]
-            used[s] = True
-            chain.append(segments[s, 1 - e])
-        return np.asarray(chain)
-
-    # open chains first: endpoints of degree 1, in deterministic order
-    degree_one = sorted(
-        (k for k, v in adj.items() if len(v) == 1), key=lambda k: (k[0], k[1])
-    )
-    for k in degree_one:
-        for si, end in adj[k]:
-            if not used[si]:
-                comps.append(walk(si, end))
-    for si in range(segments.shape[0]):
-        if not used[si]:
-            comps.append(walk(si, 0))
-    return Polyline(tuple(comps))
+    return LevelCurve(segments, float(u), float(max(hx, hy)))
 
 
 # ---------------------------------------------------------------------------
-# Irregularity scan and weighted sums
+# Irregularity scan
 # ---------------------------------------------------------------------------
+
+
+def _delta_values(realization, pts) -> np.ndarray:
+    """Vectorized Delta = sqrt(det(J J^T)) at many points."""
+    d, D = realization.d, realization.D
+    J = np.asarray(realization.jacobian(pts), dtype=float)
+    n = np.atleast_2d(pts).shape[0] if D > 1 else np.atleast_1d(pts).size
+    J = J.reshape(n, d, D)
+    if d == 1:
+        return np.linalg.norm(J[:, 0, :], axis=1)
+    if d == D:
+        return np.abs(np.linalg.det(J))
+    gram = np.einsum("nij,nkj->nik", J, J)
+    return np.sqrt(np.clip(np.linalg.det(gram), 0.0, None))
 
 
 def irregularity_scan(
@@ -725,28 +633,3 @@ def irregularity_scan(
     deltas = _delta_values(realization, qpts[near] if D > 1 else qpts[near].ravel())
     flagged = qpts[near][deltas <= eps_delta]
     return flagged.reshape(-1, D)
-
-
-def weighted_root_sum(measured, weight: Callable) -> float:
-    """Sum weight(t) over a RootSet, or integrate weight along a LevelCurve.
-
-    `weight` maps an (n, D) array of locations to n nonnegative values; pass
-    a closure over the realization for weights that need auxiliary fields.
-    """
-    if isinstance(measured, RootSet):
-        if measured.count == 0:
-            return 0.0
-        w = np.asarray(weight(measured.points), dtype=float).ravel()
-        if w.size != measured.count or np.any(w < -1e-12):
-            raise ConfigurationError("weight must return one nonnegative value per root")
-        return float(np.sum(w))
-    if isinstance(measured, LevelCurve):
-        if measured.segments.shape[0] == 0:
-            return 0.0
-        mids = 0.5 * (measured.segments[:, 0] + measured.segments[:, 1])
-        lens = np.linalg.norm(measured.segments[:, 1] - measured.segments[:, 0], axis=1)
-        w = np.asarray(weight(mids), dtype=float).ravel()
-        if w.size != lens.size or np.any(w < -1e-12):
-            raise ConfigurationError("weight must return one nonnegative value per segment")
-        return float(np.sum(w * lens))
-    raise ConfigurationError("weighted_root_sum expects a RootSet or LevelCurve")

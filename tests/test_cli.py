@@ -74,6 +74,21 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert "configuration error" in err
 
 
+@pytest.mark.parametrize("estimator", ["roots", "local_time"])
+def test_planar_chi_square_line_estimators_exit_two(tmp_path, capsys, estimator):
+    # the line estimators read a 1D corpus: a planar base is a bad config
+    ring = {"kind": "spectral_gaussian_2d", "wavevectors": [[3.0, 0.0], [0.0, 3.0]],
+            "amplitudes": [math.sqrt(0.5), math.sqrt(0.5)]}
+    doc = _exact_experiment(model={"kind": "chi_square", "n": 2, "base": ring},
+                            levels=[1.0], estimator=estimator,
+                            box=[[0.0, 1.0], [0.0, 1.0]], grid=64)
+    if estimator == "local_time":
+        doc["delta"] = 0.2
+    cfg = _write(tmp_path, "exp.json", doc)
+    assert main(["measure", "--config", cfg]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_runtime_errors_exit_three(tmp_path, capsys):
     # degenerate pair prediction raises inside a structurally valid config
     doc = _exact_experiment(estimator="moment2")

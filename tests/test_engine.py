@@ -73,6 +73,12 @@ def test_rhs_evaluation_validation_and_doc():
         RhsEvaluation(value=1.0, mc_error=-0.5)
     with pytest.raises(ModelError):
         RhsEvaluation(value=math.nan)
+    # a signed prediction skips only the sign check
+    assert RhsEvaluation(value=-1.0, signed=True).total_error == 0.0
+    with pytest.raises(ModelError):
+        RhsEvaluation(value=math.nan, signed=True)
+    with pytest.raises(ModelError):
+        RhsEvaluation(value=-1.0, mc_error=-0.5, signed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +365,7 @@ def test_signed_count_shared_draws_match_per_node_loop(dim):
     assert est.quadrature_error == pytest.approx(
         2.0 * abs(fine.mean() - coarse.mean()), rel=1e-12, abs=1e-13 * abs(est.value))
     assert est.detail == {"nodes": 40, "n_mc": inner_mc, "dim": dim}
+    assert (est.n_quadrature, est.n_mc, est.signed) == (40, inner_mc, True)
 
 
 # ---------------------------------------------------------------------------
@@ -636,6 +643,7 @@ def test_pair_moment_shared_draws_match_per_node_loop():
         abs(gap) / 3.0 + abs(narrow.mean() - half.mean()),
         rel=1e-12, abs=1e-13 * est.value)
     assert est.detail == {"band": band, "nodes": nodes, "n_mc": inner_mc}
+    assert (est.n_quadrature, est.n_mc, est.signed) == (nodes, inner_mc, True)
 
 
 def test_pair_moment_grows_with_interval():

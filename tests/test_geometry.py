@@ -16,6 +16,7 @@ from ricelab.geometry import (
     normal_jacobian,
     sample_haar_grassmann,
 )
+from ricelab.levelsets import LevelCurve
 from ricelab.rng import stream
 
 finite = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
@@ -167,6 +168,22 @@ def test_favard_segment_and_square():
     est, se = favard_measure(square, 200_000, seed=6)
     assert est == pytest.approx(4.0, rel=0.01)
     assert abs(est - 4.0) < 4 * se
+
+
+def test_favard_counts_per_segment_so_chains_equal_loose_edges():
+    corners = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]], dtype=float)
+    square = Polyline([corners])
+    edges = Polyline([corners[i:i + 2] for i in range(4)])
+    assert np.array_equal(square.segments, edges.segments)
+    assert square.segments.shape == (4, 2, 2)
+    assert favard_measure(square, 20_000, seed=9) == favard_measure(edges, 20_000, seed=9)
+    curve = LevelCurve(edges.segments, 0.0, 1.0)
+    assert favard_measure(curve, 20_000, seed=9) == favard_measure(square, 20_000, seed=9)
+
+
+def test_favard_rejects_shapes_without_segments():
+    with pytest.raises(ConfigurationError):
+        favard_measure(np.zeros((3, 2)), 1000, seed=0)
 
 
 def test_favard_handles_multiple_components():

@@ -7,11 +7,19 @@ import pytest
 
 from ricelab.engine import kacrice_rhs
 from ricelab.errors import ConfigurationError
-from ricelab.fields import GradientField, SpectralGaussian1D, SpectralGaussian2D
+from ricelab.fields import (
+    GradientField,
+    SpectralGaussian1D,
+    SpectralGaussian2D,
+    sample_realization,
+)
 from ricelab.harness import (
     ExperimentConfig,
     ExperimentReport,
     _chunk_bounds,
+    _chunk_lhs,
+    _sign_change_counts,
+    _upcrossing_counts,
     default_image_region,
     emit_plot_data,
     load_manifest,
@@ -21,7 +29,8 @@ from ricelab.harness import (
     run_suite,
     verdict,
 )
-from ricelab.modelspec import model_to_doc
+from ricelab.modelspec import model_from_doc, model_to_doc
+from ricelab.rng import fanout_seed
 
 TWO_PI = 2.0 * math.pi
 
@@ -32,6 +41,8 @@ PAIR = {
     "amplitudes": [math.sqrt(0.5), math.sqrt(0.5)],
 }
 CHI2 = {"kind": "chi_square", "n": 2, "base": PAIR}
+CHI2_PLANAR = {"kind": "chi_square", "n": 2,
+               "base": model_to_doc(SpectralGaussian2D.isotropic_ring(6, 3.0))}
 SHOT = {
     "kind": "shot_noise",
     "eta": 0.7,
@@ -81,6 +92,15 @@ def test_config_estimator_model_compatibility():
         _cfg(model=SHOT, estimator="moment2", box=[1.0, 11.0])
     with pytest.raises(ConfigurationError):
         _cfg(model=CHI2, estimator="euler")
+
+
+def test_config_rejects_planar_chi_square_for_line_estimators():
+    # the line estimators read a 1D corpus, so a planar base cannot run
+    box = [[0.0, 1.0], [0.0, 1.0]]
+    with pytest.raises(ConfigurationError, match="line base"):
+        _cfg(model=CHI2_PLANAR, levels=[1.0], box=box)
+    with pytest.raises(ConfigurationError, match="line base"):
+        _cfg(model=CHI2_PLANAR, levels=[1.0], box=box, estimator="local_time", delta=0.2)
 
 
 def test_config_level_domain_rules():
@@ -310,6 +330,34 @@ def test_local_time_experiment_with_closed_form():
     # occupation midpoint: vol * (Phi(0.3) - Phi(-0.3)) / (2 * 0.3)
     expect = 6.0 * (2.0 * (0.5 * (1.0 + math.erf(0.3 / math.sqrt(2)))) - 1.0) / 0.6
     assert report.rows[0].rhs_value == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("model", [PAIR, CHI2], ids=["gauss", "chi2"])
+def test_local_time_corpus_matches_pointwise_realizations(model):
+    cfg = _cfg(model=model, estimator="local_time", delta=0.3, levels=[0.5, 1.0],
+               box=[0.0, 6.0], grid=300, n_realizations=60)
+    got = _chunk_lhs(cfg.to_doc(), 5, 0, 60)["values"]
+    m = model_from_doc(dict(model))
+    h = 6.0 / 300
+    mid = (np.arange(300) + 0.5) * h
+    want = np.empty((60, 2))
+    for i in range(60):
+        v = sample_realization(m, fanout_seed(5, "t", i)).value(mid)
+        for j, u in enumerate(cfg.levels):
+            want[i, j] = float(np.count_nonzero(np.abs(v - u) <= 0.3)) * h / (2.0 * 0.3)
+    assert np.array_equal(got, want)
+
+
+def test_grid_crossings_share_the_below_level_rule():
+    # a row through an exact grid zero crosses once
+    row = np.array([[-1.0, 0.0, 1.0]])
+    assert _sign_change_counts(row, 0.0).tolist() == [1]
+    assert _upcrossing_counts(row, 0.0).tolist() == [1]
+    assert _upcrossing_counts(row[:, ::-1], 0.0).tolist() == [0]
+    # a product of neighbours that underflows still crosses
+    tiny = np.array([[-1e-200, 1e-200], [1e-200, -1e-200]])
+    assert _sign_change_counts(tiny, 0.0).tolist() == [1, 1]
+    assert _upcrossing_counts(tiny, 0.0).tolist() == [1, 0]
 
 
 def test_length_experiment_collects_line_cross_check():

@@ -2,7 +2,9 @@
 
 Every module uses each name it imports: names listed in the module's
 ``__all__`` count as used (re-exports), and ``from __future__`` imports are
-exempt.  Every Monte Carlo standard error comes from ``rng.mean_se``: no other
+exempt.  Because of that exemption, every name in ``__all__`` must also be
+bound in the module, or a stale entry would pass the import scan and break
+``from module import *``.  Every Monte Carlo standard error comes from ``rng.mean_se``: no other
 function passes ``ddof``.
 """
 
@@ -64,6 +66,37 @@ def test_scan_flags_unused_and_keeps_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unbound_exports(source: str) -> list:
+    """Names in ``__all__`` that no top-level def, class, assignment or import binds."""
+    tree = ast.parse(source)
+    bound = set(_imported_names(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return sorted(_exported_names(tree) - bound)
+
+
+def test_export_scan_flags_stale_names():
+    source = (
+        "from .errors import ModelError\n"
+        "LIMIT: int = 3\n"
+        "__all__ = ['ModelError', 'LIMIT', 'f', 'Box', 'gone']\n"
+        "def f():\n"
+        "    pass\n"
+        "class Box:\n"
+        "    pass\n"
+    )
+    assert unbound_exports(source) == ["gone"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_exports_only_bound_names(path):
+    assert unbound_exports(path.read_text()) == []
 
 
 def ddof_sites(source: str) -> list:
