@@ -678,31 +678,44 @@ def _shotnoise_single_terms(model: ShotNoiseModel, u: float,
     return d2, abs(d2 - d1), j2, abs(j2 - j1)
 
 
-def _shotnoise_window_term(
-        model: ShotNoiseModel, u: float, p: int, delta: float, n_mc: int,
-        rng) -> tuple[float, float, float, float, float, float]:
-    """Window estimates of the p-impulse density and joint terms.
+def _shotnoise_window_term(model: ShotNoiseModel, u: float, p: int, delta: float,
+                           n_mc: int, rng, want: str) -> tuple[float, float, float]:
+    """Window estimate of the p-impulse density or joint term.
 
-    Both are computed from one draw set with the Richardson width pair
-    (delta, delta / 2).  Returns (density, density_se, density_bias, joint,
-    joint_se, joint_bias) where the biases are the Richardson corrections.
+    ``want`` picks the channel: "density" counts window hits, "joint" weights
+    them by |X'(t0)|.  Both window widths of the Richardson pair
+    (delta, delta / 2) read one draw set, so the cost is the draws: s and then
+    b, each (n_mc, p).  Kernel values go through blocks of about
+    ``_SHARED_BLOCK`` draws; slopes are evaluated only on the rows inside the
+    wider window, and every other row, which neither window hits, gets 0.
+    Draws from uniform(-eta, eta) satisfy |s| <= eta in floating point, so
+    no row leaves the kernel's support by rounding.  Returns (estimate,
+    standard error, bias), the bias being the Richardson correction.
     """
     s = rng.uniform(-model.eta, model.eta, size=(n_mc, p))
     b = rng.uniform(model.beta_low, model.beta_high, size=(n_mc, p))
-    vals = np.einsum("ij,ij->i", b, model.kernel(s))
-    slopes = np.einsum("ij,ij->i", b, model.kernel_prime(s))
+    vals = np.empty(n_mc)
+    step = max(1, _SHARED_BLOCK // p)
+    for lo in range(0, n_mc, step):
+        sl = slice(lo, lo + step)
+        vals[sl] = np.einsum("ij,ij->i", b[sl], model.kernel(s[sl]))
+    dist = np.abs(vals - u)
+    if want == "joint":
+        near = dist < delta
+        slopes = np.zeros(n_mc)
+        slopes[near] = np.einsum("ij,ij->i", b[near], model.kernel_prime(s[near]))
+        weight = np.abs(slopes)
 
-    def pair(width: float) -> tuple[float, float, float, float]:
-        hit = np.abs(vals - u) < width
+    def window(width: float) -> tuple[float, float]:
+        hit = dist < width
         scale = 1.0 / (2.0 * width)
-        return (*mean_se(hit * scale), *mean_se(hit * np.abs(slopes) * scale))
+        return mean_se(hit * scale if want == "density" else hit * weight * scale)
 
-    d_c, dse_c, j_c, jse_c = pair(delta)
-    d_f, dse_f, j_f, jse_f = pair(delta / 2.0)
+    coarse, _ = window(delta)
+    fine, se = window(delta / 2.0)
     # quadratic window bias: Richardson with halved width
-    dens = (4.0 * d_f - d_c) / 3.0
-    joint = (4.0 * j_f - j_c) / 3.0
-    return dens, dse_f, abs(dens - d_f), joint, jse_f, abs(joint - j_f)
+    est = (4.0 * fine - coarse) / 3.0
+    return est, se, abs(est - fine)
 
 
 def _shotnoise_mixture(model: ShotNoiseModel, u: float, *, want: str,
@@ -715,7 +728,10 @@ def _shotnoise_mixture(model: ShotNoiseModel, u: float, *, want: str,
     count is Poisson with mean 2 * eta * intensity.  The single-impulse term
     is exact quadrature; higher terms use the window estimator with a
     Richardson width pair; the truncation tail is bounded by the largest
-    observed per-impulse growth rate times the Poisson tail mass.
+    observed per-impulse growth rate times the Poisson tail mass.  ``want``
+    ("density" or "joint") is the one channel evaluated.  The cost is the
+    draws: 2 * inner_mc * (p_max (p_max + 1) / 2 - 1) uniforms, against
+    which the kernel pass and the window reductions are small.
     """
     if p_max < 2:
         raise ConfigurationError("p_max must be at least 2")
@@ -728,14 +744,12 @@ def _shotnoise_mixture(model: ShotNoiseModel, u: float, *, want: str,
     rng = stream(seed, "shot-window")
     dens_q, dens_qerr, joint_q, joint_qerr = _shotnoise_single_terms(
         model, u, quad_nodes)
-    terms_d = {1: (dens_q, 0.0, dens_qerr)}
-    terms_j = {1: (joint_q, 0.0, joint_qerr)}
+    src = {1: (dens_q, 0.0, dens_qerr) if want == "density"
+           else (joint_q, 0.0, joint_qerr)}
     for p in range(2, p_max + 1):
-        d, dse, dbias, j, jse, jbias = _shotnoise_window_term(
-            model, u, p, delta, inner_mc, rng)
-        terms_d[p] = (max(d, 0.0), dse, dbias)
-        terms_j[p] = (max(j, 0.0), jse, jbias)
-    src = terms_d if want == "density" else terms_j
+        est, se, bias = _shotnoise_window_term(model, u, p, delta, inner_mc, rng,
+                                               want)
+        src[p] = (max(est, 0.0), se, bias)
     pois = {p: math.exp(-lam) * lam ** p / math.factorial(p)
             for p in range(1, p_max + 1)}
     value = sum(pois[p] * src[p][0] for p in src)

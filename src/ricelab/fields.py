@@ -445,10 +445,17 @@ class ChiSquareRealization:
 
 
 def _bump(x, eta):
-    x = np.asarray(x, dtype=float)
-    r = x / eta
-    out = (1.0 - r**2) ** 2
-    return np.where(np.abs(r) < 1.0, out, 0.0)
+    """(1 - r^2)^2 for |r| < 1 and 0 elsewhere, r = x / eta, in one buffer.
+
+    Bitwise equal to ``np.where(abs(r) < 1, (1 - r**2)**2, 0)``: 1 - r^2 is
+    positive exactly when |r| < 1 in floating point, and ``fmax`` sends the
+    rest, -inf from an overflowed r^2 and nan included, to +0.
+    """
+    out = np.divide(np.asarray(x, dtype=float), eta, out=np.empty(np.shape(x)))
+    np.square(out, out=out)
+    np.subtract(1.0, out, out=out)
+    np.fmax(out, 0.0, out=out)
+    return np.square(out, out=out)
 
 
 def _bump_prime(x, eta):

@@ -7,7 +7,6 @@ length estimator form the geometric half of every level-set formula check.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -217,14 +216,6 @@ class Polyline:
         """(S, 2, 2) consecutive vertex pairs of every component."""
         parts = [np.stack([c[:-1], c[1:]], axis=1) for c in self.components]
         return np.concatenate(parts) if parts else np.zeros((0, 2, 2))
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["component", "vertex", "x", "y"])
-            for ci, c in enumerate(self.components):
-                for vi, (x, y) in enumerate(c):
-                    w.writerow([ci, vi, repr(float(x)), repr(float(y))])
 
 
 def favard_measure(shape, n_lines: int, seed: int) -> tuple:

@@ -652,11 +652,7 @@ def _count_images(sys, box, y, region, grid0: int):
     g = grid0
     while True:
         roots = count_roots_2d(sys, box, y, grid=g)
-        if roots.points.shape[0]:
-            jac = np.asarray(sys.jacobian(roots.points)).reshape(-1, 2, 2)
-            parity = int(np.sum(np.sign(_det2(jac))))
-        else:
-            parity = 0
+        parity = int(np.sum(np.sign(roots.signed)))
         resolved = parity == target
         if resolved or g >= MAX_PARITY_GRID:
             count = int(np.sum(_region_mask(roots.points, region)))
@@ -711,8 +707,7 @@ def _gradient_roots_chunk(cfg, model, seeds) -> dict:
         for j, lvl in enumerate(cfg.levels):
             u = np.asarray(lvl, dtype=float)
             roots = count_roots_2d(real, cfg.box, u, grid=grid)
-            jac = np.asarray(real.jacobian(roots.points)).reshape(-1, 2, 2)
-            _degree_tally(extras, roots, np.sign(_det2(jac)))
+            _degree_tally(extras, roots, np.sign(roots.signed))
             if k_sel is None:
                 out[i, j] = roots.points.shape[0]
             else:
@@ -776,10 +771,9 @@ def _euler_line_chunk(cfg, model, seeds) -> dict:
                                    jacobian_fn=real.second_derivative, d=1, D=1)
         crit = count_roots_1d(slope, cfg.box, 0.0, grid=grid)
         pts = crit.points.ravel()
+        signs = -np.sign(crit.signed)
         if pts.size:
             vals = np.asarray(real.value(pts), dtype=float)
-            curv = np.asarray(real.second_derivative(pts), dtype=float)
-            signs = -np.sign(curv)
         for j, u in enumerate(cfg.levels):
             out[i, j] = float(np.sum(signs[vals > float(u)])) if pts.size else 0.0
     return {"values": out, "extras": {}}
@@ -799,9 +793,8 @@ def _euler_plane_chunk(cfg, model, seeds) -> dict:
         grad = GradientFieldRealization(grad_model, int(s), scalar)
         crit = count_roots_2d(grad, cfg.box, (0.0, 0.0), grid=grid)
         pts = crit.points
-        signs = np.zeros(0)
+        signs = np.sign(crit.signed)
         if pts.shape[0]:
-            signs = np.sign(_det2(np.asarray(scalar.hessian(pts)).reshape(-1, 2, 2)))
             vals = np.asarray(scalar.value(pts), dtype=float)
         _degree_tally(extras, crit, signs)
         for j, u in enumerate(cfg.levels):

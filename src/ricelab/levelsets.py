@@ -141,12 +141,15 @@ def sample_grid(realization, box, resolution: int) -> GridSample:
 class RootSet:
     """Refined solutions of X(t) = u with per-root Delta and residual.
 
-    ``degree`` (planar systems only) is the Brouwer degree of X - u on the
-    box, read off the boundary lattice; None where it was not resolved.
+    ``signed`` is the Jacobian determinant at each root (X'(t) in 1D, det J
+    in the plane), whose sign is the root's orientation; ``deltas`` is its
+    absolute value.  ``degree`` (planar systems only) is the Brouwer degree
+    of X - u on the box, read off the boundary lattice; None where it was
+    not resolved.
     """
 
     points: np.ndarray  # (n, D)
-    deltas: np.ndarray  # (n,)
+    signed: np.ndarray  # (n,)
     residuals: np.ndarray  # (n,)
     level: object
     dedup_radius: float
@@ -156,12 +159,17 @@ class RootSet:
         return self.points.shape[0]
 
     @property
+    def deltas(self) -> np.ndarray:
+        return np.abs(self.signed)
+
+    @property
     def count(self) -> int:
         return self.points.shape[0]
 
     def to_csv(self, path) -> None:
         D = self.points.shape[1] if self.points.size else 1
         cols = [f"t{i}" for i in range(D)]
+        deltas = self.deltas
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["index"] + cols + ["delta", "residual"])
@@ -169,7 +177,7 @@ class RootSet:
                 w.writerow(
                     [i]
                     + [repr(float(x)) for x in np.atleast_1d(self.points[i])]
-                    + [repr(float(self.deltas[i])), repr(float(self.residuals[i]))]
+                    + [repr(float(deltas[i])), repr(float(self.residuals[i]))]
                 )
 
 
@@ -240,10 +248,10 @@ def count_roots_1d(realization, interval, u: float, grid: int = 2048) -> RootSet
         if res[i] <= 1e-10:
             kept.append(i)
     pts, residuals = t[kept], res[kept]
-    deltas = np.zeros(0)
+    signed = np.zeros(0)
     if kept:
-        deltas = np.abs(np.asarray(realization.derivative(pts), dtype=float))
-    return RootSet(pts.reshape(-1, 1), deltas, residuals, float(u), 0.5 * h)
+        signed = np.asarray(realization.derivative(pts), dtype=float)
+    return RootSet(pts.reshape(-1, 1), signed, residuals, float(u), 0.5 * h)
 
 
 def _batch_solve_2x2(J, F):
@@ -417,11 +425,11 @@ def count_roots_2d(
     if kept_pts:
         kp = np.asarray(kept_pts)
         J = np.asarray(realization.jacobian(kp)).reshape(-1, 2, 2)
-        deltas = np.abs(J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0])
+        signed = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
     else:
         kp = np.zeros((0, 2))
-        deltas = np.zeros(0)
-    return RootSet(kp, deltas, np.asarray(kept_res, dtype=float), u.copy(), 0.5 * h,
+        signed = np.zeros(0)
+    return RootSet(kp, signed, np.asarray(kept_res, dtype=float), u.copy(), 0.5 * h,
                    degree)
 
 

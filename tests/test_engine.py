@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from ricelab import engine
 from ricelab.engine import (
     RhsEvaluation,
     _lens_ensemble,
@@ -32,10 +33,12 @@ from ricelab.fields import (
     ShotNoiseModel,
     SpectralGaussian1D,
     SpectralGaussian2D,
+    _bump,
+    _bump_prime,
     sample_realization,
 )
 from ricelab.harness import ae_level_consistency
-from ricelab.rng import stream
+from ricelab.rng import mean_se, stream
 
 TWO_PI = 2.0 * math.pi
 
@@ -413,6 +416,89 @@ def test_shot_noise_density_positive_off_atom():
     d2 = level_density(model, 3.0, 1.6, seed=11)
     assert d1 > 0.0 and d2 > 0.0
     assert d1 > d2  # unimodal bulk decays past its mode for this parameter set
+
+
+def _bump_masked(x, eta):
+    x = np.asarray(x, dtype=float)
+    r = x / eta
+    out = (1.0 - r**2) ** 2
+    return np.where(np.abs(r) < 1.0, out, 0.0)
+
+
+def _bump_prime_masked(x, eta):
+    x = np.asarray(x, dtype=float)
+    r = x / eta
+    out = -4.0 * (x / eta**2) * (1.0 - r**2)
+    return np.where(np.abs(r) < 1.0, out, 0.0)
+
+
+def _window_term_unblocked(model, u, p, delta, n_mc, rng):
+    """The window term on whole (n_mc, p) arrays, both channels, slopes everywhere.
+
+    Kept verbatim as the reference the blocked, one-channel window term must
+    reproduce bit for bit.
+    """
+    s = rng.uniform(-model.eta, model.eta, size=(n_mc, p))
+    b = rng.uniform(model.beta_low, model.beta_high, size=(n_mc, p))
+    vals = np.einsum("ij,ij->i", b, _bump_masked(s, model.eta))
+    slopes = np.einsum("ij,ij->i", b, _bump_prime_masked(s, model.eta))
+
+    def pair(width):
+        hit = np.abs(vals - u) < width
+        scale = 1.0 / (2.0 * width)
+        return (*mean_se(hit * scale), *mean_se(hit * np.abs(slopes) * scale))
+
+    d_c, dse_c, j_c, jse_c = pair(delta)
+    d_f, dse_f, j_f, jse_f = pair(delta / 2.0)
+    dens = (4.0 * d_f - d_c) / 3.0
+    joint = (4.0 * j_f - j_c) / 3.0
+    return dens, dse_f, abs(dens - d_f), joint, jse_f, abs(joint - j_f)
+
+
+def _window_term_reference(model, u, p, delta, n_mc, rng, want):
+    d, dse, dbias, j, jse, jbias = _window_term_unblocked(model, u, p, delta,
+                                                          n_mc, rng)
+    return (d, dse, dbias) if want == "density" else (j, jse, jbias)
+
+
+def _shot_outputs(model, seed):
+    out = {}
+    for u in (0.5, 1.3, 2.5):
+        for p_max in (2, 16):
+            ev = shotnoise_rhs(model, (1.0, 11.0), u, p_max=p_max,
+                               inner_mc=20_000, seed=seed)
+            dens = level_density(model, 3.0, u, p_max=p_max, inner_mc=20_000,
+                                 seed=seed)
+            out[u, p_max] = [x.hex() for x in (ev.value, ev.mc_error,
+                                               ev.quadrature_error,
+                                               ev.detail["tail_bound"], dens)]
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 3, 2**64 - 1])
+def test_shot_noise_predictions_are_bitwise_frozen(seed, monkeypatch):
+    # 20,000 draws split into several kernel blocks for every p, with a
+    # partial last block
+    model = _shot_model()
+    got = _shot_outputs(model, seed)
+    monkeypatch.setattr(engine, "_shotnoise_window_term", _window_term_reference)
+    assert got == _shot_outputs(model, seed)
+
+
+def test_bump_kernels_equal_their_masked_forms():
+    eta = 0.7
+    edge = np.nextafter(eta, 0.0)
+    x = np.concatenate([np.linspace(-2.0 * eta, 2.0 * eta, 4001),
+                        [eta, -eta, edge, -edge, 0.0, -0.0, 1e200, -1e200]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _bump(x, eta).tobytes() == _bump_masked(x, eta).tobytes()
+        assert (_bump_prime(x, eta).tobytes()
+                == _bump_prime_masked(x, eta).tobytes())
+        for xi in x[-8:]:
+            assert _bump(xi, eta).tobytes() == _bump_masked(xi, eta).tobytes()
+        grid = x[:12].reshape(3, 4)
+        assert _bump(grid, eta).shape == (3, 4)
+        assert _bump(grid, eta).tobytes() == _bump_masked(grid, eta).tobytes()
 
 
 # ---------------------------------------------------------------------------

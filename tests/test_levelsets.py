@@ -263,6 +263,35 @@ def test_roots_2d_match_exhaustive_newton(make, box, u, grid):
         assert np.max(np.abs(rs.points - ref), initial=0.0) <= 1e-9, seed
 
 
+@pytest.mark.parametrize("make, box, u", [
+    (_ring_gradient, [(0.0, 2.0), (0.0, 2.0)], (0.0, 0.0)),
+    (_three_star_lens, [(-1.5, 1.5), (-1.5, 1.5)], (0.25, 0.1)),
+], ids=["ring-gradient", "three-star-lens"])
+def test_roots_2d_signed_determinant_matches_jacobian(make, box, u):
+    n_roots = 0
+    for seed in range(1000, 1005):
+        real = make(seed)
+        rs = count_roots_2d(real, box, u, grid=64)
+        J = np.asarray(real.jacobian(rs.points)).reshape(-1, 2, 2)
+        assert np.array_equal(np.sign(rs.signed), np.sign(np.linalg.det(J)))
+        assert np.array_equal(rs.deltas, np.abs(rs.signed))
+        n_roots += rs.count
+    assert n_roots > 0
+
+
+def test_roots_1d_signed_derivative_matches_jacobian():
+    model = SpectralGaussian1D(frequencies=np.array([1.0, 2.5]),
+                               amplitudes=np.array([0.6, 0.8]))
+    real = sample_realization(model, 7)
+    rs = count_roots_1d(real, (0.0, 30.0), 0.3)
+    assert rs.count > 4
+    slope = np.asarray(real.jacobian(rs.points.ravel()), dtype=float)
+    assert np.array_equal(np.sign(rs.signed), np.sign(slope))
+    assert np.array_equal(rs.deltas, np.abs(rs.signed))
+    # up- and down-crossings of a level alternate along the line
+    assert np.all(rs.signed[1:] * rs.signed[:-1] < 0.0)
+
+
 class _CountingRealization:
     """Forwards to a planar realization and records the points of each pointwise call."""
 
