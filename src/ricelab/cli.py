@@ -21,6 +21,7 @@ from .harness import (
     ExperimentConfig,
     ExperimentReport,
     LevelRow,
+    config_number,
     emit_plot_data,
     load_manifest,
     measure_only,
@@ -83,8 +84,8 @@ def _cmd_simulate(args) -> int:
                                  '"grid", "count"}')
     model = model_from_doc(doc["model"])
     box = doc.get("box")
-    grid = int(doc.get("grid", 256))
-    count = int(doc.get("count", 1))
+    grid = config_number("grid", doc.get("grid", 256), integral=True)
+    count = config_number("count", doc.get("count", 1), integral=True)
     if box is None:
         raise ConfigurationError("simulate config needs a box")
     if count < 1:
@@ -179,17 +180,21 @@ def _cmd_plot_data(args) -> int:
 
 
 def _report_from_doc(doc: dict) -> ExperimentReport:
-    cfg = ExperimentConfig.from_doc(doc["config"])
-    rows = tuple(LevelRow(
-        level=r["level"], lhs_mean=r["lhs_mean"], lhs_se=r["lhs_se"],
-        rhs_value=r["rhs_value"],
-        rhs_quadrature_error=r["rhs_quadrature_error"],
-        rhs_mc_error=r["rhs_mc_error"], z_score=r["z_score"],
-        passed=r["passed"]) for r in doc["rows"])
-    return ExperimentReport(config=cfg, master_seed=doc["master_seed"],
-                            rows=rows, extras=doc.get("extras", {}),
-                            passed=doc["passed"],
-                            wall_time_s=doc.get("wall_time_s", 0.0))
+    try:
+        cfg = ExperimentConfig.from_doc(doc["config"])
+        rows = tuple(LevelRow(
+            level=r["level"], lhs_mean=r["lhs_mean"], lhs_se=r["lhs_se"],
+            rhs_value=r["rhs_value"],
+            rhs_quadrature_error=r["rhs_quadrature_error"],
+            rhs_mc_error=r["rhs_mc_error"], z_score=r["z_score"],
+            passed=r["passed"]) for r in doc["rows"])
+        return ExperimentReport(config=cfg, master_seed=doc["master_seed"],
+                                rows=rows, extras=doc.get("extras", {}),
+                                passed=doc["passed"],
+                                wall_time_s=doc.get("wall_time_s", 0.0))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ConfigurationError(
+            f"not an experiment report: {type(exc).__name__}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

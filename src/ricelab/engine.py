@@ -6,11 +6,13 @@ The central object is the rate integrand
 
 whose integral over the parameter box predicts the mean measure of the level
 set ``{X = u}``.  This module evaluates that integral for every field family
-in :mod:`ricelab.fields`, together with several weighted and higher-order
-variants:
+in :mod:`ricelab.fields`, each through one entry point, together with
+several weighted and higher-order variants:
 
-* :func:`kacrice_rhs` -- the plain mean-measure prediction,
-* :func:`weighted_kacrice_rhs` -- predictions with a weight on the Jacobian,
+* :func:`kacrice_rhs` -- the plain mean-measure prediction for the stationary
+  families (spectral Gaussian, gradient and squared-sum fields),
+* :func:`weighted_kacrice_rhs` -- predictions with a weight on the Jacobian
+  ("unit", "upcrossing", or a signature index),
 * :func:`euler_char_expectation` -- signed critical-point count above a level,
 * :func:`shotnoise_rhs` -- root-count prediction for impulse-sum fields,
 * :func:`microlens_rhs` -- image-count prediction for point-mass deflection
@@ -60,7 +62,6 @@ from .fields import (
     ChiSquareField,
     GradientField,
     MicrolensModel,
-    MicrolensSystem,
     ShotNoiseModel,
     SpectralGaussian1D,
     SpectralGaussian2D,
@@ -78,7 +79,6 @@ MIN_INNER_MC = 100
 _SHARED_BLOCK = 1 << 14
 
 __all__ = [
-    "GaussianRegression",
     "RhsEvaluation",
     "level_density",
     "conditional_jacobian_expectation",
@@ -137,57 +137,6 @@ class RhsEvaluation:
         if self.detail:
             doc["detail"] = self.detail
         return doc
-
-
-# ---------------------------------------------------------------------------
-# Gaussian regression
-
-
-@dataclass(frozen=True)
-class GaussianRegression:
-    """Joint centred Gaussian vector split as (observed, latent).
-
-    ``conditional(values)`` returns the exact conditional mean and covariance
-    of the latent block given the observed block, via the Schur complement.
-    """
-
-    cov_obs: np.ndarray
-    cov_latent: np.ndarray
-    cov_cross: np.ndarray  # Cov(latent, observed), shape (n_latent, n_obs)
-
-    def __post_init__(self) -> None:
-        co = np.asarray(self.cov_obs, dtype=float)
-        cl = np.asarray(self.cov_latent, dtype=float)
-        cx = np.asarray(self.cov_cross, dtype=float)
-        if co.ndim != 2 or co.shape[0] != co.shape[1]:
-            raise ConfigurationError("cov_obs must be square")
-        if cl.ndim != 2 or cl.shape[0] != cl.shape[1]:
-            raise ConfigurationError("cov_latent must be square")
-        if cx.shape != (cl.shape[0], co.shape[0]):
-            raise ConfigurationError("cov_cross must be (n_latent, n_obs)")
-        object.__setattr__(self, "cov_obs", co)
-        object.__setattr__(self, "cov_latent", cl)
-        object.__setattr__(self, "cov_cross", cx)
-
-    @property
-    def min_obs_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.cov_obs)[0])
-
-    def conditional(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and covariance of the latent block given observed = values."""
-        v = np.atleast_1d(np.asarray(values, dtype=float))
-        if v.shape[0] != self.cov_obs.shape[0]:
-            raise ConfigurationError("observed value has wrong length")
-        scale = float(np.max(np.abs(np.diag(self.cov_obs)))) or 1.0
-        if self.min_obs_eigenvalue <= 1e-12 * scale:
-            raise DegeneracyError("observed block is numerically singular")
-        solve = np.linalg.solve
-        gain = solve(self.cov_obs, self.cov_cross.T).T  # (n_latent, n_obs)
-        mean = gain @ v
-        cov = self.cov_latent - gain @ self.cov_cross.T
-        # enforce symmetry lost to round-off
-        cov = 0.5 * (cov + cov.T)
-        return mean, cov
 
 
 # ---------------------------------------------------------------------------
@@ -279,30 +228,6 @@ def _hessian_cov_matrix(model: SpectralGaussian2D) -> np.ndarray:
     return out
 
 
-def _hessian_value_regression(model: SpectralGaussian2D) -> GaussianRegression:
-    """Regression of (h11, h22, h12) on the field value.
-
-    The gradient is uncorrelated with both blocks for the trigonometric
-    construction, so conditioning on grad X = 0 is free.
-    """
-    lam = model.lambda2_matrix
-    cross = -np.array([lam[0, 0], lam[1, 1], lam[0, 1]])[:, None]
-    return GaussianRegression(
-        cov_obs=np.array([[model.lambda0]]),
-        cov_latent=_hessian_cov_matrix(model),
-        cov_cross=cross,
-    )
-
-
-def _second_derivative_value_regression(model: SpectralGaussian1D) -> GaussianRegression:
-    """Regression of X'' on X for a stationary line field (X' independent)."""
-    return GaussianRegression(
-        cov_obs=np.array([[model.lambda0]]),
-        cov_latent=np.array([[model.lambda4]]),
-        cov_cross=np.array([[-model.lambda2]]),
-    )
-
-
 # ---------------------------------------------------------------------------
 # level density
 
@@ -350,13 +275,12 @@ def level_density(model, t, u, *, inner_mc: int = DEFAULT_INNER_MC, seed: int = 
         parts = _shotnoise_mixture(model, uf, want="density",
                                    inner_mc=inner_mc, seed=seed, **shot_kwargs)
         return parts["value"]
-    if isinstance(model, (MicrolensModel, MicrolensSystem)):
-        base = model.model if isinstance(model, MicrolensSystem) else model
+    if isinstance(model, MicrolensModel):
         x = np.asarray(t, dtype=float)
         y = np.asarray(u, dtype=float)
-        xi = _lens_ensemble(base, _check_inner_mc(inner_mc),
+        xi = _lens_ensemble(model, _check_inner_mc(inner_mc),
                             stream(seed, "lens-density"))
-        weight, _ = _microlens_designated(base, x.reshape(1, 2), y, xi,
+        weight, _ = _microlens_designated(model, x.reshape(1, 2), y, xi,
                                           want="density")
         return float(weight.mean())
     raise CapabilityError(f"no level density for {type(model).__name__}")
@@ -383,11 +307,8 @@ def conditional_jacobian_expectation(model, t, u, *, inner_mc: int = DEFAULT_INN
         return _halfnormal_mean(model.lambda2), 0.0
     if isinstance(model, SpectralGaussian2D):
         lam = model.lambda2_matrix
-        off = abs(lam[0, 1])
-        diag_gap = abs(lam[0, 0] - lam[1, 1])
-        scale = max(lam[0, 0], lam[1, 1])
-        if off <= 1e-9 * scale and diag_gap <= 1e-9 * scale:
-            # isotropic: ||grad X|| has the length-2 chi law
+        if model.isotropic:
+            # ||grad X|| has the length-2 chi law
             sigma = math.sqrt(lam[0, 0])
             return sigma * math.sqrt(math.pi / 2.0), 0.0
         rng = stream(seed, "cond-jacobian")
@@ -444,28 +365,22 @@ def _chi2_jacobian_draws(model: ChiSquareField, u: float, rng, n: int) -> np.nda
 # main prediction
 
 
-def kacrice_rhs(model, box, u, *, quadrature=None, inner_mc: int = DEFAULT_INNER_MC,
+def kacrice_rhs(model, box, u, *, inner_mc: int = DEFAULT_INNER_MC,
                 seed: int = 0) -> RhsEvaluation:
     """Predicted mean measure of the level set {X = u} over ``box``.
 
-    Impulse-sum and deflection models go to :func:`shotnoise_rhs` and
-    :func:`microlens_rhs`.  Every other family is stationary, so the
-    prediction is the constant rate density * E[normal Jacobian | X = u] times
-    the box volume.  ``quadrature`` applies to deflection models only; any
-    other model given one raises :class:`ConfigurationError` rather than
-    ignoring it.
+    Covers the stationary families (spectral Gaussian, gradient and
+    squared-sum fields): the prediction is the constant rate density *
+    E[normal Jacobian | X = u] times the box volume.  Impulse-sum and
+    deflection models raise :class:`CapabilityError`; their predictions are
+    :func:`shotnoise_rhs` and :func:`microlens_rhs`.
     """
-    if quadrature is not None and not isinstance(model, (MicrolensModel,
-                                                         MicrolensSystem)):
-        raise ConfigurationError(
-            f"quadrature applies to deflection models only, not {type(model).__name__}")
-    if isinstance(model, ShotNoiseModel):
-        return shotnoise_rhs(model, box, u, inner_mc=inner_mc, seed=seed)
-    if isinstance(model, (MicrolensModel, MicrolensSystem)):
-        return microlens_rhs(model, u, box, quadrature=quadrature,
-                             inner_mc=inner_mc, seed=seed)
-    dim = _model_domain_dim(model)
-    arr = _box_array(box, dim)
+    own = {ShotNoiseModel: "shotnoise_rhs", MicrolensModel: "microlens_rhs"}.get(
+        type(model))
+    if own is not None:
+        raise CapabilityError(f"kacrice_rhs covers stationary families; "
+                              f"predict {type(model).__name__} with {own}")
+    arr = _box_array(box, model.D)
     vol = _box_volume(arr)
     dens = level_density(model, arr[:, 0], u, inner_mc=inner_mc, seed=seed)
     cond, cond_se = conditional_jacobian_expectation(
@@ -476,20 +391,6 @@ def kacrice_rhs(model, box, u, *, quadrature=None, inner_mc: int = DEFAULT_INNER
         n_quadrature=1, n_mc=(inner_mc if cond_se > 0.0 else 0),
         detail={"rate": rate, "volume": vol, "path": "stationary"},
     )
-
-
-def _model_domain_dim(model) -> int:
-    if isinstance(model, SpectralGaussian1D):
-        return 1
-    if isinstance(model, (SpectralGaussian2D, GradientField)):
-        return 2
-    if isinstance(model, ChiSquareField):
-        return _model_domain_dim(model.base)
-    if isinstance(model, ShotNoiseModel):
-        return 1
-    if isinstance(model, (MicrolensModel, MicrolensSystem)):
-        return 2
-    raise CapabilityError(f"unknown model family {type(model).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -505,14 +406,14 @@ def weighted_kacrice_rhs(model, box, u, weight, *, inner_mc: int = DEFAULT_INNER
     * ``"unit"`` -- weight identically 1 (delegates to :func:`kacrice_rhs`),
     * ``"upcrossing"`` -- indicator of a positive derivative (line fields),
     * ``{"kind": "index", "k": int}`` -- critical points of signature ``k``
-      (gradient fields; ``k`` counts negative Hessian eigenvalues),
-    * a callable mapping derivative draws to nonnegative weights (line
-      fields).
+      (gradient fields; ``k`` counts negative Hessian eigenvalues).
+
+    These are the forms an experiment config accepts; any other raises
+    :class:`ConfigurationError`.
     """
-    if weight == "unit" or (isinstance(weight, Mapping) and weight.get("kind") == "unit"):
+    if weight == "unit":
         return kacrice_rhs(model, box, u, inner_mc=inner_mc, seed=seed)
-    if weight == "upcrossing" or (
-            isinstance(weight, Mapping) and weight.get("kind") == "upcrossing"):
+    if weight == "upcrossing":
         if not isinstance(model, SpectralGaussian1D):
             raise CapabilityError("upcrossing weight needs a scalar line field")
         vol = _box_volume(_box_array(box, 1))
@@ -543,22 +444,6 @@ def weighted_kacrice_rhs(model, box, u, weight, *, inner_mc: int = DEFAULT_INNER
         est, se = mean_se(np.abs(det) * sel)
         return RhsEvaluation(value=dens * est * vol, mc_error=dens * se * vol,
                              n_mc=inner_mc, detail={"weight": f"index-{k}"})
-    if callable(weight):
-        if not isinstance(model, SpectralGaussian1D):
-            raise CapabilityError("callable weights need a scalar line field")
-        inner_mc = _check_inner_mc(inner_mc)
-        vol = _box_volume(_box_array(box, 1))
-        dens = _gauss_pdf(float(u), model.lambda0)
-        rng = stream(seed, "callable-weight")
-        slope = rng.standard_normal(inner_mc) * math.sqrt(model.lambda2)
-        w = np.asarray(weight(slope), dtype=float)
-        if w.shape != slope.shape:
-            raise ConfigurationError("weight callable must map draws to draws")
-        if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-            raise ConfigurationError("weights must be finite and >= 0")
-        est, se = mean_se(np.abs(slope) * w)
-        return RhsEvaluation(value=dens * est * vol, mc_error=dens * se * vol,
-                             n_mc=inner_mc, detail={"weight": "callable"})
     raise ConfigurationError(f"unknown weight specification {weight!r}")
 
 
@@ -589,13 +474,15 @@ def euler_char_expectation(model, box, u, *, quadrature=None,
     if isinstance(model, SpectralGaussian1D):
         vol = _box_volume(_box_array(box, 1))
         d = 1
-        reg = _second_derivative_value_regression(model)
+        hess_cov = np.array([[model.lambda4]])
+        cross = np.array([-model.lambda2])  # Cov(X'', X)
         grad_dens = _gauss_pdf(0.0, model.lambda2)
     elif isinstance(model, SpectralGaussian2D):
         vol = _box_volume(_box_array(box, 2))
         d = 2
-        reg = _hessian_value_regression(model)
+        hess_cov = _hessian_cov_matrix(model)
         lam = model.lambda2_matrix
+        cross = -np.array([lam[0, 0], lam[1, 1], lam[0, 1]])  # Cov((h11, h22, h12), X)
         sign, logdet = np.linalg.slogdet(lam)
         if sign <= 0:
             raise ModelError("degenerate gradient covariance")
@@ -604,11 +491,14 @@ def euler_char_expectation(model, box, u, *, quadrature=None,
         raise CapabilityError(
             "signed counts need a scalar Gaussian field with two derivatives")
     lam0 = model.lambda0
-    # conditional covariance is x-independent; factorise it once
-    _, cov = reg.conditional(np.zeros(1))
+    # Regression of the Hessian entries on X (the gradient is independent of
+    # both): conditional mean gain * x, covariance independent of x, so it is
+    # factorised once
+    gain = cross / lam0
+    cov = hess_cov - np.outer(gain, cross)
+    cov = 0.5 * (cov + cov.T)  # symmetry lost to round-off
     jitter = 1e-14 * max(float(np.trace(cov)), 1.0)
     chol = np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]))
-    gain = reg.cov_cross[:, 0] / lam0  # conditional mean = gain * x
     rng = stream(seed, "euler-hessian")
     z = rng.standard_normal((inner_mc, cov.shape[0])) @ chol.T
     zs = z.T.copy()  # one contiguous row per Hessian entry
@@ -920,28 +810,24 @@ def microlens_rhs(model, y, region, *, quadrature=None,
     strength; subcritical configurations flip the Jacobian sign at infinity
     and the designated-mass construction is not validated there.
     """
-    if isinstance(model, MicrolensSystem):
-        base = model.model
-    elif isinstance(model, MicrolensModel):
-        base = model
-    else:
+    if not isinstance(model, MicrolensModel):
         raise CapabilityError("expected a point-mass deflection model")
-    if base.c >= 0.0:
+    if model.c >= 0.0:
         raise CapabilityError(
             "image-count prediction requires a supercritical deflection "
-            f"(1 - kappa_c + gamma = {base.c} >= 0)")
+            f"(1 - kappa_c + gamma = {model.c} >= 0)")
     y = np.asarray(y, dtype=float)
     if y.shape != (2,):
         raise ConfigurationError("source position must be a 2-vector")
-    if base.n_stars == 0:
+    if model.n_stars == 0:
         # deterministic linear map: exactly one image at y / c
-        img = y / base.c
-        inside = _point_in_region(img, region)
+        img = y / model.c
+        inside = bool(region_mask(img[None, :], region)[0])
         return RhsEvaluation(value=1.0 if inside else 0.0,
                              detail={"path": "deterministic", "image": img.tolist()})
     nodes = _normalize_nodes(quadrature, default=24)
     inner_mc = _check_inner_mc(inner_mc)
-    xi = _lens_ensemble(base, inner_mc, stream(seed, "lens-ensemble"))
+    xi = _lens_ensemble(model, inner_mc, stream(seed, "lens-ensemble"))
 
     def per_draw(pts: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, int]:
         """Per-draw integrals over one rule, and the excluded (draw, node) pairs."""
@@ -949,7 +835,7 @@ def microlens_rhs(model, y, region, *, quadrature=None,
 
         def joint(sl: slice) -> np.ndarray:
             nonlocal excluded
-            weight, out = _microlens_designated(base, pts[sl], y, xi, want="joint",
+            weight, out = _microlens_designated(model, pts[sl], y, xi, want="joint",
                                                 eps_star=eps_star)
             excluded += int(np.count_nonzero(out))
             return weight
@@ -971,12 +857,14 @@ def microlens_rhs(model, y, region, *, quadrature=None,
     )
 
 
-def _point_in_region(p: np.ndarray, region) -> bool:
+def region_mask(points: np.ndarray, region) -> np.ndarray:
+    """Which of the (n, 2) ``points`` lie in a disk or box region (boundary included)."""
     if isinstance(region, Mapping) and region.get("kind") == "disk":
         center = np.asarray(region["center"], dtype=float)
-        return float(np.sum((p - center) ** 2)) <= float(region["radius"]) ** 2
+        rad = float(region["radius"])
+        return np.sum((points - center) ** 2, axis=1) <= rad * rad
     arr = _box_array(region, 2)
-    return bool(np.all(p >= arr[:, 0]) and np.all(p <= arr[:, 1]))
+    return np.all((points >= arr[:, 0]) & (points <= arr[:, 1]), axis=1)
 
 
 # ---------------------------------------------------------------------------

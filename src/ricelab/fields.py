@@ -148,13 +148,18 @@ class SpectralGaussian2D:
         return np.einsum("k,ki,kj->ij", a2, self.wavevectors, self.wavevectors)
 
     @property
-    def lambda2(self) -> float:
-        """Per-direction second moment; requires the gradient covariance be isotropic."""
+    def isotropic(self) -> bool:
+        """Whether the gradient covariance is a multiple of I, to 1e-9 relative."""
         m = self.lambda2_matrix
         scale = max(abs(m[0, 0]), abs(m[1, 1]), 1e-300)
-        if abs(m[0, 0] - m[1, 1]) > 1e-9 * scale or abs(m[0, 1]) > 1e-9 * scale:
+        return abs(m[0, 0] - m[1, 1]) <= 1e-9 * scale and abs(m[0, 1]) <= 1e-9 * scale
+
+    @property
+    def lambda2(self) -> float:
+        """Per-direction second moment; requires the gradient covariance be isotropic."""
+        if not self.isotropic:
             raise DomainError("gradient covariance is anisotropic; no scalar lambda2")
-        return float(m[0, 0])
+        return float(self.lambda2_matrix[0, 0])
 
     @property
     def hessian_fourth_moment(self) -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 import re
 import time
@@ -32,6 +33,7 @@ from .engine import (
     euler_char_expectation,
     kacrice_rhs,
     microlens_rhs,
+    region_mask,
     second_factorial_moment_rhs,
     shotnoise_rhs,
     weighted_kacrice_rhs,
@@ -43,6 +45,7 @@ from .fields import (
     GradientField,
     GradientFieldRealization,
     MicrolensModel,
+    ShotNoiseModel,
     SpectralGaussian1D,
     batch_coefficients,
     sample_realization,
@@ -113,6 +116,38 @@ def _as_plain(x):
 # ---------------------------------------------------------------------------
 
 
+def config_number(key: str, value, integral: bool):
+    """``value`` as an int (``integral``) or a float, or a ConfigurationError.
+
+    Accepts finite real numbers only, and for ``integral`` only whole ones:
+    strings, lists, booleans, nan, inf and 30.9 realizations are errors, not
+    values to coerce or truncate.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ConfigurationError(f"{key} must be a finite number, got {value!r}")
+    if not integral:
+        return float(value)
+    if value != int(value):
+        raise ConfigurationError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
+# numeric config fields: name -> whether the value is a whole number
+_NUMBER_FIELDS = {
+    "n_realizations": True,
+    "grid": True,
+    "quadrature": True,
+    "inner_mc": True,
+    "delta": False,
+    "p_max": True,
+    "rhs_delta": False,
+    "n_lines": True,
+    "z_crit": False,
+    "abs_floor": False,
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One closed-pipeline comparison, fully determined by plain JSON data.
@@ -152,20 +187,11 @@ class ExperimentConfig:
         object.__setattr__(self, "experiment_id", str(self.experiment_id))
         for key in ("model", "levels", "box", "weight", "region"):
             object.__setattr__(self, key, _as_plain(getattr(self, key)))
-        object.__setattr__(self, "n_realizations", int(self.n_realizations))
-        object.__setattr__(self, "inner_mc", int(self.inner_mc))
-        object.__setattr__(self, "p_max", int(self.p_max))
-        object.__setattr__(self, "n_lines", int(self.n_lines))
-        object.__setattr__(self, "z_crit", float(self.z_crit))
-        object.__setattr__(self, "abs_floor", float(self.abs_floor))
-        if self.grid is not None:
-            object.__setattr__(self, "grid", int(self.grid))
-        if self.quadrature is not None:
-            object.__setattr__(self, "quadrature", int(self.quadrature))
-        if self.delta is not None:
-            object.__setattr__(self, "delta", float(self.delta))
-        if self.rhs_delta is not None:
-            object.__setattr__(self, "rhs_delta", float(self.rhs_delta))
+        for key, integral in _NUMBER_FIELDS.items():
+            value = getattr(self, key)
+            # None stays None where it is the default (pick one automatically)
+            if value is not None or self.__dataclass_fields__[key].default is not None:
+                object.__setattr__(self, key, config_number(key, value, integral))
         _validate_config(self)
 
     # -- serialization ------------------------------------------------------
@@ -258,18 +284,22 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigurationError(
             f"estimator {cfg.estimator!r} does not apply to model kind {kind!r}")
     # a value set away from its default where nothing reads it is an error
+    lens_mc = kind == "microlens" and model.n_stars > 0  # zero stars: deterministic
     for key, readers, read in (
-            ("quadrature", "the euler and moment2 estimators and deflection models",
-             cfg.estimator in ("euler", "moment2") or kind == "microlens"),
+            ("quadrature", "the euler and moment2 estimators and deflection "
+             "models with stars", cfg.estimator in ("euler", "moment2") or lens_mc),
             ("delta", "the local_time estimator", cfg.estimator == "local_time"),
             ("n_lines", "the length estimator", cfg.estimator == "length"),
             ("rhs_delta", "shot-noise models", kind == "shot_noise"),
             ("p_max", "shot-noise models", kind == "shot_noise"),
-            # Monte Carlo predictions; spectral line fields outside euler and
-            # moment2 have closed forms, and local_time always has one
+            # Monte Carlo predictions; closed forms are spectral line fields
+            # outside euler and moment2, every local_time, isotropic length,
+            # and the star-free lens
             ("inner_mc", "Monte Carlo predictions",
-             cfg.estimator in ("euler", "moment2")
-             or (cfg.estimator != "local_time" and kind != "spectral_gaussian_1d"))):
+             cfg.estimator in ("euler", "moment2") or lens_mc
+             or (cfg.estimator == "length" and not model.isotropic)
+             or (cfg.estimator in ("roots", "weighted")
+                 and kind not in ("spectral_gaussian_1d", "microlens")))):
         if not read and getattr(cfg, key) != ExperimentConfig.__dataclass_fields__[key].default:
             raise ConfigurationError(f"{key} is read only by {readers}; estimator "
                                      f"{cfg.estimator!r} on model kind {kind!r} would ignore it")
@@ -414,17 +444,6 @@ def _lens_geometry(cfg: ExperimentConfig, model: MicrolensModel, level):
     return region, box
 
 
-def _region_mask(points: np.ndarray, region) -> np.ndarray:
-    if points.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
-    if isinstance(region, Mapping):
-        center = np.asarray(region["center"], dtype=float)
-        rad = float(region["radius"])
-        return np.sum((points - center) ** 2, axis=1) <= rad * rad
-    arr = np.asarray(region, dtype=float)
-    return np.all((points >= arr[:, 0]) & (points <= arr[:, 1]), axis=1)
-
-
 # ---------------------------------------------------------------------------
 # Verdicts
 # ---------------------------------------------------------------------------
@@ -556,10 +575,8 @@ def _chunk_lhs(config_doc: dict, master_seed: int, lo: int, hi: int) -> dict:
     kind = cfg.model["kind"]
     seeds = [fanout_seed(master_seed, cfg.experiment_id, i) for i in range(lo, hi)]
     if cfg.estimator in ("roots", "weighted", "moment2", "local_time"):
-        if kind in ("spectral_gaussian_1d", "chi_square"):
+        if kind in ("spectral_gaussian_1d", "chi_square", "shot_noise"):
             return _corpus_chunk(cfg, model, seeds)
-        if kind == "shot_noise":
-            return _shotnoise_chunk(cfg, model, seeds)
         if kind == "microlens":
             return _microlens_chunk(cfg, model, seeds)
         if kind == "gradient_field":
@@ -580,7 +597,13 @@ def _grid_of(cfg: ExperimentConfig) -> int:
 
 
 def _corpus_values(model, seeds, ts) -> np.ndarray:
-    """(m, T) value matrix; rows match sample_realization exactly."""
+    """(m, T) value matrix; rows match sample_realization exactly.
+
+    Spectral rows come from one coefficient-by-basis product; impulse-sum
+    realizations have no shared basis, so their rows are stacked one by one.
+    """
+    if isinstance(model, ShotNoiseModel):
+        return np.stack([sample_realization(model, s).value(ts) for s in seeds])
     if isinstance(model, SpectralGaussian1D):
         basis = trig_basis_1d(model, ts)
         return batch_coefficients(model, seeds) @ basis
@@ -635,17 +658,6 @@ def _corpus_chunk(cfg, model, seeds) -> dict:
     return {"values": out, "extras": {}}
 
 
-def _shotnoise_chunk(cfg, model, seeds) -> dict:
-    lo, hi = float(cfg.box[0]), float(cfg.box[1])
-    ts = np.linspace(lo, hi, _grid_of(cfg))
-    out = np.empty((len(seeds), len(cfg.levels)))
-    for i, s in enumerate(seeds):
-        vals = sample_realization(model, s).value(ts)[None, :]
-        for j, u in enumerate(cfg.levels):
-            out[i, j] = _sign_change_counts(vals, float(u))[0]
-    return {"values": out, "extras": {}}
-
-
 def _count_images(sys, box, y, region, grid0: int):
     """Escalating image count: double the seed grid until parities balance."""
     target = 1 - sys.star_positions.shape[0]
@@ -655,7 +667,7 @@ def _count_images(sys, box, y, region, grid0: int):
         parity = int(np.sum(np.sign(roots.signed)))
         resolved = parity == target
         if resolved or g >= MAX_PARITY_GRID:
-            count = int(np.sum(_region_mask(roots.points, region)))
+            count = int(np.sum(region_mask(roots.points, region)))
             return count, g > grid0, not resolved
         g *= 2
 

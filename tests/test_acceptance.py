@@ -11,10 +11,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import check_criterion, record_criterion
+from conftest import check_criterion
 
 from ricelab.engine import (
-    kacrice_rhs,
     level_density,
     second_factorial_moment_rhs,
     shotnoise_rhs,

@@ -5,8 +5,6 @@ sweeps rerun the statistical comparisons across several master seeds to
 confirm the 3-sigma verdicts are calibrated rather than lucky.
 """
 
-import math
-
 import pytest
 
 from ricelab.fields import SpectralGaussian1D, SpectralGaussian2D

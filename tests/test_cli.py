@@ -74,6 +74,20 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert "configuration error" in err
 
 
+@pytest.mark.parametrize("over", [
+    {"n_realizations": "many"}, {"grid": [4]}, {"z_crit": "x"},
+    {"n_realizations": 30.9}, {"z_crit": math.inf}, {"abs_floor": math.nan},
+    {"grid": True},
+], ids=["text-count", "list-grid", "text-z", "fractional-count", "inf-z",
+        "nan-floor", "bool-grid"])
+def test_malformed_config_numbers_exit_two(tmp_path, capsys, over):
+    # these once crashed in int()/float() (exit 3) or were truncated (30.9 -> 30)
+    cfg = _write(tmp_path, "exp.json", _exact_experiment(**over))
+    assert main(["validate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and next(iter(over)) in err
+
+
 @pytest.mark.parametrize("estimator", ["roots", "local_time"])
 def test_planar_chi_square_line_estimators_exit_two(tmp_path, capsys, estimator):
     # the line estimators read a 1D corpus: a planar base is a bad config
@@ -148,6 +162,15 @@ def test_simulate_exports_grids(tmp_path, capsys):
 def test_simulate_rejects_incomplete_config(tmp_path):
     cfg = _write(tmp_path, "sim.json", {"model": PAIR, "grid": 16, "count": 1})
     assert main(["simulate", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("over", [{"grid": "x"}, {"grid": 16.5}, {"count": "two"},
+                                  {"count": [1]}])
+def test_simulate_non_integer_grid_or_count_exits_two(tmp_path, capsys, over):
+    doc = dict({"model": PAIR, "box": [0.0, 6.0], "grid": 16, "count": 1}, **over)
+    cfg = _write(tmp_path, "sim.json", doc)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "g")]) == 2
+    assert next(iter(over)) in capsys.readouterr().err
 
 
 def test_measure_json_and_csv(tmp_path, capsys):
@@ -238,6 +261,15 @@ def test_plot_data_from_report_directory(tmp_path, capsys):
     assert main(
         ["plot-data", "--config", out_dir, "--quantity", "length", "--out", plot]
     ) == 2  # estimator mismatch is a configuration error
+
+
+def test_plot_data_on_a_report_without_rows_exits_two(tmp_path, capsys):
+    config = {**_exact_experiment(), "kind": "experiment"}
+    path = _write(tmp_path, "x.report.json",
+                  {"config": config, "master_seed": 1, "passed": True})
+    assert main(["plot-data", "--config", path, "--quantity", "roots",
+                 "--out", str(tmp_path / "plot.csv")]) == 2
+    assert "rows" in capsys.readouterr().err
 
 
 def test_usage_error_exit_two(capsys):

@@ -104,6 +104,17 @@ def test_single_harmonic_over_one_period_is_two():
     assert ev.value == pytest.approx(2.0, abs=1e-9)
 
 
+def test_plain_prediction_refuses_non_stationary_families():
+    # impulse-sum and deflection fields have their own entry points
+    shot = ShotNoiseModel(intensity=1.5, eta=0.7, beta_low=0.5, beta_high=2.0,
+                          domain=(0.0, 12.0))
+    with pytest.raises(CapabilityError, match="shotnoise_rhs"):
+        kacrice_rhs(shot, (1.0, 11.0), 0.5)
+    lens = MicrolensModel(kappa_c=2.0, gamma=0.0, m=0.2, n_stars=3, R=1.0)
+    with pytest.raises(CapabilityError, match="microlens_rhs"):
+        kacrice_rhs(lens, [(-2.0, 2.0), (-2.0, 2.0)], np.array([0.25, 0.1]))
+
+
 def test_level_density_gaussian_families():
     model = _line_model()
     for u in (-1.0, 0.0, 2.0):
@@ -201,26 +212,17 @@ def test_upcrossing_weight_is_half_the_crossing_rate():
     assert up.value == pytest.approx(0.5 * total.value, rel=1e-12)
 
 
-def test_callable_weight_reproduces_named_weights():
-    model = _line_model()
-    box = (0.0, 3.0)
-    total = kacrice_rhs(model, box, 0.0)
-    one = weighted_kacrice_rhs(model, box, 0.0, lambda v: np.ones_like(v), seed=8)
-    assert abs(one.value - total.value) <= 4.0 * one.mc_error
-    up = weighted_kacrice_rhs(model, box, 0.0, lambda v: (v > 0).astype(float), seed=8)
-    assert abs(up.value - 0.5 * total.value) <= 4.0 * up.mc_error
-
-
 def test_weight_validation():
     model = _line_model()
     with pytest.raises(ConfigurationError):
         weighted_kacrice_rhs(model, (0.0, 1.0), 0.0, "sideways")
     with pytest.raises(CapabilityError):
         weighted_kacrice_rhs(_ring_model(), [(0, 1), (0, 1)], 0.0, "upcrossing")
-    with pytest.raises(ConfigurationError):
-        weighted_kacrice_rhs(model, (0.0, 1.0), 0.0, lambda v: v[:-1])
-    with pytest.raises(ConfigurationError):
-        weighted_kacrice_rhs(model, (0.0, 1.0), 0.0, lambda v: -np.ones_like(v))
+    # only the three forms a config accepts: no callables, no mapping
+    # spellings of the named weights
+    for weight in (lambda v: np.ones_like(v), {"kind": "unit"}, {"kind": "upcrossing"}):
+        with pytest.raises(ConfigurationError):
+            weighted_kacrice_rhs(model, (0.0, 1.0), 0.0, weight)
     with pytest.raises(ConfigurationError):
         weighted_kacrice_rhs(
             GradientField(base=_ring_model()), [(0, 1), (0, 1)], (0.0, 0.0),

@@ -78,6 +78,19 @@ def test_isotropic_ring_moments():
     lam = m.lambda2_matrix
     # equally spaced half-circle angles average cos^2 to exactly 1/2
     assert np.allclose(lam, 0.5 * kappa**2 * np.eye(2), atol=1e-10)
+    assert m.isotropic and m.lambda2 == lam[0, 0]
+
+
+def test_anisotropic_field_has_no_scalar_lambda2():
+    waves = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    m = SpectralGaussian2D(waves, np.array([0.5, 0.6, 0.3]))
+    assert not m.isotropic
+    with pytest.raises(DomainError, match="anisotropic"):
+        m.lambda2
+    # equal diagonal with a cross term is anisotropic too
+    skew = SpectralGaussian2D(np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]),
+                              np.array([0.5, 0.5, 0.5]))
+    assert not skew.isotropic
 
 
 # ---------------------------------------------------------------------------

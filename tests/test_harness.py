@@ -5,17 +5,14 @@ import os
 import numpy as np
 import pytest
 
-from ricelab.engine import kacrice_rhs
 from ricelab.errors import ConfigurationError
 from ricelab.fields import (
     GradientField,
-    SpectralGaussian1D,
     SpectralGaussian2D,
     sample_realization,
 )
 from ricelab.harness import (
     ExperimentConfig,
-    ExperimentReport,
     _chunk_bounds,
     _chunk_lhs,
     _sign_change_counts,
@@ -53,6 +50,10 @@ SHOT = {
 }
 LENS0 = {"kind": "microlens", "kappa_c": 2.0, "gamma": 0.0, "m": 0.2,
          "n_stars": 0, "R": 1.0}
+LENS3 = dict(LENS0, n_stars=3)
+RING = model_to_doc(SpectralGaussian2D.isotropic_ring(6, 3.0))
+ANISO = {"kind": "spectral_gaussian_2d", "wavevectors": [[2.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+         "amplitudes": [0.5, 0.6, 0.3]}
 
 
 def _cfg(**over):
@@ -83,6 +84,17 @@ def test_config_rejects_bad_ids_and_estimators():
         _cfg(estimator="flux")
     with pytest.raises(ConfigurationError):
         _cfg(n_realizations=10)
+
+
+def test_config_numbers_are_checked_not_coerced():
+    cfg = _cfg(n_realizations=40.0, z_crit=3, grid=np.int64(512))
+    assert (cfg.n_realizations, cfg.z_crit, cfg.grid) == (40, 3.0, 512)
+    assert type(cfg.n_realizations) is int and type(cfg.z_crit) is float
+    assert type(cfg.grid) is int and cfg.quadrature is None
+    for over in ({"n_realizations": 30.9}, {"inner_mc": "4096"}, {"delta": math.nan},
+                 {"grid": None, "n_realizations": None}):
+        with pytest.raises(ConfigurationError, match="n_realizations|inner_mc|delta"):
+            _cfg(**over)
 
 
 def test_config_estimator_model_compatibility():
@@ -149,15 +161,16 @@ def test_config_rejects_quadrature_nothing_reads():
         _cfg(model=CHI2, levels=[1.0], quadrature=16)
     with pytest.raises(ConfigurationError, match="quadrature"):
         _cfg(estimator="weighted", weight="upcrossing", quadrature=16)
-    with pytest.raises(ConfigurationError, match="quadrature"):
-        kacrice_rhs(SpectralGaussian1D(frequencies=np.array([1.0]),
-                                       amplitudes=np.array([1.0])),
-                    (0.0, TWO_PI), 0.0, quadrature=16)
     assert _cfg(estimator="euler", quadrature=16).quadrature == 16
     assert _cfg(estimator="moment2", box=[0.0, 3.0], quadrature=16).quadrature == 16
-    lens = _cfg(model=LENS0, levels=[[0.25, 0.1]], box=None, quadrature=8,
+    lens = _cfg(model=LENS3, levels=[[0.25, 0.1]], box=None, quadrature=8,
                 n_realizations=30, grid=64)
     assert lens.quadrature == 8
+    # the star-free lens has one image at y / c: nothing to integrate or sample
+    for key, value in (("quadrature", 8), ("inner_mc", 8192)):
+        with pytest.raises(ConfigurationError, match=key):
+            _cfg(model=LENS0, levels=[[0.25, 0.1]], box=None, n_realizations=30,
+                 grid=64, **{key: value})
     with pytest.raises(ConfigurationError, match="delta is read only by the local_time"):
         _cfg(delta=0.2)
     with pytest.raises(ConfigurationError, match="n_lines"):
@@ -186,8 +199,14 @@ def test_config_rejects_quadrature_nothing_reads():
     assert _cfg(model=CHI2, levels=[1.0], inner_mc=8192).inner_mc == 8192
     assert _cfg(model=SHOT, levels=[0.5], box=[1.0, 11.0], inner_mc=8192).inner_mc == 8192
     assert lens.inner_mc == 4096
-    assert _cfg(model=LENS0, levels=[[0.25, 0.1]], box=None, n_realizations=30,
+    assert _cfg(model=LENS3, levels=[[0.25, 0.1]], box=None, n_realizations=30,
                 grid=64, inner_mc=8192).inner_mc == 8192
+    # length has a closed form over an isotropic field, Monte Carlo otherwise
+    box2 = [[0.0, 1.0], [0.0, 1.0]]
+    with pytest.raises(ConfigurationError, match="inner_mc"):
+        _cfg(model=RING, estimator="length", box=box2, inner_mc=8192)
+    assert _cfg(model=ANISO, estimator="length", box=box2,
+                inner_mc=8192).inner_mc == 8192
 
 
 def test_config_doc_round_trip_and_strictness():
@@ -346,6 +365,23 @@ def test_local_time_corpus_matches_pointwise_realizations(model):
         for j, u in enumerate(cfg.levels):
             want[i, j] = float(np.count_nonzero(np.abs(v - u) <= 0.3)) * h / (2.0 * 0.3)
     assert np.array_equal(got, want)
+
+
+def test_shot_noise_counts_match_pointwise_realizations():
+    # impulse-sum rows go through the stacked corpus; each row's crossings
+    # equal those of its own realization on the same grid
+    cfg = _cfg(model=SHOT, levels=[0.5, 1.3], box=[1.0, 11.0], grid=400,
+               n_realizations=40)
+    got = _chunk_lhs(cfg.to_doc(), 5, 0, 40)["values"]
+    m = model_from_doc(dict(SHOT))
+    ts = np.linspace(1.0, 11.0, 400)
+    want = np.empty((40, 2))
+    for i in range(40):
+        v = sample_realization(m, fanout_seed(5, "t", i)).value(ts)
+        for j, u in enumerate(cfg.levels):
+            want[i, j] = np.count_nonzero(np.diff((v < u).astype(int)))
+    assert np.array_equal(got, want)
+    assert got.sum() > 0
 
 
 def test_grid_crossings_share_the_below_level_rule():

@@ -1,6 +1,7 @@
 """Source hygiene of src/ricelab, by standard-library ``ast`` scans.
 
-Every module uses each name it imports: names listed in the module's
+Every module uses each name it imports, and so does every file under
+``tests/`` and ``scripts/``: names listed in the module's
 ``__all__`` count as used (re-exports), and ``from __future__`` imports are
 exempt.  Because of that exemption, every name in ``__all__`` must also be
 bound in the module, or a stale entry would pass the import scan and break
@@ -13,8 +14,11 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ricelab"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "ricelab"
 MODULES = sorted(SRC.glob("*.py"))
+# test and script files, named by their directory to keep ids apart
+OTHER_FILES = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> dict:
@@ -63,7 +67,8 @@ def test_scan_flags_unused_and_keeps_used_names():
     assert unused_imports(source) == [(2, "os"), (4, "Sequence")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + OTHER_FILES, ids=lambda p: (
+    p.name if p.parent == SRC else f"{p.parent.name}/{p.name}"))
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
