@@ -21,6 +21,7 @@ from .harness import (
     ExperimentConfig,
     ExperimentReport,
     LevelRow,
+    _check_box,
     config_number,
     emit_plot_data,
     load_manifest,
@@ -88,6 +89,7 @@ def _cmd_simulate(args) -> int:
     count = config_number("count", doc.get("count", 1), integral=True)
     if box is None:
         raise ConfigurationError("simulate config needs a box")
+    _check_box(box, model.D)
     if count < 1:
         raise ConfigurationError("count must be >= 1")
     out_dir = args.out or "."

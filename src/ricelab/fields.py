@@ -212,18 +212,19 @@ def _partial_rows(waves: np.ndarray, coef_cos, coef_sin, partials) -> np.ndarray
     A partial is a tuple of axes, () for the value.  Each order multiplies a
     wave by w_k[axis] and turns its (cos, sin) pair by a quarter,
     (c, s) -> (s, -c), so row @ table is the derivative of
-    sum_k c_k cos(w_k . t) + s_k sin(w_k . t).
+    sum_k c_k cos(w_k . t) + s_k sin(w_k . t).  Stacked coefficients
+    (..., K) give rows of shape (len(partials), ..., 2K).
     """
     k = waves.shape[0]
-    rows = np.empty((len(partials), 2 * k))
+    rows = np.empty((len(partials),) + np.shape(coef_cos)[:-1] + (2 * k,))
     for r, axes in enumerate(partials):
         c, s = coef_cos, coef_sin
         factor = np.ones(k)
         for axis in axes:
             c, s = s, -c
             factor = factor * waves[:, axis]
-        rows[r, :k] = c * factor
-        rows[r, k:] = s * factor
+        rows[r, ..., :k] = c * factor
+        rows[r, ..., k:] = s * factor
     return rows
 
 
@@ -766,3 +767,42 @@ def trig_basis_1d(model: SpectralGaussian1D, ts) -> np.ndarray:
     """(2K, T) table [cos(w_k t); sin(w_k t)]: coefficient rows @ table evaluates realizations."""
     ts = np.asarray(ts, dtype=float)
     return _trig_table(model.frequencies[:, None], ts.reshape(-1, 1))
+
+
+@dataclass(frozen=True)
+class LineCorpus:
+    """Realizations of one line field as rows of trigonometric coefficients.
+
+    Row r of ``coefs`` is [cos coeffs, sin coeffs] of one realization (as
+    ``batch_coefficients`` stacks them).  ``values`` evaluates every row on a
+    shared grid with one product; ``value_at`` and ``derivative_at`` evaluate
+    row ``rows[i]`` at ``t[i]`` for every i, so that the root finder refines
+    the brackets of many rows together.
+    """
+
+    model: SpectralGaussian1D
+    coefs: np.ndarray  # (m, 2K)
+
+    def _slopes(self, coefs) -> np.ndarray:
+        k = self.model.frequencies.size
+        waves = self.model.frequencies[:, None]
+        return _partial_rows(waves, coefs[:, :k], coefs[:, k:], _FIRST)[0]
+
+    def derivative_corpus(self) -> "LineCorpus":
+        """The corpus of the derivatives X' of every row."""
+        return LineCorpus(self.model, self._slopes(self.coefs))
+
+    def values(self, ts) -> np.ndarray:
+        """(m, T) values of every row on the points ts."""
+        return self.coefs @ trig_basis_1d(self.model, ts)
+
+    def _at(self, coefs, t) -> np.ndarray:
+        return np.einsum("nk,kn->n", coefs, trig_basis_1d(self.model, t))
+
+    def value_at(self, rows, t) -> np.ndarray:
+        """Value of row rows[i] at t[i], for each i."""
+        return self._at(self.coefs[rows], t)
+
+    def derivative_at(self, rows, t) -> np.ndarray:
+        """Derivative of row rows[i] at t[i], for each i."""
+        return self._at(self._slopes(self.coefs[rows]), t)

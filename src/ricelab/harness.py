@@ -41,9 +41,9 @@ from .engine import (
 from .errors import CapabilityError, ConfigurationError, RicelabError
 from .fields import (
     ChiSquareField,
-    DeterministicField,
     GradientField,
     GradientFieldRealization,
+    LineCorpus,
     MicrolensModel,
     ShotNoiseModel,
     SpectralGaussian1D,
@@ -95,7 +95,8 @@ def _auto_grid(estimator: str, kind: str) -> int:
 
 
 def _is_scalar(x) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(float(x))
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(float(x)))
 
 
 def _as_plain(x):
@@ -773,21 +774,20 @@ def _euler_line_chunk(cfg, model, seeds) -> dict:
     """Signed critical-point count above each level, d = 1.
 
     Critical points of index i carry (-1)^(1 - i): interior maxima above the
-    level +1, interior minima -1.
+    level +1, interior minima -1.  They are the roots of the derivative
+    corpus of each block of realizations, found in one ``count_roots_1d``.
     """
     grid = _grid_of(cfg)
     out = np.empty((len(seeds), len(cfg.levels)))
-    for i, s in enumerate(seeds):
-        real = sample_realization(model, s)
-        slope = DeterministicField(value_fn=real.derivative,
-                                   jacobian_fn=real.second_derivative, d=1, D=1)
-        crit = count_roots_1d(slope, cfg.box, 0.0, grid=grid)
-        pts = crit.points.ravel()
+    for blo in range(0, len(seeds), _CORPUS_BLOCK):
+        block = seeds[blo:blo + _CORPUS_BLOCK]
+        corpus = LineCorpus(model, batch_coefficients(model, block))
+        crit = count_roots_1d(corpus.derivative_corpus(), cfg.box, 0.0, grid=grid)
+        vals = corpus.value_at(crit.rows, crit.points.ravel())
         signs = -np.sign(crit.signed)
-        if pts.size:
-            vals = np.asarray(real.value(pts), dtype=float)
         for j, u in enumerate(cfg.levels):
-            out[i, j] = float(np.sum(signs[vals > float(u)])) if pts.size else 0.0
+            out[blo:blo + len(block), j] = np.bincount(
+                crit.rows, weights=signs * (vals > float(u)), minlength=len(block))
     return {"values": out, "extras": {}}
 
 

@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapabilityError, ConfigurationError
+from .fields import LineCorpus
 
 __all__ = [
     "GridSample",
@@ -145,7 +146,8 @@ class RootSet:
     in the plane), whose sign is the root's orientation; ``deltas`` is its
     absolute value.  ``degree`` (planar systems only) is the Brouwer degree
     of X - u on the box, read off the boundary lattice; None where it was
-    not resolved.
+    not resolved.  ``rows`` (line roots only) is the corpus row of each
+    root, all 0 for a single realization.
     """
 
     points: np.ndarray  # (n, D)
@@ -154,6 +156,7 @@ class RootSet:
     level: object
     dedup_radius: float
     degree: Optional[int] = None
+    rows: Optional[np.ndarray] = None  # (n,)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -181,34 +184,55 @@ class RootSet:
                 )
 
 
+class _OneRow:
+    """One realization as a one-row corpus: every row index is 0."""
+
+    def __init__(self, realization):
+        self.realization = realization
+
+    def values(self, ts) -> np.ndarray:
+        return np.asarray(self.realization.value(ts), dtype=float).reshape(1, -1)
+
+    def value_at(self, rows, t) -> np.ndarray:
+        return np.asarray(self.realization.value(t), dtype=float)
+
+    def derivative_at(self, rows, t) -> np.ndarray:
+        return np.asarray(self.realization.derivative(t), dtype=float)
+
+
 def count_roots_1d(realization, interval, u: float, grid: int = 2048) -> RootSet:
     """Sign-change detection on the grid plus bisection/Newton refinement.
 
-    All brackets are refined together: each bisection or Newton step is one
-    field call over the brackets still active, so the number of calls is
-    bounded by the iteration caps, not by the number of roots.  Roots are
-    refined to residual <= 1e-10 and reported only strictly inside the open
-    interval.  Tangential (non-crossing) roots are a resolution limitation,
-    not an error.
+    ``realization`` is one realization or a ``LineCorpus`` of many; a single
+    realization is the one-row case.  Brackets are the grid steps where
+    (v < u) changes, in every row.  All brackets of all rows are refined
+    together: each bisection or Newton step is one field call over the
+    (row, t) pairs still active, so the number of calls per corpus block is
+    bounded by the iteration caps, not by the number of rows or roots.
+    Roots are refined to residual <= 1e-10, reported only strictly inside
+    the open interval, and deduplicated per row at h/2; ``rows`` gives the
+    row of each root.  Tangential (non-crossing) roots are a resolution
+    limitation, not an error.
     """
+    corpus = realization if isinstance(realization, LineCorpus) else _OneRow(realization)
     lo, hi = _interval(interval)
     grid = int(grid)
     if grid < 2:
         raise ConfigurationError("resolution must be >= 2")
     ts = np.linspace(lo, hi, grid)
-    vals = np.asarray(realization.value(ts), dtype=float) - u
+    vals = corpus.values(ts) - u
     neg = vals < 0.0
-    idx = np.nonzero(neg[:-1] != neg[1:])[0]
+    row, idx = np.nonzero(neg[:, :-1] != neg[:, 1:])
 
     # bisection to a tight bracket
-    a, b, fa = ts[idx], ts[idx + 1], vals[idx]
+    a, b, fa = ts[idx], ts[idx + 1], vals[row, idx]
     active = np.ones(idx.size, dtype=bool)
     for _ in range(40):
         k = np.nonzero(active)[0]
         if k.size == 0:
             break
         m = 0.5 * (a[k] + b[k])
-        fm = np.asarray(realization.value(m), dtype=float) - u
+        fm = corpus.value_at(row[k], m) - u
         left = (fm < 0.0) == (fa[k] < 0.0)
         a[k[left]], fa[k[left]] = m[left], fm[left]
         b[k[~left]] = m[~left]
@@ -222,36 +246,39 @@ def count_roots_1d(realization, interval, u: float, grid: int = 2048) -> RootSet
         k = np.nonzero(active)[0]
         if k.size == 0:
             break
-        f = np.asarray(realization.value(t[k]), dtype=float) - u
+        f = corpus.value_at(row[k], t[k]) - u
         far = np.abs(f) > 1e-12
         active[k[~far]] = False
         k, f = k[far], f[far]
         if k.size == 0:
             break
-        df = np.asarray(realization.derivative(t[k]), dtype=float)
+        df = corpus.derivative_at(row[k], t[k])
         with np.errstate(divide="ignore"):
             t_new = t[k] - f / df
         ok = (a[k] - width[k] <= t_new) & (t_new <= b[k] + width[k])
         t[k[ok]] = t_new[ok]
         active[k[~ok]] = False
 
+    # a point whose residual exceeds 1e-10 is dropped and blocks no other,
+    # so the per-row greedy dedup runs over the good points only
     h = (hi - lo) / (grid - 1)
-    t = np.sort(t)
-    t = t[(lo < t) & (t < hi)]
-    res = np.zeros(0)
-    if t.size:
-        res = np.abs(np.asarray(realization.value(t), dtype=float) - u)
+    order = np.lexsort((t, row))
+    row, t = row[order], t[order]
+    inside = (lo < t) & (t < hi)
+    row, t = row[inside], t[inside]
+    res = np.abs(corpus.value_at(row, t) - u) if t.size else np.zeros(0)
+    good = res <= 1e-10
+    row, t, res = row[good], t[good], res[good]
     kept = []
-    for i in range(t.size):
-        if kept and t[i] - t[kept[-1]] < 0.5 * h:
+    last_row, last_t = -1, 0.0
+    for i, (r, x) in enumerate(zip(row.tolist(), t.tolist())):
+        if r == last_row and x - last_t < 0.5 * h:
             continue
-        if res[i] <= 1e-10:
-            kept.append(i)
-    pts, residuals = t[kept], res[kept]
-    signed = np.zeros(0)
-    if kept:
-        signed = np.asarray(realization.derivative(pts), dtype=float)
-    return RootSet(pts.reshape(-1, 1), signed, residuals, float(u), 0.5 * h)
+        kept.append(i)
+        last_row, last_t = r, x
+    row, pts, residuals = row[kept], t[kept], res[kept]
+    signed = corpus.derivative_at(row, pts) if kept else np.zeros(0)
+    return RootSet(pts.reshape(-1, 1), signed, residuals, float(u), 0.5 * h, rows=row)
 
 
 def _batch_solve_2x2(J, F):

@@ -173,6 +173,26 @@ def test_simulate_non_integer_grid_or_count_exits_two(tmp_path, capsys, over):
     assert next(iter(over)) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("box", ["x", [6.0, 0.0], [[0.0, 1.0], [0.0, 1.0]], [0.0, math.inf]],
+                         ids=["text", "reversed", "planar", "infinite"])
+def test_simulate_bad_box_exits_two(tmp_path, capsys, box):
+    # "x" once crashed in the grid sampler (exit 3, internal error)
+    doc = {"model": PAIR, "box": box, "grid": 16, "count": 1}
+    cfg = _write(tmp_path, "sim.json", doc)
+    out_dir = tmp_path / "g"
+    assert main(["simulate", "--config", cfg, "--out", str(out_dir)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "kacrice"])
+def test_boolean_level_exits_two(tmp_path, capsys, command):
+    # true once ran as level 1 and printed "level": true
+    cfg = _write(tmp_path, "exp.json", _exact_experiment(levels=[True]))
+    assert main([command, "--config", cfg]) == 2
+    assert "levels must be finite scalars" in capsys.readouterr().err
+
+
 def test_measure_json_and_csv(tmp_path, capsys):
     cfg = _write(
         tmp_path, "exp.json",

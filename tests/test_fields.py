@@ -13,6 +13,7 @@ from ricelab.fields import (
     ChiSquareField,
     DeterministicField,
     GradientField,
+    LineCorpus,
     MicrolensModel,
     ShotNoiseModel,
     SpectralGaussian1D,
@@ -169,6 +170,25 @@ def test_trig_basis_evaluates_like_realizations():
     for partial, direct in (((0,), r.derivative), ((0, 0), r.second_derivative)):
         rows = _partial_rows(waves, r.coef_cos, r.coef_sin, (partial,))
         assert np.allclose((rows @ basis)[0], direct(ts), atol=1e-12)
+
+
+def test_line_corpus_evaluates_like_realizations():
+    m = SpectralGaussian1D.harmonics(9, seed=5)
+    seeds = [21, 22, 23]
+    corpus = LineCorpus(m, batch_coefficients(m, seeds))
+    slopes = corpus.derivative_corpus()
+    ts = np.linspace(-2.0, 4.0, 63)
+    rows = np.arange(ts.size) % 3
+    for r, s in enumerate(seeds):
+        real = sample_realization(m, s)
+        assert np.allclose(corpus.values(ts)[r], real.value(ts), atol=1e-12)
+        assert np.allclose(slopes.values(ts)[r], real.derivative(ts), atol=1e-12)
+        mine = rows == r
+        assert np.allclose(corpus.value_at(rows, ts)[mine], real.value(ts[mine]), atol=1e-12)
+        assert np.allclose(corpus.derivative_at(rows, ts)[mine], real.derivative(ts[mine]),
+                           atol=1e-12)
+        assert np.allclose(slopes.derivative_at(rows, ts)[mine],
+                           real.second_derivative(ts[mine]), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -5,9 +6,12 @@ import os
 import numpy as np
 import pytest
 
+from ricelab import harness
 from ricelab.errors import ConfigurationError
 from ricelab.fields import (
+    DeterministicField,
     GradientField,
+    SpectralGaussian1D,
     SpectralGaussian2D,
     sample_realization,
 )
@@ -15,6 +19,7 @@ from ricelab.harness import (
     ExperimentConfig,
     _chunk_bounds,
     _chunk_lhs,
+    _euler_line_chunk,
     _sign_change_counts,
     _upcrossing_counts,
     default_image_region,
@@ -26,6 +31,7 @@ from ricelab.harness import (
     run_suite,
     verdict,
 )
+from ricelab.levelsets import count_roots_1d
 from ricelab.modelspec import model_from_doc, model_to_doc
 from ricelab.rng import fanout_seed
 
@@ -122,6 +128,14 @@ def test_config_level_domain_rules():
         _cfg(model=SHOT, levels=[0.0], box=[1.0, 11.0])
     with pytest.raises(ConfigurationError):
         _cfg(model=SHOT, levels=[0.5], box=[-2.0, 5.0])  # box leaves the domain
+
+
+def test_config_rejects_boolean_levels():
+    # True is an int to Python; as a level it once ran as u = 1
+    with pytest.raises(ConfigurationError, match="finite scalars"):
+        _cfg(levels=[True])
+    with pytest.raises(ConfigurationError, match="planar levels"):
+        _cfg(model=LENS3, levels=[[False, 0.1]], box=None, grid=64)
 
 
 def test_config_weight_and_delta_rules():
@@ -384,6 +398,39 @@ def test_shot_noise_counts_match_pointwise_realizations():
     assert got.sum() > 0
 
 
+def _euler_line_reference(cfg, model, seeds):
+    """Signed critical-point counts and critical-point numbers, one realization at a time."""
+    out = np.empty((len(seeds), len(cfg.levels)))
+    n_crit = []
+    for i, s in enumerate(seeds):
+        real = sample_realization(model, s)
+        slope = DeterministicField(value_fn=real.derivative,
+                                   jacobian_fn=real.second_derivative, d=1, D=1)
+        crit = count_roots_1d(slope, cfg.box, 0.0, grid=cfg.grid)
+        pts = crit.points.ravel()
+        signs = -np.sign(crit.signed)
+        vals = np.asarray(real.value(pts), dtype=float) if pts.size else pts
+        for j, u in enumerate(cfg.levels):
+            out[i, j] = float(np.sum(signs[vals > float(u)])) if pts.size else 0.0
+        n_crit.append(pts.size)
+    return out, n_crit
+
+
+@pytest.mark.parametrize("master_seed", [3, 2**64 - 1])
+def test_euler_line_chunk_matches_per_realization_reference(monkeypatch, master_seed):
+    # a short box leaves some rows without any critical point; a small block
+    # size makes the seeds span several corpus blocks
+    model = SpectralGaussian1D.harmonics(12, seed=4)
+    cfg = _cfg(model=model_to_doc(model), estimator="euler", levels=[-0.5, 0.0, 1.0],
+               box=[0.0, 1.5], grid=256, inner_mc=1000)
+    seeds = [fanout_seed(master_seed, "t", i) for i in range(23)]
+    monkeypatch.setattr(harness, "_CORPUS_BLOCK", 8)
+    got = _euler_line_chunk(cfg, model, seeds)["values"]
+    want, n_crit = _euler_line_reference(cfg, model, seeds)
+    assert np.array_equal(got, want)
+    assert 0 in n_crit and max(n_crit) >= 2
+
+
 def test_grid_crossings_share_the_below_level_rule():
     # a row through an exact grid zero crosses once
     row = np.array([[-1.0, 0.0, 1.0]])
@@ -555,3 +602,8 @@ def test_emit_plot_data_validations(tmp_path):
         emit_plot_data([report, other], "roots", str(tmp_path / "x.csv"))
     with pytest.raises(ConfigurationError):
         emit_plot_data([], "roots", str(tmp_path / "y.csv"))
+    # a boolean level read back from a report is not a scalar level
+    flagged = dataclasses.replace(
+        report, rows=(dataclasses.replace(report.rows[0], level=True),))
+    with pytest.raises(ConfigurationError, match="scalar levels"):
+        emit_plot_data([flagged], "roots", str(tmp_path / "z.csv"))

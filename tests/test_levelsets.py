@@ -9,9 +9,11 @@ from ricelab.errors import CapabilityError, ConfigurationError
 from ricelab.fields import (
     DeterministicField,
     GradientField,
+    LineCorpus,
     MicrolensModel,
     SpectralGaussian1D,
     SpectralGaussian2D,
+    batch_coefficients,
     sample_realization,
 )
 from ricelab.levelsets import (
@@ -290,6 +292,30 @@ def test_roots_1d_signed_derivative_matches_jacobian():
     assert np.array_equal(rs.deltas, np.abs(rs.signed))
     # up- and down-crossings of a level alternate along the line
     assert np.all(rs.signed[1:] * rs.signed[:-1] < 0.0)
+
+
+@pytest.mark.parametrize("derivative", [False, True], ids=["values", "slopes"])
+def test_roots_1d_corpus_matches_one_row_calls(derivative):
+    # one call over a corpus gives, row by row, the roots of the one-row call
+    model = SpectralGaussian1D.harmonics(20, seed=4)
+    seeds = [11 + 7 * i for i in range(10)]
+    corpus = LineCorpus(model, batch_coefficients(model, seeds))
+    if derivative:
+        corpus = corpus.derivative_corpus()
+    batched = count_roots_1d(corpus, (0.0, 6.0), 0.2, grid=512)
+    assert batched.rows.shape == (batched.count,)
+    for r, s in enumerate(seeds):
+        real = sample_realization(model, s)
+        if derivative:
+            real = DeterministicField(value_fn=real.derivative,
+                                      jacobian_fn=real.second_derivative, d=1, D=1)
+        one = count_roots_1d(real, (0.0, 6.0), 0.2, grid=512)
+        mine = batched.rows == r
+        assert np.all(one.rows == 0)
+        assert np.count_nonzero(mine) == one.count > 0
+        assert np.array_equal(np.sign(batched.signed[mine]), np.sign(one.signed))
+        assert np.allclose(batched.points[mine], one.points, rtol=0.0, atol=1e-12)
+        assert np.all(batched.residuals[mine] <= 1e-10)
 
 
 class _CountingRealization:
