@@ -20,12 +20,10 @@ import numbers
 import os
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammainc
 
 from .engine import (
     DEFAULT_INNER_MC,
@@ -832,9 +830,12 @@ def _local_time_rhs(model, box, u: float, delta: float) -> RhsEvaluation:
         prob = (_gauss_cdf(u + delta, model.lambda0)
                 - _gauss_cdf(u - delta, model.lambda0))
     elif isinstance(model, ChiSquareField):
+        # imported here, not at module level: scipy costs more than all of ricelab
+        from scipy.special import gammainc
+
         half = 0.5 * model.n
         prob = float(gammainc(half, (u + delta) / 2.0)
-                     - gammainc(half, max(u - delta, 0.0) / 2.0))
+                     - gammainc(half, (u - delta) / 2.0))
     else:
         raise ConfigurationError(
             f"no occupation-density prediction for {type(model).__name__}")
@@ -918,6 +919,8 @@ def _measure_values(config: ExperimentConfig, master_seed: int,
     if workers == 1 or len(bounds) == 1:
         parts = [_chunk_lhs(doc, master_seed, lo, hi) for lo, hi in bounds]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing too
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_chunk_lhs, doc, master_seed, lo, hi)
                        for lo, hi in bounds]

@@ -313,27 +313,54 @@ def _lattice_values(realization, axes) -> np.ndarray:
     lattice = getattr(realization, "lattice", None)
     if lattice is not None:
         return lattice(axes)
-    pts = _lattice_points(axes)
-    singular = _singular_points(realization)
-    if singular is not None:
-        pts[_near(pts, singular, 1e-20)] += 1e-9
-    vals = np.asarray(realization.value(pts), dtype=float)
+    vals = _values_off_singular(realization, _lattice_points(axes))
     shape = (axes[0].size, axes[1].size)
     return vals.reshape(shape if realization.d == 1 else shape + (realization.d,))
 
 
-def _winding_number(ring: np.ndarray):
-    """Turns of the closed lattice path ``ring`` (m, 2) around 0, or None.
+def _values_off_singular(realization, pts: np.ndarray) -> np.ndarray:
+    """Pointwise values, after points that land on a singular point are moved off it by 1e-9."""
+    singular = _singular_points(realization)
+    if singular is not None:
+        pts = np.where(_near(pts, singular, 1e-20)[:, None], pts + 1e-9, pts)
+    return np.asarray(realization.value(pts), dtype=float)
 
-    None when the path meets 0 or one step turns by pi/2 or more: the
-    lattice then cannot tell which way the path went round.
+
+_MAX_HALVINGS = 30  # of one boundary step: 2^-30 of a lattice cell
+
+
+def _boundary_degree(realization, axes, vals: np.ndarray, u: np.ndarray):
+    """Turns of X - u around 0 along the box boundary, or None.
+
+    The path starts as the boundary nodes of the lattice (``vals``, X - u
+    on ``axes``), counter-clockwise, each node once.  A step that turns by
+    pi/2 or more cannot tell which way the path went round, so it is halved
+    at its midpoint, evaluated pointwise, until every sub-step turns by
+    less.  None when the path meets 0, or a step still turns by pi/2 or
+    more after ``_MAX_HALVINGS`` halvings.
     """
-    ang = np.arctan2(ring[:, 1], ring[:, 0])
-    turn = np.diff(np.append(ang, ang[0]))
-    turn = (turn + np.pi) % (2.0 * np.pi) - np.pi
-    if np.any(np.all(ring == 0.0, axis=1)) or np.any(np.abs(turn) >= 0.5 * np.pi):
-        return None
-    return int(round(float(np.sum(turn)) / (2.0 * np.pi)))
+    node = np.arange(vals.shape[0] * vals.shape[1]).reshape(vals.shape[:2])
+    i, j = np.unravel_index(np.concatenate(
+        [node[:-1, 0], node[-1, :-1], node[:0:-1, -1], node[0, :0:-1]]), node.shape)
+    pa, fa = np.column_stack([axes[0][i], axes[1][j]]), vals[i, j]
+    pb, fb = np.roll(pa, -1, axis=0), np.roll(fa, -1, axis=0)
+    total = 0.0
+    for depth in range(_MAX_HALVINGS + 1):
+        if np.any(np.all(fa == 0.0, axis=1)):
+            return None
+        turn = np.arctan2(fb[:, 1], fb[:, 0]) - np.arctan2(fa[:, 1], fa[:, 0])
+        turn = (turn + np.pi) % (2.0 * np.pi) - np.pi
+        wide = np.abs(turn) >= 0.5 * np.pi
+        total += float(np.sum(turn[~wide]))
+        if not wide.any():
+            return int(round(total / (2.0 * np.pi)))
+        if depth == _MAX_HALVINGS:
+            return None
+        pa, fa, pb, fb = pa[wide], fa[wide], pb[wide], fb[wide]
+        pm = 0.5 * (pa + pb)
+        fm = _values_off_singular(realization, pm).reshape(-1, 2) - u
+        pa, fa = np.concatenate([pa, pm]), np.concatenate([fa, fm])
+        pb, fb = np.concatenate([pm, pb]), np.concatenate([fm, fb])
 
 
 def _local_minima(norm: np.ndarray) -> np.ndarray:
@@ -369,9 +396,10 @@ def count_roots_2d(
 
     ``degree`` is the winding number of X - u along the boundary nodes of the
     lattice, the Brouwer degree that the sum of sign det J over all roots in
-    the box equals; it is None where the boundary lattice is too coarse to
-    follow the winding (see ``_winding_number``).  Each point mass of a
-    deflection map inside the box adds 1 to the winding number.
+    the box equals.  Boundary steps too coarse to follow the winding are
+    halved pointwise (see ``_boundary_degree``); it is None where that does
+    not settle them.  Each point mass of a deflection map inside the box adds
+    1 to the winding number.
     """
     if realization.d != 2 or realization.D != 2:
         raise CapabilityError("count_roots_2d needs d = D = 2")
@@ -384,10 +412,6 @@ def count_roots_2d(
     h = float(max((b[0, 1] - b[0, 0]), (b[1, 1] - b[1, 0])) / (grid - 1))
     singular = _singular_points(realization)
     vals = _lattice_values(realization, ax) - u
-
-    # counter-clockwise around the box, each boundary node once
-    degree = _winding_number(np.concatenate(
-        [vals[:-1, 0], vals[-1, :-1], vals[:0:-1, -1], vals[0, :0:-1]]))
 
     def corner_bracket(comp):
         v = vals[:, :, comp]
@@ -457,7 +481,7 @@ def count_roots_2d(
         kp = np.zeros((0, 2))
         signed = np.zeros(0)
     return RootSet(kp, signed, np.asarray(kept_res, dtype=float), u.copy(), 0.5 * h,
-                   degree)
+                   _boundary_degree(realization, ax, vals, u))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from ricelab import harness
 from ricelab.errors import ConfigurationError
@@ -348,20 +349,24 @@ def test_measure_and_predict_only_documents():
     assert m["extras"]
 
 
-def test_local_time_experiment_with_closed_form():
+@pytest.mark.parametrize("model, level, cdf", [
+    (PAIR, 0.0, lambda x: 0.5 * (1.0 + math.erf(x / math.sqrt(2)))),
+    (CHI2, 1.0, lambda x: stats.chi2.cdf(x, df=2)),
+], ids=["gauss", "chi2"])
+def test_local_time_experiment_with_closed_form(model, level, cdf):
     cfg = _cfg(
-        model=PAIR,
+        model=model,
         estimator="local_time",
         delta=0.3,
-        levels=[0.0],
+        levels=[level],
         box=[0.0, 6.0],
         grid=2048,
         n_realizations=60,
     )
     report = run_experiment(cfg, master_seed=6)
     assert report.passed
-    # occupation midpoint: vol * (Phi(0.3) - Phi(-0.3)) / (2 * 0.3)
-    expect = 6.0 * (2.0 * (0.5 * (1.0 + math.erf(0.3 / math.sqrt(2)))) - 1.0) / 0.6
+    # occupation midpoint: vol * (F(u + 0.3) - F(u - 0.3)) / (2 * 0.3)
+    expect = 6.0 * (cdf(level + 0.3) - cdf(level - 0.3)) / 0.6
     assert report.rows[0].rhs_value == pytest.approx(expect, rel=1e-12)
 
 

@@ -6,11 +6,17 @@ Every module uses each name it imports, and so does every file under
 exempt.  Because of that exemption, every name in ``__all__`` must also be
 bound in the module, or a stale entry would pass the import scan and break
 ``from module import *``.  Every Monte Carlo standard error comes from ``rng.mean_se``: no other
-function passes ``ddof``.
+function passes ``ddof``.  Importing ricelab and running a line experiment
+loads neither scipy nor multiprocessing; scipy loads when a chi-square
+occupation prediction first needs it.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -125,3 +131,31 @@ def test_ddof_scan_names_the_enclosing_function():
 def test_standard_errors_come_from_mean_se_only():
     sites = {path.name: ddof_sites(path.read_text()) for path in MODULES}
     assert {name: s for name, s in sites.items() if s} == {"rng.py": ["mean_se"]}
+
+
+COLD_START = textwrap.dedent("""
+    import sys
+
+    from ricelab.harness import measure_only, predict_only
+
+    line = {"experiment_id": "cold", "estimator": "roots", "levels": [0.0],
+            "n_realizations": 30, "box": [0.0, 6.0], "grid": 256,
+            "model": {"kind": "spectral_gaussian_1d", "frequencies": [1.0, 2.5],
+                      "amplitudes": [0.7, 0.7]}}
+    measure_only(line, 1)
+    predict_only(line, 1)
+    print(sorted(m for m in ("scipy", "multiprocessing") if m in sys.modules))
+    occupation = dict(line, estimator="local_time", delta=0.3, levels=[1.0],
+                      model={"kind": "chi_square", "n": 2, "base": dict(
+                          line["model"], amplitudes=[0.5 ** 0.5, 0.5 ** 0.5])})
+    predict_only(occupation, 1)
+    print("scipy" in sys.modules)
+""")
+
+
+def test_cold_start_leaves_scipy_and_multiprocessing_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", COLD_START], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True"]

@@ -417,6 +417,27 @@ def test_roots_2d_degree_affine_is_sign_det(A):
     assert rs.degree == int(np.sign(np.linalg.det(A))) == _sign_sum(f, rs)
 
 
+@pytest.mark.parametrize("edge, degree", [(0.999, 1), (1.0, None)],
+                         ids=["inside", "on-edge"])
+def test_roots_2d_degree_halves_wide_boundary_steps(edge, degree):
+    # X(p) = p has its root at u; within 0.001 of the edge x = 1 the lattice
+    # step past it turns by nearly pi, and halving it settles the winding.
+    # A root on the edge itself leaves a wide step after every halving.
+    calls = []
+
+    def val(p):
+        calls.append(np.atleast_2d(p).shape[0])
+        return np.atleast_2d(p).astype(float)
+
+    f = DeterministicField(value_fn=val, jacobian_fn=lambda p: np.broadcast_to(
+        np.eye(2), (np.atleast_2d(p).shape[0], 2, 2)).copy(), d=2, D=2)
+    rs = count_roots_2d(f, [(-1, 1), (-1, 1)], (edge, 0.1), grid=12)
+    assert rs.degree == degree
+    assert rs.count == (degree or 0)
+    # the lattice, at most 30 one-point halvings, Newton and the residual check
+    assert len(calls) <= 1 + 30 + 4
+
+
 def test_roots_2d_degree_flags_missed_roots():
     # z^2 - eps^2 (complex form) has two roots of sign +1 at +/- eps; a grid
     # whose dedup radius h/2 exceeds 2 eps reports one, the boundary two
