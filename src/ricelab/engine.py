@@ -720,8 +720,12 @@ def _microlens_designated(model: MicrolensModel, nodes: np.ndarray, y: np.ndarra
     the designated offset z* = 2m / conj(w) with the excess deflection
     w = c x - y - 2m sum 1/conj(z), so the designated mass sits at x - z*.
     The change of variables carries the Jacobian |z*|^4 / (4 m^2), which
-    cancels the blow-up of the lens Jacobian near the mass, so the weight
-    stays bounded.
+    cancels the blow-up of the lens Jacobian near the designated mass.  It
+    does not bound the weight for n_stars >= 3: two other masses at distance
+    eps on opposite sides of a node cancel in w but add in sum 1/z^2, so the
+    weight grows like eps^-4 on a set of probability about eps^6 (the
+    manifest's lens-images prediction at seed 28 has a (draw, node) weight
+    of 4.0e5).  The mean is finite; the variance is not.
 
     Returns ``(weight, excluded)``, both (n_nodes, n_draws).  ``want="density"``
     gives |z*|^4 / (4 m^2) over the disk area, or 0 where the designated mass

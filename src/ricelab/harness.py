@@ -50,7 +50,13 @@ from .fields import (
     trig_basis_1d,
 )
 from .geometry import favard_measure
-from .levelsets import count_roots_1d, count_roots_2d, local_time, nodal_length
+from .levelsets import (
+    count_roots_1d,
+    count_roots_2d,
+    lens_images,
+    local_time,
+    nodal_length,
+)
 from .modelspec import SCHEMA_VERSION, model_from_doc
 from .rng import check_seed, fanout_seed, mean_se, stream
 
@@ -672,23 +678,30 @@ def _count_images(sys, box, y, region, grid0: int):
 
 
 def _microlens_chunk(cfg, model, seeds) -> dict:
+    """Image counts of every field at every level, from ``lens_images``.
+
+    A field that fails its parity certificate at a level is counted there by
+    ``_count_images`` instead.  ``parity_fallbacks`` counts those (field,
+    level) pairs; the escalation extras count within them.
+    """
     grid0 = _grid_of(cfg)
-    geoms = [_lens_geometry(cfg, model, lvl) for lvl in cfg.levels]
+    systems = [sample_realization(model, s) for s in seeds]
     out = np.empty((len(seeds), len(cfg.levels)))
-    escalations = 0
-    unresolved = 0
-    for i, s in enumerate(seeds):
-        sys = sample_realization(model, s)
-        for j, lvl in enumerate(cfg.levels):
-            region, box = geoms[j]
-            y = np.asarray(lvl, dtype=float)
-            count, escalated, bad = _count_images(sys, box, y, region, grid0)
-            out[i, j] = count
-            escalations += escalated
-            unresolved += bad
-    return {"values": out,
-            "extras": {"parity_escalations": escalations,
-                       "parity_unresolved": unresolved}}
+    extras = {"parity_fallbacks": 0, "parity_escalations": 0, "parity_unresolved": 0}
+    for j, lvl in enumerate(cfg.levels):
+        region, box = _lens_geometry(cfg, model, lvl)
+        y = np.asarray(lvl, dtype=float)
+        images, certified = lens_images(systems, y)
+        pts = images.points
+        inside = np.all((pts > box[:, 0]) & (pts < box[:, 1]), axis=1)
+        inside &= region_mask(pts, region)
+        out[:, j] = np.bincount(images.rows[inside], minlength=len(seeds))
+        for i in np.flatnonzero(~certified):
+            out[i, j], escalated, bad = _count_images(systems[i], box, y, region, grid0)
+            extras["parity_fallbacks"] += 1
+            extras["parity_escalations"] += escalated
+            extras["parity_unresolved"] += bad
+    return {"values": out, "extras": extras}
 
 
 def _det2(m: np.ndarray) -> np.ndarray:

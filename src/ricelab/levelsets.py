@@ -9,7 +9,6 @@ lives in the engine and harness modules.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import dataclass
@@ -27,6 +26,7 @@ __all__ = [
     "sample_grid",
     "count_roots_1d",
     "count_roots_2d",
+    "lens_images",
     "nodal_length",
     "local_time",
     "irregularity_scan",
@@ -146,8 +146,8 @@ class RootSet:
     in the plane), whose sign is the root's orientation; ``deltas`` is its
     absolute value.  ``degree`` (planar systems only) is the Brouwer degree
     of X - u on the box, read off the boundary lattice; None where it was
-    not resolved.  ``rows`` (line roots only) is the corpus row of each
-    root, all 0 for a single realization.
+    not resolved.  ``rows`` is the corpus row of each line root (all 0 for
+    a single realization) or the field index of each lens image.
     """
 
     points: np.ndarray  # (n, D)
@@ -168,20 +168,6 @@ class RootSet:
     @property
     def count(self) -> int:
         return self.points.shape[0]
-
-    def to_csv(self, path) -> None:
-        D = self.points.shape[1] if self.points.size else 1
-        cols = [f"t{i}" for i in range(D)]
-        deltas = self.deltas
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["index"] + cols + ["delta", "residual"])
-            for i in range(self.count):
-                w.writerow(
-                    [i]
-                    + [repr(float(x)) for x in np.atleast_1d(self.points[i])]
-                    + [repr(float(deltas[i])), repr(float(self.residuals[i]))]
-                )
 
 
 class _OneRow:
@@ -399,7 +385,9 @@ def count_roots_2d(
     the box equals.  Boundary steps too coarse to follow the winding are
     halved pointwise (see ``_boundary_degree``); it is None where that does
     not settle them.  Each point mass of a deflection map inside the box adds
-    1 to the winding number.
+    1 to the winding number.  The degree certificate cannot see a missed
+    pair of roots of opposite orientation, the usual miss near a fold: their
+    signs cancel in the sum.
     """
     if realization.d != 2 or realization.D != 2:
         raise CapabilityError("count_roots_2d needs d = D = 2")
@@ -482,6 +470,106 @@ def count_roots_2d(
         signed = np.zeros(0)
     return RootSet(kp, signed, np.asarray(kept_res, dtype=float), u.copy(), 0.5 * h,
                    _boundary_degree(realization, ax, vals, u))
+
+
+# ---------------------------------------------------------------------------
+# Lens images
+# ---------------------------------------------------------------------------
+
+_IMAGE_TOL = 1e-9  # residual bound |eta(x) - y|, as in count_roots_2d
+_IMAGE_NEWTON_STEPS = 8
+_IMAGE_DEDUP = 1e-7  # Newton-polished copies of one image agree to rounding
+
+
+def _image_polynomial(xi: np.ndarray, y: complex, c: float, m: float) -> np.ndarray:
+    """Coefficients, highest first, of one field's image polynomial of degree N^2 + 1.
+
+    In complex form the lens equation is y = c z - 2m sum 1/conj(z - xi_j).
+    Its conjugate gives conj(z) = (conj(y) P + 2m P') / (c P) with
+    P = prod (z - xi_j), so conj(z - xi_j) = N_j / (c P) with
+    N_j = conj(y) P + 2m P' - c conj(xi_j) P, and every image is a root of
+    (c z - y) prod N_j - 2m c P sum_j prod_{l != j} N_l (Witt 1990).
+    """
+    P = np.atleast_1d(np.poly(xi)).astype(complex)
+    base = np.conj(y) * P
+    base[1:] += 2.0 * m * np.polyder(P)
+    factors = [base - c * np.conj(x) * P for x in xi]
+    poly = np.array([c, -y], dtype=complex)
+    for f in factors:
+        poly = np.convolve(poly, f)
+    for j in range(len(factors)):
+        others = np.ones(1, dtype=complex)
+        for f in factors[:j] + factors[j + 1:]:
+            others = np.convolve(others, f)
+        poly[1:] -= 2.0 * m * c * np.convolve(P, others)
+    return poly
+
+
+def lens_images(systems, y) -> tuple:
+    """Every image of source ``y`` under each point-mass deflection map.
+
+    ``systems`` are ``MicrolensSystem`` fields of one model (same c, m and
+    star count N).  Each field's images are roots of a complex polynomial of
+    degree N^2 + 1 (``_image_polynomial``); the companion matrices of all
+    fields go through one ``np.linalg.eigvals`` call.  Every (field, root)
+    pair then takes Newton steps on the real map together, in complex form
+    with d eta/dz = c and d eta/d conj(z) = 2m sum 1/conj(z - xi_j)^2.  A root
+    is kept when it is finite, no closer than 1e-12 to a star and has
+    |eta(x) - y| <= 1e-9; kept roots of a field closer than 1e-7 to an
+    earlier one are dropped as copies.  The polynomial also has roots that
+    solve only the conjugated equation; the residual test removes them.
+
+    Returns ``(roots, certified)``.  ``roots`` is a ``RootSet`` of the kept
+    images in the whole plane, ``rows`` giving each one's field index and
+    ``signed`` its det J = c^2 - |d eta/d conj(z)|^2.  ``certified`` (one
+    flag per field) says the field passed the parity certificate: the sum of
+    sign det J over its images equals 1 - N, the parity theorem for N point
+    masses (Petters, Levine & Wambsganss 2001).  A field whose leading
+    coefficient vanishes (c = 0, for one) is never certified.  Like the
+    degree certificate of ``count_roots_2d``, the parity certificate cannot
+    see a missed pair of images of opposite orientation, the usual miss near
+    a fold: their signs cancel in the sum.  It does flag the fields where the
+    monomial form loses single images, which happens more often as N grows.
+    """
+    c, m = float(systems[0].c), float(systems[0].m)
+    if any(s.c != c or s.m != m for s in systems):
+        raise ConfigurationError("lens_images needs fields of one model (same c and m)")
+    xi = np.array([s.star_positions @ np.array([1.0, 1j]) for s in systems])
+    xi = xi.reshape(len(systems), -1)
+    n_stars = xi.shape[1]
+    yc = complex(float(y[0]), float(y[1]))
+    coeffs = np.array([_image_polynomial(row, yc, c, m) for row in xi])
+    solvable = (coeffs[:, 0] != 0.0) & np.all(np.isfinite(coeffs), axis=1)
+    deg = coeffs.shape[1] - 1
+    companion = np.zeros((len(systems), deg, deg), dtype=complex)
+    companion[solvable, 0, :] = -coeffs[solvable, 1:] / coeffs[solvable, :1]
+    companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+    z = np.linalg.eigvals(companion)
+
+    def deflection(z):
+        """(eta - y, d eta / d conj(z)) at every (field, root) pair."""
+        inv = 1.0 / np.conj(z[:, :, None] - xi[:, None, :])
+        return c * z - 2.0 * m * inv.sum(axis=2) - yc, 2.0 * m * (inv * inv).sum(axis=2)
+
+    with np.errstate(all="ignore"):
+        for _ in range(_IMAGE_NEWTON_STEPS):
+            f, b = deflection(z)
+            z = z - (c * f - b * np.conj(f)) / (c * c - np.abs(b) ** 2)
+        f, b = deflection(z)
+        residual = np.abs(f)
+        det = c * c - np.abs(b) ** 2
+        off_star = np.all(np.abs(z[:, :, None] - xi[:, None, :]) ** 2 >= 1e-24, axis=2)
+        keep = solvable[:, None] & np.isfinite(z) & off_star & (residual <= _IMAGE_TOL)
+        close = np.abs(z[:, :, None] - z[:, None, :]) < _IMAGE_DEDUP
+    earlier = np.tril(np.ones((deg, deg), dtype=bool), -1)
+    keep &= ~np.any(close & earlier & keep[:, None, :], axis=2)
+    parity = np.sum(np.where(keep, np.sign(det), 0.0), axis=1)
+    certified = solvable & (parity == 1 - n_stars)
+    rows, k = np.nonzero(keep)
+    points = np.column_stack([z.real[rows, k], z.imag[rows, k]])
+    roots = RootSet(points, det[rows, k], residual[rows, k],
+                    np.array([yc.real, yc.imag]), _IMAGE_DEDUP, rows=rows)
+    return roots, certified
 
 
 # ---------------------------------------------------------------------------

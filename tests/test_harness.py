@@ -32,7 +32,7 @@ from ricelab.harness import (
     run_suite,
     verdict,
 )
-from ricelab.levelsets import count_roots_1d
+from ricelab.levelsets import count_roots_1d, lens_images
 from ricelab.modelspec import model_from_doc, model_to_doc
 from ricelab.rng import fanout_seed
 
@@ -505,6 +505,53 @@ def test_default_image_region_contains_all_images():
         r = sample_realization(model, seed=seed)
         rs = count_roots_2d(r, [(-rad, rad), (-rad, rad)], y, grid=96)
         assert np.all(np.linalg.norm(rs.points, axis=1) <= rad)
+
+
+def _grid_image_counts(doc, master_seed, n):
+    """Per-field counts of the grid counter that certificate failures fall back to."""
+    cfg = ExperimentConfig.from_doc(doc)
+    model = model_from_doc(dict(cfg.model))
+    region, box = harness._lens_geometry(cfg, model, cfg.levels[0])
+    y = np.asarray(cfg.levels[0], dtype=float)
+    return np.array([
+        harness._count_images(
+            sample_realization(model, fanout_seed(master_seed, cfg.experiment_id, i)),
+            box, y, region, cfg.grid)[0]
+        for i in range(n)])
+
+
+@pytest.mark.parametrize("master_seed", [1, 2, 3])
+def test_lens_polynomial_counts_match_grid_counter(master_seed):
+    # the bench-scale lens-images experiment: 60 fields, 3 stars
+    doc = _cfg(experiment_id="lens-images", model=LENS3, levels=[[0.25, 0.1]],
+               box=None, n_realizations=60, grid=64).to_doc()
+    part = _chunk_lhs(doc, master_seed, 0, 60)
+    assert part["extras"] == {"parity_fallbacks": 0, "parity_escalations": 0,
+                              "parity_unresolved": 0}
+    assert np.array_equal(part["values"][:, 0], _grid_image_counts(doc, master_seed, 60))
+
+
+def test_lens_certificate_failures_fall_back_to_grid_counter():
+    # at 6 stars (degree 37) the monomial form loses images on some fields
+    doc = _cfg(experiment_id="n6", model=dict(LENS0, n_stars=6), levels=[[0.25, 0.1]],
+               box=None, n_realizations=30, grid=64).to_doc()
+    part = _chunk_lhs(doc, 2, 0, 30)
+    assert part["extras"]["parity_fallbacks"] > 0
+    assert np.array_equal(part["values"][:, 0], _grid_image_counts(doc, 2, 30))
+
+
+def test_lens_image_between_close_stars_counts():
+    # lens-images field 3068 at master seed 11: two stars 0.0035 apart with an
+    # image between them (det J ~ -7e10), which the grid counter misses up
+    # to MAX_PARITY_GRID and reports as parity_unresolved with a count of 1
+    doc = _cfg(experiment_id="lens-images", model=LENS3, levels=[[0.25, 0.1]],
+               box=None, n_realizations=30, grid=64).to_doc()
+    system = sample_realization(model_from_doc(LENS3), fanout_seed(11, "lens-images", 3068))
+    images, certified = lens_images([system], [0.25, 0.1])
+    assert certified.tolist() == [True]
+    assert images.count == 2
+    assert np.max(images.deltas) > 1e10
+    assert _chunk_lhs(doc, 11, 3068, 3069)["values"].tolist() == [[2.0]]
 
 
 # ---------------------------------------------------------------------------

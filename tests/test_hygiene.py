@@ -144,7 +144,13 @@ COLD_START = textwrap.dedent("""
                       "amplitudes": [0.7, 0.7]}}
     measure_only(line, 1)
     predict_only(line, 1)
-    print(sorted(m for m in ("scipy", "multiprocessing") if m in sys.modules))
+    lens = {"experiment_id": "cold-lens", "estimator": "roots", "levels": [[0.25, 0.1]],
+            "n_realizations": 30, "grid": 64,
+            "model": {"kind": "microlens", "kappa_c": 2.0, "gamma": 0.0, "m": 0.2,
+                      "n_stars": 3, "R": 1.0}}
+    measure_only(lens, 1)
+    print(sorted(m for m in ("scipy", "multiprocessing", "numpy.polynomial")
+                 if m in sys.modules))
     occupation = dict(line, estimator="local_time", delta=0.3, levels=[1.0],
                       model={"kind": "chi_square", "n": 2, "base": dict(
                           line["model"], amplitudes=[0.5 ** 0.5, 0.5 ** 0.5])})
@@ -154,6 +160,8 @@ COLD_START = textwrap.dedent("""
 
 
 def test_cold_start_leaves_scipy_and_multiprocessing_unloaded():
+    # the lens run adds the polynomial image search, which must not load
+    # numpy.polynomial either
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", COLD_START], env=env,
                           capture_output=True, text=True)

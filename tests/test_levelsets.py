@@ -1,4 +1,3 @@
-import csv
 import json
 import math
 
@@ -20,6 +19,7 @@ from ricelab.levelsets import (
     count_roots_1d,
     count_roots_2d,
     irregularity_scan,
+    lens_images,
     local_time,
     nodal_length,
     sample_grid,
@@ -118,17 +118,6 @@ def test_roots_1d_field_calls_bounded_by_iterations_not_roots():
     assert len(calls) <= 1 + 40 + 2 * 8 + 2
 
 
-def test_root_set_csv_round_trip(tmp_path):
-    rs = count_roots_1d(_sine(), (0.1, 1.1), 0.0)
-    path = tmp_path / "roots.csv"
-    rs.to_csv(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == rs.count
-    got = sorted(float(r["t0"]) for r in rows)
-    assert np.allclose(got, np.sort(rs.points.ravel()), atol=0)
-
-
 # ---------------------------------------------------------------------------
 # planar root counting
 # ---------------------------------------------------------------------------
@@ -194,6 +183,39 @@ def test_roots_2d_starless_lens_has_single_image():
     rs = count_roots_2d(r, [(-1, 1), (-1, 1)], y, grid=64)
     assert rs.count == 1
     assert np.allclose(rs.points[0], -y, atol=1e-9)
+
+
+def test_lens_images_starless_single_image_at_y_over_c():
+    model = MicrolensModel(kappa_c=0.5, gamma=0.1, m=0.2, n_stars=0, R=1.0)
+    y = np.array([0.25, 0.1])
+    images, certified = lens_images([sample_realization(model, s) for s in range(4)], y)
+    assert certified.all()
+    assert images.rows.tolist() == [0, 1, 2, 3]
+    assert np.allclose(images.points, y / 0.6, rtol=0, atol=1e-12)
+    assert np.allclose(images.signed, 0.36)
+
+
+def test_lens_images_vanishing_leading_coefficient_is_not_certified():
+    # c = 1 - kappa_c + gamma = 0: the polynomial loses its top degree
+    model = MicrolensModel(kappa_c=1.0, gamma=0.0, m=0.2, n_stars=3, R=1.0)
+    systems = [sample_realization(model, s) for s in range(3)]
+    images, certified = lens_images(systems, [0.25, 0.1])
+    assert not certified.any()
+    assert images.count == 0
+
+
+def test_lens_images_residuals_and_parity_on_every_certified_field():
+    model = MicrolensModel(kappa_c=2.0, gamma=0.0, m=0.2, n_stars=3, R=1.0)
+    systems = [sample_realization(model, s) for s in range(20)]
+    y = np.array([0.25, 0.1])
+    images, certified = lens_images(systems, y)
+    assert certified.all()
+    for i, system in enumerate(systems):
+        mine = images.rows == i
+        pts = images.points[mine]
+        assert np.all(np.linalg.norm(system.value(pts) - y, axis=1) <= 1e-9)
+        assert np.allclose(images.signed[mine], np.linalg.det(system.jacobian(pts)))
+        assert np.sum(np.sign(images.signed[mine])) == 1 - 3
 
 
 def _reference_count_roots_2d(realization, box, u, grid, newton_iters=30, tol=1e-9):
