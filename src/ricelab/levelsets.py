@@ -479,6 +479,7 @@ def count_roots_2d(
 _IMAGE_TOL = 1e-9  # residual bound |eta(x) - y|, as in count_roots_2d
 _IMAGE_NEWTON_STEPS = 8
 _IMAGE_DEDUP = 1e-7  # Newton-polished copies of one image agree to rounding
+_IMAGE_BLOCK = 1 << 18  # companion-matrix entries per eigvals call (4 MB)
 
 
 def _image_polynomial(xi: np.ndarray, y: complex, c: float, m: float) -> np.ndarray:
@@ -505,19 +506,71 @@ def _image_polynomial(xi: np.ndarray, y: complex, c: float, m: float) -> np.ndar
     return poly
 
 
-def lens_images(systems, y) -> tuple:
-    """Every image of source ``y`` under each point-mass deflection map.
+def _drop_copies(z: np.ndarray, keep: np.ndarray) -> None:
+    """Unset ``keep`` on each kept root within _IMAGE_DEDUP of an earlier kept root of its field.
 
-    ``systems`` are ``MicrolensSystem`` fields of one model (same c, m and
-    star count N).  Each field's images are roots of a complex polynomial of
-    degree N^2 + 1 (``_image_polynomial``); the companion matrices of all
-    fields go through one ``np.linalg.eigvals`` call.  Every (field, root)
-    pair then takes Newton steps on the real map together, in complex form
-    with d eta/dz = c and d eta/d conj(z) = 2m sum 1/conj(z - xi_j)^2.  A root
-    is kept when it is finite, no closer than 1e-12 to a star and has
+    Only kept roots are compared: each field's are gathered first, in their
+    order, into a (fields, k, k) distance array, k the most any field keeps.
+    """
+    k = int(keep.sum(axis=1).max(initial=0))
+    idx = np.argsort(~keep, axis=1, kind="stable")[:, :k]
+    zk = np.take_along_axis(z, idx, axis=1)
+    kk = np.take_along_axis(keep, idx, axis=1)
+    with np.errstate(invalid="ignore"):
+        close = np.abs(zk[:, :, None] - zk[:, None, :]) < _IMAGE_DEDUP
+    copy = np.any(close & kk[:, None, :] & np.tri(k, k, -1, dtype=bool), axis=2)
+    np.put_along_axis(keep, idx, kk & ~copy, axis=1)
+
+
+def _image_block(xi: np.ndarray, y: complex, c: float, m: float) -> tuple:
+    """``(z, keep, det, residual, certified)`` of a block of fields; see ``lens_images``."""
+    coeffs = np.array([_image_polynomial(row, y, c, m) for row in xi])
+    solvable = (coeffs[:, 0] != 0.0) & np.all(np.isfinite(coeffs), axis=1)
+    deg = coeffs.shape[1] - 1
+    companion = np.zeros((len(xi), deg, deg), dtype=complex)
+    companion[solvable, 0, :] = -coeffs[solvable, 1:] / coeffs[solvable, :1]
+    companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+    z = np.linalg.eigvals(companion)
+
+    def deflection(z):
+        """(eta - y, d eta / d conj(z)) at every (field, root) pair."""
+        inv = 1.0 / np.conj(z[:, :, None] - xi[:, None, :])
+        return c * z - 2.0 * m * inv.sum(axis=2) - y, 2.0 * m * (inv * inv).sum(axis=2)
+
+    with np.errstate(all="ignore"):
+        for _ in range(_IMAGE_NEWTON_STEPS):
+            f, b = deflection(z)
+            z = z - (c * f - b * np.conj(f)) / (c * c - np.abs(b) ** 2)
+        f, b = deflection(z)
+        residual = np.abs(f)
+        det = c * c - np.abs(b) ** 2
+        off_star = np.all(np.abs(z[:, :, None] - xi[:, None, :]) ** 2 >= 1e-24, axis=2)
+        keep = solvable[:, None] & np.isfinite(z) & off_star & (residual <= _IMAGE_TOL)
+    _drop_copies(z, keep)
+    parity = np.sum(np.where(keep, np.sign(det), 0.0), axis=1)
+    return z, keep, det, residual, solvable & (parity == 1 - xi.shape[1])
+
+
+def lens_images(stars, y, c: float, m: float) -> tuple:
+    """Every image of source ``y`` under each of a set of point-mass deflection maps.
+
+    ``stars`` (fields, N, 2) holds the star positions of fields of one
+    model, with c = 1 - kappa_c + gamma and star mass ``m``.  Each field's
+    images are roots of a complex polynomial of degree N^2 + 1
+    (``_image_polynomial``); its companion matrix goes to
+    ``np.linalg.eigvals`` with those of other fields, in blocks of at most
+    2^18 entries (every field of a chunk in one call at three stars, one
+    field a call from N = 20 on).  Every (field, root) pair of a block then
+    takes Newton steps on the real map together, in complex form with
+    d eta/dz = c and d eta/d conj(z) = 2m sum 1/conj(z - xi_j)^2.  A root is
+    kept when it is finite, no closer than 1e-12 to a star and has
     |eta(x) - y| <= 1e-9; kept roots of a field closer than 1e-7 to an
     earlier one are dropped as copies.  The polynomial also has roots that
     solve only the conjugated equation; the residual test removes them.
+    Time grows like N^6 and memory like N^4 per field (at N = 40 one
+    field takes 30 s of CPU and about 80 MB), and the certificate below
+    fails on half the fields or more from N = 8 on (see
+    ``harness.MAX_POLY_STARS``).
 
     Returns ``(roots, certified)``.  ``roots`` is a ``RootSet`` of the kept
     images in the whole plane, ``rows`` giving each one's field index and
@@ -531,40 +584,12 @@ def lens_images(systems, y) -> tuple:
     a fold: their signs cancel in the sum.  It does flag the fields where the
     monomial form loses single images, which happens more often as N grows.
     """
-    c, m = float(systems[0].c), float(systems[0].m)
-    if any(s.c != c or s.m != m for s in systems):
-        raise ConfigurationError("lens_images needs fields of one model (same c and m)")
-    xi = np.array([s.star_positions @ np.array([1.0, 1j]) for s in systems])
-    xi = xi.reshape(len(systems), -1)
-    n_stars = xi.shape[1]
+    stars = np.asarray(stars, dtype=float)
+    xi = stars[..., 0] + 1j * stars[..., 1]
     yc = complex(float(y[0]), float(y[1]))
-    coeffs = np.array([_image_polynomial(row, yc, c, m) for row in xi])
-    solvable = (coeffs[:, 0] != 0.0) & np.all(np.isfinite(coeffs), axis=1)
-    deg = coeffs.shape[1] - 1
-    companion = np.zeros((len(systems), deg, deg), dtype=complex)
-    companion[solvable, 0, :] = -coeffs[solvable, 1:] / coeffs[solvable, :1]
-    companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
-    z = np.linalg.eigvals(companion)
-
-    def deflection(z):
-        """(eta - y, d eta / d conj(z)) at every (field, root) pair."""
-        inv = 1.0 / np.conj(z[:, :, None] - xi[:, None, :])
-        return c * z - 2.0 * m * inv.sum(axis=2) - yc, 2.0 * m * (inv * inv).sum(axis=2)
-
-    with np.errstate(all="ignore"):
-        for _ in range(_IMAGE_NEWTON_STEPS):
-            f, b = deflection(z)
-            z = z - (c * f - b * np.conj(f)) / (c * c - np.abs(b) ** 2)
-        f, b = deflection(z)
-        residual = np.abs(f)
-        det = c * c - np.abs(b) ** 2
-        off_star = np.all(np.abs(z[:, :, None] - xi[:, None, :]) ** 2 >= 1e-24, axis=2)
-        keep = solvable[:, None] & np.isfinite(z) & off_star & (residual <= _IMAGE_TOL)
-        close = np.abs(z[:, :, None] - z[:, None, :]) < _IMAGE_DEDUP
-    earlier = np.tril(np.ones((deg, deg), dtype=bool), -1)
-    keep &= ~np.any(close & earlier & keep[:, None, :], axis=2)
-    parity = np.sum(np.where(keep, np.sign(det), 0.0), axis=1)
-    certified = solvable & (parity == 1 - n_stars)
+    block = max(1, _IMAGE_BLOCK // (xi.shape[1] ** 2 + 1) ** 2)
+    parts = [_image_block(xi[lo:lo + block], yc, c, m) for lo in range(0, len(xi), block)]
+    z, keep, det, residual, certified = (np.concatenate(a) for a in zip(*parts))
     rows, k = np.nonzero(keep)
     points = np.column_stack([z.real[rows, k], z.imag[rows, k]])
     roots = RootSet(points, det[rows, k], residual[rows, k],

@@ -546,12 +546,30 @@ def test_lens_image_between_close_stars_counts():
     # to MAX_PARITY_GRID and reports as parity_unresolved with a count of 1
     doc = _cfg(experiment_id="lens-images", model=LENS3, levels=[[0.25, 0.1]],
                box=None, n_realizations=30, grid=64).to_doc()
-    system = sample_realization(model_from_doc(LENS3), fanout_seed(11, "lens-images", 3068))
-    images, certified = lens_images([system], [0.25, 0.1])
+    cfg = ExperimentConfig.from_doc(doc)
+    model = model_from_doc(LENS3)
+    region, box = harness._lens_geometry(cfg, model, cfg.levels[0])
+    y = np.array([0.25, 0.1])
+    system = sample_realization(model, fanout_seed(11, "lens-images", 3068))
+    images, certified = lens_images(system.star_positions[None], y, model.c, model.m)
     assert certified.tolist() == [True]
     assert images.count == 2
     assert np.max(images.deltas) > 1e10
     assert _chunk_lhs(doc, 11, 3068, 3069)["values"].tolist() == [[2.0]]
+    assert harness._count_images(system, box, y, region, 64) == (1, True, True)
+
+
+def test_lens_fields_above_star_cap_go_straight_to_grid_counter(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("lens_images called above MAX_POLY_STARS")
+
+    monkeypatch.setattr(harness, "lens_images", refuse)
+    n = harness.MAX_POLY_STARS + 1
+    doc = _cfg(experiment_id="many", model=dict(LENS0, n_stars=n), levels=[[0.25, 0.1]],
+               box=None, n_realizations=30, grid=64).to_doc()
+    part = _chunk_lhs(doc, 1, 0, 4)
+    assert part["extras"]["parity_fallbacks"] == 4
+    assert np.array_equal(part["values"][:, 0], _grid_image_counts(doc, 1, 4))
 
 
 # ---------------------------------------------------------------------------

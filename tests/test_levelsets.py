@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ricelab import levelsets
 from ricelab.errors import CapabilityError, ConfigurationError
 from ricelab.fields import (
     DeterministicField,
@@ -185,10 +186,14 @@ def test_roots_2d_starless_lens_has_single_image():
     assert np.allclose(rs.points[0], -y, atol=1e-9)
 
 
+def _stars(model, seeds):
+    return np.array([sample_realization(model, s).star_positions for s in seeds])
+
+
 def test_lens_images_starless_single_image_at_y_over_c():
     model = MicrolensModel(kappa_c=0.5, gamma=0.1, m=0.2, n_stars=0, R=1.0)
     y = np.array([0.25, 0.1])
-    images, certified = lens_images([sample_realization(model, s) for s in range(4)], y)
+    images, certified = lens_images(_stars(model, range(4)), y, model.c, model.m)
     assert certified.all()
     assert images.rows.tolist() == [0, 1, 2, 3]
     assert np.allclose(images.points, y / 0.6, rtol=0, atol=1e-12)
@@ -198,8 +203,7 @@ def test_lens_images_starless_single_image_at_y_over_c():
 def test_lens_images_vanishing_leading_coefficient_is_not_certified():
     # c = 1 - kappa_c + gamma = 0: the polynomial loses its top degree
     model = MicrolensModel(kappa_c=1.0, gamma=0.0, m=0.2, n_stars=3, R=1.0)
-    systems = [sample_realization(model, s) for s in range(3)]
-    images, certified = lens_images(systems, [0.25, 0.1])
+    images, certified = lens_images(_stars(model, range(3)), [0.25, 0.1], model.c, model.m)
     assert not certified.any()
     assert images.count == 0
 
@@ -208,7 +212,7 @@ def test_lens_images_residuals_and_parity_on_every_certified_field():
     model = MicrolensModel(kappa_c=2.0, gamma=0.0, m=0.2, n_stars=3, R=1.0)
     systems = [sample_realization(model, s) for s in range(20)]
     y = np.array([0.25, 0.1])
-    images, certified = lens_images(systems, y)
+    images, certified = lens_images(_stars(model, range(20)), y, model.c, model.m)
     assert certified.all()
     for i, system in enumerate(systems):
         mine = images.rows == i
@@ -216,6 +220,24 @@ def test_lens_images_residuals_and_parity_on_every_certified_field():
         assert np.all(np.linalg.norm(system.value(pts) - y, axis=1) <= 1e-9)
         assert np.allclose(images.signed[mine], np.linalg.det(system.jacobian(pts)))
         assert np.sum(np.sign(images.signed[mine])) == 1 - 3
+
+
+def test_lens_images_blocks_do_not_change_the_images(monkeypatch):
+    model = MicrolensModel(kappa_c=2.0, gamma=0.0, m=0.2, n_stars=3, R=1.0)
+    stars, y = _stars(model, range(7)), [0.25, 0.1]
+    whole, whole_ok = lens_images(stars, y, model.c, model.m)
+    monkeypatch.setattr(levelsets, "_IMAGE_BLOCK", 3 * 10 ** 2)  # 3 fields a block
+    split, split_ok = lens_images(stars, y, model.c, model.m)
+    assert np.array_equal(whole_ok, split_ok)
+    assert np.array_equal(whole.rows, split.rows)
+    assert np.array_equal(whole.points, split.points)
+
+
+def test_drop_copies_compares_kept_roots_of_one_field():
+    z = np.array([[1.0, 1.0 + 1e-9, 5.0, 1.0], [1.0 + 1e-9, 2.0, 1.0, np.nan]], dtype=complex)
+    keep = np.array([[False, True, True, True], [True, True, True, False]])
+    levelsets._drop_copies(z, keep)
+    assert keep.tolist() == [[False, True, True, False], [True, True, False, False]]
 
 
 def _reference_count_roots_2d(realization, box, u, grid, newton_iters=30, tol=1e-9):
