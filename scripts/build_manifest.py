@@ -49,7 +49,7 @@ def standard_experiments() -> list:
          "box": box1},
         {"experiment_id": "gauss1d-peaks", "model": gauss1,
          "levels": [0.0, 1.0], "estimator": "euler", "n_realizations": 400,
-         "box": box1, "grid": 1024, "inner_mc": 20000},
+         "box": box1, "grid": 1024},
         {"experiment_id": "chi2-crossings", "model": chi2,
          "levels": [0.5, 1.0, 2.0], "estimator": "roots",
          "n_realizations": 2000, "box": box1},
@@ -58,7 +58,7 @@ def standard_experiments() -> list:
          "box": box2, "grid": 256, "n_lines": 1000},
         {"experiment_id": "ring-excursion-euler", "model": ring,
          "levels": [0.5], "estimator": "euler", "n_realizations": 150,
-         "box": [[0.0, 2.0], [0.0, 2.0]], "grid": 256, "inner_mc": 30000},
+         "box": [[0.0, 2.0], [0.0, 2.0]], "grid": 256},
         {"experiment_id": "shot-crossings", "model": shot,
          "levels": [0.5], "estimator": "roots", "n_realizations": 2000,
          "box": [1.0, 11.0], "inner_mc": 200000},

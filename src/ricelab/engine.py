@@ -13,7 +13,8 @@ several weighted and higher-order variants:
   families (spectral Gaussian, gradient and squared-sum fields),
 * :func:`weighted_kacrice_rhs` -- predictions with a weight on the Jacobian
   ("unit", "upcrossing", or a signature index),
-* :func:`euler_char_expectation` -- signed critical-point count above a level,
+* :func:`euler_char_expectation` -- signed critical-point count above a level
+  (closed form),
 * :func:`shotnoise_rhs` -- root-count prediction for impulse-sum fields,
 * :func:`microlens_rhs` -- image-count prediction for point-mass deflection
   fields,
@@ -26,13 +27,16 @@ of measurement and prediction, so it lives in :mod:`ricelab.harness`
 Conventions shared by every evaluator:
 
 * Conditional laws of the Gaussian families are Gaussian regressions computed
-  exactly; Monte Carlo is used only where the conditional expectation itself
-  has no convenient closed form, and for the impulse-sum and point-mass
-  families, which are not Gaussian.  Sampling obeys the keyed-stream contract
-  of :mod:`ricelab.rng`.
+  exactly.  Signed critical-point counts and gradient norms of spectral
+  fields, isotropic or not, are closed forms or exponentially convergent
+  quadratures.  Monte Carlo is used only where the conditional expectation
+  has no elementary form (|det Hess| and the signature weights of gradient
+  fields, squared-sum Jacobians, pair moments) and for the impulse-sum and
+  point-mass families, which are not Gaussian.  Sampling obeys the
+  keyed-stream contract of :mod:`ricelab.rng`.
 * Deterministic quadrature error and Monte Carlo standard error are tracked
   separately and reported side by side in the result objects.  Where Monte
-  Carlo sits inside a quadrature (signed counts, pair moments, image counts),
+  Carlo sits inside a quadrature (pair moments, image counts),
   one reducer, ``_shared_draw_quadrature``, integrates every draw over the
   rule: one set of draws serves every node of the fine and the coarse rule,
   the standard error is the spread of each draw's integrated value, and the
@@ -69,7 +73,6 @@ from .fields import (
 from .rng import mean_se, stream
 
 DEFAULT_INNER_MC = 4096
-DEFAULT_NODES = 256
 MIN_INNER_MC = 100
 # (node, draw) pairs per block of _shared_draw_quadrature: timed on its three
 # users on a 2-core Xeon host, 2^14 was fastest or within noise for each.
@@ -143,7 +146,7 @@ class RhsEvaluation:
 # small shared helpers
 
 
-def _normalize_nodes(quadrature, default: int = DEFAULT_NODES) -> int:
+def _normalize_nodes(quadrature, default: int) -> int:
     if quadrature is None:
         return default
     n = int(quadrature)
@@ -295,9 +298,11 @@ def conditional_jacobian_expectation(model, t, u, *, inner_mc: int = DEFAULT_INN
     """E[ normal_jacobian(jac X(t)) | X(t) = u ] with a standard error.
 
     Closed forms are used when the conditional law makes the expectation
-    elementary (stationary Gaussian value/derivative independence); otherwise
-    the exact conditional Gaussian law is sampled.  The returned pair is
-    (estimate, one-sigma standard error); the error is 0.0 for closed forms.
+    elementary (stationary Gaussian value/derivative independence; the norm
+    of an anisotropic planar gradient is a one-dimensional quadrature);
+    otherwise the exact conditional Gaussian law is sampled.  The returned
+    pair is (estimate, one-sigma standard error); the error is 0.0 for closed
+    forms.
     Impulse-sum and deflection models have no rule here: their predictions
     are :func:`shotnoise_rhs` and :func:`microlens_rhs`.
     """
@@ -311,10 +316,7 @@ def conditional_jacobian_expectation(model, t, u, *, inner_mc: int = DEFAULT_INN
             # ||grad X|| has the length-2 chi law
             sigma = math.sqrt(lam[0, 0])
             return sigma * math.sqrt(math.pi / 2.0), 0.0
-        rng = stream(seed, "cond-jacobian")
-        chol = np.linalg.cholesky(lam)
-        draws = rng.standard_normal((inner_mc, 2)) @ chol.T
-        return mean_se(np.hypot(draws[:, 0], draws[:, 1]))
+        return _gaussian_norm_mean(lam), 0.0
     if isinstance(model, GradientField):
         dets, _ = _sample_hessians(model.base, stream(seed, "cond-jacobian"), inner_mc)
         return mean_se(np.abs(dets))
@@ -327,6 +329,26 @@ def conditional_jacobian_expectation(model, t, u, *, inner_mc: int = DEFAULT_INN
     raise CapabilityError(
         f"no conditional Jacobian rule for {type(model).__name__}"
     )
+
+
+def _gaussian_norm_mean(cov: np.ndarray) -> float:
+    """E||Z|| for Z ~ N(0, cov) in the plane.
+
+    With a, b the eigenvalues of ``cov``,
+    E||Z|| = sqrt(2/pi) int_0^{pi/2} sqrt(a cos^2 phi + b sin^2 phi) dphi
+    (||z|| is a quarter of the integral of |<z, e_phi>| over the circle).
+    The integrand is smooth and periodic, so the midpoint rule converges
+    exponentially; nodes double until two rules agree to 1e-14 relative.
+    """
+    a, b = np.maximum(np.linalg.eigvalsh(cov), 0.0)
+    n, prev = 32, math.inf
+    while True:
+        phi = (np.arange(n) + 0.5) * (0.5 * math.pi / n)
+        est = math.sqrt(2.0 / math.pi) * 0.5 * math.pi * float(
+            np.mean(np.sqrt(a * np.cos(phi) ** 2 + b * np.sin(phi) ** 2)))
+        if abs(est - prev) <= 1e-14 * est or n >= 1 << 20:
+            return est
+        n, prev = 2 * n, est
 
 
 def _sample_hessians(base: SpectralGaussian2D, rng, n: int) -> tuple:
@@ -451,84 +473,42 @@ def weighted_kacrice_rhs(model, box, u, weight, *, inner_mc: int = DEFAULT_INNER
 # signed critical-point count (Euler characteristic of the excursion set)
 
 
-def euler_char_expectation(model, box, u, *, quadrature=None,
-                           inner_mc: int = DEFAULT_INNER_MC,
-                           seed: int = 0) -> RhsEvaluation:
+def euler_char_expectation(model, box, u) -> RhsEvaluation:
     """Expected signed count of critical points with value above ``u``.
 
     Critical points of index ``i`` carry weight (-1)^(d - i); for smooth
     excursion sets without boundary effects this signed count equals the
-    Euler characteristic.  The prediction is
+    Euler characteristic.  For a stationary spectral Gaussian field on a box
+    of volume ``vol`` in dimension d in {1, 2} it is the Gaussian kinematic
+    formula's Euler-characteristic density (Adler & Taylor, *Random Fields
+    and Geometry*, 2007, ch. 11-12; for d = 1, Rice's upcrossing rate):
 
-        (-1)^d * int_u^inf dx int_box dt E[det Hess | X = x, grad X = 0]
-                 * p_{X, grad X}(x, 0)
+        vol * sqrt(det L2) * (2 pi)^(-(d+1)/2) * lambda0^(-d/2)
+            * H_{d-1}(u / sqrt(lambda0)) * exp(-u^2 / (2 lambda0))
 
-    evaluated with an exact conditional Gaussian law, a rational map
-    x = u + s/(1-s) for the half-line, a midpoint rule in s (half-resolution
-    comparison gives the quadrature error), and a common set of Gaussian
-    draws across all x nodes (their shared randomness makes the standard
-    error of the integrated value exact).
+    with L2 the gradient covariance, H_0 = 1 and H_1(x) = x.  For d = 2 it
+    holds without isotropy: the Hessian given X = x is independent of the
+    gradient and E[det Hess | X = x] = det L2 (x^2 / lambda0^2 - 1 / lambda0),
+    because the fourth spectral moments are symmetric in their indices
+    (m_1122 = m_1212), so the Hessian's own covariance cancels.
     """
-    inner_mc = _check_inner_mc(inner_mc)
-    nodes = _normalize_nodes(quadrature)
     if isinstance(model, SpectralGaussian1D):
-        vol = _box_volume(_box_array(box, 1))
-        d = 1
-        hess_cov = np.array([[model.lambda4]])
-        cross = np.array([-model.lambda2])  # Cov(X'', X)
-        grad_dens = _gauss_pdf(0.0, model.lambda2)
+        d, det_lam = 1, model.lambda2
     elif isinstance(model, SpectralGaussian2D):
-        vol = _box_volume(_box_array(box, 2))
-        d = 2
-        hess_cov = _hessian_cov_matrix(model)
-        lam = model.lambda2_matrix
-        cross = -np.array([lam[0, 0], lam[1, 1], lam[0, 1]])  # Cov((h11, h22, h12), X)
-        sign, logdet = np.linalg.slogdet(lam)
-        if sign <= 0:
-            raise ModelError("degenerate gradient covariance")
-        grad_dens = math.exp(-0.5 * logdet) / (2.0 * math.pi)
+        d, det_lam = 2, float(np.linalg.det(model.lambda2_matrix))
     else:
         raise CapabilityError(
             "signed counts need a scalar Gaussian field with two derivatives")
+    if det_lam <= 0.0:
+        raise ModelError("degenerate gradient covariance")
+    vol = _box_volume(_box_array(box, d))
     lam0 = model.lambda0
-    # Regression of the Hessian entries on X (the gradient is independent of
-    # both): conditional mean gain * x, covariance independent of x, so it is
-    # factorised once
-    gain = cross / lam0
-    cov = hess_cov - np.outer(gain, cross)
-    cov = 0.5 * (cov + cov.T)  # symmetry lost to round-off
-    jitter = 1e-14 * max(float(np.trace(cov)), 1.0)
-    chol = np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]))
-    rng = stream(seed, "euler-hessian")
-    z = rng.standard_normal((inner_mc, cov.shape[0])) @ chol.T
-    zs = z.T.copy()  # one contiguous row per Hessian entry
-
-    def per_draw(n_nodes: int) -> np.ndarray:
-        """Per-draw midpoint rule in s of det Hess times the joint density."""
-        s = (np.arange(n_nodes) + 0.5) / n_nodes
-        x = u + s / (1.0 - s)
-        mean = np.outer(gain, x)[:, :, None]  # conditional mean of the Hessian
-        dens = np.exp(-0.5 * x * x / lam0) / math.sqrt(2.0 * math.pi * lam0) * grad_dens
-
-        def node_values(sl: slice) -> np.ndarray:
-            if d == 1:
-                dets = zs[0] + mean[0, sl]
-            else:
-                h12 = zs[2] + mean[2, sl]
-                dets = (zs[0] + mean[0, sl]) * (zs[1] + mean[1, sl]) - h12 * h12
-            return dets * dens[sl, None]
-
-        return _shared_draw_quadrature(node_values, (1.0 / n_nodes) / (1.0 - s) ** 2,
-                                       inner_mc)
-
-    coarse = float(per_draw(nodes // 2).mean())
-    fine, mc_se = mean_se(per_draw(nodes))
-    sign_factor = (-1.0) ** d
-    value = sign_factor * fine * vol
-    quad_err = abs(fine - coarse) * vol
-    return RhsEvaluation(value=value, quadrature_error=quad_err, mc_error=mc_se * vol,
-                         n_quadrature=nodes, n_mc=inner_mc, signed=True,
-                         detail={"nodes": nodes, "n_mc": inner_mc, "dim": d})
+    x = float(u) / math.sqrt(lam0)
+    hermite = 1.0 if d == 1 else x
+    value = (vol * math.sqrt(det_lam) * (2.0 * math.pi) ** (-0.5 * (d + 1))
+             * lam0 ** (-0.5 * d) * hermite * math.exp(-0.5 * x * x))
+    return RhsEvaluation(value=value, signed=True,
+                         detail={"path": "closed-form", "dim": d})
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +809,7 @@ def microlens_rhs(model, y, region, *, quadrature=None,
         inside = bool(region_mask(img[None, :], region)[0])
         return RhsEvaluation(value=1.0 if inside else 0.0,
                              detail={"path": "deterministic", "image": img.tolist()})
-    nodes = _normalize_nodes(quadrature, default=24)
+    nodes = _normalize_nodes(quadrature, 24)
     inner_mc = _check_inner_mc(inner_mc)
     xi = _lens_ensemble(model, inner_mc, stream(seed, "lens-ensemble"))
 
@@ -893,7 +873,7 @@ def second_factorial_moment_rhs(model: SpectralGaussian1D, interval, u, *,
     if not isinstance(model, SpectralGaussian1D):
         raise CapabilityError("pair-count prediction needs a scalar line field")
     inner_mc = _check_inner_mc(inner_mc)
-    nodes = _normalize_nodes(quadrature, default=512)
+    nodes = _normalize_nodes(quadrature, 512)
     arr = _box_array(interval, 1)
     T = float(arr[0, 1] - arr[0, 0])
     lam0 = model.lambda0

@@ -295,18 +295,19 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     # a value set away from its default where nothing reads it is an error
     lens_mc = kind == "microlens" and model.n_stars > 0  # zero stars: deterministic
     for key, readers, read in (
-            ("quadrature", "the euler and moment2 estimators and deflection "
-             "models with stars", cfg.estimator in ("euler", "moment2") or lens_mc),
+            ("quadrature", "the moment2 estimator and deflection models with "
+             "stars", cfg.estimator == "moment2" or lens_mc),
             ("delta", "the local_time estimator", cfg.estimator == "local_time"),
             ("n_lines", "the length estimator", cfg.estimator == "length"),
             ("rhs_delta", "shot-noise models", kind == "shot_noise"),
             ("p_max", "shot-noise models", kind == "shot_noise"),
             # Monte Carlo predictions; closed forms are spectral line fields
-            # outside euler and moment2, every local_time, isotropic length,
-            # and the star-free lens
+            # outside moment2, every euler, local_time and length, and the
+            # star-free lens.  euler still accepts inner_mc, unread: configs
+            # written when it took draws set it, the standard manifest's
+            # frozen benchmark copies among them.
             ("inner_mc", "Monte Carlo predictions",
              cfg.estimator in ("euler", "moment2") or lens_mc
-             or (cfg.estimator == "length" and not model.isotropic)
              or (cfg.estimator in ("roots", "weighted")
                  and kind not in ("spectral_gaussian_1d", "microlens")))):
         if not read and getattr(cfg, key) != ExperimentConfig.__dataclass_fields__[key].default:
@@ -367,6 +368,11 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         if kind != "microlens":
             raise ConfigurationError("region applies to deflection models only")
         _check_region(cfg.region)
+    elif kind == "microlens" and model.c == 0.0:
+        # default_image_region bounds the images by |c| r against the stars' pull
+        raise ConfigurationError(
+            "1 - kappa_c + gamma = 0: with no linear term the images are not "
+            "bounded a priori, so the model needs an explicit region")
 
 
 def _check_box(box, D: int) -> None:
@@ -871,9 +877,7 @@ def _rhs_for_level(cfg: ExperimentConfig, model, level, seed: int):
     if est == "local_time":
         return _local_time_rhs(model, cfg.box, float(level), cfg.delta)
     if est == "euler":
-        return euler_char_expectation(model, cfg.box, float(level),
-                                      quadrature=cfg.quadrature,
-                                      inner_mc=cfg.inner_mc, seed=seed)
+        return euler_char_expectation(model, cfg.box, float(level))
     if est == "moment2":
         return second_factorial_moment_rhs(model, cfg.box, float(level),
                                            quadrature=cfg.quadrature,

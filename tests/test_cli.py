@@ -193,6 +193,19 @@ def test_boolean_level_exits_two(tmp_path, capsys, command):
     assert "levels must be finite scalars" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["measure", "kacrice"])
+def test_lens_without_linear_term_or_region_exits_two(tmp_path, capsys, command):
+    # c = 1 - kappa_c + gamma = 0 gives no default image region: a config
+    # error, not a division by zero inside the run
+    lens = {"kind": "microlens", "kappa_c": 1.0, "gamma": 0.0, "m": 0.2,
+            "n_stars": 3, "R": 1.0}
+    doc = _exact_experiment(model=lens, levels=[[0.25, 0.1]], box=None, grid=64)
+    del doc["box"]
+    cfg = _write(tmp_path, "exp.json", doc)
+    assert main([command, "--config", cfg]) == 2
+    assert "explicit region" in capsys.readouterr().err
+
+
 def test_measure_json_and_csv(tmp_path, capsys):
     cfg = _write(
         tmp_path, "exp.json",

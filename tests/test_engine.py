@@ -167,6 +167,29 @@ def test_anisotropic_gradient_norm_against_direct_mc():
     assert abs(ev.value - oracle) <= 4.0 * (ev.total_error + oracle_se)
 
 
+def test_anisotropic_gradient_norm_matches_dblquad():
+    model = SpectralGaussian2D(
+        wavevectors=np.array(
+            [[2.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 2.0], [3.0, 1.0]]
+        ),
+        amplitudes=np.array([0.5, 0.6, 0.3, 0.4, 0.2]),
+    )
+    lam = model.lambda2_matrix
+    inv = np.linalg.inv(lam)
+    norm = 1.0 / (TWO_PI * math.sqrt(np.linalg.det(lam)))
+
+    def integrand(r, phi):  # r * ||g|| * density at g = r e_phi
+        e = np.array([math.cos(phi), math.sin(phi)])
+        return r * r * norm * math.exp(-0.5 * r * r * float(e @ inv @ e))
+
+    oracle, _ = integrate.dblquad(integrand, 0.0, TWO_PI, 0.0, np.inf,
+                                  epsabs=1e-13, epsrel=1e-13)
+    cond, se = engine.conditional_jacobian_expectation(model, None, 0.4)
+    assert cond == pytest.approx(oracle, rel=1e-10) and se == 0.0
+    ev = kacrice_rhs(model, [(0, 2), (0, 3)], 0.4)
+    assert (ev.mc_error, ev.quadrature_error, ev.n_mc) == (0.0, 0.0, 0)
+
+
 # ---------------------------------------------------------------------------
 # squared-sum fields
 # ---------------------------------------------------------------------------
@@ -258,7 +281,7 @@ def test_signed_count_line_field_closed_form():
     model = _line_model(freqs=(0.8, 1.7, 2.9), amps=(0.7, 0.5, 0.3))
     T = 5.0
     for u in (0.0, 0.3, 1.1):
-        est = euler_char_expectation(model, (0.0, T), u, seed=2)
+        est = euler_char_expectation(model, (0.0, T), u)
         expect = (T / TWO_PI) * math.sqrt(model.lambda2 / model.lambda0) * math.exp(
             -0.5 * u * u / model.lambda0
         )
@@ -267,7 +290,7 @@ def test_signed_count_line_field_closed_form():
 
 def test_signed_count_single_harmonic_one_period():
     model = SpectralGaussian1D(frequencies=np.array([1.0]), amplitudes=np.array([1.0]))
-    est = euler_char_expectation(model, (0.0, TWO_PI), 0.0, seed=2)
+    est = euler_char_expectation(model, (0.0, TWO_PI), 0.0)
     assert abs(est.value - 1.0) <= 4.0 * est.total_error + 1e-6
 
 
@@ -279,14 +302,13 @@ def test_signed_count_plane_matches_isotropic_closed_form():
     model = _ring_model(kappa)
     lam2 = kappa * kappa / 2.0
     for u in (0.5, 1.0):
-        est = euler_char_expectation(model, [(0, 1), (0, 1)], u, seed=6,
-                                     inner_mc=200_000)
+        est = euler_char_expectation(model, [(0, 1), (0, 1)], u)
         expect = (TWO_PI) ** (-1.5) * lam2 * u * math.exp(-0.5 * u * u)
         assert abs(est.value - expect) <= 4.0 * est.total_error + 2e-3 * abs(expect)
 
 
 def test_signed_count_plane_zero_level_vanishes():
-    est = euler_char_expectation(_ring_model(), [(0, 1), (0, 1)], 0.0, seed=6)
+    est = euler_char_expectation(_ring_model(), [(0, 1), (0, 1)], 0.0)
     assert abs(est.value) <= 4.0 * est.total_error + 1e-6
 
 
@@ -311,18 +333,17 @@ def test_signed_count_plane_against_direct_mc():
     p_grad = 1.0 / (TWO_PI * math.sqrt(float(np.linalg.det(lam))))
     oracle = float(vals.mean()) * p_grad
     oracle_se = float(vals.std(ddof=1) / math.sqrt(vals.size)) * p_grad
-    est = euler_char_expectation(model, [(0, 1), (0, 1)], u, seed=9,
-                                 inner_mc=200_000)
+    est = euler_char_expectation(model, [(0, 1), (0, 1)], u)
     assert abs(est.value - oracle) <= 4.0 * (est.total_error + oracle_se)
 
 
 def _euler_per_draw_reference(model, u, n_nodes, inner_mc, seed):
-    """Per-draw integrals of the signed-count rule, one quadrature node at a time.
+    """Per-draw integrals of the signed-count integral, one node at a time.
 
-    The conditional law of the Hessian given X = x (the gradient is
-    independent) is built here from the spectral sums, on the engine's draws
-    (tag "euler-hessian"), with its relative jitter so near-singular
-    factorisations agree.
+    Monte Carlo oracle for the closed form: the conditional law of the
+    Hessian given X = x (the gradient is independent) is built here from the
+    spectral sums and sampled, and the half-line x > u goes through the
+    rational map x = u + s/(1 - s) and a midpoint rule in s.
     """
     lam0 = model.lambda0
     if model.D == 1:
@@ -349,28 +370,24 @@ def _euler_per_draw_reference(model, u, n_nodes, inner_mc, seed):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_signed_count_shared_draws_match_per_node_loop(dim):
+def test_signed_count_closed_form_matches_per_draw_oracle(dim):
     if dim == 1:
         model = _line_model(freqs=(0.8, 1.7, 2.9), amps=(0.7, 0.5, 0.3))
         box, sign = (0.0, 2.0), -1.0
     else:
-        # waves of three lengths, so the Hessian is not tied to the value
+        # anisotropic, with waves of three lengths so the Hessian is not tied
+        # to the value
         k = np.array([[1.0, 0.0], [0.6, 1.1], [-1.3, 0.9], [0.4, -2.2], [2.1, 1.7]])
         model = SpectralGaussian2D(wavevectors=k, amplitudes=np.full(5, math.sqrt(0.2)))
+        assert not model.isotropic
         box, sign = [(0.0, 2.0), (0.0, 1.0)], 1.0
-    u, inner_mc, seed = 0.6, 3000, 4
-    est = euler_char_expectation(model, box, u, quadrature=40, inner_mc=inner_mc,
-                                 seed=seed)
-    fine = _euler_per_draw_reference(model, u, 40, inner_mc, seed)
-    coarse = _euler_per_draw_reference(model, u, 20, inner_mc, seed)
-    assert est.value == pytest.approx(sign * 2.0 * fine.mean(), rel=1e-12)
-    assert est.mc_error * math.sqrt(inner_mc) == pytest.approx(
-        2.0 * fine.std(ddof=1), rel=1e-12)
-    # a difference of two near-equal integrals: its rounding is the integrals'
-    assert est.quadrature_error == pytest.approx(
-        2.0 * abs(fine.mean() - coarse.mean()), rel=1e-12, abs=1e-13 * abs(est.value))
-    assert est.detail == {"nodes": 40, "n_mc": inner_mc, "dim": dim}
-    assert (est.n_quadrature, est.n_mc, est.signed) == (40, inner_mc, True)
+    for u in (-1.0, 0.0, 0.6, 2.0):
+        est = euler_char_expectation(model, box, u)
+        oracle = sign * 2.0 * _euler_per_draw_reference(model, u, 64, 20_000, seed=4)
+        mean, se = mean_se(oracle)
+        assert abs(est.value - mean) <= 3.0 * se, (u, est.value, mean, se)
+        assert (est.mc_error, est.quadrature_error, est.n_mc) == (0.0, 0.0, 0)
+        assert est.signed and est.detail == {"path": "closed-form", "dim": dim}
 
 
 # ---------------------------------------------------------------------------

@@ -176,7 +176,9 @@ def test_config_rejects_quadrature_nothing_reads():
         _cfg(model=CHI2, levels=[1.0], quadrature=16)
     with pytest.raises(ConfigurationError, match="quadrature"):
         _cfg(estimator="weighted", weight="upcrossing", quadrature=16)
-    assert _cfg(estimator="euler", quadrature=16).quadrature == 16
+    # signed counts are a closed form: no rule to size
+    with pytest.raises(ConfigurationError, match="quadrature"):
+        _cfg(estimator="euler", quadrature=16)
     assert _cfg(estimator="moment2", box=[0.0, 3.0], quadrature=16).quadrature == 16
     lens = _cfg(model=LENS3, levels=[[0.25, 0.1]], box=None, quadrature=8,
                 n_realizations=30, grid=64)
@@ -209,6 +211,8 @@ def test_config_rejects_quadrature_nothing_reads():
     with pytest.raises(ConfigurationError, match="inner_mc"):
         _cfg(model=CHI2, levels=[1.0], estimator="local_time", delta=0.2, inner_mc=8192)
     assert _cfg(inner_mc=4096).inner_mc == 4096
+    # unread since signed counts became a closed form, but still accepted:
+    # configs written before then set it
     assert _cfg(estimator="euler", inner_mc=8192).inner_mc == 8192
     assert _cfg(estimator="moment2", box=[0.0, 3.0], inner_mc=8192).inner_mc == 8192
     assert _cfg(model=CHI2, levels=[1.0], inner_mc=8192).inner_mc == 8192
@@ -216,12 +220,11 @@ def test_config_rejects_quadrature_nothing_reads():
     assert lens.inner_mc == 4096
     assert _cfg(model=LENS3, levels=[[0.25, 0.1]], box=None, n_realizations=30,
                 grid=64, inner_mc=8192).inner_mc == 8192
-    # length has a closed form over an isotropic field, Monte Carlo otherwise
+    # length has a closed form over every spectral planar field, isotropic or not
     box2 = [[0.0, 1.0], [0.0, 1.0]]
-    with pytest.raises(ConfigurationError, match="inner_mc"):
-        _cfg(model=RING, estimator="length", box=box2, inner_mc=8192)
-    assert _cfg(model=ANISO, estimator="length", box=box2,
-                inner_mc=8192).inner_mc == 8192
+    for model in (RING, ANISO):
+        with pytest.raises(ConfigurationError, match="inner_mc"):
+            _cfg(model=model, estimator="length", box=box2, inner_mc=8192)
 
 
 def test_config_doc_round_trip_and_strictness():

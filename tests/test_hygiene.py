@@ -6,7 +6,8 @@ Every module uses each name it imports, and so does every file under
 exempt.  Because of that exemption, every name in ``__all__`` must also be
 bound in the module, or a stale entry would pass the import scan and break
 ``from module import *``.  Every Monte Carlo standard error comes from ``rng.mean_se``: no other
-function passes ``ddof``.  Importing ricelab and running a line experiment
+function passes ``ddof``, and the closed-form predictions draw from no
+stream.  Importing ricelab and running a line experiment
 loads neither scipy nor multiprocessing; scipy loads when a chi-square
 occupation prediction first needs it.
 """
@@ -18,7 +19,11 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
+
+from ricelab import engine
+from ricelab.fields import SpectralGaussian1D, SpectralGaussian2D
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "ricelab"
@@ -131,6 +136,21 @@ def test_ddof_scan_names_the_enclosing_function():
 def test_standard_errors_come_from_mean_se_only():
     sites = {path.name: ddof_sites(path.read_text()) for path in MODULES}
     assert {name: s for name, s in sites.items() if s} == {"rng.py": ["mean_se"]}
+
+
+def test_closed_form_predictions_take_no_draws(monkeypatch):
+    def no_stream(*args, **kwargs):
+        raise AssertionError("a closed-form prediction asked for random draws")
+
+    monkeypatch.setattr(engine, "stream", no_stream)
+    line = SpectralGaussian1D(np.array([0.8, 1.7]), np.array([0.7, 0.5]))
+    aniso = SpectralGaussian2D(np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+                               np.array([0.5, 0.6, 0.3]))
+    assert not aniso.isotropic
+    for ev in (engine.euler_char_expectation(line, (0.0, 2.0), 0.5),
+               engine.euler_char_expectation(aniso, [(0, 1), (0, 1)], 0.5),
+               engine.kacrice_rhs(aniso, [(0, 1), (0, 1)], 0.5)):
+        assert (ev.mc_error, ev.n_mc) == (0.0, 0)
 
 
 COLD_START = textwrap.dedent("""
