@@ -27,13 +27,12 @@ of measurement and prediction, so it lives in :mod:`ricelab.harness`
 Conventions shared by every evaluator:
 
 * Conditional laws of the Gaussian families are Gaussian regressions computed
-  exactly.  Signed critical-point counts and gradient norms of spectral
-  fields, isotropic or not, are closed forms or exponentially convergent
-  quadratures.  Monte Carlo is used only where the conditional expectation
-  has no elementary form (|det Hess| and the signature weights of gradient
-  fields, squared-sum Jacobians, pair moments) and for the impulse-sum and
-  point-mass families, which are not Gaussian.  Sampling obeys the
-  keyed-stream contract of :mod:`ricelab.rng`.
+  exactly.  Signed critical-point counts, gradient norms and E|det Hess| of
+  spectral fields, isotropic or not, are closed forms or exponentially
+  convergent periodic quadratures, and weighted counts are exact shares of
+  them.  Monte Carlo is used only for squared-sum Jacobians and pair moments
+  and for the impulse-sum and point-mass families, which are not Gaussian.
+  Sampling obeys the keyed-stream contract of :mod:`ricelab.rng`.
 * Deterministic quadrature error and Monte Carlo standard error are tracked
   separately and reported side by side in the result objects.  Where Monte
   Carlo sits inside a quadrature (pair moments, image counts),
@@ -80,6 +79,8 @@ MIN_INNER_MC = 100
 # 30-55% slower, mostly not under a raised glibc mmap/trim threshold, so that
 # cost is page faults on freshly mapped temporaries, not cache size.
 _SHARED_BLOCK = 1 << 14
+# midpoint nodes of the exact single-impulse shot-noise term
+_SHOT_QUAD_NODES = 4096
 
 __all__ = [
     "RhsEvaluation",
@@ -210,25 +211,9 @@ def _gauss_pdf(x: float, var: float) -> float:
     return math.exp(-0.5 * x * x / var) / math.sqrt(2.0 * math.pi * var)
 
 
-def _halfnormal_mean(var: float) -> float:
-    """E|Z| for Z ~ N(0, var)."""
-    return math.sqrt(2.0 * var / math.pi)
-
-
 def _sphere_area(n: int, radius: float) -> float:
     """Surface area of the radius-``radius`` sphere in R^n."""
     return 2.0 * math.pi ** (n / 2.0) * radius ** (n - 1) / math.gamma(n / 2.0)
-
-
-def _hessian_cov_matrix(model: SpectralGaussian2D) -> np.ndarray:
-    """Covariance of (h11, h22, h12) for the Hessian of the 2-D field."""
-    m = model.hessian_fourth_moment
-    idx = [(0, 0), (1, 1), (0, 1)]
-    out = np.empty((3, 3))
-    for a, (i, j) in enumerate(idx):
-        for b, (k, l) in enumerate(idx):
-            out[a, b] = m[i, j, k, l]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +284,9 @@ def conditional_jacobian_expectation(model, t, u, *, inner_mc: int = DEFAULT_INN
 
     Closed forms are used when the conditional law makes the expectation
     elementary (stationary Gaussian value/derivative independence; the norm
-    of an anisotropic planar gradient is a one-dimensional quadrature);
-    otherwise the exact conditional Gaussian law is sampled.  The returned
+    of an anisotropic planar gradient and |det Hess| of a gradient field,
+    independent of the gradient, are one-dimensional periodic quadratures);
+    the squared-sum field samples its exact conditional law.  The returned
     pair is (estimate, one-sigma standard error); the error is 0.0 for closed
     forms.
     Impulse-sum and deflection models have no rule here: their predictions
@@ -309,7 +295,7 @@ def conditional_jacobian_expectation(model, t, u, *, inner_mc: int = DEFAULT_INN
     inner_mc = _check_inner_mc(inner_mc)
     if isinstance(model, SpectralGaussian1D):
         # X' independent of X(t); E|X'| half-normal.
-        return _halfnormal_mean(model.lambda2), 0.0
+        return math.sqrt(2.0 * model.lambda2 / math.pi), 0.0
     if isinstance(model, SpectralGaussian2D):
         lam = model.lambda2_matrix
         if model.isotropic:
@@ -318,8 +304,7 @@ def conditional_jacobian_expectation(model, t, u, *, inner_mc: int = DEFAULT_INN
             return sigma * math.sqrt(math.pi / 2.0), 0.0
         return _gaussian_norm_mean(lam), 0.0
     if isinstance(model, GradientField):
-        dets, _ = _sample_hessians(model.base, stream(seed, "cond-jacobian"), inner_mc)
-        return mean_se(np.abs(dets))
+        return _abs_det_mean(model.base), 0.0
     if isinstance(model, ChiSquareField):
         uf = float(u)
         if uf <= 0.0:
@@ -331,32 +316,54 @@ def conditional_jacobian_expectation(model, t, u, *, inner_mc: int = DEFAULT_INN
     )
 
 
+def _periodic_mean(f) -> float:
+    """Mean over phi in (0, pi/2) of a smooth function ``f`` of cos^2 phi.
+
+    Such an f is periodic, so the midpoint rule converges exponentially;
+    nodes double until two rules agree to 1e-14 relative.
+    """
+    n, prev = 32, math.inf
+    while True:
+        est = float(np.mean(f((np.arange(n) + 0.5) * (0.5 * math.pi / n))))
+        if abs(est - prev) <= 1e-14 * est or n >= 1 << 20:
+            return est
+        n, prev = 2 * n, est
+
+
 def _gaussian_norm_mean(cov: np.ndarray) -> float:
     """E||Z|| for Z ~ N(0, cov) in the plane.
 
     With a, b the eigenvalues of ``cov``,
     E||Z|| = sqrt(2/pi) int_0^{pi/2} sqrt(a cos^2 phi + b sin^2 phi) dphi
     (||z|| is a quarter of the integral of |<z, e_phi>| over the circle).
-    The integrand is smooth and periodic, so the midpoint rule converges
-    exponentially; nodes double until two rules agree to 1e-14 relative.
     """
     a, b = np.maximum(np.linalg.eigvalsh(cov), 0.0)
-    n, prev = 32, math.inf
-    while True:
-        phi = (np.arange(n) + 0.5) * (0.5 * math.pi / n)
-        est = math.sqrt(2.0 / math.pi) * 0.5 * math.pi * float(
-            np.mean(np.sqrt(a * np.cos(phi) ** 2 + b * np.sin(phi) ** 2)))
-        if abs(est - prev) <= 1e-14 * est or n >= 1 << 20:
-            return est
-        n, prev = 2 * n, est
+    return math.sqrt(2.0 / math.pi) * 0.5 * math.pi * _periodic_mean(
+        lambda phi: np.sqrt(a * np.cos(phi) ** 2 + b * np.sin(phi) ** 2))
 
 
-def _sample_hessians(base: SpectralGaussian2D, rng, n: int) -> tuple:
-    """Draws of (det, trace) of Hess Y at a point, unconditional (grad-independent)."""
-    cov = _hessian_cov_matrix(base)
-    chol = np.linalg.cholesky(cov + 1e-14 * np.trace(cov) * np.eye(3))
-    z = rng.standard_normal((n, 3)) @ chol.T
-    return z[:, 0] * z[:, 1] - z[:, 2] ** 2, z[:, 0] + z[:, 1]
+def _abs_det_mean(base: SpectralGaussian2D) -> float:
+    """E|det Hess Y| at a point of the stationary planar field ``base``.
+
+    Whitened, det H = h11 h22 - h12^2 is l1 z1^2 - l2 z2^2 - l3 z3^2 for i.i.d.
+    standard normals z, with l1 = l2 + l3 since E det H = m_1122 - m_1212 = 0.
+    So E|det H| = 2 E[(l2 z2^2 + l3 z3^2 - l1 z1^2)^+]; in polar form
+    (z2, z3) = sqrt(2W) (cos phi, sin phi) with W ~ Exp(1), E[(W - a)^+] = e^-a
+    and E e^(-s z1^2) = (1 + 2s)^(-1/2) close the W and z1 integrals, leaving
+    4 mean_phi g^(3/2) / sqrt(g + l1), g = l2 cos^2 phi + l3 sin^2 phi.  For an
+    isotropic field it is 4 m_1122 / sqrt(3) (Longuet-Higgins 1957; Adler &
+    Taylor, *Random Fields and Geometry*, 2007, ch. 11).
+    """
+    # cov of (h11, h22, h12); the whitened form's eigenvalues are those of form @ cov
+    cov = base.hessian_fourth_moment.reshape(4, 4)[np.ix_([0, 3, 1], [0, 3, 1])]
+    form = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    l2, l3 = np.maximum(-np.sort(np.linalg.eigvals(form @ cov).real)[:2], 0.0)
+
+    def integrand(phi):
+        g = l2 * np.cos(phi) ** 2 + l3 * np.sin(phi) ** 2
+        return g ** 1.5 / np.sqrt(g + l2 + l3)
+
+    return 4.0 * _periodic_mean(integrand)
 
 
 def _chi2_jacobian_draws(model: ChiSquareField, u: float, rng, n: int) -> np.ndarray:
@@ -431,42 +438,27 @@ def weighted_kacrice_rhs(model, box, u, weight, *, inner_mc: int = DEFAULT_INNER
       (gradient fields; ``k`` counts negative Hessian eigenvalues).
 
     These are the forms an experiment config accepts; any other raises
-    :class:`ConfigurationError`.
+    :class:`ConfigurationError`.  Each is an exact share of :func:`kacrice_rhs`:
+    upcrossings 1/2 (X' is symmetric), saddles 1/2 (E det H = 0), minima and
+    maxima 1/4 each (H and -H have the same law).
     """
     if weight == "unit":
         return kacrice_rhs(model, box, u, inner_mc=inner_mc, seed=seed)
     if weight == "upcrossing":
         if not isinstance(model, SpectralGaussian1D):
             raise CapabilityError("upcrossing weight needs a scalar line field")
-        vol = _box_volume(_box_array(box, 1))
-        dens = _gauss_pdf(float(u), model.lambda0)
-        # E[X' 1{X' > 0}] is half of E|X'| by sign symmetry of X'
-        half = 0.5 * _halfnormal_mean(model.lambda2)
-        return RhsEvaluation(value=dens * half * vol,
-                             detail={"weight": "upcrossing"})
-    if isinstance(weight, Mapping) and weight.get("kind") == "index":
+        share, tag = 0.5, "upcrossing"
+    elif isinstance(weight, Mapping) and weight.get("kind") == "index":
         k = weight.get("k")
-        if k not in (0, 1, 2):
-            raise ConfigurationError("signature index k must be 0, 1, or 2")
+        if isinstance(k, bool) or not isinstance(k, int) or k not in (0, 1, 2):
+            raise ConfigurationError("signature index k must be the integer 0, 1, or 2")
         if not isinstance(model, GradientField):
             raise CapabilityError("signature weights need a gradient field")
-        inner_mc = _check_inner_mc(inner_mc)
-        vol = _box_volume(_box_array(box, 2))
-        dens = level_density(model, None, u)
-        # shared stream across k so the three signature classes partition
-        # the same determinant draws
-        det, trace = _sample_hessians(model.base, stream(seed, "index-weight"),
-                                      inner_mc)
-        if k == 1:
-            sel = det < 0.0
-        elif k == 0:
-            sel = (det > 0.0) & (trace > 0.0)
-        else:
-            sel = (det > 0.0) & (trace < 0.0)
-        est, se = mean_se(np.abs(det) * sel)
-        return RhsEvaluation(value=dens * est * vol, mc_error=dens * se * vol,
-                             n_mc=inner_mc, detail={"weight": f"index-{k}"})
-    raise ConfigurationError(f"unknown weight specification {weight!r}")
+        share, tag = (0.25, 0.5, 0.25)[k], f"index-{k}"
+    else:
+        raise ConfigurationError(f"unknown weight specification {weight!r}")
+    total = kacrice_rhs(model, box, u, inner_mc=inner_mc, seed=seed)
+    return RhsEvaluation(value=share * total.value, detail={"weight": tag})
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +582,7 @@ def _shotnoise_window_term(model: ShotNoiseModel, u: float, p: int, delta: float
 
 def _shotnoise_mixture(model: ShotNoiseModel, u: float, *, want: str,
                        inner_mc: int = DEFAULT_INNER_MC, seed: int = 0,
-                       p_max: int = 12, delta: float | None = None,
-                       quad_nodes: int = 4096) -> dict:
+                       p_max: int = 12, delta: float | None = None) -> dict:
     """Poisson mixture over the impulse count in the influence window.
 
     Only impulses within ``eta`` of the evaluation point matter, and their
@@ -613,7 +604,7 @@ def _shotnoise_mixture(model: ShotNoiseModel, u: float, *, want: str,
     lam = 2.0 * model.eta * model.intensity
     rng = stream(seed, "shot-window")
     dens_q, dens_qerr, joint_q, joint_qerr = _shotnoise_single_terms(
-        model, u, quad_nodes)
+        model, u, _SHOT_QUAD_NODES)
     src = {1: (dens_q, 0.0, dens_qerr) if want == "density"
            else (joint_q, 0.0, joint_qerr)}
     for p in range(2, p_max + 1):
@@ -664,7 +655,7 @@ def shotnoise_rhs(model: ShotNoiseModel, box, u, *, p_max: int = 12,
         value=parts["value"] * vol,
         quadrature_error=parts["quadrature_error"] * vol,
         mc_error=parts["mc_error"] * vol,
-        n_quadrature=4096,
+        n_quadrature=_SHOT_QUAD_NODES,
         n_mc=parts["n_mc"],
         detail={"rate": parts["value"], "tail_bound": parts["tail_bound"],
                 "p_max": parts["p_max"], "delta": parts["delta"],

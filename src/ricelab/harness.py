@@ -301,15 +301,13 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             ("n_lines", "the length estimator", cfg.estimator == "length"),
             ("rhs_delta", "shot-noise models", kind == "shot_noise"),
             ("p_max", "shot-noise models", kind == "shot_noise"),
-            # Monte Carlo predictions; closed forms are spectral line fields
-            # outside moment2, every euler, local_time and length, and the
-            # star-free lens.  euler still accepts inner_mc, unread: configs
-            # written when it took draws set it, the standard manifest's
-            # frozen benchmark copies among them.
+            # Monte Carlo predictions: moment2, chi-square and shot-noise
+            # roots, and lenses with stars.  euler still accepts inner_mc,
+            # unread: configs written when it took draws set it, the
+            # standard manifest's frozen benchmark copies among them.
             ("inner_mc", "Monte Carlo predictions",
              cfg.estimator in ("euler", "moment2") or lens_mc
-             or (cfg.estimator in ("roots", "weighted")
-                 and kind not in ("spectral_gaussian_1d", "microlens")))):
+             or (cfg.estimator == "roots" and kind in ("chi_square", "shot_noise")))):
         if not read and getattr(cfg, key) != ExperimentConfig.__dataclass_fields__[key].default:
             raise ConfigurationError(f"{key} is read only by {readers}; estimator "
                                      f"{cfg.estimator!r} on model kind {kind!r} would ignore it")
@@ -399,8 +397,10 @@ def _check_weight(weight, kind: str) -> None:
     if isinstance(weight, Mapping) and weight.get("kind") == "index":
         if kind != "gradient_field":
             raise ConfigurationError("index weights need a gradient field")
-        if weight.get("k") not in (0, 1, 2):
-            raise ConfigurationError("index weight k must be 0, 1, or 2")
+        k = weight.get("k")
+        if isinstance(k, bool) or not isinstance(k, int) or k not in (0, 1, 2):
+            raise ConfigurationError("index weight k must be the integer 0, 1, or 2, "
+                                     f"got {k!r}")
         return
     raise ConfigurationError(
         f"weight must be 'unit', 'upcrossing', or {{'kind': 'index', 'k': k}}; "
@@ -411,10 +411,12 @@ def _check_region(region) -> None:
     if isinstance(region, Mapping):
         if region.get("kind") != "disk":
             raise ConfigurationError(f"unknown region kind {region.get('kind')!r}")
-        center = np.asarray(region.get("center", ()), dtype=float)
-        if center.shape != (2,) or not np.all(np.isfinite(center)):
+        center = region.get("center")
+        if not isinstance(center, Sequence) or isinstance(center, str) or len(center) != 2:
             raise ConfigurationError("disk region needs a finite 2-vector center")
-        if not (float(region.get("radius", 0.0)) > 0.0):
+        for v in center:
+            config_number("region center", v, integral=False)
+        if config_number("region radius", region.get("radius"), integral=False) <= 0.0:
             raise ConfigurationError("disk region needs a positive radius")
         return
     _check_box(region, 2)

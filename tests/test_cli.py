@@ -206,6 +206,25 @@ def test_lens_without_linear_term_or_region_exits_two(tmp_path, capsys, command)
     assert "explicit region" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("region", [
+    {"radius": "x"}, {"radius": [2.0]}, {"radius": math.inf}, {"radius": True},
+    {"radius": 0.0}, {"radius": None}, {"center": "ab"}, {"center": [0.0, True]},
+    {"center": [0.0, math.nan]}, {"center": [0.0]},
+], ids=["text-radius", "list-radius", "inf-radius", "bool-radius", "zero-radius",
+        "no-radius", "text-center", "bool-center", "nan-center", "short-center"])
+def test_malformed_lens_region_exits_two(tmp_path, capsys, region):
+    # text and list values once crashed in float() (exit 3), an infinite
+    # radius failed inside the run, and true ran as radius 1
+    lens = {"kind": "microlens", "kappa_c": 2.0, "gamma": 0.0, "m": 0.2,
+            "n_stars": 3, "R": 1.0}
+    disk = dict({"kind": "disk", "center": [0.0, 0.0], "radius": 2.0}, **region)
+    doc = _exact_experiment(model=lens, levels=[[0.25, 0.1]], grid=64, region=disk)
+    del doc["box"]
+    cfg = _write(tmp_path, "exp.json", doc)
+    assert main(["kacrice", "--config", cfg]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_measure_json_and_csv(tmp_path, capsys):
     cfg = _write(
         tmp_path, "exp.json",

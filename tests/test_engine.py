@@ -246,30 +246,55 @@ def test_weight_validation():
     for weight in (lambda v: np.ones_like(v), {"kind": "unit"}, {"kind": "upcrossing"}):
         with pytest.raises(ConfigurationError):
             weighted_kacrice_rhs(model, (0.0, 1.0), 0.0, weight)
-    with pytest.raises(ConfigurationError):
-        weighted_kacrice_rhs(
-            GradientField(base=_ring_model()), [(0, 1), (0, 1)], (0.0, 0.0),
-            {"kind": "index", "k": 5},
-        )
+    # k is the integer 0, 1 or 2: True and 1.0 once ran as saddles
+    for k in (5, True, 1.0):
+        with pytest.raises(ConfigurationError):
+            weighted_kacrice_rhs(
+                GradientField(base=_ring_model()), [(0, 1), (0, 1)], (0.0, 0.0),
+                {"kind": "index", "k": k},
+            )
     with pytest.raises(CapabilityError):
         weighted_kacrice_rhs(model, (0.0, 1.0), 0.0, {"kind": "index", "k": 0})
 
 
 def test_signature_classes_partition_critical_points():
+    # exact shares of the roots prediction: saddles 1/2, minima and maxima 1/4
     grad = GradientField(base=_ring_model())
     box = [(0, 1), (0, 1)]
-    u = (0.0, 0.0)
-    total = kacrice_rhs(grad, box, u, inner_mc=200_000, seed=13)
-    parts = [
-        weighted_kacrice_rhs(grad, box, u, {"kind": "index", "k": k},
-                             inner_mc=200_000, seed=13)
-        for k in (0, 1, 2)
-    ]
-    sum_val = sum(p.value for p in parts)
-    sum_err = sum(p.mc_error for p in parts)
-    assert abs(sum_val - total.value) <= 4.0 * (sum_err + total.total_error)
-    # saddles match extrema in expectation for a smooth planar field
-    assert abs(parts[1].value - parts[0].value - parts[2].value) <= 4.0 * sum_err
+    u = (0.3, -0.2)
+    total = kacrice_rhs(grad, box, u).value
+    parts = [weighted_kacrice_rhs(grad, box, u, {"kind": "index", "k": k}).value
+             for k in (0, 1, 2)]
+    assert sum(parts) == pytest.approx(total, rel=1e-12)
+    assert parts[1] == pytest.approx(parts[0] + parts[2], rel=1e-12)
+    assert parts[0] == pytest.approx(parts[2], rel=1e-12)
+
+
+ANISO5 = SpectralGaussian2D(
+    np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.5, -0.5], [0.3, 2.2]]),
+    np.array([0.5, 0.6, 0.3, 0.4, 0.35]))
+AXES2 = SpectralGaussian2D(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("base", [_ring_model(), ANISO5, AXES2],
+                         ids=["ring", "aniso", "axes"])
+def test_abs_det_mean_matches_monte_carlo(base):
+    # Hess Y(0) = -sum_k a_k xi_k k k^T for the cosine coefficients xi_k
+    a, w = base.amplitudes, base.wavevectors
+    xi = stream(11, "abs-det-oracle").standard_normal((400_000, a.size)) * a
+    h11, h22, h12 = (xi @ (w[:, i] * w[:, j]) for i, j in ((0, 0), (1, 1), (0, 1)))
+    est, se = mean_se(np.abs(h11 * h22 - h12 ** 2))
+    assert abs(engine._abs_det_mean(base) - est) <= 3.0 * se
+
+
+def test_abs_det_mean_isotropic_closed_form():
+    # Longuet-Higgins: E|det H| = 4 m_1122 / sqrt(3) for an isotropic field
+    ring = _ring_model()
+    m1122 = ring.hessian_fourth_moment[0, 0, 1, 1]
+    assert engine._abs_det_mean(ring) == pytest.approx(4.0 * m1122 / math.sqrt(3.0),
+                                                       rel=1e-12)
+    # two independent axis waves: E|h11 h22| = E|h11| E|h22| = 2 / pi
+    assert engine._abs_det_mean(AXES2) == pytest.approx(2.0 / math.pi, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

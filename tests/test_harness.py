@@ -225,6 +225,22 @@ def test_config_rejects_quadrature_nothing_reads():
     for model in (RING, ANISO):
         with pytest.raises(ConfigurationError, match="inner_mc"):
             _cfg(model=model, estimator="length", box=box2, inner_mc=8192)
+    # critical points and their index classes are closed forms too
+    grad = dict(model=model_to_doc(GradientField(model_from_doc(ANISO))),
+                levels=[[0.0, 0.0]], box=box2, grid=64)
+    for over in ({}, {"estimator": "weighted", "weight": {"kind": "index", "k": 1}}):
+        assert _cfg(**grad, **over).inner_mc == 4096
+        with pytest.raises(ConfigurationError, match="inner_mc is read only by Monte Carlo"):
+            _cfg(**grad, **over, inner_mc=8192)
+
+
+@pytest.mark.parametrize("k", [True, False, 1.0, "1", None])
+def test_index_weight_takes_only_integer_k(k):
+    # True and 1.0 once ran as saddles and the report echoed "k": true
+    grad = model_to_doc(GradientField(model_from_doc(RING)))
+    with pytest.raises(ConfigurationError, match="index weight k"):
+        _cfg(model=grad, levels=[[0.0, 0.0]], box=[[0.0, 1.0], [0.0, 1.0]], grid=64,
+             estimator="weighted", weight={"kind": "index", "k": k})
 
 
 def test_config_doc_round_trip_and_strictness():
@@ -491,6 +507,29 @@ def test_planar_counts_report_degree_checks():
         assert set(extras) == {"degree_mismatches", "degree_unresolved"}
         assert all(isinstance(v, int) for v in extras.values())
         assert extras["degree_mismatches"] + extras["degree_unresolved"] <= 30 * len(levels)
+
+
+ANISO5 = {"kind": "spectral_gaussian_2d",
+          "wavevectors": [[2.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.5, -0.5], [0.3, 2.2]],
+          "amplitudes": [0.5, 0.6, 0.3, 0.4, 0.35]}
+
+
+@pytest.mark.parametrize("base", [RING, ANISO5], ids=["ring", "aniso"])
+def test_gradient_field_predictions_match_measurements(base):
+    # critical-point counts and each index class within 3 SE of the closed
+    # forms, on an isotropic and an anisotropic field
+    model = model_to_doc(GradientField(model_from_doc(base)))
+    for estimator, weight in [("roots", None)] + [
+            ("weighted", {"kind": "index", "k": k}) for k in (0, 1, 2)]:
+        cfg = ExperimentConfig(experiment_id="crit", model=model,
+                               levels=[[0.0, 0.0], [0.5, -0.5]], estimator=estimator,
+                               weight=weight, n_realizations=100,
+                               box=[[0.0, 4.0], [0.0, 4.0]], grid=128)
+        report = run_experiment(cfg, master_seed=7)
+        for row in report.rows:
+            assert row.rhs_mc_error == 0.0 and row.rhs_quadrature_error == 0.0
+            assert abs(row.lhs_mean - row.rhs_value) <= 3.0 * row.lhs_se, (weight, row)
+        assert report.extras["degree_mismatches"] == 0
 
 
 def test_default_image_region_contains_all_images():

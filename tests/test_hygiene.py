@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from ricelab import engine
-from ricelab.fields import SpectralGaussian1D, SpectralGaussian2D
+from ricelab.fields import GradientField, SpectralGaussian1D, SpectralGaussian2D
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "ricelab"
@@ -147,9 +147,14 @@ def test_closed_form_predictions_take_no_draws(monkeypatch):
     aniso = SpectralGaussian2D(np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
                                np.array([0.5, 0.6, 0.3]))
     assert not aniso.isotropic
+    grad, box2, u2 = GradientField(aniso), [(0, 1), (0, 1)], (0.3, -0.2)
     for ev in (engine.euler_char_expectation(line, (0.0, 2.0), 0.5),
-               engine.euler_char_expectation(aniso, [(0, 1), (0, 1)], 0.5),
-               engine.kacrice_rhs(aniso, [(0, 1), (0, 1)], 0.5)):
+               engine.euler_char_expectation(aniso, box2, 0.5),
+               engine.kacrice_rhs(aniso, box2, 0.5),
+               engine.kacrice_rhs(grad, box2, u2),
+               *(engine.weighted_kacrice_rhs(grad, box2, u2, {"kind": "index", "k": k})
+                 for k in (0, 1, 2)),
+               engine.weighted_kacrice_rhs(line, (0.0, 2.0), 0.5, "upcrossing")):
         assert (ev.mc_error, ev.n_mc) == (0.0, 0)
 
 
