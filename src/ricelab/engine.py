@@ -10,14 +10,18 @@ in :mod:`ricelab.fields`, each through one entry point, together with
 several weighted and higher-order variants:
 
 * :func:`kacrice_rhs` -- the plain mean-measure prediction for the stationary
-  families (spectral Gaussian, gradient and squared-sum fields),
+  families (spectral Gaussian, gradient and squared-sum fields): the product
+  of :func:`level_density` and :func:`conditional_jacobian_expectation`,
+  which cover those families only,
 * :func:`weighted_kacrice_rhs` -- predictions with a weight on the Jacobian
   ("unit", "upcrossing", or a signature index),
 * :func:`euler_char_expectation` -- signed critical-point count above a level
   (closed form),
 * :func:`shotnoise_rhs` -- root-count prediction for impulse-sum fields,
 * :func:`microlens_rhs` -- image-count prediction for point-mass deflection
-  fields,
+  fields; these two families are not Gaussian, so each kernel integrates
+  the density and the Jacobian jointly, as E[|det X'| ; X = u], in one
+  channel,
 * :func:`second_factorial_moment_rhs` -- mean number of ordered root pairs.
 
 Integrating both sides against a bump in the level variable is a comparison
@@ -183,12 +187,8 @@ def _shared_draw_quadrature(f, weights: np.ndarray, n_draws: int) -> np.ndarray:
     return per_draw
 
 
-def _box_volume(box) -> float:
-    arr = np.asarray(box, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.shape[1] != 2 or np.any(arr[:, 1] <= arr[:, 0]):
-        raise ConfigurationError("box must be a list of increasing (lo, hi) pairs")
+def _box_volume(arr: np.ndarray) -> float:
+    """Volume of a box checked by :func:`_box_array`."""
     return float(np.prod(arr[:, 1] - arr[:, 0]))
 
 
@@ -220,17 +220,31 @@ def _sphere_area(n: int, radius: float) -> float:
 # level density
 
 
-def level_density(model, t, u, *, inner_mc: int = DEFAULT_INNER_MC, seed: int = 0,
-                  **shot_kwargs) -> float:
-    """Density of the field value X(t) at the level ``u``.
+def _refuse_joint_families(model, caller: str) -> None:
+    """Raise CapabilityError for the families whose prediction has its own entry point.
+
+    Impulse-sum and deflection models are not stationary Gaussian, so their
+    density and Jacobian are integrated together, in :func:`shotnoise_rhs`
+    and :func:`microlens_rhs`; they have no rate factors of their own.
+    """
+    own = {ShotNoiseModel: "shotnoise_rhs", MicrolensModel: "microlens_rhs"}.get(
+        type(model))
+    if own is not None:
+        raise CapabilityError(f"{caller} covers stationary families; "
+                              f"predict {type(model).__name__} with {own}")
+
+
+def level_density(model, t, u) -> float:
+    """Density of the field value X(t) at the level ``u``, for a stationary family.
 
     For Gaussian families this is exact.  For the squared-sum field the
     push-forward over the level sphere is evaluated in closed form (the
     Gaussian density and the surface gradient norm are constant on the
-    sphere).  For the impulse-sum field the density is a Poisson mixture
-    evaluated by :func:`shotnoise_rhs` internals; for the deflection field it
-    is an inner Monte Carlo over the non-designated point masses.
+    sphere).  Impulse-sum and deflection models raise
+    :class:`CapabilityError`: their predictions, :func:`shotnoise_rhs` and
+    :func:`microlens_rhs`, integrate the density jointly with the Jacobian.
     """
+    _refuse_joint_families(model, "level_density")
     if isinstance(model, SpectralGaussian1D):
         return _gauss_pdf(float(u), model.lambda0)
     if isinstance(model, SpectralGaussian2D):
@@ -256,21 +270,6 @@ def level_density(model, t, u, *, inner_mc: int = DEFAULT_INNER_MC, seed: int = 
         area = _sphere_area(n, math.sqrt(uf))
         dens = math.exp(-0.5 * uf) * (2.0 * math.pi) ** (-n / 2.0)
         return area * dens / (2.0 * math.sqrt(uf))
-    if isinstance(model, ShotNoiseModel):
-        uf = float(u)
-        if uf == 0.0:
-            raise DomainError("impulse-sum density is singular at u = 0 (atom)")
-        parts = _shotnoise_mixture(model, uf, want="density",
-                                   inner_mc=inner_mc, seed=seed, **shot_kwargs)
-        return parts["value"]
-    if isinstance(model, MicrolensModel):
-        x = np.asarray(t, dtype=float)
-        y = np.asarray(u, dtype=float)
-        xi = _lens_ensemble(model, _check_inner_mc(inner_mc),
-                            stream(seed, "lens-density"))
-        weight, _ = _microlens_designated(model, x.reshape(1, 2), y, xi,
-                                          want="density")
-        return float(weight.mean())
     raise CapabilityError(f"no level density for {type(model).__name__}")
 
 
@@ -292,6 +291,7 @@ def conditional_jacobian_expectation(model, t, u, *, inner_mc: int = DEFAULT_INN
     Impulse-sum and deflection models have no rule here: their predictions
     are :func:`shotnoise_rhs` and :func:`microlens_rhs`.
     """
+    _refuse_joint_families(model, "conditional_jacobian_expectation")
     inner_mc = _check_inner_mc(inner_mc)
     if isinstance(model, SpectralGaussian1D):
         # X' independent of X(t); E|X'| half-normal.
@@ -404,14 +404,10 @@ def kacrice_rhs(model, box, u, *, inner_mc: int = DEFAULT_INNER_MC,
     deflection models raise :class:`CapabilityError`; their predictions are
     :func:`shotnoise_rhs` and :func:`microlens_rhs`.
     """
-    own = {ShotNoiseModel: "shotnoise_rhs", MicrolensModel: "microlens_rhs"}.get(
-        type(model))
-    if own is not None:
-        raise CapabilityError(f"kacrice_rhs covers stationary families; "
-                              f"predict {type(model).__name__} with {own}")
+    _refuse_joint_families(model, "kacrice_rhs")
     arr = _box_array(box, model.D)
     vol = _box_volume(arr)
-    dens = level_density(model, arr[:, 0], u, inner_mc=inner_mc, seed=seed)
+    dens = level_density(model, arr[:, 0], u)
     cond, cond_se = conditional_jacobian_expectation(
         model, arr[:, 0], u, inner_mc=inner_mc, seed=seed)
     rate = dens * cond
@@ -507,22 +503,21 @@ def euler_char_expectation(model, box, u) -> RhsEvaluation:
 # impulse-sum fields
 
 
-def _shotnoise_single_terms(model: ShotNoiseModel, u: float,
-                            n_nodes: int) -> tuple[float, float, float, float]:
-    """Exact single-impulse contributions by midpoint quadrature.
+def _shotnoise_single_term(model: ShotNoiseModel, u: float,
+                           n_nodes: int) -> tuple[float, float]:
+    """Exact single-impulse joint term by midpoint quadrature.
 
     With one impulse in the window, X(t0) = b * g(s) with s uniform on
     (-eta, eta) and b uniform on the amplitude interval, and X'(t0) =
     b * g'(s).  Conditioning on X(t0) = u fixes b = u / g(s), so
 
-        density(u) = int ds/(2 eta) p_b(u / g(s)) / g(s)
-        joint(u)   = int ds/(2 eta) p_b(u / g(s)) / g(s) * |u g'(s) / g(s)|
+        joint(u) = int ds/(2 eta) p_b(u / g(s)) / g(s) * |u g'(s) / g(s)|
 
-    where p_b is the amplitude density.  Returns (density, joint) for
-    ``n_nodes`` midpoints plus their half-resolution differences.
+    where p_b is the amplitude density.  Returns the joint term for
+    ``n_nodes`` midpoints and its half-resolution difference.
     """
 
-    def quad(n: int) -> tuple[float, float]:
+    def quad(n: int) -> float:
         s = -model.eta + (np.arange(n) + 0.5) * (2.0 * model.eta / n)
         g = model.kernel(s)
         gp = model.kernel_prime(s)
@@ -531,28 +526,24 @@ def _shotnoise_single_terms(model: ShotNoiseModel, u: float,
         b[pos] = u / g[pos]
         amp = model.beta_density(b) * pos
         base = amp / np.where(pos, g, 1.0)
-        dens = float(np.sum(base) / n)
-        joint = float(np.sum(base * np.abs(u * gp / np.where(pos, g, 1.0))) / n)
-        return dens, joint
+        return float(np.sum(base * np.abs(u * gp / np.where(pos, g, 1.0))) / n)
 
-    d2, j2 = quad(n_nodes)
-    d1, j1 = quad(n_nodes // 2)
-    return d2, abs(d2 - d1), j2, abs(j2 - j1)
+    fine = quad(n_nodes)
+    return fine, abs(fine - quad(n_nodes // 2))
 
 
 def _shotnoise_window_term(model: ShotNoiseModel, u: float, p: int, delta: float,
-                           n_mc: int, rng, want: str) -> tuple[float, float, float]:
-    """Window estimate of the p-impulse density or joint term.
+                           n_mc: int, rng) -> tuple[float, float, float]:
+    """Window estimate of the p-impulse joint term: window hits weighted by |X'(t0)|.
 
-    ``want`` picks the channel: "density" counts window hits, "joint" weights
-    them by |X'(t0)|.  Both window widths of the Richardson pair
-    (delta, delta / 2) read one draw set, so the cost is the draws: s and then
-    b, each (n_mc, p).  Kernel values go through blocks of about
-    ``_SHARED_BLOCK`` draws; slopes are evaluated only on the rows inside the
-    wider window, and every other row, which neither window hits, gets 0.
-    Draws from uniform(-eta, eta) satisfy |s| <= eta in floating point, so
-    no row leaves the kernel's support by rounding.  Returns (estimate,
-    standard error, bias), the bias being the Richardson correction.
+    Both window widths of the Richardson pair (delta, delta / 2) read one
+    draw set, so the cost is the draws: s and then b, each (n_mc, p).  Kernel
+    values go through blocks of about ``_SHARED_BLOCK`` draws; slopes are
+    evaluated only on the rows inside the wider window, and every other row,
+    which neither window hits, gets 0.  Draws from uniform(-eta, eta) satisfy
+    |s| <= eta in floating point, so no row leaves the kernel's support by
+    rounding.  Returns (estimate, standard error, bias), the bias being the
+    Richardson correction.
     """
     s = rng.uniform(-model.eta, model.eta, size=(n_mc, p))
     b = rng.uniform(model.beta_low, model.beta_high, size=(n_mc, p))
@@ -562,16 +553,13 @@ def _shotnoise_window_term(model: ShotNoiseModel, u: float, p: int, delta: float
         sl = slice(lo, lo + step)
         vals[sl] = np.einsum("ij,ij->i", b[sl], model.kernel(s[sl]))
     dist = np.abs(vals - u)
-    if want == "joint":
-        near = dist < delta
-        slopes = np.zeros(n_mc)
-        slopes[near] = np.einsum("ij,ij->i", b[near], model.kernel_prime(s[near]))
-        weight = np.abs(slopes)
+    near = dist < delta
+    slopes = np.zeros(n_mc)
+    slopes[near] = np.einsum("ij,ij->i", b[near], model.kernel_prime(s[near]))
+    weight = np.abs(slopes)
 
     def window(width: float) -> tuple[float, float]:
-        hit = dist < width
-        scale = 1.0 / (2.0 * width)
-        return mean_se(hit * scale if want == "density" else hit * weight * scale)
+        return mean_se((dist < width) * weight * (1.0 / (2.0 * width)))
 
     coarse, _ = window(delta)
     fine, se = window(delta / 2.0)
@@ -580,20 +568,32 @@ def _shotnoise_window_term(model: ShotNoiseModel, u: float, p: int, delta: float
     return est, se, abs(est - fine)
 
 
-def _shotnoise_mixture(model: ShotNoiseModel, u: float, *, want: str,
-                       inner_mc: int = DEFAULT_INNER_MC, seed: int = 0,
-                       p_max: int = 12, delta: float | None = None) -> dict:
-    """Poisson mixture over the impulse count in the influence window.
+def shotnoise_rhs(model: ShotNoiseModel, box, u, *, p_max: int = 12,
+                  inner_mc: int = 200_000, seed: int = 0,
+                  delta: float | None = None) -> RhsEvaluation:
+    """Predicted mean root count for the impulse-sum field on ``box``.
 
-    Only impulses within ``eta`` of the evaluation point matter, and their
-    count is Poisson with mean 2 * eta * intensity.  The single-impulse term
-    is exact quadrature; higher terms use the window estimator with a
+    A Poisson mixture over the impulse count in the influence window: only
+    impulses within ``eta`` of the evaluation point matter, and their count
+    is Poisson with mean 2 * eta * intensity.  The single-impulse term is
+    exact quadrature; higher terms use the window estimator with a
     Richardson width pair; the truncation tail is bounded by the largest
-    observed per-impulse growth rate times the Poisson tail mass.  ``want``
-    ("density" or "joint") is the one channel evaluated.  The cost is the
-    draws: 2 * inner_mc * (p_max (p_max + 1) / 2 - 1) uniforms, against
-    which the kernel pass and the window reductions are small.
+    observed per-impulse growth rate times the Poisson tail mass.  The cost
+    is the draws: 2 * inner_mc * (p_max (p_max + 1) / 2 - 1) uniforms,
+    against which the kernel pass and the window reductions are small.
+
+    The level must be nonzero: the field value has an atom at zero (empty
+    influence window), so the density and the crossing rate are undefined
+    there.
     """
+    u = float(u)
+    if u == 0.0:
+        raise DomainError("impulse-sum prediction is undefined at u = 0 (atom)")
+    arr = _box_array(box, 1)
+    lo, hi = model.domain
+    if arr[0, 0] < lo - 1e-12 or arr[0, 1] > hi + 1e-12:
+        raise ConfigurationError("box must lie inside the model domain")
+    vol = _box_volume(arr)
     if p_max < 2:
         raise ConfigurationError("p_max must be at least 2")
     inner_mc = _check_inner_mc(inner_mc)
@@ -603,17 +603,14 @@ def _shotnoise_mixture(model: ShotNoiseModel, u: float, *, want: str,
         raise ConfigurationError("window width must be positive")
     lam = 2.0 * model.eta * model.intensity
     rng = stream(seed, "shot-window")
-    dens_q, dens_qerr, joint_q, joint_qerr = _shotnoise_single_terms(
-        model, u, _SHOT_QUAD_NODES)
-    src = {1: (dens_q, 0.0, dens_qerr) if want == "density"
-           else (joint_q, 0.0, joint_qerr)}
+    joint_q, joint_qerr = _shotnoise_single_term(model, u, _SHOT_QUAD_NODES)
+    src = {1: (joint_q, 0.0, joint_qerr)}
     for p in range(2, p_max + 1):
-        est, se, bias = _shotnoise_window_term(model, u, p, delta, inner_mc, rng,
-                                               want)
+        est, se, bias = _shotnoise_window_term(model, u, p, delta, inner_mc, rng)
         src[p] = (max(est, 0.0), se, bias)
     pois = {p: math.exp(-lam) * lam ** p / math.factorial(p)
             for p in range(1, p_max + 1)}
-    value = sum(pois[p] * src[p][0] for p in src)
+    rate = sum(pois[p] * src[p][0] for p in src)
     mc_err = math.sqrt(sum((pois[p] * src[p][1]) ** 2 for p in src))
     bias = sum(pois[p] * src[p][2] for p in src)
     # tail: per-impulse terms grow at most linearly in p on this scale;
@@ -622,43 +619,13 @@ def _shotnoise_mixture(model: ShotNoiseModel, u: float, *, want: str,
     tail_mass = 1.0 - sum(math.exp(-lam) * lam ** k / math.factorial(k)
                           for k in range(p_max))
     tail = 2.0 * growth * lam * tail_mass
-    return {
-        "value": value,
-        "mc_error": mc_err,
-        "quadrature_error": bias + tail,
-        "tail_bound": tail,
-        "p_max": p_max,
-        "delta": delta,
-        "n_mc": inner_mc * (p_max - 1),
-    }
-
-
-def shotnoise_rhs(model: ShotNoiseModel, box, u, *, p_max: int = 12,
-                  inner_mc: int = 200_000, seed: int = 0,
-                  delta: float | None = None) -> RhsEvaluation:
-    """Predicted mean root count for the impulse-sum field on ``box``.
-
-    The level must be nonzero: the field value has an atom at zero (empty
-    influence window), so the density and the crossing rate are undefined
-    there.
-    """
-    if float(u) == 0.0:
-        raise DomainError("impulse-sum prediction is undefined at u = 0 (atom)")
-    arr = _box_array(box, 1)
-    lo, hi = model.domain
-    if arr[0, 0] < lo - 1e-12 or arr[0, 1] > hi + 1e-12:
-        raise ConfigurationError("box must lie inside the model domain")
-    vol = _box_volume(arr)
-    parts = _shotnoise_mixture(model, float(u), want="joint", inner_mc=inner_mc,
-                               seed=seed, p_max=p_max, delta=delta)
     return RhsEvaluation(
-        value=parts["value"] * vol,
-        quadrature_error=parts["quadrature_error"] * vol,
-        mc_error=parts["mc_error"] * vol,
+        value=rate * vol,
+        quadrature_error=(bias + tail) * vol,
+        mc_error=mc_err * vol,
         n_quadrature=_SHOT_QUAD_NODES,
-        n_mc=parts["n_mc"],
-        detail={"rate": parts["value"], "tail_bound": parts["tail_bound"],
-                "p_max": parts["p_max"], "delta": parts["delta"],
+        n_mc=inner_mc * (p_max - 1),
+        detail={"rate": rate, "tail_bound": tail, "p_max": p_max, "delta": delta,
                 "volume": vol},
     )
 
@@ -679,9 +646,9 @@ def _lens_ensemble(model: MicrolensModel, inner_mc: int, rng) -> np.ndarray:
 
 
 def _microlens_designated(model: MicrolensModel, nodes: np.ndarray, y: np.ndarray,
-                          xi: np.ndarray, *, want: str,
+                          xi: np.ndarray, *,
                           eps_star: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
-    """Designated-mass weights for every (draw, node) pair.
+    """Designated-mass joint weights for every (draw, node) pair.
 
     ``nodes`` is an (n_nodes, 2) array of image-plane points x and ``xi`` the
     (n_draws, n_stars - 1) complex positions of the other masses from
@@ -698,10 +665,10 @@ def _microlens_designated(model: MicrolensModel, nodes: np.ndarray, y: np.ndarra
     manifest's lens-images prediction at seed 28 has a (draw, node) weight
     of 4.0e5).  The mean is finite; the variance is not.
 
-    Returns ``(weight, excluded)``, both (n_nodes, n_draws).  ``want="density"``
-    gives |z*|^4 / (4 m^2) over the disk area, or 0 where the designated mass
-    falls off the disk; ``want="joint"`` multiplies it by |det J| with the
-    complex form det J = c^2 - (2m)^2 |sum 1/z^2 + 1/z*^2|^2 (Witt 1990).
+    Returns ``(weight, excluded)``, both (n_nodes, n_draws).  The weight is
+    the density factor |z*|^4 / (4 m^2) over the disk area times |det J|, with
+    the complex form det J = c^2 - (2m)^2 |sum 1/z^2 + 1/z*^2|^2 (Witt 1990),
+    or 0 where the designated mass falls off the disk.
     ``excluded`` marks pairs with a mass, designated or not, within
     ``eps_star`` of the node, or a vanishing excess deflection
     (|w|^2 <= 1e-28); their weight is 0.  The other masses are added one at a
@@ -731,10 +698,9 @@ def _microlens_designated(model: MicrolensModel, nodes: np.ndarray, y: np.ndarra
         xs = x - g * w  # designated position x - z*, z* = 2m w / |w|^2
         outside = np.square(xs.real) + np.square(xs.imag) > model.R ** 2
         weight = g * g * (1.0 / (math.pi * model.R ** 2))
-        if want == "joint":
-            # 1/conj(z*)^2 = w^2 / (2m)^2, so (2m) |sum 1/z^2 + 1/z*^2| = |t|
-            t = m2 * curv + w * w * (1.0 / m2)
-            weight *= np.abs(model.c * model.c - np.square(t.real) - np.square(t.imag))
+        # 1/conj(z*)^2 = w^2 / (2m)^2, so (2m) |sum 1/z^2 + 1/z*^2| = |t|
+        t = m2 * curv + w * w * (1.0 / m2)
+        weight *= np.abs(model.c * model.c - np.square(t.real) - np.square(t.imag))
     weight[excluded | outside] = 0.0
     return weight, excluded
 
@@ -810,7 +776,7 @@ def microlens_rhs(model, y, region, *, quadrature=None,
 
         def joint(sl: slice) -> np.ndarray:
             nonlocal excluded
-            weight, out = _microlens_designated(model, pts[sl], y, xi, want="joint",
+            weight, out = _microlens_designated(model, pts[sl], y, xi,
                                                 eps_star=eps_star)
             excluded += int(np.count_nonzero(out))
             return weight

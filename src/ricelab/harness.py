@@ -40,7 +40,6 @@ from .errors import CapabilityError, ConfigurationError, RicelabError
 from .fields import (
     ChiSquareField,
     GradientField,
-    GradientFieldRealization,
     LineCorpus,
     MicrolensModel,
     ShotNoiseModel,
@@ -385,8 +384,9 @@ def _check_box(box, D: int) -> None:
         if arr.shape != (2, 2) or not np.all(arr[:, 0] < arr[:, 1]):
             raise ConfigurationError(
                 f"2D box must be [[lo0, hi0], [lo1, hi1]], got {box!r}")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigurationError("box bounds must be finite")
+    # np.asarray turned true and "1" into 1.0; the entries themselves must be numbers
+    for v in (box if D == 1 else [v for pair in box for v in pair]):
+        config_number("box bound", v, integral=False)
 
 
 def _check_weight(weight, kind: str) -> None:
@@ -721,11 +721,6 @@ def _microlens_chunk(cfg, model, seeds) -> dict:
     return {"values": out, "extras": extras}
 
 
-def _det2(m: np.ndarray) -> np.ndarray:
-    """Determinants of a stack of 2x2 matrices (..., 2, 2)."""
-    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-
-
 def _degree_tally(extras: dict, roots, signs: np.ndarray) -> None:
     """Count a root set whose sum of sign det J misses its boundary degree, or has none.
 
@@ -752,19 +747,22 @@ def _gradient_roots_chunk(cfg, model, seeds) -> dict:
             if k_sel is None:
                 out[i, j] = roots.points.shape[0]
             else:
-                out[i, j] = int(np.sum(_hessian_index(real.scalar,
-                                                      roots.points) == k_sel))
+                out[i, j] = int(np.sum(_hessian_index(real.scalar, roots) == k_sel))
     return {"values": out, "extras": extras}
 
 
-def _hessian_index(scalar, points: np.ndarray) -> np.ndarray:
-    """Negative-eigenvalue count of the Hessian at each point (2D)."""
-    if points.shape[0] == 0:
+def _hessian_index(scalar, roots) -> np.ndarray:
+    """Negative-eigenvalue count of the Hessian at each critical point of ``scalar`` (2D).
+
+    ``roots`` are the gradient field's roots, whose ``signed`` det J is
+    already det Hess; only the trace is evaluated here.
+    """
+    if roots.points.shape[0] == 0:
         return np.zeros(0, dtype=int)
-    h = np.asarray(scalar.hessian(points)).reshape(-1, 2, 2)
-    det = _det2(h)
+    h = np.asarray(scalar.hessian(roots.points)).reshape(-1, 2, 2)
+    det = roots.signed
     trace = h[:, 0, 0] + h[:, 1, 1]
-    idx = np.ones(points.shape[0], dtype=int)  # saddles: det < 0
+    idx = np.ones(roots.points.shape[0], dtype=int)  # saddles: det < 0
     idx[(det > 0) & (trace > 0)] = 0
     idx[(det > 0) & (trace < 0)] = 2
     return idx
@@ -829,13 +827,12 @@ def _euler_plane_chunk(cfg, model, seeds) -> dict:
     out = np.empty((len(seeds), len(cfg.levels)))
     extras = {"degree_mismatches": 0, "degree_unresolved": 0}
     for i, s in enumerate(seeds):
-        scalar = sample_realization(model, s)
-        grad = GradientFieldRealization(grad_model, int(s), scalar)
+        grad = sample_realization(grad_model, s)
         crit = count_roots_2d(grad, cfg.box, (0.0, 0.0), grid=grid)
         pts = crit.points
         signs = np.sign(crit.signed)
         if pts.shape[0]:
-            vals = np.asarray(scalar.value(pts), dtype=float)
+            vals = np.asarray(grad.scalar.value(pts), dtype=float)
         _degree_tally(extras, crit, signs)
         for j, u in enumerate(cfg.levels):
             out[i, j] = (float(np.sum(signs[vals > float(u)]))

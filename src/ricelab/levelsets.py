@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapabilityError, ConfigurationError
-from .fields import LineCorpus
+from .fields import LineCorpus, _chunked_cols
 
 __all__ = [
     "GridSample",
@@ -305,11 +305,21 @@ def _lattice_values(realization, axes) -> np.ndarray:
 
 
 def _values_off_singular(realization, pts: np.ndarray) -> np.ndarray:
-    """Pointwise values, after points that land on a singular point are moved off it by 1e-9."""
+    """Pointwise values, after points that land on a singular point are moved off it by 1e-9.
+
+    With singular points, both steps build (points, singular points, 2)
+    arrays, so the points go through them in blocks of ``_chunked_cols``.
+    """
     singular = _singular_points(realization)
-    if singular is not None:
-        pts = np.where(_near(pts, singular, 1e-20)[:, None], pts + 1e-9, pts)
-    return np.asarray(realization.value(pts), dtype=float)
+    if singular is None:
+        return np.asarray(realization.value(pts), dtype=float)
+
+    def block(p: np.ndarray) -> np.ndarray:
+        p = np.where(_near(p, singular, 1e-20)[:, None], p + 1e-9, p)
+        return np.asarray(realization.value(p), dtype=float)
+
+    return np.concatenate([block(pts[lo:hi]) for lo, hi in
+                           _chunked_cols(pts.shape[0], 2 * singular.shape[0])])
 
 
 _MAX_HALVINGS = 30  # of one boundary step: 2^-30 of a lattice cell

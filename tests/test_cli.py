@@ -193,6 +193,30 @@ def test_boolean_level_exits_two(tmp_path, capsys, command):
     assert "levels must be finite scalars" in capsys.readouterr().err
 
 
+_LENS = {"kind": "microlens", "kappa_c": 2.0, "gamma": 0.0, "m": 0.2, "n_stars": 3,
+         "R": 1.0}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("kacrice", _exact_experiment(box=[True, 6.0])),
+    ("kacrice", _exact_experiment(box=["0", 6.0])),
+    ("validate", _exact_experiment(model=PAIR, box=[0.0, True])),
+    ("kacrice", _exact_experiment(model=_LENS, levels=[[0.25, 0.1]], box=None,
+                                  region=[[-2.0, True], [-2.0, 2.0]])),
+    ("simulate", {"model": PAIR, "box": [True, 6.0], "grid": 16, "count": 1}),
+], ids=["bool-lo", "text-lo", "bool-hi", "lens-region", "simulate"])
+def test_non_numeric_box_entry_exits_two(tmp_path, capsys, command, doc):
+    # true once ran as 1.0 (a line prediction on [1, 6], exit 0) and the
+    # config doc echoed it; "0" ran as 0.0
+    doc = {k: v for k, v in doc.items() if v is not None}
+    cfg = _write(tmp_path, "exp.json", doc)
+    args = [command, "--config", cfg]
+    if command == "simulate":
+        args += ["--out", str(tmp_path / "g")]
+    assert main(args) == 2
+    assert "box bound must be a finite number" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["measure", "kacrice"])
 def test_lens_without_linear_term_or_region_exits_two(tmp_path, capsys, command):
     # c = 1 - kappa_c + gamma = 0 gives no default image region: a config

@@ -10,6 +10,7 @@ from ricelab.engine import (
     _lens_ensemble,
     _microlens_designated,
     _region_nodes,
+    conditional_jacobian_expectation,
     euler_char_expectation,
     kacrice_rhs,
     level_density,
@@ -104,15 +105,22 @@ def test_single_harmonic_over_one_period_is_two():
     assert ev.value == pytest.approx(2.0, abs=1e-9)
 
 
-def test_plain_prediction_refuses_non_stationary_families():
-    # impulse-sum and deflection fields have their own entry points
-    shot = ShotNoiseModel(intensity=1.5, eta=0.7, beta_low=0.5, beta_high=2.0,
-                          domain=(0.0, 12.0))
-    with pytest.raises(CapabilityError, match="shotnoise_rhs"):
-        kacrice_rhs(shot, (1.0, 11.0), 0.5)
-    lens = MicrolensModel(kappa_c=2.0, gamma=0.0, m=0.2, n_stars=3, R=1.0)
-    with pytest.raises(CapabilityError, match="microlens_rhs"):
-        kacrice_rhs(lens, [(-2.0, 2.0), (-2.0, 2.0)], np.array([0.25, 0.1]))
+@pytest.mark.parametrize("entry", [
+    lambda m, t, u: level_density(m, t, u),
+    lambda m, t, u: conditional_jacobian_expectation(m, t, u),
+    lambda m, t, u: kacrice_rhs(m, [(lo, lo + 1.0) for lo in np.atleast_1d(t)], u),
+], ids=["level_density", "conditional_jacobian_expectation", "kacrice_rhs"])
+@pytest.mark.parametrize("family, t, u, own", [
+    (ShotNoiseModel(intensity=1.5, eta=0.7, beta_low=0.5, beta_high=2.0,
+                    domain=(0.0, 12.0)), 3.0, 0.8, "shotnoise_rhs"),
+    (MicrolensModel(kappa_c=2.0, gamma=0.0, m=0.2, n_stars=3, R=1.0),
+     np.array([0.3, -0.2]), np.array([0.25, 0.1]), "microlens_rhs"),
+], ids=["shot", "lens"])
+def test_rate_factors_refuse_jointly_integrated_families(entry, family, t, u, own):
+    # impulse-sum and deflection fields integrate density and Jacobian
+    # together in their own predictions; no stationary factor stands in
+    with pytest.raises(CapabilityError, match=own):
+        entry(family, t, u)
 
 
 def test_level_density_gaussian_families():
@@ -430,8 +438,6 @@ def test_shot_noise_rejects_the_atom():
     model = _shot_model()
     with pytest.raises(DomainError):
         shotnoise_rhs(model, (1.0, 11.0), 0.0)
-    with pytest.raises(DomainError):
-        level_density(model, 3.0, 0.0)
 
 
 def test_shot_noise_box_must_fit_domain():
@@ -454,14 +460,6 @@ def test_shot_noise_stable_under_deeper_truncation():
     )
 
 
-def test_shot_noise_density_positive_off_atom():
-    model = _shot_model()
-    d1 = level_density(model, 3.0, 0.8, seed=11)
-    d2 = level_density(model, 3.0, 1.6, seed=11)
-    assert d1 > 0.0 and d2 > 0.0
-    assert d1 > d2  # unimodal bulk decays past its mode for this parameter set
-
-
 def _bump_masked(x, eta):
     x = np.asarray(x, dtype=float)
     r = x / eta
@@ -477,32 +475,24 @@ def _bump_prime_masked(x, eta):
 
 
 def _window_term_unblocked(model, u, p, delta, n_mc, rng):
-    """The window term on whole (n_mc, p) arrays, both channels, slopes everywhere.
+    """The joint window term on whole (n_mc, p) arrays, slopes everywhere.
 
-    Kept verbatim as the reference the blocked, one-channel window term must
-    reproduce bit for bit.
+    Kept as the reference the blocked window term, which takes slopes only
+    inside the window, must reproduce bit for bit.
     """
     s = rng.uniform(-model.eta, model.eta, size=(n_mc, p))
     b = rng.uniform(model.beta_low, model.beta_high, size=(n_mc, p))
     vals = np.einsum("ij,ij->i", b, _bump_masked(s, model.eta))
     slopes = np.einsum("ij,ij->i", b, _bump_prime_masked(s, model.eta))
 
-    def pair(width):
+    def window(width):
         hit = np.abs(vals - u) < width
-        scale = 1.0 / (2.0 * width)
-        return (*mean_se(hit * scale), *mean_se(hit * np.abs(slopes) * scale))
+        return mean_se(hit * np.abs(slopes) * (1.0 / (2.0 * width)))
 
-    d_c, dse_c, j_c, jse_c = pair(delta)
-    d_f, dse_f, j_f, jse_f = pair(delta / 2.0)
-    dens = (4.0 * d_f - d_c) / 3.0
-    joint = (4.0 * j_f - j_c) / 3.0
-    return dens, dse_f, abs(dens - d_f), joint, jse_f, abs(joint - j_f)
-
-
-def _window_term_reference(model, u, p, delta, n_mc, rng, want):
-    d, dse, dbias, j, jse, jbias = _window_term_unblocked(model, u, p, delta,
-                                                          n_mc, rng)
-    return (d, dse, dbias) if want == "density" else (j, jse, jbias)
+    coarse, _ = window(delta)
+    fine, se = window(delta / 2.0)
+    joint = (4.0 * fine - coarse) / 3.0
+    return joint, se, abs(joint - fine)
 
 
 def _shot_outputs(model, seed):
@@ -511,11 +501,9 @@ def _shot_outputs(model, seed):
         for p_max in (2, 16):
             ev = shotnoise_rhs(model, (1.0, 11.0), u, p_max=p_max,
                                inner_mc=20_000, seed=seed)
-            dens = level_density(model, 3.0, u, p_max=p_max, inner_mc=20_000,
-                                 seed=seed)
             out[u, p_max] = [x.hex() for x in (ev.value, ev.mc_error,
                                                ev.quadrature_error,
-                                               ev.detail["tail_bound"], dens)]
+                                               ev.detail["tail_bound"])]
     return out
 
 
@@ -525,7 +513,7 @@ def test_shot_noise_predictions_are_bitwise_frozen(seed, monkeypatch):
     # partial last block
     model = _shot_model()
     got = _shot_outputs(model, seed)
-    monkeypatch.setattr(engine, "_shotnoise_window_term", _window_term_reference)
+    monkeypatch.setattr(engine, "_shotnoise_window_term", _window_term_unblocked)
     assert got == _shot_outputs(model, seed)
 
 
@@ -625,21 +613,22 @@ def test_lens_complex_det_matches_frozen_system_jacobian():
     xi = _lens_ensemble(model, 40, rng)
     nodes = rng.uniform(-0.8, 0.8, size=(5, 2))
     y = np.array([0.25, 0.1])
-    joint, excluded = _microlens_designated(model, nodes, y, xi, want="joint")
-    dens, _ = _microlens_designated(model, nodes, y, xi, want="density")
-    assert joint.shape == dens.shape == excluded.shape == (5, 40)
+    joint, excluded = _microlens_designated(model, nodes, y, xi)
+    assert joint.shape == excluded.shape == (5, 40)
     checked = 0
-    for j, i in zip(*np.nonzero(dens > 0.0)):
+    for j, i in zip(*np.nonzero(joint > 0.0)):
         x = nodes[j]
         rest = np.column_stack([xi[i].real, xi[i].imag])
         w = MicrolensSystem(model.kappa_c, model.gamma, model.m, rest,
                             model.R).value(x) - y
+        # density of the designated position: (2m / |w|^2)^2 over the disk area
+        dens = (2.0 * model.m / (w @ w)) ** 2 / (math.pi * model.R ** 2)
         designated = x - 2.0 * model.m * w / (w @ w)
         frozen = MicrolensSystem(model.kappa_c, model.gamma, model.m,
                                  np.vstack([rest, designated]), model.R)
         assert np.allclose(frozen.value(x), y, rtol=0.0, atol=1e-12)
         det = np.linalg.det(frozen.jacobian(x))
-        assert joint[j, i] / dens[j, i] == pytest.approx(abs(det), rel=1e-12)
+        assert joint[j, i] / dens == pytest.approx(abs(det), rel=1e-12)
         checked += 1
     assert checked >= 50
 
@@ -674,15 +663,6 @@ def test_lens_shared_draws_match_per_node_loop(n_stars):
     assert ev.detail["path"] == "shared-draws" and ev.detail["nodes"] == 6
     if n_stars == 1:
         assert ev.mc_error == 0.0  # no ensemble left to average over
-
-
-def test_lens_level_density_finite_positive_and_deterministic():
-    model = MicrolensModel(kappa_c=2.0, gamma=0.0, m=0.2, n_stars=3, R=1.0)
-    x, y = np.array([0.3, -0.2]), np.array([0.25, 0.1])
-    a = level_density(model, x, y, inner_mc=2048, seed=9)
-    assert math.isfinite(a) and a > 0.0
-    assert level_density(model, x, y, inner_mc=2048, seed=9) == a
-    assert level_density(model, x, y, inner_mc=2048, seed=10) != a
 
 
 # ---------------------------------------------------------------------------

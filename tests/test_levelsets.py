@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ricelab import levelsets
+from ricelab import fields, levelsets
 from ricelab.errors import CapabilityError, ConfigurationError
 from ricelab.fields import (
     DeterministicField,
@@ -231,6 +231,36 @@ def test_lens_images_blocks_do_not_change_the_images(monkeypatch):
     assert np.array_equal(whole_ok, split_ok)
     assert np.array_equal(whole.rows, split.rows)
     assert np.array_equal(whole.points, split.points)
+
+
+def test_many_star_values_in_blocks_are_bitwise_unchanged(monkeypatch):
+    # the grid counter's lattice against every star at once once peaked at
+    # 449 MB for 40 stars at grid 512; blocks must not move a bit
+    model = MicrolensModel(kappa_c=2.0, gamma=0.0, m=0.2, n_stars=40, R=1.0)
+    real = sample_realization(model, 7)
+    ax = np.linspace(-1.0, 1.0, 33)
+    pts = levelsets._lattice_points([ax, ax])
+    pts[5] = real.star_positions[3]  # a node on a star is moved off it
+    moved = levelsets._near(pts, real.star_positions, 1e-20)
+    assert moved.sum() == 1
+    whole = real.value(np.where(moved[:, None], pts + 1e-9, pts))
+    box, y = [(-2.0, 2.0), (-2.0, 2.0)], np.array([0.25, 0.1])
+    roots = count_roots_2d(real, box, y, grid=48)
+    monkeypatch.setattr(fields, "_CHUNK_BUDGET", 80 * 7)  # 7 points a block
+    sizes, value = [], fields.MicrolensSystem.value
+
+    def counted(self, x):
+        sizes.append(np.atleast_2d(x).shape[0])
+        return value(self, x)
+
+    monkeypatch.setattr(fields.MicrolensSystem, "value", counted)
+    assert levelsets._values_off_singular(real, pts).tobytes() == whole.tobytes()
+    assert max(sizes) == 7 and sum(sizes) == pts.shape[0]
+    split = count_roots_2d(real, box, y, grid=48)
+    assert roots.count > 0
+    assert split.points.tobytes() == roots.points.tobytes()
+    assert split.signed.tobytes() == roots.signed.tobytes()
+    assert split.degree == roots.degree
 
 
 def test_drop_copies_compares_kept_roots_of_one_field():
