@@ -34,9 +34,10 @@ Conventions shared by every evaluator:
   exactly.  Signed critical-point counts, gradient norms and E|det Hess| of
   spectral fields, isotropic or not, are closed forms or exponentially
   convergent periodic quadratures, and weighted counts are exact shares of
-  them.  Monte Carlo is used only for squared-sum Jacobians and pair moments
-  and for the impulse-sum and point-mass families, which are not Gaussian.
-  Sampling obeys the keyed-stream contract of :mod:`ricelab.rng`.
+  them.  The squared-sum gradient norm is 2 sqrt(u) times its base's.  Monte
+  Carlo is used only for pair moments and for the impulse-sum and point-mass
+  families, which are not Gaussian.  Sampling obeys the keyed-stream
+  contract of :mod:`ricelab.rng`.
 * Deterministic quadrature error and Monte Carlo standard error are tracked
   separately and reported side by side in the result objects.  Where Monte
   Carlo sits inside a quadrature (pair moments, image counts),
@@ -85,6 +86,8 @@ MIN_INNER_MC = 100
 _SHARED_BLOCK = 1 << 14
 # midpoint nodes of the exact single-impulse shot-noise term
 _SHOT_QUAD_NODES = 4096
+# lens (draw, node) pairs with a mass this close to the node are excluded
+_EPS_STAR = 1e-6
 
 __all__ = [
     "RhsEvaluation",
@@ -277,40 +280,37 @@ def level_density(model, t, u) -> float:
 # conditional Jacobian expectation
 
 
-def conditional_jacobian_expectation(model, t, u, *, inner_mc: int = DEFAULT_INNER_MC,
-                                     seed: int = 0) -> tuple[float, float]:
-    """E[ normal_jacobian(jac X(t)) | X(t) = u ] with a standard error.
+def conditional_jacobian_expectation(model, u) -> float:
+    """E[ normal_jacobian(jac X(t)) | X(t) = u ], in closed form.
 
-    Closed forms are used when the conditional law makes the expectation
-    elementary (stationary Gaussian value/derivative independence; the norm
-    of an anisotropic planar gradient and |det Hess| of a gradient field,
-    independent of the gradient, are one-dimensional periodic quadratures);
-    the squared-sum field samples its exact conditional law.  The returned
-    pair is (estimate, one-sigma standard error); the error is 0.0 for closed
-    forms.
+    Every stationary family has one: a stationary Gaussian value is
+    independent of its derivative; the norm of an anisotropic planar gradient
+    and |det Hess| of a gradient field, independent of the gradient, are
+    one-dimensional periodic quadratures.  For the squared-sum field
+    X = ||Y||^2, given ||Y||^2 = u the gradient 2 sum_j Y_j grad Y_j is exactly
+    N(0, 4u Lambda_2), so the value is 2 sqrt(u) times the base field's
+    (Worsley, *Adv. Appl. Probab.* 26, 1994).
     Impulse-sum and deflection models have no rule here: their predictions
     are :func:`shotnoise_rhs` and :func:`microlens_rhs`.
     """
     _refuse_joint_families(model, "conditional_jacobian_expectation")
-    inner_mc = _check_inner_mc(inner_mc)
     if isinstance(model, SpectralGaussian1D):
         # X' independent of X(t); E|X'| half-normal.
-        return math.sqrt(2.0 * model.lambda2 / math.pi), 0.0
+        return math.sqrt(2.0 * model.lambda2 / math.pi)
     if isinstance(model, SpectralGaussian2D):
         lam = model.lambda2_matrix
         if model.isotropic:
             # ||grad X|| has the length-2 chi law
             sigma = math.sqrt(lam[0, 0])
-            return sigma * math.sqrt(math.pi / 2.0), 0.0
-        return _gaussian_norm_mean(lam), 0.0
+            return sigma * math.sqrt(math.pi / 2.0)
+        return _gaussian_norm_mean(lam)
     if isinstance(model, GradientField):
-        return _abs_det_mean(model.base), 0.0
+        return _abs_det_mean(model.base)
     if isinstance(model, ChiSquareField):
         uf = float(u)
         if uf <= 0.0:
             raise DomainError("squared-sum conditioning requires u > 0")
-        rng = stream(seed, "cond-jacobian")
-        return mean_se(_chi2_jacobian_draws(model, uf, rng, inner_mc))
+        return 2.0 * math.sqrt(uf) * conditional_jacobian_expectation(model.base, 0.0)
     raise CapabilityError(
         f"no conditional Jacobian rule for {type(model).__name__}"
     )
@@ -366,64 +366,33 @@ def _abs_det_mean(base: SpectralGaussian2D) -> float:
     return 4.0 * _periodic_mean(integrand)
 
 
-def _chi2_jacobian_draws(model: ChiSquareField, u: float, rng, n: int) -> np.ndarray:
-    """Draws of normal_jacobian conditional on the squared sum equalling u.
-
-    The conditional law over the level sphere weights the Gaussian density by
-    the inverse surface-gradient norm; both are constant on the sphere, so
-    the component vector is uniform on the radius-sqrt(u) sphere, and each
-    component derivative stays an independent Gaussian.
-    """
-    nn = model.n
-    y = rng.standard_normal((n, nn))
-    y /= np.linalg.norm(y, axis=1, keepdims=True)
-    y *= math.sqrt(u)
-    base = model.base
-    if isinstance(base, SpectralGaussian1D):
-        g = rng.standard_normal((n, nn)) * math.sqrt(base.lambda2)
-        return np.abs(2.0 * np.einsum("ij,ij->i", y, g))
-    if isinstance(base, SpectralGaussian2D):
-        chol = np.linalg.cholesky(base.lambda2_matrix)
-        g = rng.standard_normal((n, nn, 2)) @ chol.T
-        grad = 2.0 * np.einsum("ij,ijk->ik", y, g)
-        return np.hypot(grad[:, 0], grad[:, 1])
-    raise CapabilityError("squared-sum base must be a spectral Gaussian field")
-
-
 # ---------------------------------------------------------------------------
 # main prediction
 
 
-def kacrice_rhs(model, box, u, *, inner_mc: int = DEFAULT_INNER_MC,
-                seed: int = 0) -> RhsEvaluation:
+def kacrice_rhs(model, box, u) -> RhsEvaluation:
     """Predicted mean measure of the level set {X = u} over ``box``.
 
     Covers the stationary families (spectral Gaussian, gradient and
     squared-sum fields): the prediction is the constant rate density *
-    E[normal Jacobian | X = u] times the box volume.  Impulse-sum and
-    deflection models raise :class:`CapabilityError`; their predictions are
+    E[normal Jacobian | X = u] times the box volume, all in closed form, so
+    the error budget is 0.  Impulse-sum and deflection models raise
+    :class:`CapabilityError`; their predictions are
     :func:`shotnoise_rhs` and :func:`microlens_rhs`.
     """
     _refuse_joint_families(model, "kacrice_rhs")
     arr = _box_array(box, model.D)
     vol = _box_volume(arr)
-    dens = level_density(model, arr[:, 0], u)
-    cond, cond_se = conditional_jacobian_expectation(
-        model, arr[:, 0], u, inner_mc=inner_mc, seed=seed)
-    rate = dens * cond
-    return RhsEvaluation(
-        value=rate * vol, quadrature_error=0.0, mc_error=dens * cond_se * vol,
-        n_quadrature=1, n_mc=(inner_mc if cond_se > 0.0 else 0),
-        detail={"rate": rate, "volume": vol, "path": "stationary"},
-    )
+    rate = level_density(model, arr[:, 0], u) * conditional_jacobian_expectation(model, u)
+    return RhsEvaluation(value=rate * vol, n_quadrature=1,
+                         detail={"rate": rate, "volume": vol, "path": "stationary"})
 
 
 # ---------------------------------------------------------------------------
 # weighted prediction
 
 
-def weighted_kacrice_rhs(model, box, u, weight, *, inner_mc: int = DEFAULT_INNER_MC,
-                         seed: int = 0) -> RhsEvaluation:
+def weighted_kacrice_rhs(model, box, u, weight) -> RhsEvaluation:
     """Level-set prediction with a weight applied under the conditional law.
 
     ``weight`` is one of
@@ -439,7 +408,7 @@ def weighted_kacrice_rhs(model, box, u, weight, *, inner_mc: int = DEFAULT_INNER
     maxima 1/4 each (H and -H have the same law).
     """
     if weight == "unit":
-        return kacrice_rhs(model, box, u, inner_mc=inner_mc, seed=seed)
+        return kacrice_rhs(model, box, u)
     if weight == "upcrossing":
         if not isinstance(model, SpectralGaussian1D):
             raise CapabilityError("upcrossing weight needs a scalar line field")
@@ -453,7 +422,7 @@ def weighted_kacrice_rhs(model, box, u, weight, *, inner_mc: int = DEFAULT_INNER
         share, tag = (0.25, 0.5, 0.25)[k], f"index-{k}"
     else:
         raise ConfigurationError(f"unknown weight specification {weight!r}")
-    total = kacrice_rhs(model, box, u, inner_mc=inner_mc, seed=seed)
+    total = kacrice_rhs(model, box, u)
     return RhsEvaluation(value=share * total.value, detail={"weight": tag})
 
 
@@ -646,8 +615,7 @@ def _lens_ensemble(model: MicrolensModel, inner_mc: int, rng) -> np.ndarray:
 
 
 def _microlens_designated(model: MicrolensModel, nodes: np.ndarray, y: np.ndarray,
-                          xi: np.ndarray, *,
-                          eps_star: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+                          xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Designated-mass joint weights for every (draw, node) pair.
 
     ``nodes`` is an (n_nodes, 2) array of image-plane points x and ``xi`` the
@@ -670,13 +638,13 @@ def _microlens_designated(model: MicrolensModel, nodes: np.ndarray, y: np.ndarra
     the complex form det J = c^2 - (2m)^2 |sum 1/z^2 + 1/z*^2|^2 (Witt 1990),
     or 0 where the designated mass falls off the disk.
     ``excluded`` marks pairs with a mass, designated or not, within
-    ``eps_star`` of the node, or a vanishing excess deflection
+    ``_EPS_STAR`` of the node, or a vanishing excess deflection
     (|w|^2 <= 1e-28); their weight is 0.  The other masses are added one at a
     time into accumulators of the output's size: no array has more than two
     axes.
     """
     m2 = 2.0 * model.m
-    eps2 = eps_star * eps_star
+    eps2 = _EPS_STAR * _EPS_STAR
     # (nodes, draws) layout: the draws axis is the long contiguous one
     x = (nodes[:, 0] + 1j * nodes[:, 1])[:, None]
     shape = (x.shape[0], xi.shape[0])
@@ -693,7 +661,7 @@ def _microlens_designated(model: MicrolensModel, nodes: np.ndarray, y: np.ndarra
             curv += p * p
         w = (model.c * x - (y[0] + 1j * y[1])) - m2 * defl
         w2 = np.square(w.real) + np.square(w.imag)
-        excluded |= (w2 <= 1e-28) | (w2 >= m2 * m2 / eps2)  # |z*| <= eps_star
+        excluded |= (w2 <= 1e-28) | (w2 >= m2 * m2 / eps2)  # |z*| <= _EPS_STAR
         g = m2 / w2
         xs = x - g * w  # designated position x - z*, z* = 2m w / |w|^2
         outside = np.square(xs.real) + np.square(xs.imag) > model.R ** 2
@@ -734,8 +702,7 @@ def _region_nodes(region, nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def microlens_rhs(model, y, region, *, quadrature=None,
-                  inner_mc: int = DEFAULT_INNER_MC, seed: int = 0,
-                  eps_star: float = 1e-6) -> RhsEvaluation:
+                  inner_mc: int = DEFAULT_INNER_MC, seed: int = 0) -> RhsEvaluation:
     """Predicted mean image count of source ``y`` over the region.
 
     Averages the designated-mass integrand (:func:`_microlens_designated`)
@@ -776,8 +743,7 @@ def microlens_rhs(model, y, region, *, quadrature=None,
 
         def joint(sl: slice) -> np.ndarray:
             nonlocal excluded
-            weight, out = _microlens_designated(model, pts[sl], y, xi,
-                                                eps_star=eps_star)
+            weight, out = _microlens_designated(model, pts[sl], y, xi)
             excluded += int(np.count_nonzero(out))
             return weight
 
@@ -793,7 +759,7 @@ def microlens_rhs(model, y, region, *, quadrature=None,
         mc_error=mc_error,
         n_quadrature=pts.shape[0],
         n_mc=inner_mc,
-        detail={"excluded_samples": excluded, "eps_star": eps_star,
+        detail={"excluded_samples": excluded, "eps_star": _EPS_STAR,
                 "nodes": nodes, "path": "shared-draws"},
     )
 

@@ -26,7 +26,6 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .engine import (
-    DEFAULT_INNER_MC,
     RhsEvaluation,
     euler_char_expectation,
     kacrice_rhs,
@@ -300,13 +299,13 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             ("n_lines", "the length estimator", cfg.estimator == "length"),
             ("rhs_delta", "shot-noise models", kind == "shot_noise"),
             ("p_max", "shot-noise models", kind == "shot_noise"),
-            # Monte Carlo predictions: moment2, chi-square and shot-noise
-            # roots, and lenses with stars.  euler still accepts inner_mc,
-            # unread: configs written when it took draws set it, the
-            # standard manifest's frozen benchmark copies among them.
+            # Monte Carlo predictions: moment2, shot-noise roots, and lenses
+            # with stars.  euler still accepts inner_mc, unread: configs
+            # written when it took draws set it, the standard manifest's
+            # frozen benchmark copies among them.
             ("inner_mc", "Monte Carlo predictions",
              cfg.estimator in ("euler", "moment2") or lens_mc
-             or (cfg.estimator == "roots" and kind in ("chi_square", "shot_noise")))):
+             or (cfg.estimator == "roots" and kind == "shot_noise"))):
         if not read and getattr(cfg, key) != ExperimentConfig.__dataclass_fields__[key].default:
             raise ConfigurationError(f"{key} is read only by {readers}; estimator "
                                      f"{cfg.estimator!r} on model kind {kind!r} would ignore it")
@@ -892,9 +891,8 @@ def _rhs_for_level(cfg: ExperimentConfig, model, level, seed: int):
                              inner_mc=cfg.inner_mc, seed=seed)
     u = np.asarray(level, dtype=float) if kind == "gradient_field" else float(level)
     if est == "weighted":
-        return weighted_kacrice_rhs(model, cfg.box, u, cfg.weight,
-                                    inner_mc=cfg.inner_mc, seed=seed)
-    return kacrice_rhs(model, cfg.box, u, inner_mc=cfg.inner_mc, seed=seed)
+        return weighted_kacrice_rhs(model, cfg.box, u, cfg.weight)
+    return kacrice_rhs(model, cfg.box, u)
 
 
 # ---------------------------------------------------------------------------
@@ -1018,8 +1016,8 @@ def predict_only(config, master_seed: int = 0) -> dict:
 
 
 def ae_level_consistency(model, box, levels, *, n_realizations: int = 1024,
-                         grid: int = 2048, inner_mc: int = DEFAULT_INNER_MC,
-                         seed: int = 0, g_center: float | None = None,
+                         grid: int = 2048, seed: int = 0,
+                         g_center: float | None = None,
                          g_width: float | None = None) -> dict:
     """Empirical and predicted root counts integrated against a level bump.
 
@@ -1066,7 +1064,7 @@ def ae_level_consistency(model, box, levels, *, n_realizations: int = 1024,
             rhs[i] = 0.0
             rhs_err[i] = 0.0
             continue
-        ev = kacrice_rhs(model, box, lev, inner_mc=inner_mc, seed=seed + i)
+        ev = kacrice_rhs(model, box, lev)
         rhs[i] = ev.value
         rhs_err[i] = ev.total_error
 

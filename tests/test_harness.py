@@ -210,12 +210,14 @@ def test_config_rejects_quadrature_nothing_reads():
         _cfg(estimator="weighted", weight="upcrossing", inner_mc=8192)
     with pytest.raises(ConfigurationError, match="inner_mc"):
         _cfg(model=CHI2, levels=[1.0], estimator="local_time", delta=0.2, inner_mc=8192)
+    # the squared-sum crossing rate is a closed form too
+    with pytest.raises(ConfigurationError, match="inner_mc is read only by Monte Carlo"):
+        _cfg(model=CHI2, levels=[1.0], inner_mc=8192)
     assert _cfg(inner_mc=4096).inner_mc == 4096
     # unread since signed counts became a closed form, but still accepted:
     # configs written before then set it
     assert _cfg(estimator="euler", inner_mc=8192).inner_mc == 8192
     assert _cfg(estimator="moment2", box=[0.0, 3.0], inner_mc=8192).inner_mc == 8192
-    assert _cfg(model=CHI2, levels=[1.0], inner_mc=8192).inner_mc == 8192
     assert _cfg(model=SHOT, levels=[0.5], box=[1.0, 11.0], inner_mc=8192).inner_mc == 8192
     assert lens.inner_mc == 4096
     assert _cfg(model=LENS3, levels=[[0.25, 0.1]], box=None, n_realizations=30,

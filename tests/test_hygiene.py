@@ -6,7 +6,8 @@ Every module uses each name it imports, and so does every file under
 exempt.  Because of that exemption, every name in ``__all__`` must also be
 bound in the module, or a stale entry would pass the import scan and break
 ``from module import *``.  Every Monte Carlo standard error comes from ``rng.mean_se``: no other
-function passes ``ddof``, and the closed-form predictions draw from no
+function passes ``ddof``; only the three Monte Carlo predictions of
+``engine`` call ``stream``, and the closed-form predictions draw from no
 stream.  Importing ricelab and running a line experiment
 loads neither scipy nor multiprocessing; scipy loads when a chi-square
 occupation prediction first needs it.
@@ -23,7 +24,12 @@ import numpy as np
 import pytest
 
 from ricelab import engine
-from ricelab.fields import GradientField, SpectralGaussian1D, SpectralGaussian2D
+from ricelab.fields import (
+    ChiSquareField,
+    GradientField,
+    SpectralGaussian1D,
+    SpectralGaussian2D,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "ricelab"
@@ -138,6 +144,36 @@ def test_standard_errors_come_from_mean_se_only():
     assert {name: s for name, s in sites.items() if s} == {"rng.py": ["mean_se"]}
 
 
+def stream_sites(source: str) -> list:
+    """Top-level function names (``<module>`` otherwise) of calls to ``stream``."""
+    tree = ast.parse(source)
+    return [getattr(top, "name", "<module>") for top in tree.body
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "stream"]
+
+
+def test_stream_scan_names_the_enclosing_function():
+    source = (
+        "from .rng import stream\n"
+        "def f(seed):\n"
+        "    def draws():\n"
+        "        return stream(seed, 'a').uniform()\n"
+        "    return draws()\n"
+        "def g(rng):\n"
+        "    return rng.stream\n"
+        "z = stream(0, 'b')\n"
+    )
+    assert stream_sites(source) == ["f", "<module>"]
+
+
+def test_engine_draws_only_in_monte_carlo_predictions():
+    # every stationary rate is a closed form: pair moments and the impulse-sum
+    # and point-mass families are all that sample
+    assert sorted(stream_sites((SRC / "engine.py").read_text())) == [
+        "microlens_rhs", "second_factorial_moment_rhs", "shotnoise_rhs"]
+
+
 def test_closed_form_predictions_take_no_draws(monkeypatch):
     def no_stream(*args, **kwargs):
         raise AssertionError("a closed-form prediction asked for random draws")
@@ -148,13 +184,20 @@ def test_closed_form_predictions_take_no_draws(monkeypatch):
                                np.array([0.5, 0.6, 0.3]))
     assert not aniso.isotropic
     grad, box2, u2 = GradientField(aniso), [(0, 1), (0, 1)], (0.3, -0.2)
+    # squared sums need unit-variance bases
+    chi2_line = ChiSquareField(2, SpectralGaussian1D(np.array([0.8, 1.7]),
+                                                     np.array([0.8, 0.6])))
+    chi2_plane = ChiSquareField(3, SpectralGaussian2D(aniso.wavevectors,
+                                                      aniso.amplitudes / np.sqrt(0.7)))
     for ev in (engine.euler_char_expectation(line, (0.0, 2.0), 0.5),
                engine.euler_char_expectation(aniso, box2, 0.5),
                engine.kacrice_rhs(aniso, box2, 0.5),
                engine.kacrice_rhs(grad, box2, u2),
                *(engine.weighted_kacrice_rhs(grad, box2, u2, {"kind": "index", "k": k})
                  for k in (0, 1, 2)),
-               engine.weighted_kacrice_rhs(line, (0.0, 2.0), 0.5, "upcrossing")):
+               engine.weighted_kacrice_rhs(line, (0.0, 2.0), 0.5, "upcrossing"),
+               engine.kacrice_rhs(chi2_line, (0.0, 2.0), 1.0),
+               engine.kacrice_rhs(chi2_plane, box2, 1.0)):
         assert (ev.mc_error, ev.n_mc) == (0.0, 0)
 
 
