@@ -578,21 +578,58 @@ def _fmt_level(level) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Empirical side (chunked; seeds depend on the global index only)
+# Empirical side.  A measurement is prepared once: the config, the model and,
+# for line corpora, the grid and its trig basis, none of which depends on a
+# seed.  Chunks of realizations then share that one prepared object, in this
+# process or pickled to a pool; a chunk carries only (master_seed, lo, hi),
+# and each realization's seed depends on its global index alone.
 # ---------------------------------------------------------------------------
 
 _CORPUS_BLOCK = 256
 
+# line fields whose count estimators read one value matrix per block
+_CORPUS_KINDS = ("spectral_gaussian_1d", "chi_square", "shot_noise")
+_COUNT_ESTIMATORS = ("roots", "weighted", "moment2", "local_time")
 
-def _chunk_lhs(config_doc: dict, master_seed: int, lo: int, hi: int) -> dict:
-    """Measure realizations lo..hi-1; picklable for process pools."""
-    cfg = ExperimentConfig.from_doc(config_doc)
+
+@dataclass(frozen=True)
+class _Prepared:
+    """The seed-free part of one measurement, shared by all of its chunks.
+
+    ``ts`` and ``basis`` are set for line corpora only: ``ts`` is the grid
+    the counts read and ``basis`` its ``trig_basis_1d`` table (the base
+    field's for a squared sum; None for impulse sums, which have none).
+    """
+
+    cfg: ExperimentConfig
+    model: object
+    ts: Optional[np.ndarray] = None
+    basis: Optional[np.ndarray] = None
+
+
+def _prepare(cfg: ExperimentConfig) -> _Prepared:
+    """Build the model, and for a line corpus its grid and basis, once."""
     model = model_from_doc(dict(cfg.model))
+    if cfg.estimator not in _COUNT_ESTIMATORS or cfg.model["kind"] not in _CORPUS_KINDS:
+        return _Prepared(cfg, model)
+    lo, hi = float(cfg.box[0]), float(cfg.box[1])
+    grid = _grid_of(cfg)
+    if cfg.estimator == "local_time":
+        # occupation reads the cell midpoints lo + (i + 1/2) h, h = (hi - lo) / grid
+        ts = lo + (np.arange(grid) + 0.5) * ((hi - lo) / grid)
+    else:
+        ts = np.linspace(lo, hi, grid)
+    return _Prepared(cfg, model, ts, _corpus_basis(model, ts))
+
+
+def _chunk_lhs(prep: _Prepared, master_seed: int, lo: int, hi: int) -> dict:
+    """Measure realizations lo..hi-1 of a prepared measurement; picklable for process pools."""
+    cfg, model = prep.cfg, prep.model
     kind = cfg.model["kind"]
     seeds = [fanout_seed(master_seed, cfg.experiment_id, i) for i in range(lo, hi)]
-    if cfg.estimator in ("roots", "weighted", "moment2", "local_time"):
-        if kind in ("spectral_gaussian_1d", "chi_square", "shot_noise"):
-            return _corpus_chunk(cfg, model, seeds)
+    if cfg.estimator in _COUNT_ESTIMATORS:
+        if kind in _CORPUS_KINDS:
+            return _corpus_chunk(prep, seeds)
         if kind == "microlens":
             return _microlens_chunk(cfg, model, seeds)
         if kind == "gradient_field":
@@ -612,23 +649,33 @@ def _grid_of(cfg: ExperimentConfig) -> int:
         cfg.estimator, cfg.model["kind"])
 
 
-def _corpus_values(model, seeds, ts) -> np.ndarray:
-    """(m, T) value matrix; rows match sample_realization exactly.
+def _corpus_basis(model, ts) -> Optional[np.ndarray]:
+    """The trig table that turns a line corpus's coefficient rows into values at ts.
 
-    Spectral rows come from one coefficient-by-basis product; impulse-sum
-    realizations have no shared basis, so their rows are stacked one by one.
+    A squared sum uses its base field's table; impulse sums have none (None).
+    """
+    if isinstance(model, SpectralGaussian1D):
+        return trig_basis_1d(model, ts)
+    if isinstance(model, ChiSquareField):
+        return trig_basis_1d(model.base, ts)
+    return None
+
+
+def _corpus_values(model, seeds, ts, basis) -> np.ndarray:
+    """(m, T) value matrix at ts; rows match sample_realization exactly.
+
+    Spectral rows come from one coefficient-by-``basis`` product, ``basis``
+    being ``_corpus_basis(model, ts)``; impulse-sum realizations have no
+    shared basis, so their rows are stacked one by one.
     """
     if isinstance(model, ShotNoiseModel):
         return np.stack([sample_realization(model, s).value(ts) for s in seeds])
     if isinstance(model, SpectralGaussian1D):
-        basis = trig_basis_1d(model, ts)
         return batch_coefficients(model, seeds) @ basis
     if isinstance(model, ChiSquareField):
-        base = model.base
-        basis = trig_basis_1d(base, ts)
         comp_seeds = [fanout_seed(s, "chi2-component", j)
                       for s in seeds for j in range(model.n)]
-        comp = batch_coefficients(base, comp_seeds) @ basis
+        comp = batch_coefficients(model.base, comp_seeds) @ basis
         comp = comp.reshape(len(seeds), model.n, ts.size)
         return np.sum(comp**2, axis=1)
     raise ConfigurationError("batched values exist for line-field corpora only")
@@ -645,28 +692,21 @@ def _upcrossing_counts(vals: np.ndarray, u: float) -> np.ndarray:
     return np.sum(below[:, :-1] & ~below[:, 1:], axis=1)
 
 
-def _corpus_chunk(cfg, model, seeds) -> dict:
-    """Score every level on one value matrix per block of line realizations.
-
-    Crossing counts read the grid nodes; local time reads the cell midpoints
-    lo + (i + 1/2) h, h = (hi - lo) / grid.
-    """
-    lo, hi = float(cfg.box[0]), float(cfg.box[1])
-    grid = _grid_of(cfg)
+def _corpus_chunk(prep: _Prepared, seeds) -> dict:
+    """Score every level on one value matrix per block of line realizations."""
+    cfg = prep.cfg
     if cfg.estimator == "local_time":
-        h = (hi - lo) / grid
-        ts = lo + (np.arange(grid) + 0.5) * h
+        h = (float(cfg.box[1]) - float(cfg.box[0])) / _grid_of(cfg)
 
         def score(vals, u):
             return local_time(vals, u, cfg.delta, h)
     else:
-        ts = np.linspace(lo, hi, grid)
         up = cfg.estimator == "weighted" and cfg.weight == "upcrossing"
         score = _upcrossing_counts if up else _sign_change_counts
     out = np.empty((len(seeds), len(cfg.levels)))
     for blo in range(0, len(seeds), _CORPUS_BLOCK):
         block = seeds[blo:blo + _CORPUS_BLOCK]
-        vals = _corpus_values(model, block, ts)
+        vals = _corpus_values(prep.model, block, prep.ts, prep.basis)
         for j, u in enumerate(cfg.levels):
             out[blo:blo + len(block), j] = score(vals, float(u))
     if cfg.estimator == "moment2":
@@ -936,16 +976,16 @@ def _finalize_extras(cfg: ExperimentConfig, extras: dict) -> dict:
 
 def _measure_values(config: ExperimentConfig, master_seed: int,
                     workers: int) -> tuple:
-    doc = config.to_doc()
+    prep = _prepare(config)
     bounds = _chunk_bounds(config.n_realizations)
     workers = max(1, int(workers))
     if workers == 1 or len(bounds) == 1:
-        parts = [_chunk_lhs(doc, master_seed, lo, hi) for lo, hi in bounds]
+        parts = [_chunk_lhs(prep, master_seed, lo, hi) for lo, hi in bounds]
     else:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing too
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_chunk_lhs, doc, master_seed, lo, hi)
+            futures = [pool.submit(_chunk_lhs, prep, master_seed, lo, hi)
                        for lo, hi in bounds]
             parts = [f.result() for f in futures]
     values = np.vstack([p["values"] for p in parts])
@@ -1026,10 +1066,19 @@ def ae_level_consistency(model, box, levels, *, n_realizations: int = 1024,
     the quartic bump g by the trapezoid rule.  The bump defaults to being
     centred on the level grid and supported in its interior.  Works for
     scalar line fields (Gaussian or squared-sum over a Gaussian base).  The
-    returned table carries per-level values with errors and the two integrals
-    with conservative error bounds (sum of |weight| times the per-level
-    error, a bound that stays valid under correlated level counts).
+    returned table carries per-level values, the standard errors of the
+    empirical ones, and the two integrals.  The predictions are closed forms,
+    so the empirical integral alone carries an error bound: the sum of
+    |weight| times the per-level standard error, a bound that stays valid
+    under correlated level counts.  ``grid`` and ``n_realizations`` follow
+    the experiment-config rules: whole numbers, at least 2.
     """
+    grid = config_number("grid", grid, integral=True)
+    n_realizations = config_number("n_realizations", n_realizations, integral=True)
+    if grid < 2:
+        raise ConfigurationError("grid must be >= 2")
+    if n_realizations < 2:
+        raise ConfigurationError("need n_realizations >= 2 for a standard error")
     levels = np.asarray(levels, dtype=float)
     if levels.ndim != 1 or levels.size < 3:
         raise ConfigurationError("need a one-dimensional grid of >= 3 levels")
@@ -1050,42 +1099,31 @@ def ae_level_consistency(model, box, levels, *, n_realizations: int = 1024,
     seeds = [int(s) for s in stream(seed, "level-table-seeds").integers(
         0, 2 ** 62, size=n_realizations)]
     ts = np.linspace(float(box[0]), float(box[1]), grid)
-    values = _corpus_values(model, seeds, ts)
+    values = _corpus_values(model, seeds, ts, _corpus_basis(model, ts))
 
     lhs = np.empty(levels.size)
     lhs_se = np.empty(levels.size)
     for i, lev in enumerate(levels):
         lhs[i], lhs_se[i] = mean_se(_sign_change_counts(values, lev))
 
-    rhs = np.empty(levels.size)
-    rhs_err = np.empty(levels.size)
-    for i, lev in enumerate(levels):
-        if isinstance(model, ChiSquareField) and lev <= 0.0:
-            rhs[i] = 0.0
-            rhs_err[i] = 0.0
-            continue
-        ev = kacrice_rhs(model, box, lev)
-        rhs[i] = ev.value
-        rhs_err[i] = ev.total_error
+    rhs = np.array([0.0 if isinstance(model, ChiSquareField) and lev <= 0.0
+                    else kacrice_rhs(model, box, lev).value for lev in levels])
 
     tw = _trapezoid_weights(levels)
     lhs_int = float(np.sum(tw * g * lhs))
     rhs_int = float(np.sum(tw * g * rhs))
     lhs_int_err = float(np.sum(np.abs(tw * g) * lhs_se))
-    rhs_int_err = float(np.sum(np.abs(tw * g) * rhs_err))
     return {
         "levels": levels.tolist(),
         "bump": g.tolist(),
         "lhs": lhs.tolist(),
         "lhs_se": lhs_se.tolist(),
         "rhs": rhs.tolist(),
-        "rhs_error": rhs_err.tolist(),
         "lhs_integral": lhs_int,
         "lhs_integral_error": lhs_int_err,
         "rhs_integral": rhs_int,
-        "rhs_integral_error": rhs_int_err,
-        "n_realizations": int(n_realizations),
-        "grid": int(grid),
+        "n_realizations": n_realizations,
+        "grid": grid,
         "bump_center": float(g_center),
         "bump_width": float(g_width),
     }

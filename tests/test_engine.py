@@ -815,9 +815,20 @@ def test_level_table_integrals_agree():
     levels = np.linspace(-1.5, 1.5, 9)
     out = ae_level_consistency(model, (0.0, 6.0), levels, n_realizations=512,
                                grid=1024, seed=17)
-    tol = 4.0 * (out["lhs_integral_error"] + out["rhs_integral_error"])
+    tol = 4.0 * out["lhs_integral_error"]
     assert abs(out["lhs_integral"] - out["rhs_integral"]) <= tol
     assert len(out["lhs"]) == levels.size
+
+
+@pytest.mark.parametrize("key,value", [
+    ("grid", 0), ("grid", 1), ("grid", 2.5),
+    ("n_realizations", 0), ("n_realizations", 1), ("n_realizations", 2.5),
+])
+def test_level_table_rejects_bad_grid_and_realization_counts(key, value):
+    # grid 0 or 1 would count no crossing, one realization has no standard error
+    with pytest.raises(ConfigurationError, match=key):
+        ae_level_consistency(_line_model(), (0.0, 1.0), [0.0, 0.5, 1.0],
+                             **{"grid": 64, "n_realizations": 64, key: value})
 
 
 def test_level_table_validation():

@@ -23,7 +23,7 @@ from ricelab.fields import (
     sample_realization,
     trig_basis_1d,
 )
-from ricelab.harness import _corpus_values
+from ricelab.harness import _corpus_basis, _corpus_values
 from ricelab.modelspec import model_from_doc, model_from_json, model_to_doc, model_to_json
 
 small_seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -276,11 +276,11 @@ def test_corpus_rows_match_per_wave_loop():
     pts = ts[:, None]
     w = base.frequencies[:, None]
     seeds = [5, 17, 2**40]
-    for row, s in zip(_corpus_values(base, seeds, ts), seeds):
+    for row, s in zip(_corpus_values(base, seeds, ts, _corpus_basis(base, ts)), seeds):
         r = sample_realization(base, s)
         _assert_rel_close(row, _wave_sum(w, r.coef_cos, r.coef_sin, pts))
     chi = ChiSquareField(n=3, base=base)
-    for row, s in zip(_corpus_values(chi, seeds, ts), seeds):
+    for row, s in zip(_corpus_values(chi, seeds, ts, _corpus_basis(chi, ts)), seeds):
         comps = sample_realization(chi, s).components
         ref = sum(_wave_sum(w, c.coef_cos, c.coef_sin, pts) ** 2 for c in comps)
         _assert_rel_close(row, ref)

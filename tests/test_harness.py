@@ -21,6 +21,7 @@ from ricelab.harness import (
     _chunk_bounds,
     _chunk_lhs,
     _euler_line_chunk,
+    _prepare,
     _sign_change_counts,
     _upcrossing_counts,
     default_image_region,
@@ -324,6 +325,45 @@ def test_reports_identical_across_worker_counts():
     assert c.to_json(canonical=True) != a.to_json(canonical=True)
 
 
+# 500 realizations make 16 chunks: one Gaussian and one squared-sum crossing
+# count, and one occupation count at the cell midpoints
+CORPUS_CASES = {
+    "gauss-roots": dict(model=PAIR, levels=[0.0, 0.7], box=[0.0, 8.0]),
+    "chi2-roots": dict(model=CHI2, levels=[1.0, 2.0], box=[0.0, 8.0]),
+    "local-time": dict(model=PAIR, estimator="local_time", delta=0.3,
+                       levels=[0.5], box=[0.0, 6.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORPUS_CASES))
+def test_measurement_builds_one_model_and_one_basis(monkeypatch, case):
+    cfg = _cfg(n_realizations=500, **CORPUS_CASES[case])
+    assert len(_chunk_bounds(500)) == 16
+    calls = {"from_doc": 0, "model_from_doc": 0, "trig_basis_1d": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ExperimentConfig, "from_doc",
+                        classmethod(counted("from_doc", ExperimentConfig.from_doc.__func__)))
+    for name in ("model_from_doc", "trig_basis_1d"):
+        monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+    measure_only(cfg, master_seed=1)
+    assert calls == {"from_doc": 0, "model_from_doc": 1, "trig_basis_1d": 1}
+
+
+@pytest.mark.parametrize("case", ["chi2-roots", "local-time"])
+def test_corpus_reports_identical_across_worker_counts(case):
+    # the pool gets the prepared model and basis pickled, not a config to rebuild
+    cfg = _cfg(n_realizations=64, **CORPUS_CASES[case])
+    a = run_experiment(cfg, master_seed=3, workers=1)
+    b = run_experiment(cfg, master_seed=3, workers=2)
+    assert a.to_json(canonical=True) == b.to_json(canonical=True)
+
+
 def test_report_doc_round_trip(tmp_path):
     report = run_experiment(_cfg(n_realizations=40), master_seed=2)
     path = report.write(str(tmp_path / "r.report.json"))
@@ -395,7 +435,7 @@ def test_local_time_experiment_with_closed_form(model, level, cdf):
 def test_local_time_corpus_matches_pointwise_realizations(model):
     cfg = _cfg(model=model, estimator="local_time", delta=0.3, levels=[0.5, 1.0],
                box=[0.0, 6.0], grid=300, n_realizations=60)
-    got = _chunk_lhs(cfg.to_doc(), 5, 0, 60)["values"]
+    got = _chunk_lhs(_prepare(cfg), 5, 0, 60)["values"]
     m = model_from_doc(dict(model))
     h = 6.0 / 300
     mid = (np.arange(300) + 0.5) * h
@@ -412,7 +452,7 @@ def test_shot_noise_counts_match_pointwise_realizations():
     # equal those of its own realization on the same grid
     cfg = _cfg(model=SHOT, levels=[0.5, 1.3], box=[1.0, 11.0], grid=400,
                n_realizations=40)
-    got = _chunk_lhs(cfg.to_doc(), 5, 0, 40)["values"]
+    got = _chunk_lhs(_prepare(cfg), 5, 0, 40)["values"]
     m = model_from_doc(dict(SHOT))
     ts = np.linspace(1.0, 11.0, 400)
     want = np.empty((40, 2))
@@ -551,9 +591,8 @@ def test_default_image_region_contains_all_images():
         assert np.all(np.linalg.norm(rs.points, axis=1) <= rad)
 
 
-def _grid_image_counts(doc, master_seed, n):
+def _grid_image_counts(cfg, master_seed, n):
     """Per-field counts of the grid counter that certificate failures fall back to."""
-    cfg = ExperimentConfig.from_doc(doc)
     model = model_from_doc(dict(cfg.model))
     region, box = harness._lens_geometry(cfg, model, cfg.levels[0])
     y = np.asarray(cfg.levels[0], dtype=float)
@@ -567,30 +606,29 @@ def _grid_image_counts(doc, master_seed, n):
 @pytest.mark.parametrize("master_seed", [1, 2, 3])
 def test_lens_polynomial_counts_match_grid_counter(master_seed):
     # the bench-scale lens-images experiment: 60 fields, 3 stars
-    doc = _cfg(experiment_id="lens-images", model=LENS3, levels=[[0.25, 0.1]],
-               box=None, n_realizations=60, grid=64).to_doc()
-    part = _chunk_lhs(doc, master_seed, 0, 60)
+    cfg = _cfg(experiment_id="lens-images", model=LENS3, levels=[[0.25, 0.1]],
+               box=None, n_realizations=60, grid=64)
+    part = _chunk_lhs(_prepare(cfg), master_seed, 0, 60)
     assert part["extras"] == {"parity_fallbacks": 0, "parity_escalations": 0,
                               "parity_unresolved": 0}
-    assert np.array_equal(part["values"][:, 0], _grid_image_counts(doc, master_seed, 60))
+    assert np.array_equal(part["values"][:, 0], _grid_image_counts(cfg, master_seed, 60))
 
 
 def test_lens_certificate_failures_fall_back_to_grid_counter():
     # at 6 stars (degree 37) the monomial form loses images on some fields
-    doc = _cfg(experiment_id="n6", model=dict(LENS0, n_stars=6), levels=[[0.25, 0.1]],
-               box=None, n_realizations=30, grid=64).to_doc()
-    part = _chunk_lhs(doc, 2, 0, 30)
+    cfg = _cfg(experiment_id="n6", model=dict(LENS0, n_stars=6), levels=[[0.25, 0.1]],
+               box=None, n_realizations=30, grid=64)
+    part = _chunk_lhs(_prepare(cfg), 2, 0, 30)
     assert part["extras"]["parity_fallbacks"] > 0
-    assert np.array_equal(part["values"][:, 0], _grid_image_counts(doc, 2, 30))
+    assert np.array_equal(part["values"][:, 0], _grid_image_counts(cfg, 2, 30))
 
 
 def test_lens_image_between_close_stars_counts():
     # lens-images field 3068 at master seed 11: two stars 0.0035 apart with an
     # image between them (det J ~ -7e10), which the grid counter misses up
     # to MAX_PARITY_GRID and reports as parity_unresolved with a count of 1
-    doc = _cfg(experiment_id="lens-images", model=LENS3, levels=[[0.25, 0.1]],
-               box=None, n_realizations=30, grid=64).to_doc()
-    cfg = ExperimentConfig.from_doc(doc)
+    cfg = _cfg(experiment_id="lens-images", model=LENS3, levels=[[0.25, 0.1]],
+               box=None, n_realizations=30, grid=64)
     model = model_from_doc(LENS3)
     region, box = harness._lens_geometry(cfg, model, cfg.levels[0])
     y = np.array([0.25, 0.1])
@@ -599,7 +637,7 @@ def test_lens_image_between_close_stars_counts():
     assert certified.tolist() == [True]
     assert images.count == 2
     assert np.max(images.deltas) > 1e10
-    assert _chunk_lhs(doc, 11, 3068, 3069)["values"].tolist() == [[2.0]]
+    assert _chunk_lhs(_prepare(cfg), 11, 3068, 3069)["values"].tolist() == [[2.0]]
     assert harness._count_images(system, box, y, region, 64) == (1, True, True)
 
 
@@ -609,11 +647,11 @@ def test_lens_fields_above_star_cap_go_straight_to_grid_counter(monkeypatch):
 
     monkeypatch.setattr(harness, "lens_images", refuse)
     n = harness.MAX_POLY_STARS + 1
-    doc = _cfg(experiment_id="many", model=dict(LENS0, n_stars=n), levels=[[0.25, 0.1]],
-               box=None, n_realizations=30, grid=64).to_doc()
-    part = _chunk_lhs(doc, 1, 0, 4)
+    cfg = _cfg(experiment_id="many", model=dict(LENS0, n_stars=n), levels=[[0.25, 0.1]],
+               box=None, n_realizations=30, grid=64)
+    part = _chunk_lhs(_prepare(cfg), 1, 0, 4)
     assert part["extras"]["parity_fallbacks"] == 4
-    assert np.array_equal(part["values"][:, 0], _grid_image_counts(doc, 1, 4))
+    assert np.array_equal(part["values"][:, 0], _grid_image_counts(cfg, 1, 4))
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,13 @@ function passes ``ddof``; only the three Monte Carlo predictions of
 ``engine`` call ``stream``, and the closed-form predictions draw from no
 stream.  Importing ricelab and running a line experiment
 loads neither scipy nor multiprocessing; scipy loads when a chi-square
-occupation prediction first needs it.
+occupation prediction first needs it.  The benchmark's tracer
+(``perfbench/tracer.py``) wraps names bound in ``harness``, so each must
+stay bound there and be called through that namespace.
 """
 
 import ast
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -235,3 +238,30 @@ def test_cold_start_leaves_scipy_and_multiprocessing_unloaded():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "True"]
+
+
+def test_benchmark_tracer_sees_one_prepared_measurement():
+    # install() raises KeyError if a traced harness name is no longer bound;
+    # a call that bypasses the harness namespace would leave its span out
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    from ricelab import fields, harness
+
+    cfg = harness.ExperimentConfig(
+        experiment_id="traced", estimator="roots", levels=[0.0], n_realizations=60,
+        box=[0.0, 6.0], grid=256, model={"kind": "spectral_gaussian_1d",
+                                         "frequencies": [1.0, 2.5], "amplitudes": [0.7, 0.7]})
+    t = tracer.Tracer()
+    t.install()
+    try:
+        harness.measure_only(cfg, 1)
+    finally:
+        t.restore()
+    assert harness.trig_basis_1d is fields.trig_basis_1d
+    names = [span[0] for span in t.spans]
+    # two chunks of 30 share one model and one basis; each chunk draws one block
+    assert names.count("modelspec.model_from_doc") == 1
+    assert names.count("fields.corpus") == 1 + 2
+    assert names.count("rng.fanout_seed") == 60
