@@ -74,12 +74,14 @@ from .fields import (
     SpectralGaussian1D,
     SpectralGaussian2D,
 )
-from .rng import mean_se, stream
+from .rng import copy_position, mean_se, skip_doubles, stream, uniform_into
 
 DEFAULT_INNER_MC = 4096
 MIN_INNER_MC = 100
-# (node, draw) pairs per block of _shared_draw_quadrature: timed on its three
-# users on a 2-core Xeon host, 2^14 was fastest or within noise for each.
+# (node, draw) pairs per block of _shared_draw_quadrature, and draws per row
+# block of _shotnoise_window_term: timed on these four users on a 2-core Xeon
+# host, 2^14 was fastest or within noise for each (the window term ran about
+# 15% slower at 2^12 and at 2^15).
 # Smaller blocks pay more per-block Python; at 2^15-2^16 the lens kernel ran
 # 30-55% slower, mostly not under a raised glibc mmap/trim threshold, so that
 # cost is page faults on freshly mapped temporaries, not cache size.
@@ -506,25 +508,54 @@ def _shotnoise_window_term(model: ShotNoiseModel, u: float, p: int, delta: float
     """Window estimate of the p-impulse joint term: window hits weighted by |X'(t0)|.
 
     Both window widths of the Richardson pair (delta, delta / 2) read one
-    draw set, so the cost is the draws: s and then b, each (n_mc, p).  Kernel
-    values go through blocks of about ``_SHARED_BLOCK`` draws; slopes are
-    evaluated only on the rows inside the wider window, and every other row,
-    which neither window hits, gets 0.  Draws from uniform(-eta, eta) satisfy
-    |s| <= eta in floating point, so no row leaves the kernel's support by
-    rounding.  Returns (estimate, standard error, bias), the bias being the
-    Richardson correction.
+    draw set: positions s and then amplitudes b, each (n_mc, p), from
+    ``rng``, which ends past both.  Rows go through blocks of about
+    ``_SHARED_BLOCK`` draws.  Each block draws its positions and evaluates
+    the kernel; as b lies in [beta_low, beta_high] and the kernel is
+    nonnegative, X = sum b g lies in [beta_low, beta_high] * sum g, and a
+    block with no row whose range meets the wider window skips its
+    amplitudes, its rows keeping value +inf and slope 0.  So the cost is
+    all positions plus the amplitudes of the blocks that can land in the
+    window.  Slopes are evaluated only on the rows inside the wider window;
+    every other row, which neither window hits, gets 0.  Draws from
+    uniform(-eta, eta) satisfy |s| <= eta in floating point, so no row
+    leaves the kernel's support by rounding.  Returns (estimate, standard
+    error, bias), the bias being the Richardson correction.
     """
-    s = rng.uniform(-model.eta, model.eta, size=(n_mc, p))
-    b = rng.uniform(model.beta_low, model.beta_high, size=(n_mc, p))
-    vals = np.empty(n_mc)
+    positions = copy_position(rng)
+    skip_doubles(rng, n_mc * p)  # rng now starts the amplitude section
+    # X = sum b g lies in [beta_low, beta_high] * sum g, so a row can land in
+    # the wider window only if sum g lies in (reach_lo, reach_hi); the
+    # relative margin is far above the rounding of either sum
+    reach_lo = (u - delta) / (model.beta_high * (1.0 + 1e-9))
+    reach_hi = (u + delta) / (model.beta_low * (1.0 - 1e-9))
     step = max(1, _SHARED_BLOCK // p)
-    for lo in range(0, n_mc, step):
-        sl = slice(lo, lo + step)
-        vals[sl] = np.einsum("ij,ij->i", b[sl], model.kernel(s[sl]))
-    dist = np.abs(vals - u)
-    near = dist < delta
+    s_block = np.empty((step, p))
+    b_block = np.empty((step, p))
+    ones = np.ones(p)
+    dist = np.full(n_mc, np.inf)
     slopes = np.zeros(n_mc)
-    slopes[near] = np.einsum("ij,ij->i", b[near], model.kernel_prime(s[near]))
+    unread = 0  # amplitude doubles passed over since the last block drawn
+    for lo in range(0, n_mc, step):
+        rows = min(step, n_mc - lo)
+        s = uniform_into(positions, -model.eta, model.eta, s_block[:rows])
+        g = model.kernel(s)
+        total = g @ ones  # row sums; far faster than g.sum(axis=1) for small p
+        if not np.any((total > reach_lo) & (total < reach_hi)):
+            unread += rows * p
+            continue
+        skip_doubles(rng, unread)
+        unread = 0
+        b = uniform_into(rng, model.beta_low, model.beta_high, b_block[:rows])
+        d = np.abs(np.einsum("ij,ij->i", b, g) - u)
+        dist[lo:lo + rows] = d
+        near = d < delta
+        slopes[lo + np.flatnonzero(near)] = np.einsum(
+            "ij,ij->i", b[near], model.kernel_prime(s[near]))
+    skip_doubles(rng, unread)
+    if unread == n_mc * p:
+        # no row can land in the window: every window draw is +0.0
+        return 0.0, 0.0, 0.0
     weight = np.abs(slopes)
 
     def window(width: float) -> tuple[float, float]:
@@ -548,8 +579,12 @@ def shotnoise_rhs(model: ShotNoiseModel, box, u, *, p_max: int = 12,
     exact quadrature; higher terms use the window estimator with a
     Richardson width pair; the truncation tail is bounded by the largest
     observed per-impulse growth rate times the Poisson tail mass.  The cost
-    is the draws: 2 * inner_mc * (p_max (p_max + 1) / 2 - 1) uniforms,
-    against which the kernel pass and the window reductions are small.
+    is the draws: all inner_mc * (p_max (p_max + 1) / 2 - 1) positions, plus
+    the amplitudes of the row blocks that can land in the window, which
+    grow rare as p grows: for the shot-crossings manifest entry at u = 0.5,
+    every row up to p = 6, about half at p = 8 and a few percent at p = 10.
+    The stream's draws, and so the outputs, do not depend on which blocks
+    are skipped.
 
     The level must be nonzero: the field value has an atom at zero (empty
     influence window), so the density and the crossing rate are undefined

@@ -974,6 +974,21 @@ def _finalize_extras(cfg: ExperimentConfig, extras: dict) -> dict:
     return out
 
 
+# the prepared measurement of a pool worker process, set by _hold_prepared
+_held_prepared: Optional[_Prepared] = None
+
+
+def _hold_prepared(prep: _Prepared) -> None:
+    """Pool initializer: keep ``prep`` for every chunk this worker runs."""
+    global _held_prepared
+    _held_prepared = prep
+
+
+def _held_chunk_lhs(master_seed: int, lo: int, hi: int) -> dict:
+    """:func:`_chunk_lhs` on the worker's held prepared measurement."""
+    return _chunk_lhs(_held_prepared, master_seed, lo, hi)
+
+
 def _measure_values(config: ExperimentConfig, master_seed: int,
                     workers: int) -> tuple:
     prep = _prepare(config)
@@ -984,8 +999,10 @@ def _measure_values(config: ExperimentConfig, master_seed: int,
     else:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing too
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_chunk_lhs, prep, master_seed, lo, hi)
+        # each worker receives the prepared measurement once; tasks carry bounds
+        with ProcessPoolExecutor(max_workers=workers, initializer=_hold_prepared,
+                                 initargs=(prep,)) as pool:
+            futures = [pool.submit(_held_chunk_lhs, master_seed, lo, hi)
                        for lo, hi in bounds]
             parts = [f.result() for f in futures]
     values = np.vstack([p["values"] for p in parts])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -537,26 +538,61 @@ def _window_term_unblocked(model, u, p, delta, n_mc, rng):
     return joint, se, abs(joint - fine)
 
 
+# (level, p_max, inner_mc): 20,000 draws split into several kernel blocks for
+# every p, with a partial last block; 1,001 draws, whose position and
+# amplitude sections end inside a four-double Philox step unless 4 divides p;
+# at -0.4 every amplitude block is skipped, at 0.5 some are, at 4.0 none are
+SHOT_CASES = [(0.5, 2, 20_000), (0.5, 16, 20_000), (1.3, 2, 20_000), (1.3, 16, 20_000),
+              (2.5, 2, 20_000), (2.5, 16, 20_000), (0.5, 12, 1001),
+              (-0.4, 12, 20_000), (4.0, 16, 20_000)]
+
+
 def _shot_outputs(model, seed):
     out = {}
-    for u in (0.5, 1.3, 2.5):
-        for p_max in (2, 16):
-            ev = shotnoise_rhs(model, (1.0, 11.0), u, p_max=p_max,
-                               inner_mc=20_000, seed=seed)
-            out[u, p_max] = [x.hex() for x in (ev.value, ev.mc_error,
-                                               ev.quadrature_error,
-                                               ev.detail["tail_bound"])]
+    for u, p_max, inner_mc in SHOT_CASES:
+        ev = shotnoise_rhs(model, (1.0, 11.0), u, p_max=p_max,
+                           inner_mc=inner_mc, seed=seed)
+        out[u, p_max, inner_mc] = [x.hex() for x in (ev.value, ev.mc_error,
+                                                     ev.quadrature_error,
+                                                     ev.detail["tail_bound"])]
     return out
 
 
 @pytest.mark.parametrize("seed", [1, 3, 2**64 - 1])
 def test_shot_noise_predictions_are_bitwise_frozen(seed, monkeypatch):
-    # 20,000 draws split into several kernel blocks for every p, with a
-    # partial last block
     model = _shot_model()
     got = _shot_outputs(model, seed)
     monkeypatch.setattr(engine, "_shotnoise_window_term", _window_term_unblocked)
     assert got == _shot_outputs(model, seed)
+
+
+@pytest.mark.parametrize("seed", [1, 3, 2**64 - 1])
+@pytest.mark.parametrize("u, skipped", [(-0.4, "all"), (0.5, "some"), (4.0, "none")])
+def test_shot_noise_skips_only_amplitude_blocks_out_of_reach(seed, u, skipped,
+                                                             monkeypatch):
+    # the frozen cases cover no, some and every amplitude block skipped;
+    # skip_doubles passes over each position section once, plus what it skips
+    passed = []
+    skip = engine.skip_doubles
+    monkeypatch.setattr(engine, "skip_doubles",
+                        lambda gen, n: (passed.append(n), skip(gen, n))[1])
+    shotnoise_rhs(_shot_model(), (1.0, 11.0), u, p_max=16, inner_mc=20_000, seed=seed)
+    sections = sum(20_000 * p for p in range(2, 17))
+    amplitudes = sum(passed) - sections
+    assert {"all": amplitudes == sections, "none": amplitudes == 0,
+            "some": 0 < amplitudes < sections}[skipped]
+
+
+def test_shot_noise_prediction_memory_is_bounded():
+    # blocks of draws keep this call near 8 MB; whole (inner_mc, p) arrays
+    # of positions and amplitudes peak near 49 MB
+    tracemalloc.start()
+    try:
+        shotnoise_rhs(_shot_model(), (1.0, 11.0), 0.5, inner_mc=200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_bump_kernels_equal_their_masked_forms():

@@ -357,11 +357,47 @@ def test_measurement_builds_one_model_and_one_basis(monkeypatch, case):
 
 @pytest.mark.parametrize("case", ["chi2-roots", "local-time"])
 def test_corpus_reports_identical_across_worker_counts(case):
-    # the pool gets the prepared model and basis pickled, not a config to rebuild
+    # each pool worker gets the prepared model and basis once, not a config
     cfg = _cfg(n_realizations=64, **CORPUS_CASES[case])
     a = run_experiment(cfg, master_seed=3, workers=1)
     b = run_experiment(cfg, master_seed=3, workers=2)
     assert a.to_json(canonical=True) == b.to_json(canonical=True)
+
+
+def test_pool_tasks_carry_bounds_and_workers_hold_the_preparation(monkeypatch):
+    # an in-process stand-in for the pool records what each task would pickle
+    import concurrent.futures
+
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer, initargs):
+            self.initargs, self.tasks = initargs, []
+            pools.append(self)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            self.tasks.append(args)
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(harness, "_held_prepared", None)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    cfg = _cfg(n_realizations=64, **CORPUS_CASES["chi2-roots"])
+    pooled = run_experiment(cfg, master_seed=3, workers=2)
+    (pool,) = pools
+    (prep,) = pool.initargs
+    assert prep.basis is not None and prep.cfg == cfg
+    assert pool.tasks == [(3, lo, hi) for lo, hi in _chunk_bounds(64)]
+    serial = run_experiment(cfg, master_seed=3, workers=1)
+    assert pooled.to_json(canonical=True) == serial.to_json(canonical=True)
 
 
 def test_report_doc_round_trip(tmp_path):

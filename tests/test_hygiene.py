@@ -8,7 +8,8 @@ bound in the module, or a stale entry would pass the import scan and break
 ``from module import *``.  Every Monte Carlo standard error comes from ``rng.mean_se``: no other
 function passes ``ddof``; only the three Monte Carlo predictions of
 ``engine`` call ``stream``, and the closed-form predictions draw from no
-stream.  Importing ricelab and running a line experiment
+stream; no module but ``rng`` names numpy's random module.  Importing
+ricelab and running a line experiment
 loads neither scipy nor multiprocessing; scipy loads when a chi-square
 occupation prediction first needs it.  The benchmark's tracer
 (``perfbench/tracer.py``) wraps names bound in ``harness``, so each must
@@ -175,6 +176,50 @@ def test_engine_draws_only_in_monte_carlo_predictions():
     # and point-mass families are all that sample
     assert sorted(stream_sites((SRC / "engine.py").read_text())) == [
         "microlens_rhs", "second_factorial_moment_rhs", "shotnoise_rhs"]
+
+
+def numpy_random_sites(source: str) -> list:
+    """Lines that reach numpy's random module, through any numpy alias."""
+    tree = ast.parse(source)
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name == "numpy"}
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            sites += [node.lineno for alias in node.names
+                      if alias.name.startswith("numpy.random")]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if (node.module.startswith("numpy.random")
+                    or (node.module == "numpy"
+                        and any(alias.name == "random" for alias in node.names))):
+                sites.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr == "random"
+              and isinstance(node.value, ast.Name) and node.value.id in aliases):
+            sites.append(node.lineno)
+    return sorted(sites)
+
+
+def test_numpy_random_scan_finds_every_spelling():
+    source = (
+        "import numpy as np\n"
+        "import numpy\n"
+        "import numpy.random\n"
+        "from numpy.random import Philox\n"
+        "from numpy import random, zeros\n"
+        "a = np.random.Generator\n"
+        "b = numpy.random.default_rng\n"
+        "c = rng.random(3)\n"
+        "d = np.zeros(2).random\n"
+    )
+    assert numpy_random_sites(source) == [3, 4, 5, 6, 7]
+
+
+def test_generators_are_built_in_rng_only():
+    # generators are built, copied and moved in rng alone
+    sites = {path.name: numpy_random_sites(path.read_text()) for path in MODULES}
+    assert sites.pop("rng.py")
+    assert {name: lines for name, lines in sites.items() if lines} == {}
 
 
 def test_closed_form_predictions_take_no_draws(monkeypatch):

@@ -4,7 +4,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ricelab.errors import ConfigurationError
-from ricelab.rng import check_seed, fanout_seed, stream
+from ricelab.rng import (
+    check_seed,
+    copy_position,
+    fanout_seed,
+    skip_doubles,
+    stream,
+    uniform_into,
+)
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -59,3 +66,57 @@ def test_seeds_outside_uint64_are_configuration_errors(bad):
         with pytest.raises(ConfigurationError):
             call(bad)
     assert check_seed(np.uint64(2**64 - 1)) == 2**64 - 1
+
+
+def _position(gen):
+    state = gen.bit_generator.state
+    return (state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
+            state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"],
+            state["uinteger"])
+
+
+@pytest.mark.parametrize("used", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 17, 1001])
+def test_skipping_doubles_lands_where_drawing_them_does(n, used):
+    # used = 1, 2, 3: the four-double Philox buffer is partly read
+    drawn = stream(11, "skip")
+    drawn.random(used)
+    skipped = copy_position(drawn)
+    assert _position(skipped) == _position(drawn)
+    drawn.random(n)
+    skip_doubles(skipped, n)
+    assert _position(skipped) == _position(drawn)
+    assert skipped.random(9).tobytes() == drawn.random(9).tobytes()
+
+
+def test_skipping_carries_across_counter_words():
+    drawn = stream(2, "carry")
+    state = drawn.bit_generator.state
+    state["state"]["counter"] = np.array([2**64 - 2, 5, 0, 0], dtype=np.uint64)
+    drawn.bit_generator.state = state
+    skipped = copy_position(drawn)
+    drawn.random(22)
+    skip_doubles(skipped, 22)
+    assert _position(skipped) == _position(drawn)
+    assert _position(drawn)[0] == [4, 6, 0, 0]
+
+
+def test_copied_position_draws_independently():
+    gen = stream(5, "copy")
+    gen.random(3)
+    copy = copy_position(gen)
+    first = copy.random(6)
+    assert gen.random(6).tobytes() == first.tobytes()
+    assert copy.bit_generator is not gen.bit_generator
+
+
+@pytest.mark.parametrize("shape", [(1,), (7, 3), (1001, 5)])
+def test_uniform_into_matches_uniform_bitwise(shape):
+    gen, ref = stream(9, "u"), stream(9, "u")
+    gen.random(1)
+    ref.random(1)
+    out = np.empty(shape)
+    assert uniform_into(gen, -0.7, 0.7, out) is out
+    assert out.tobytes() == ref.uniform(-0.7, 0.7, size=shape).tobytes()
+    assert (uniform_into(gen, 0.5, 2.0, out).tobytes()
+            == ref.uniform(0.5, 2.0, size=shape).tobytes())
