@@ -78,10 +78,12 @@ from .rng import copy_position, mean_se, skip_doubles, stream, uniform_into
 
 DEFAULT_INNER_MC = 4096
 MIN_INNER_MC = 100
-# (node, draw) pairs per block of _shared_draw_quadrature, and draws per row
-# block of _shotnoise_window_term: timed on these four users on a 2-core Xeon
-# host, 2^14 was fastest or within noise for each (the window term ran about
-# 15% slower at 2^12 and at 2^15).
+# (node, draw) pairs per block of _shared_draw_quadrature, draws per row
+# block of _shotnoise_window_term, and (impulse, grid point) pairs per block
+# of the impulse-sum corpus (harness._impulse_values): timed on these five
+# users on a 2-core Xeon host, 2^14 was fastest or within noise for each (the
+# window term ran about 15% slower at 2^12 and at 2^15; 256 impulse-sum rows
+# on 2048 points took 0.018 s at 2^14, 30% more at 2^12, 5-10% more at 2^16).
 # Smaller blocks pay more per-block Python; at 2^15-2^16 the lens kernel ran
 # 30-55% slower, mostly not under a raised glibc mmap/trim threshold, so that
 # cost is page faults on freshly mapped temporaries, not cache size.

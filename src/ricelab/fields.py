@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CapabilityError, ConfigurationError, DomainError, SingularityError
-from .rng import fanout_seed, stream
+from .rng import fanout_seed, stream, streams
 
 SCHEMA_VERSION = 1
 
@@ -522,6 +522,35 @@ class ShotNoiseModel:
         inside = (b >= self.beta_low) & (b <= self.beta_high)
         return np.where(inside, 1.0 / (self.beta_high - self.beta_low), 0.0)
 
+    def check_domain(self, t) -> np.ndarray:
+        """``t`` as floats; :class:`DomainError` if any point lies outside the domain."""
+        lo, hi = self.domain
+        t = np.asarray(t, dtype=float)
+        if np.any(t < lo) or np.any(t > hi):
+            raise DomainError(
+                "evaluation outside the boundary-effect-free zone "
+                f"[{lo}, {hi}]"
+            )
+        return t
+
+
+def shot_noise_impulses(model: ShotNoiseModel, gen) -> tuple:
+    """Sorted points and their amplitudes of one realization, drawn from ``gen``.
+
+    Points are Poisson on the domain padded by eta on both sides; one
+    argsort orders both arrays.  ``sample_realization`` draws from
+    ``stream(seed, "shot-noise")``; a corpus draws the same from ``streams``.
+    """
+    lo, hi = model.domain
+    if (hi - lo) < 2.0 * model.eta:
+        raise ConfigurationError("shot-noise domain smaller than kernel support")
+    span = (hi - lo) + 2.0 * model.eta
+    count = gen.poisson(model.intensity * span)
+    pts = lo - model.eta + span * gen.random(count)
+    beta = model.beta_low + (model.beta_high - model.beta_low) * gen.random(count)
+    order = np.argsort(pts)
+    return pts[order], beta[order]
+
 
 @dataclass(frozen=True)
 class ShotNoiseRealization:
@@ -533,27 +562,14 @@ class ShotNoiseRealization:
     d = 1
     D = 1
 
-    def _check_domain(self, t):
-        lo, hi = self.model.domain
-        t = np.asarray(t, dtype=float)
-        if np.any(t < lo) or np.any(t > hi):
-            raise DomainError(
-                "evaluation outside the boundary-effect-free zone "
-                f"[{lo}, {hi}]"
-            )
-        return t
-
     def _sum(self, t, kernel_fn):
-        t = self._check_domain(t)
+        t = self.model.check_domain(t)
         single = t.ndim == 0
         t1 = np.atleast_1d(t)
-        if self.points.size == 0:
-            out = np.zeros(t1.shape)
-        else:
-            out = np.zeros(t1.shape)
-            for lo, hi in _chunked_cols(t1.size, self.points.size):
-                diff = t1[None, lo:hi] - self.points[:, None]
-                out[lo:hi] = self.impulses @ kernel_fn(diff)
+        out = np.zeros(t1.shape)
+        for lo, hi in _chunked_cols(t1.size, self.points.size):
+            diff = t1[None, lo:hi] - self.points[:, None]
+            out[lo:hi] = self.impulses @ kernel_fn(diff)
         return float(out[0]) if single else out
 
     def value(self, t):
@@ -721,15 +737,8 @@ def sample_realization(model, seed: int):
         )
         return ChiSquareRealization(model, int(seed), comps)
     if isinstance(model, ShotNoiseModel):
-        lo, hi = model.domain
-        if (hi - lo) < 2.0 * model.eta:
-            raise ConfigurationError("shot-noise domain smaller than kernel support")
-        rng = stream(seed, "shot-noise")
-        span = (hi - lo) + 2.0 * model.eta
-        count = rng.poisson(model.intensity * span)
-        pts = lo - model.eta + span * rng.random(count)
-        beta = model.beta_low + (model.beta_high - model.beta_low) * rng.random(count)
-        return ShotNoiseRealization(model, int(seed), np.sort(pts), beta[np.argsort(pts)])
+        pts, beta = shot_noise_impulses(model, stream(seed, "shot-noise"))
+        return ShotNoiseRealization(model, int(seed), pts, beta)
     if isinstance(model, MicrolensModel):
         rng = stream(seed, "stars")
         radii = model.R * np.sqrt(rng.random(model.n_stars))
@@ -749,6 +758,8 @@ def batch_coefficients(model, seeds) -> np.ndarray:
 
     Row i is bit-identical to the coefficients of sample_realization(model,
     seeds[i]); only the evaluation order differs in the batched products.
+    The normals of every row come from one generator re-keyed per seed
+    (``rng.streams``), drawn in place and scaled by the amplitudes at once.
     """
     if isinstance(model, SpectralGaussian1D):
         k = model.frequencies.size
@@ -757,9 +768,9 @@ def batch_coefficients(model, seeds) -> np.ndarray:
     else:
         raise ConfigurationError("batched coefficients exist for spectral models only")
     out = np.empty((len(seeds), 2 * k))
-    amp = np.concatenate([model.amplitudes, model.amplitudes])
-    for i, s in enumerate(seeds):
-        out[i] = amp * stream(s, "trig-coeffs").standard_normal(2 * k)
+    for row, gen in zip(out, streams(seeds, "trig-coeffs")):
+        gen.standard_normal(out=row)
+    out *= np.concatenate([model.amplitudes, model.amplitudes])
     return out
 
 
@@ -775,9 +786,10 @@ class LineCorpus:
 
     Row r of ``coefs`` is [cos coeffs, sin coeffs] of one realization (as
     ``batch_coefficients`` stacks them).  ``values`` evaluates every row on a
-    shared grid with one product; ``value_at`` and ``derivative_at`` evaluate
-    row ``rows[i]`` at ``t[i]`` for every i, so that the root finder refines
-    the brackets of many rows together.
+    shared grid with one product; ``value_at``, ``derivative_at`` and
+    ``value_slope_at`` (both from one table) evaluate row ``rows[i]`` at
+    ``t[i]`` for every i, so that the root finder refines the brackets of
+    many rows together.
     """
 
     model: SpectralGaussian1D
@@ -806,3 +818,10 @@ class LineCorpus:
     def derivative_at(self, rows, t) -> np.ndarray:
         """Derivative of row rows[i] at t[i], for each i."""
         return self._at(self._slopes(self.coefs[rows]), t)
+
+    def value_slope_at(self, rows, t) -> tuple:
+        """(value_at, derivative_at) of the pairs (rows[i], t[i]) from one trig table."""
+        coefs = self.coefs[rows]
+        table = trig_basis_1d(self.model, t)
+        return (np.einsum("nk,kn->n", coefs, table),
+                np.einsum("nk,kn->n", self._slopes(coefs), table))

@@ -26,6 +26,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .engine import (
+    _SHARED_BLOCK,
     RhsEvaluation,
     euler_char_expectation,
     kacrice_rhs,
@@ -45,6 +46,7 @@ from .fields import (
     SpectralGaussian1D,
     batch_coefficients,
     sample_realization,
+    shot_noise_impulses,
     trig_basis_1d,
 )
 from .geometry import favard_measure
@@ -56,7 +58,7 @@ from .levelsets import (
     nodal_length,
 )
 from .modelspec import SCHEMA_VERSION, model_from_doc
-from .rng import check_seed, fanout_seed, mean_se, stream
+from .rng import check_seed, fanout_seed, mean_se, stream, streams
 
 ESTIMATORS = ("roots", "length", "weighted", "local_time", "euler", "moment2")
 
@@ -662,14 +664,14 @@ def _corpus_basis(model, ts) -> Optional[np.ndarray]:
 
 
 def _corpus_values(model, seeds, ts, basis) -> np.ndarray:
-    """(m, T) value matrix at ts; rows match sample_realization exactly.
+    """(m, T) value matrix at ts; row i is that of sample_realization(model, seeds[i]).
 
     Spectral rows come from one coefficient-by-``basis`` product, ``basis``
-    being ``_corpus_basis(model, ts)``; impulse-sum realizations have no
-    shared basis, so their rows are stacked one by one.
+    being ``_corpus_basis(model, ts)``; impulse sums have no shared basis and
+    are summed impulse by impulse on the grid (``_impulse_values``).
     """
     if isinstance(model, ShotNoiseModel):
-        return np.stack([sample_realization(model, s).value(ts) for s in seeds])
+        return _impulse_values(model, seeds, ts)
     if isinstance(model, SpectralGaussian1D):
         return batch_coefficients(model, seeds) @ basis
     if isinstance(model, ChiSquareField):
@@ -679,6 +681,44 @@ def _corpus_values(model, seeds, ts, basis) -> np.ndarray:
         comp = comp.reshape(len(seeds), model.n, ts.size)
         return np.sum(comp**2, axis=1)
     raise ConfigurationError("batched values exist for line-field corpora only")
+
+
+def _impulse_values(model: ShotNoiseModel, seeds, ts) -> np.ndarray:
+    """(m, T) impulse sums of the realizations of ``seeds`` on the uniform grid ``ts``.
+
+    Row i equals ``sample_realization(model, seeds[i]).value(ts)`` up to the
+    order of summation.  An impulse reaches only the grid points within eta
+    of it, so each is evaluated on a fixed-width window of the grid (clipped
+    into it) and the windows of a block of about ``_SHARED_BLOCK``
+    (impulse, point) pairs are summed into their rows with one ``bincount``.
+    Window points outside the support add an exact +0.
+    """
+    draws = [shot_noise_impulses(model, gen) for gen in streams(seeds, "shot-noise")]
+    ts = model.check_domain(ts)
+    n_t = ts.size
+    rows = np.repeat(np.arange(len(seeds)), [p.size for p, _ in draws])
+    points = np.concatenate([p for p, _ in draws])
+    amps = np.concatenate([b for _, b in draws])
+    h = (ts[-1] - ts[0]) / max(n_t - 1, 1)
+    # one grid step of slack on each side absorbs the rounding of ts against ts[0] + j h
+    width = n_t if h == 0.0 else min(n_t, math.ceil(2.0 * model.eta / h) + 3)
+    start = np.zeros(points.size, dtype=np.intp)
+    if width < n_t:
+        first = np.floor((points - model.eta - ts[0]) / h).astype(np.intp) - 1
+        np.clip(first, 0, n_t - width, out=start)
+    windows = np.lib.stride_tricks.sliding_window_view(ts, width)
+    offsets = np.arange(width)
+    out = np.zeros((len(seeds), n_t))
+    step = max(1, _SHARED_BLOCK // width)
+    for lo in range(0, points.size, step):
+        sl = slice(lo, lo + step)
+        vals = model.kernel(windows[start[sl]] - points[sl, None])
+        vals *= amps[sl, None]
+        r0, r1 = rows[lo], rows[sl][-1] + 1
+        flat = ((rows[sl] - r0) * n_t + start[sl])[:, None] + offsets
+        out[r0:r1] += np.bincount(flat.ravel(), vals.ravel(),
+                                  minlength=(r1 - r0) * n_t).reshape(r1 - r0, n_t)
+    return out
 
 
 def _sign_change_counts(vals: np.ndarray, u: float) -> np.ndarray:

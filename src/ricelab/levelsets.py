@@ -185,20 +185,31 @@ class _OneRow:
     def derivative_at(self, rows, t) -> np.ndarray:
         return np.asarray(self.realization.derivative(t), dtype=float)
 
+    def value_slope_at(self, rows, t) -> tuple:
+        return self.value_at(rows, t), self.derivative_at(rows, t)
+
+
+# refinement steps per bracket, as many as the 40 bisection and 8 Newton steps
+# of the earlier scheme; bisection alone takes a unit bracket below 1e-13 in 44
+_ROOT_STEPS = 48
+
 
 def count_roots_1d(realization, interval, u: float, grid: int = 2048) -> RootSet:
-    """Sign-change detection on the grid plus bisection/Newton refinement.
+    """Sign-change detection on the grid plus safeguarded Newton refinement.
 
     ``realization`` is one realization or a ``LineCorpus`` of many; a single
     realization is the one-row case.  Brackets are the grid steps where
-    (v < u) changes, in every row.  All brackets of all rows are refined
-    together: each bisection or Newton step is one field call over the
-    (row, t) pairs still active, so the number of calls per corpus block is
-    bounded by the iteration caps, not by the number of rows or roots.
-    Roots are refined to residual <= 1e-10, reported only strictly inside
-    the open interval, and deduplicated per row at h/2; ``rows`` gives the
-    row of each root.  Tangential (non-crossing) roots are a resolution
-    limitation, not an error.
+    (v < u) changes, in every row.  Each bracket is refined by Newton from
+    its midpoint: every evaluated point shrinks the bracket, and a Newton
+    step that would leave it is a bisection step instead.  All brackets of
+    all rows are refined together: each step is one field call for value
+    and slope (one trig table on a corpus) over the (row, t) pairs still
+    active, so the number of calls per corpus block is bounded by the step
+    cap, not by the number of rows or roots.  Roots are refined to residual
+    <= 1e-10, reported only strictly inside the open interval, and
+    deduplicated per row at h/2; ``rows`` gives the row of each root.
+    Tangential (non-crossing) roots are a resolution limitation, not an
+    error.
     """
     corpus = realization if isinstance(realization, LineCorpus) else _OneRow(realization)
     lo, hi = _interval(interval)
@@ -210,40 +221,31 @@ def count_roots_1d(realization, interval, u: float, grid: int = 2048) -> RootSet
     neg = vals < 0.0
     row, idx = np.nonzero(neg[:, :-1] != neg[:, 1:])
 
-    # bisection to a tight bracket
-    a, b, fa = ts[idx], ts[idx + 1], vals[row, idx]
-    active = np.ones(idx.size, dtype=bool)
-    for _ in range(40):
-        k = np.nonzero(active)[0]
-        if k.size == 0:
-            break
-        m = 0.5 * (a[k] + b[k])
-        fm = corpus.value_at(row[k], m) - u
-        left = (fm < 0.0) == (fa[k] < 0.0)
-        a[k[left]], fa[k[left]] = m[left], fm[left]
-        b[k[~left]] = m[~left]
-        active[k] = ~(b[k] - a[k] < 1e-13 * np.maximum(1.0, np.abs(a[k])))
-
-    # Newton polish; a step leaving the bracket widened by its width stops it
+    # safeguarded Newton from each bracket's midpoint: the evaluated point
+    # replaces the bracket end of its sign, and a Newton step that leaves the
+    # bracket becomes a bisection step; value and slope share one field call
+    a, b, neg_a = ts[idx], ts[idx + 1], neg[row, idx]
     t = 0.5 * (a + b)
-    width = b - a
     active = np.ones(idx.size, dtype=bool)
-    for _ in range(8):
+    for _ in range(_ROOT_STEPS):
         k = np.nonzero(active)[0]
         if k.size == 0:
             break
-        f = corpus.value_at(row[k], t[k]) - u
-        far = np.abs(f) > 1e-12
-        active[k[~far]] = False
-        k, f = k[far], f[far]
-        if k.size == 0:
-            break
-        df = corpus.derivative_at(row[k], t[k])
-        with np.errstate(divide="ignore"):
-            t_new = t[k] - f / df
-        ok = (a[k] - width[k] <= t_new) & (t_new <= b[k] + width[k])
-        t[k[ok]] = t_new[ok]
-        active[k[~ok]] = False
+        f, df = corpus.value_slope_at(row[k], t[k])
+        f = f - u
+        tk = t[k]
+        left = (f < 0.0) == neg_a[k]
+        a[k[left]] = tk[left]
+        b[k[~left]] = tk[~left]
+        ak, bk = a[k], b[k]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = tk - f / df
+        inside = (ak < step) & (step < bk)
+        done = np.abs(f) <= 1e-12
+        # a converged point still takes its last Newton step, inside the bracket
+        t[k] = np.where(inside, step, np.where(done, tk, 0.5 * (ak + bk)))
+        tol = 1e-13 * np.maximum(1.0, np.abs(ak))
+        active[k] = ~(done | (bk - ak < tol) | (np.abs(t[k] - tk) < tol))
 
     # a point whose residual exceeds 1e-10 is dropped and blocks no other,
     # so the per-row greedy dedup runs over the good points only

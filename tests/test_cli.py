@@ -103,6 +103,16 @@ def test_planar_chi_square_line_estimators_exit_two(tmp_path, capsys, estimator)
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("box", [[-1.0, 11.0], [1.0, 12.5]], ids=["below", "above"])
+def test_impulse_sum_box_outside_domain_exits_two(tmp_path, capsys, box):
+    shot = {"kind": "shot_noise", "eta": 0.7, "intensity": 1.5, "domain": [0.0, 12.0],
+            "beta_low": 0.5, "beta_high": 2.0}
+    cfg = _write(tmp_path, "exp.json", _exact_experiment(model=shot, levels=[0.5], box=box))
+    for command in ("validate", "measure"):
+        assert main([command, "--config", cfg]) == 2
+        assert "exceeds the model domain" in capsys.readouterr().err
+
+
 def test_runtime_errors_exit_three(tmp_path, capsys):
     # degenerate pair prediction raises inside a structurally valid config
     doc = _exact_experiment(estimator="moment2")

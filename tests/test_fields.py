@@ -189,6 +189,10 @@ def test_line_corpus_evaluates_like_realizations():
                            atol=1e-12)
         assert np.allclose(slopes.derivative_at(rows, ts)[mine],
                            real.second_derivative(ts[mine]), atol=1e-12)
+    # value and slope from one table are the two separate evaluations, bit for bit
+    value, slope = corpus.value_slope_at(rows, ts)
+    assert value.tobytes() == corpus.value_at(rows, ts).tobytes()
+    assert slope.tobytes() == corpus.derivative_at(rows, ts).tobytes()
 
 
 # ---------------------------------------------------------------------------

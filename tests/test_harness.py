@@ -8,10 +8,11 @@ import pytest
 from scipy import stats
 
 from ricelab import harness
-from ricelab.errors import ConfigurationError
+from ricelab.errors import ConfigurationError, DomainError
 from ricelab.fields import (
     DeterministicField,
     GradientField,
+    ShotNoiseModel,
     SpectralGaussian1D,
     SpectralGaussian2D,
     sample_realization,
@@ -21,6 +22,7 @@ from ricelab.harness import (
     _chunk_bounds,
     _chunk_lhs,
     _euler_line_chunk,
+    _impulse_values,
     _prepare,
     _sign_change_counts,
     _upcrossing_counts,
@@ -498,6 +500,62 @@ def test_shot_noise_counts_match_pointwise_realizations():
             want[i, j] = np.count_nonzero(np.diff((v < u).astype(int)))
     assert np.array_equal(got, want)
     assert got.sum() > 0
+
+
+def _impulse_model(**over):
+    doc = dict(eta=0.7, intensity=1.5, domain=(0.0, 12.0), beta_low=0.5, beta_high=2.0)
+    doc.update(over)
+    return ShotNoiseModel(**doc)
+
+
+@pytest.mark.parametrize("model, box, grid", [
+    (_impulse_model(), (1.0, 11.0), 2),
+    (_impulse_model(), (1.0, 11.0), 3),
+    (_impulse_model(), (1.0, 11.0), 400),
+    (_impulse_model(), (1.0, 11.0), 2048),
+    # the box is the whole domain: impulses in the padding straddle both ends
+    (_impulse_model(), (0.0, 12.0), 400),
+    # eta above the grid step and above the box length
+    (_impulse_model(eta=2.0), (5.0, 6.0), 400),
+    (_impulse_model(eta=2.0), (5.0, 6.0), 3),
+    (_impulse_model(intensity=0.0), (1.0, 11.0), 400),
+], ids=["grid2", "grid3", "grid400", "grid2048", "padding", "wide-eta",
+        "wide-eta-grid3", "no-impulses"])
+def test_impulse_windows_match_the_dense_sum(model, box, grid):
+    # each impulse summed on its window of the grid gives the values and the
+    # crossings of the realization's pointwise sum over every impulse
+    seeds = [fanout_seed(3, "impulses", i) for i in range(60)]
+    ts = np.linspace(box[0], box[1], grid)
+    got = _impulse_values(model, seeds, ts)
+    reals = [sample_realization(model, s) for s in seeds]
+    want = np.stack([r.value(ts) for r in reals])
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
+    for u in (0.3, 0.5, 1.3):
+        assert np.array_equal(_sign_change_counts(got, u), _sign_change_counts(want, u))
+    points = np.concatenate([r.points for r in reals])
+    if model.intensity == 0.0:
+        assert points.size == 0 and not got.any()
+        return
+    assert _sign_change_counts(want, 0.5).sum() > 0 or grid < 4
+    lo, hi = box
+    for end in (lo, hi):
+        assert np.any(np.abs(points - end) < model.eta)  # straddles the end
+    if box == (0.0, 12.0):
+        assert np.any(points < lo) and np.any(points > hi)  # in the padding
+
+
+def test_impulse_windows_keep_the_domain_checks():
+    model = _impulse_model()
+    with pytest.raises(DomainError):
+        _impulse_values(model, [1, 2], np.linspace(-0.5, 11.0, 50))
+    with pytest.raises(DomainError):
+        sample_realization(model, 1).value(np.linspace(-0.5, 11.0, 50))
+    with pytest.raises(ConfigurationError, match="exceeds the model domain"):
+        measure_only(_cfg(model=SHOT, levels=[0.5], box=[-1.0, 11.0]), 1)
+    with pytest.raises(ConfigurationError, match="smaller than kernel support"):
+        measure_only(_cfg(model=dict(SHOT, domain=[0.0, 1.0]), levels=[0.5],
+                          box=[0.2, 0.8]), 1)
 
 
 def _euler_line_reference(cfg, model, seeds):

@@ -8,8 +8,9 @@ bound in the module, or a stale entry would pass the import scan and break
 ``from module import *``.  Every Monte Carlo standard error comes from ``rng.mean_se``: no other
 function passes ``ddof``; only the three Monte Carlo predictions of
 ``engine`` call ``stream``, and the closed-form predictions draw from no
-stream; no module but ``rng`` names numpy's random module.  Importing
-ricelab and running a line experiment
+stream; no module but ``rng`` names numpy's random module, and a line
+corpus re-keys one generator per block (``rng.streams``) instead of building
+one per realization.  Importing ricelab and running a line experiment
 loads neither scipy nor multiprocessing; scipy loads when a chi-square
 occupation prediction first needs it.  The benchmark's tracer
 (``perfbench/tracer.py``) wraps names bound in ``harness``, so each must
@@ -27,7 +28,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from ricelab import engine
+from ricelab import cli, engine, fields, geometry, harness, rng
 from ricelab.fields import (
     ChiSquareField,
     GradientField,
@@ -247,6 +248,44 @@ def test_closed_form_predictions_take_no_draws(monkeypatch):
                engine.kacrice_rhs(chi2_line, (0.0, 2.0), 1.0),
                engine.kacrice_rhs(chi2_plane, box2, 1.0)):
         assert (ev.mc_error, ev.n_mc) == (0.0, 0)
+
+
+LINE_CORPORA = {
+    "spectral": {"kind": "spectral_gaussian_1d", "frequencies": [1.0, 2.5],
+                 "amplitudes": [0.7, 0.7]},
+    "chi-square": {"kind": "chi_square", "n": 2, "base": {
+        "kind": "spectral_gaussian_1d", "frequencies": [1.0, 2.5],
+        "amplitudes": [0.5 ** 0.5, 0.5 ** 0.5]}},
+    "impulse-sum": {"kind": "shot_noise", "eta": 0.7, "intensity": 1.5,
+                    "domain": [0.0, 12.0], "beta_low": 0.5, "beta_high": 2.0},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LINE_CORPORA))
+def test_line_corpora_rekey_one_generator_per_block(kind, monkeypatch):
+    # a generator built per realization (or per squared-sum component) would
+    # show as stream calls, or as more than one re-keyed series per block
+    calls = {"stream": 0, "streams": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in calls:
+        fn = getattr(rng, name)
+        for owner in (rng, fields, harness, engine, geometry, cli):
+            if getattr(owner, name, None) is fn:
+                monkeypatch.setattr(owner, name, counted(name, fn))
+    cfg = harness.ExperimentConfig(
+        experiment_id="rekey", estimator="roots", levels=[0.5], n_realizations=300,
+        box=[1.0, 6.0], grid=256, model=LINE_CORPORA[kind])
+    harness.measure_only(cfg, 1, workers=1)
+    blocks = sum(-(-(hi - lo) // harness._CORPUS_BLOCK)
+                 for lo, hi in harness._chunk_bounds(300))
+    assert calls["stream"] == 0
+    assert 0 < calls["streams"] <= blocks
 
 
 COLD_START = textwrap.dedent("""

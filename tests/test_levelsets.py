@@ -15,6 +15,7 @@ from ricelab.fields import (
     SpectralGaussian2D,
     batch_coefficients,
     sample_realization,
+    trig_basis_1d,
 )
 from ricelab.levelsets import (
     count_roots_1d,
@@ -25,6 +26,7 @@ from ricelab.levelsets import (
     nodal_length,
     sample_grid,
 )
+from ricelab.rng import fanout_seed
 
 TWO_PI = 2.0 * math.pi
 
@@ -115,8 +117,9 @@ def test_roots_1d_field_calls_bounded_by_iterations_not_roots():
     rs = count_roots_1d(f, (0.01, 25.01), 0.0)
     assert rs.count == 50
     assert np.allclose(rs.points.ravel(), 0.5 * np.arange(1, 51), atol=1e-9)
-    # one grid call, 40 bisection steps, 8 Newton steps of two calls, 2 final calls
-    assert len(calls) <= 1 + 40 + 2 * 8 + 2
+    # one grid call, at most 8 refinement steps of two calls (value and slope),
+    # 2 final calls
+    assert len(calls) <= 1 + 2 * 8 + 2
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +393,52 @@ def test_roots_1d_corpus_matches_one_row_calls(derivative):
         assert np.array_equal(np.sign(batched.signed[mine]), np.sign(one.signed))
         assert np.allclose(batched.points[mine], one.points, rtol=0.0, atol=1e-12)
         assert np.all(batched.residuals[mine] <= 1e-10)
+
+
+def test_roots_1d_corpus_builds_one_trig_table_per_step(monkeypatch):
+    # a 34-row chunk of the gauss1d-peaks derivative corpus: the grid values,
+    # one table per refinement step (value and slope together; Newton takes
+    # 4 steps here), and the two final evaluations.  40 bisection steps and a
+    # two-table Newton polish made 42; two tables per step would make 11
+    model = SpectralGaussian1D.harmonics(50, seed=7)
+    tables = []
+
+    def counting(model, ts):
+        tables.append(np.size(ts))
+        return trig_basis_1d(model, ts)
+
+    monkeypatch.setattr(fields, "trig_basis_1d", counting)
+    seeds = [fanout_seed(1, "gauss1d-peaks", i) for i in range(34)]
+    corpus = LineCorpus(model, batch_coefficients(model, seeds)).derivative_corpus()
+    rs = count_roots_1d(corpus, (0.0, 6.0), 0.0, grid=1024)
+    assert rs.count > 100
+    assert np.all(rs.residuals <= 1e-10)
+    assert len(tables) <= 9
+
+
+def test_roots_1d_flat_midpoint_falls_back_to_bisection():
+    # X(t) = (t - 1/2)^3 - 1e-3 on one grid step [0, 1]: the slope is 0 at the
+    # midpoint, so the first Newton step leaves the bracket and is replaced
+    # by bisection of [1/2, 1]; Newton then steps from 3/4 to 0.672 and
+    # converges to the root at 0.6
+    seen = []
+
+    def val(t):
+        t = np.asarray(t, dtype=float)
+        seen.append(t.copy())
+        return (t - 0.5) ** 3 - 1e-3
+
+    def jac(t):
+        return 3.0 * (np.asarray(t, dtype=float) - 0.5) ** 2
+
+    f = DeterministicField(value_fn=val, jacobian_fn=jac, d=1, D=1)
+    rs = count_roots_1d(f, (0.0, 1.0), 0.0, grid=2)
+    assert [float(x[0]) for x in seen[1:4]] == pytest.approx([0.5, 0.75, 0.672], abs=1e-15)
+    assert len(seen) <= 12
+    assert rs.count == 1
+    assert rs.points[0, 0] == pytest.approx(0.6, abs=1e-12)
+    assert rs.residuals[0] <= 1e-10
+    assert rs.signed[0] == pytest.approx(0.03, rel=1e-9)
 
 
 class _CountingRealization:

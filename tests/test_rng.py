@@ -10,6 +10,7 @@ from ricelab.rng import (
     fanout_seed,
     skip_doubles,
     stream,
+    streams,
     uniform_into,
 )
 
@@ -73,6 +74,37 @@ def _position(gen):
     return (state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
             state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"],
             state["uinteger"])
+
+
+RE_KEY_SEEDS = [0, 1, 2**64 - 1]
+
+
+def test_rekeyed_streams_draw_what_new_streams_draw():
+    # each re-key follows draws that leave the previous state dirty: a
+    # partly read Philox buffer (odd-length normals) and a pending upper
+    # uint32 half (has_uint32 set by an odd 32-bit draw)
+    gens = streams(RE_KEY_SEEDS * 2, "rekey")
+    for _ in range(2):
+        for seed in RE_KEY_SEEDS:
+            gen = next(gens)
+            ref = stream(seed, "rekey")
+            # the whole state: counter, key, buffer and its position, uint32 half
+            assert _position(gen) == _position(ref)
+            assert gen.standard_normal(7).tobytes() == ref.standard_normal(7).tobytes()
+            assert gen.poisson(13.5) == ref.poisson(13.5)
+            assert gen.random(3).tobytes() == ref.random(3).tobytes()
+            got = gen.integers(0, 1000, size=3, dtype=np.uint32)
+            assert got.tobytes() == ref.integers(0, 1000, size=3, dtype=np.uint32).tobytes()
+            assert gen.bit_generator.state["has_uint32"] == 1
+            assert _position(gen) == _position(ref)
+    assert next(gens, None) is None
+
+
+def test_rekeyed_streams_share_one_generator():
+    gens = list(streams(RE_KEY_SEEDS, "one"))
+    assert len(gens) == 3 and all(gen is gens[0] for gen in gens)
+    with pytest.raises(ConfigurationError):
+        next(streams([2**64], "one"))
 
 
 @pytest.mark.parametrize("used", [0, 1, 2, 3, 4])
