@@ -15,14 +15,13 @@ import sys
 import traceback
 
 from .errors import ConfigurationError, DomainError, RicelabError
-from .fields import sample_realization
+from .fields import config_number, sample_realization
 from .geometry import crofton_constant, crofton_identity_mc, normal_jacobian
 from .harness import (
     ExperimentConfig,
     ExperimentReport,
     LevelRow,
     _check_box,
-    config_number,
     emit_plot_data,
     load_manifest,
     measure_only,

@@ -13,6 +13,8 @@ counter-based streams keyed by (seed, tag), see :mod:`ricelab.rng`.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -25,6 +27,23 @@ SCHEMA_VERSION = 1
 
 # Evaluation matrices are chunked to roughly this many doubles.
 _CHUNK_BUDGET = 4_000_000
+
+
+def config_number(key: str, value, integral: bool):
+    """``value`` as an int (``integral``) or a float, or a ConfigurationError.
+
+    Accepts finite real numbers only, and for ``integral`` only whole ones:
+    strings, lists, booleans, nan, inf and 30.9 realizations are errors, not
+    values to coerce or truncate.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ConfigurationError(f"{key} must be a finite number, got {value!r}")
+    if not integral:
+        return float(value)
+    if value != int(value):
+        raise ConfigurationError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def _as_1d_positive(x, name) -> np.ndarray:
@@ -394,13 +413,13 @@ class ChiSquareField:
     base: object  # SpectralGaussian1D or SpectralGaussian2D
 
     def __post_init__(self):
-        if int(self.n) < 2:
+        object.__setattr__(self, "n", config_number("n", self.n, integral=True))
+        if self.n < 2:
             raise ConfigurationError("chi-square component count must be >= 2")
         if not isinstance(self.base, (SpectralGaussian1D, SpectralGaussian2D)):
             raise ConfigurationError("chi-square base must be a spectral Gaussian model")
         if abs(self.base.lambda0 - 1.0) > 1e-9:
             raise ConfigurationError("chi-square base must have unit variance")
-        object.__setattr__(self, "n", int(self.n))
 
     d = 1
 
@@ -597,13 +616,15 @@ class MicrolensModel:
     R: float
 
     def __post_init__(self):
+        for key in ("kappa_c", "gamma", "m", "n_stars", "R"):
+            value = config_number(key, getattr(self, key), integral=key == "n_stars")
+            object.__setattr__(self, key, value)
         if self.m <= 0:
             raise ConfigurationError("star mass must be positive")
         if self.kappa_c < 0:
             raise ConfigurationError("continuous matter density must be >= 0")
-        if int(self.n_stars) < 0 or self.R <= 0:
+        if self.n_stars < 0 or self.R <= 0:
             raise ConfigurationError("star count must be >= 0 and field radius positive")
-        object.__setattr__(self, "n_stars", int(self.n_stars))
 
     d = 2
     D = 2

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import os
 import re
 import time
@@ -45,6 +44,7 @@ from .fields import (
     ShotNoiseModel,
     SpectralGaussian1D,
     batch_coefficients,
+    config_number,
     sample_realization,
     shot_noise_impulses,
     trig_basis_1d,
@@ -83,16 +83,7 @@ _VECTOR_LEVEL_KINDS = {"microlens", "gradient_field"}
 
 _ID_PATTERN = re.compile(r"^[A-Za-z0-9._-]+$")
 
-MAX_PARITY_GRID = 1024
-# Above this many stars lens_images is skipped: its parity certificate fails
-# on half the fields or more (16 of 30 at 8 stars, 25 of 30 at 9), which the
-# grid counter then counts anyway, so the solve no longer saves time.
-MAX_POLY_STARS = 7
-
-
 def _auto_grid(estimator: str, kind: str) -> int:
-    if kind == "microlens":
-        return 64
     if estimator == "length":
         return 512
     if estimator == "euler" and kind == "spectral_gaussian_2d":
@@ -123,23 +114,6 @@ def _as_plain(x):
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
-
-
-def config_number(key: str, value, integral: bool):
-    """``value`` as an int (``integral``) or a float, or a ConfigurationError.
-
-    Accepts finite real numbers only, and for ``integral`` only whole ones:
-    strings, lists, booleans, nan, inf and 30.9 realizations are errors, not
-    values to coerce or truncate.
-    """
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
-        raise ConfigurationError(f"{key} must be a finite number, got {value!r}")
-    if not integral:
-        return float(value)
-    if value != int(value):
-        raise ConfigurationError(f"{key} must be a whole number, got {value!r}")
-    return int(value)
 
 
 # numeric config fields: name -> whether the value is a whole number
@@ -754,50 +728,26 @@ def _corpus_chunk(prep: _Prepared, seeds) -> dict:
     return {"values": out, "extras": {}}
 
 
-def _count_images(sys, box, y, region, grid0: int):
-    """Escalating image count: double the seed grid until parities balance."""
-    target = 1 - sys.star_positions.shape[0]
-    g = grid0
-    while True:
-        roots = count_roots_2d(sys, box, y, grid=g)
-        parity = int(np.sum(np.sign(roots.signed)))
-        resolved = parity == target
-        if resolved or g >= MAX_PARITY_GRID:
-            count = int(np.sum(region_mask(roots.points, region)))
-            return count, g > grid0, not resolved
-        g *= 2
-
-
 def _microlens_chunk(cfg, model, seeds) -> dict:
-    """Image counts of every field at every level.
+    """Image counts of every field at every level, by ``lens_images``.
 
-    ``lens_images`` counts the fields of models with at most
-    ``MAX_POLY_STARS`` stars.  ``_count_images`` counts the rest, and each
-    field that fails its parity certificate at a level; ``parity_fallbacks``
-    counts the (field, level) pairs it counts, and the escalation extras
-    count within them.
+    A field's count is its kept images strictly inside the search box and
+    inside the region.  ``parity_unresolved`` counts the (field, level)
+    pairs whose roots did not converge or whose parities missed the
+    theorem; they are counted with the images found.
     """
-    grid0 = _grid_of(cfg)
-    systems = [sample_realization(model, s) for s in seeds]
-    stars = np.array([s.star_positions for s in systems])
+    stars = np.array([sample_realization(model, s).star_positions for s in seeds])
     out = np.empty((len(seeds), len(cfg.levels)))
-    extras = {"parity_fallbacks": 0, "parity_escalations": 0, "parity_unresolved": 0}
+    unresolved = 0
     for j, lvl in enumerate(cfg.levels):
         region, box = _lens_geometry(cfg, model, lvl)
-        y = np.asarray(lvl, dtype=float)
-        certified = np.zeros(len(seeds), dtype=bool)
-        if model.n_stars <= MAX_POLY_STARS:
-            images, certified = lens_images(stars, y, model.c, model.m)
-            pts = images.points
-            inside = np.all((pts > box[:, 0]) & (pts < box[:, 1]), axis=1)
-            inside &= region_mask(pts, region)
-            out[:, j] = np.bincount(images.rows[inside], minlength=len(seeds))
-        for i in np.flatnonzero(~certified):
-            out[i, j], escalated, bad = _count_images(systems[i], box, y, region, grid0)
-            extras["parity_fallbacks"] += 1
-            extras["parity_escalations"] += escalated
-            extras["parity_unresolved"] += bad
-    return {"values": out, "extras": extras}
+        images, certified = lens_images(stars, np.asarray(lvl, dtype=float), model.c, model.m)
+        pts = images.points
+        inside = np.all((pts > box[:, 0]) & (pts < box[:, 1]), axis=1)
+        inside &= region_mask(pts, region)
+        out[:, j] = np.bincount(images.rows[inside], minlength=len(seeds))
+        unresolved += int(np.count_nonzero(~certified))
+    return {"values": out, "extras": {"parity_unresolved": unresolved}}
 
 
 def _degree_tally(extras: dict, roots, signs: np.ndarray) -> None:

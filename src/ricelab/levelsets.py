@@ -491,31 +491,60 @@ def count_roots_2d(
 _IMAGE_TOL = 1e-9  # residual bound |eta(x) - y|, as in count_roots_2d
 _IMAGE_NEWTON_STEPS = 8
 _IMAGE_DEDUP = 1e-7  # Newton-polished copies of one image agree to rounding
-_IMAGE_BLOCK = 1 << 18  # companion-matrix entries per eigvals call (4 MB)
+_IMAGE_BLOCK = 1 << 18  # (root, root) pairs of the Aberth sums in one block (4 MB)
+_ABERTH_TOL = 1e-13  # a root whose step is below this times max(1, |z|) is frozen
 
 
-def _image_polynomial(xi: np.ndarray, y: complex, c: float, m: float) -> np.ndarray:
-    """Coefficients, highest first, of one field's image polynomial of degree N^2 + 1.
+def _aberth_roots(xi: np.ndarray, y: complex, c: float, m: float, k: int) -> tuple:
+    """``(z, converged)``: the k roots of each field's image polynomial, by Aberth-Ehrlich.
 
-    In complex form the lens equation is y = c z - 2m sum 1/conj(z - xi_j).
-    Its conjugate gives conj(z) = (conj(y) P + 2m P') / (c P) with
-    P = prod (z - xi_j), so conj(z - xi_j) = N_j / (c P) with
-    N_j = conj(y) P + 2m P' - c conj(xi_j) P, and every image is a root of
-    (c z - y) prod N_j - 2m c P sum_j prod_{l != j} N_l (Witt 1990).
+    The polynomial is never expanded.  For c != 0 it is Poly = F prod_j N_j
+    with F = c z - y - 2m sum_j 1/(R - conj xi_j), R = (conj y + 2m S1)/c
+    and N_j = c P (R - conj xi_j), P = prod_j (z - xi_j), so that
+    Poly'/Poly = F'/F + N S1 + R' sum_j 1/(R - conj xi_j), R' = -2m S2/c,
+    Sk = sum_j (z - xi_j)^-k; for c = 0 it is conj(y) P + 2m P', with
+    Poly'/Poly = S1 - 2m S2/(conj y + 2m S1).  Each costs O(N) per root.
+    The roots start on a circle of radius (|y| + 2mN + |c| max|xi_j|)/|c| + 1
+    (max|xi_j| + 2mN/|y| + 1 at c = 0) and take simultaneous steps
+    w = 1/(Poly'/Poly - sum_{l != k} 1/(z_k - z_l)) (Aberth 1973).  A root
+    freezes once |w| < _ABERTH_TOL max(1, |z|), or where Poly'/Poly or w is
+    not finite (an infinite ratio is an exact root).  ``converged`` flags
+    the fields whose roots all froze within 100 + 2k steps.
     """
-    P = np.atleast_1d(np.poly(xi)).astype(complex)
-    base = np.conj(y) * P
-    base[1:] += 2.0 * m * np.polyder(P)
-    factors = [base - c * np.conj(x) * P for x in xi]
-    poly = np.array([c, -y], dtype=complex)
-    for f in factors:
-        poly = np.convolve(poly, f)
-    for j in range(len(factors)):
-        others = np.ones(1, dtype=complex)
-        for f in factors[:j] + factors[j + 1:]:
-            others = np.convolve(others, f)
-        poly[1:] -= 2.0 * m * c * np.convolve(P, others)
-    return poly
+    n = xi.shape[1]
+    yb = np.conj(y)
+
+    def ratio(z, xi):
+        d = 1.0 / (z[:, None] - xi)
+        s1, s2 = d.sum(axis=1), (d * d).sum(axis=1)
+        if c == 0.0:
+            return s1 - 2.0 * m * s2 / (yb + 2.0 * m * s1)
+        e = 1.0 / ((yb + 2.0 * m * s1)[:, None] / c - np.conj(xi))
+        t1, t2 = e.sum(axis=1), (e * e).sum(axis=1)
+        r1 = -2.0 * m * s2 / c
+        return (c + 2.0 * m * r1 * t2) / (c * z - y - 2.0 * m * t1) + n * s1 + r1 * t1
+
+    reach = np.abs(xi).max(axis=1, initial=0.0)
+    if c != 0.0:
+        radius = (abs(y) + 2.0 * m * n + abs(c) * reach) / abs(c) + 1.0
+    else:
+        radius = reach + 1.0 + (2.0 * m * n / abs(y) if y != 0.0 else 0.0)
+    z = radius[:, None] * np.exp(2j * np.pi * (np.arange(k) + 0.25) / k)
+    active = np.ones(z.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(100 + 2 * k):
+            f, r = np.nonzero(active)
+            if f.size == 0:
+                break
+            zk = z[f, r]
+            pairs = 1.0 / (zk[:, None] - z[f])
+            pairs[np.arange(f.size), r] = 0.0
+            g = ratio(zk, xi[f])
+            w = 1.0 / (g - pairs.sum(axis=1))
+            move = np.isfinite(g) & np.isfinite(w)
+            z[f[move], r[move]] -= w[move]
+            active[f, r] = move & (np.abs(w) >= _ABERTH_TOL * np.maximum(1.0, np.abs(zk)))
+    return z, ~active.any(axis=1)
 
 
 def _drop_copies(z: np.ndarray, keep: np.ndarray) -> None:
@@ -536,13 +565,9 @@ def _drop_copies(z: np.ndarray, keep: np.ndarray) -> None:
 
 def _image_block(xi: np.ndarray, y: complex, c: float, m: float) -> tuple:
     """``(z, keep, det, residual, certified)`` of a block of fields; see ``lens_images``."""
-    coeffs = np.array([_image_polynomial(row, y, c, m) for row in xi])
-    solvable = (coeffs[:, 0] != 0.0) & np.all(np.isfinite(coeffs), axis=1)
-    deg = coeffs.shape[1] - 1
-    companion = np.zeros((len(xi), deg, deg), dtype=complex)
-    companion[solvable, 0, :] = -coeffs[solvable, 1:] / coeffs[solvable, :1]
-    companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
-    z = np.linalg.eigvals(companion)
+    n = xi.shape[1]
+    deg = n * n + 1 if c else n - (y == 0)
+    z, converged = _aberth_roots(xi, y, c, m, max(deg, 0))
 
     def deflection(z):
         """(eta - y, d eta / d conj(z)) at every (field, root) pair."""
@@ -557,10 +582,10 @@ def _image_block(xi: np.ndarray, y: complex, c: float, m: float) -> tuple:
         residual = np.abs(f)
         det = c * c - np.abs(b) ** 2
         off_star = np.all(np.abs(z[:, :, None] - xi[:, None, :]) ** 2 >= 1e-24, axis=2)
-        keep = solvable[:, None] & np.isfinite(z) & off_star & (residual <= _IMAGE_TOL)
+        keep = np.isfinite(z) & off_star & (residual <= _IMAGE_TOL)
     _drop_copies(z, keep)
     parity = np.sum(np.where(keep, np.sign(det), 0.0), axis=1)
-    return z, keep, det, residual, solvable & (parity == 1 - xi.shape[1])
+    return z, keep, det, residual, converged & (parity == (1 - n if c else -deg))
 
 
 def lens_images(stars, y, c: float, m: float) -> tuple:
@@ -568,33 +593,29 @@ def lens_images(stars, y, c: float, m: float) -> tuple:
 
     ``stars`` (fields, N, 2) holds the star positions of fields of one
     model, with c = 1 - kappa_c + gamma and star mass ``m``.  Each field's
-    images are roots of a complex polynomial of degree N^2 + 1
-    (``_image_polynomial``); its companion matrix goes to
-    ``np.linalg.eigvals`` with those of other fields, in blocks of at most
-    2^18 entries (every field of a chunk in one call at three stars, one
-    field a call from N = 20 on).  Every (field, root) pair of a block then
-    takes Newton steps on the real map together, in complex form with
-    d eta/dz = c and d eta/d conj(z) = 2m sum 1/conj(z - xi_j)^2.  A root is
-    kept when it is finite, no closer than 1e-12 to a star and has
-    |eta(x) - y| <= 1e-9; kept roots of a field closer than 1e-7 to an
-    earlier one are dropped as copies.  The polynomial also has roots that
-    solve only the conjugated equation; the residual test removes them.
-    Time grows like N^6 and memory like N^4 per field (at N = 40 one
-    field takes 30 s of CPU and about 80 MB), and the certificate below
-    fails on half the fields or more from N = 8 on (see
-    ``harness.MAX_POLY_STARS``).
+    images are roots of a complex polynomial of degree N^2 + 1 (Witt 1990),
+    or N (N - 1 at y = 0) when c = 0.  ``_aberth_roots`` finds every root
+    without forming the coefficients, for all fields of a block at once; a
+    block holds at most 2^18 (root, root) pairs (a whole chunk at three
+    stars, one field from N = 20 on), and a step costs N^4 per field.  The
+    roots then take Newton steps on the real map together, in complex form
+    with d eta/dz = c and d eta/d conj(z) = 2m sum 1/conj(z - xi_j)^2.  A
+    root is kept when it is finite, no closer than 1e-12 to a star and has
+    |eta(x) - y| <= 1e-9, which removes the roots that solve only the
+    conjugated equation; kept roots of a field closer than 1e-7 to an
+    earlier one are dropped as copies.
 
     Returns ``(roots, certified)``.  ``roots`` is a ``RootSet`` of the kept
     images in the whole plane, ``rows`` giving each one's field index and
     ``signed`` its det J = c^2 - |d eta/d conj(z)|^2.  ``certified`` (one
-    flag per field) says the field passed the parity certificate: the sum of
-    sign det J over its images equals 1 - N, the parity theorem for N point
-    masses (Petters, Levine & Wambsganss 2001).  A field whose leading
-    coefficient vanishes (c = 0, for one) is never certified.  Like the
-    degree certificate of ``count_roots_2d``, the parity certificate cannot
-    see a missed pair of images of opposite orientation, the usual miss near
-    a fold: their signs cancel in the sum.  It does flag the fields where the
-    monomial form loses single images, which happens more often as N grows.
+    flag per field) says the field's roots converged and it passed the
+    parity certificate: the sum of sign det J over its images equals 1 - N,
+    the parity theorem for N point masses (Petters, Levine & Wambsganss
+    2001).  At c = 0 every root is an image with det J < 0, so the
+    certificate asks that every root be kept: a parity of minus the degree.
+    Like the degree certificate of ``count_roots_2d``, the parity
+    certificate cannot see a missed pair of images of opposite orientation,
+    the usual miss near a fold: their signs cancel in the sum.
     """
     stars = np.asarray(stars, dtype=float)
     xi = stars[..., 0] + 1j * stars[..., 1]

@@ -5,10 +5,17 @@ sweeps rerun the statistical comparisons across several master seeds to
 confirm the 3-sigma verdicts are calibrated rather than lucky.
 """
 
+import numpy as np
 import pytest
 
-from ricelab.fields import SpectralGaussian1D, SpectralGaussian2D
+from ricelab.fields import (
+    MicrolensModel,
+    SpectralGaussian1D,
+    SpectralGaussian2D,
+    sample_realization,
+)
 from ricelab.harness import ExperimentConfig, run_experiment
+from ricelab.levelsets import lens_images
 from ricelab.modelspec import model_to_doc
 
 GAUSS50 = model_to_doc(SpectralGaussian1D.harmonics(50, seed=7))
@@ -61,3 +68,13 @@ def test_deflection_counts_stable_across_seeds():
     assert all(rep.passed for rep in reports)
     means = [rep.rows[0].lhs_mean for rep in reports]
     assert max(means) - min(means) < 0.2
+
+
+@pytest.mark.parametrize("kappa_c", [2.0, 1.5, 0.5])
+def test_lens_images_certified_from_four_to_twelve_stars(kappa_c):
+    # every field's Aberth roots converge and pass the parity certificate
+    for n in range(4, 13):
+        model = MicrolensModel(kappa_c=kappa_c, gamma=0.0, m=0.2, n_stars=n, R=1.0)
+        stars = np.array([sample_realization(model, s).star_positions for s in range(300)])
+        _, certified = lens_images(stars, [0.25, 0.1], model.c, model.m)
+        assert certified.all(), (n, np.flatnonzero(~certified))

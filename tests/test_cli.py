@@ -88,6 +88,30 @@ def test_malformed_config_numbers_exit_two(tmp_path, capsys, over):
     assert "configuration error" in err and next(iter(over)) in err
 
 
+LENS3 = {"kind": "microlens", "kappa_c": 2.0, "gamma": 0.0, "m": 0.2, "n_stars": 3, "R": 1.0}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_stars", 2.5), ("n_stars", True), ("gamma", math.nan), ("m", math.inf),
+    ("R", math.nan), ("kappa_c", math.nan), ("n", 2.5),
+], ids=["fractional-stars", "bool-stars", "nan-gamma", "inf-mass", "nan-radius",
+        "nan-kappa", "fractional-chi2-n"])
+def test_malformed_model_numbers_exit_two(tmp_path, capsys, key, value):
+    # n_stars 2.5 and n 2.5 were truncated to 2, true taken as 1 star, and a
+    # nan kappa_c reached the prediction (exit 3)
+    if key == "n":
+        doc = _exact_experiment(model={"kind": "chi_square", "n": value, "base": PAIR},
+                                levels=[1.0])
+    else:
+        doc = _exact_experiment(model=dict(LENS3, **{key: value}), levels=[[0.25, 0.1]],
+                                box=None)
+    cfg = _write(tmp_path, "exp.json", doc)
+    for command in ("measure", "kacrice"):
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and key in err
+
+
 @pytest.mark.parametrize("estimator", ["roots", "local_time"])
 def test_planar_chi_square_line_estimators_exit_two(tmp_path, capsys, estimator):
     # the line estimators read a 1D corpus: a planar base is a bad config

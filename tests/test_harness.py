@@ -35,7 +35,8 @@ from ricelab.harness import (
     run_suite,
     verdict,
 )
-from ricelab.levelsets import count_roots_1d, lens_images
+from ricelab.engine import region_mask
+from ricelab.levelsets import count_roots_1d, count_roots_2d, lens_images
 from ricelab.modelspec import model_from_doc, model_to_doc
 from ricelab.rng import fanout_seed
 
@@ -685,13 +686,30 @@ def test_default_image_region_contains_all_images():
         assert np.all(np.linalg.norm(rs.points, axis=1) <= rad)
 
 
+def _count_images(system, box, y, region, grid0):
+    """``(count, escalated, unresolved)`` of the reference grid counter.
+
+    The seed grid of ``count_roots_2d`` doubles, up to 1024, until the sum of
+    sign det J over the images is 1 - N.
+    """
+    target = 1 - system.star_positions.shape[0]
+    g = grid0
+    while True:
+        roots = count_roots_2d(system, box, y, grid=g)
+        resolved = int(np.sum(np.sign(roots.signed))) == target
+        if resolved or g >= 1024:
+            count = int(np.sum(region_mask(roots.points, region)))
+            return count, g > grid0, not resolved
+        g *= 2
+
+
 def _grid_image_counts(cfg, master_seed, n):
-    """Per-field counts of the grid counter that certificate failures fall back to."""
+    """Per-field counts of the reference grid counter."""
     model = model_from_doc(dict(cfg.model))
     region, box = harness._lens_geometry(cfg, model, cfg.levels[0])
     y = np.asarray(cfg.levels[0], dtype=float)
     return np.array([
-        harness._count_images(
+        _count_images(
             sample_realization(model, fanout_seed(master_seed, cfg.experiment_id, i)),
             box, y, region, cfg.grid)[0]
         for i in range(n)])
@@ -703,24 +721,36 @@ def test_lens_polynomial_counts_match_grid_counter(master_seed):
     cfg = _cfg(experiment_id="lens-images", model=LENS3, levels=[[0.25, 0.1]],
                box=None, n_realizations=60, grid=64)
     part = _chunk_lhs(_prepare(cfg), master_seed, 0, 60)
-    assert part["extras"] == {"parity_fallbacks": 0, "parity_escalations": 0,
-                              "parity_unresolved": 0}
+    assert part["extras"] == {"parity_unresolved": 0}
     assert np.array_equal(part["values"][:, 0], _grid_image_counts(cfg, master_seed, 60))
 
 
-def test_lens_certificate_failures_fall_back_to_grid_counter():
-    # at 6 stars (degree 37) the monomial form loses images on some fields
-    cfg = _cfg(experiment_id="n6", model=dict(LENS0, n_stars=6), levels=[[0.25, 0.1]],
-               box=None, n_realizations=30, grid=64)
-    part = _chunk_lhs(_prepare(cfg), 2, 0, 30)
-    assert part["extras"]["parity_fallbacks"] > 0
-    assert np.array_equal(part["values"][:, 0], _grid_image_counts(cfg, 2, 30))
+@pytest.mark.parametrize("n_stars", [6, 10])
+def test_lens_counts_at_many_stars_are_certified_and_match_grid_counter(n_stars):
+    # degrees 37 and 101, where a solve from expanded coefficients loses
+    # images on some (6 stars) or most (10 stars) fields
+    cfg = _cfg(experiment_id=f"n{n_stars}", model=dict(LENS0, n_stars=n_stars),
+               levels=[[0.25, 0.1]], box=None, n_realizations=30, grid=64)
+    part = _chunk_lhs(_prepare(cfg), 2, 0, 20)
+    assert part["extras"] == {"parity_unresolved": 0}
+    assert np.array_equal(part["values"][:, 0], _grid_image_counts(cfg, 2, 20))
+
+
+def test_lens_vanishing_linear_term_is_measured_and_certified():
+    # c = 1 - kappa_c + gamma = 0 needs an explicit region; every field has
+    # one image, which the image polynomial of degree N = 1 certifies
+    cfg = _cfg(experiment_id="c0", model=dict(LENS0, kappa_c=1.0, n_stars=1),
+               levels=[[0.25, 0.1]], box=None, n_realizations=30,
+               region={"kind": "disk", "center": [0.0, 0.0], "radius": 3.0})
+    out = measure_only(cfg, master_seed=1)
+    assert out["extras"] == {"parity_unresolved": 0}
+    assert [row["lhs_mean"] for row in out["rows"]] == [1.0]
 
 
 def test_lens_image_between_close_stars_counts():
     # lens-images field 3068 at master seed 11: two stars 0.0035 apart with an
-    # image between them (det J ~ -7e10), which the grid counter misses up
-    # to MAX_PARITY_GRID and reports as parity_unresolved with a count of 1
+    # image between them (det J ~ -7e10), which the reference grid counter
+    # misses up to grid 1024 and reports as unresolved with a count of 1
     cfg = _cfg(experiment_id="lens-images", model=LENS3, levels=[[0.25, 0.1]],
                box=None, n_realizations=30, grid=64)
     model = model_from_doc(LENS3)
@@ -732,20 +762,7 @@ def test_lens_image_between_close_stars_counts():
     assert images.count == 2
     assert np.max(images.deltas) > 1e10
     assert _chunk_lhs(_prepare(cfg), 11, 3068, 3069)["values"].tolist() == [[2.0]]
-    assert harness._count_images(system, box, y, region, 64) == (1, True, True)
-
-
-def test_lens_fields_above_star_cap_go_straight_to_grid_counter(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("lens_images called above MAX_POLY_STARS")
-
-    monkeypatch.setattr(harness, "lens_images", refuse)
-    n = harness.MAX_POLY_STARS + 1
-    cfg = _cfg(experiment_id="many", model=dict(LENS0, n_stars=n), levels=[[0.25, 0.1]],
-               box=None, n_realizations=30, grid=64)
-    part = _chunk_lhs(_prepare(cfg), 1, 0, 4)
-    assert part["extras"]["parity_fallbacks"] == 4
-    assert np.array_equal(part["values"][:, 0], _grid_image_counts(cfg, 1, 4))
+    assert _count_images(system, box, y, region, 64) == (1, True, True)
 
 
 # ---------------------------------------------------------------------------

@@ -203,12 +203,24 @@ def test_lens_images_starless_single_image_at_y_over_c():
     assert np.allclose(images.signed, 0.36)
 
 
-def test_lens_images_vanishing_leading_coefficient_is_not_certified():
-    # c = 1 - kappa_c + gamma = 0: the polynomial loses its top degree
-    model = MicrolensModel(kappa_c=1.0, gamma=0.0, m=0.2, n_stars=3, R=1.0)
-    images, certified = lens_images(_stars(model, range(3)), [0.25, 0.1], model.c, model.m)
-    assert not certified.any()
-    assert images.count == 0
+@pytest.mark.parametrize("n_stars", [1, 2, 3])
+def test_lens_images_at_vanishing_linear_term_match_grid_roots(n_stars):
+    # c = 1 - kappa_c + gamma = 0: conj(y) P + 2m P' has degree N, and every
+    # root is an image with det J < 0; each image lies within
+    # max|xi| + 2mN/|y| of the origin, inside the box
+    model = MicrolensModel(kappa_c=1.0, gamma=0.0, m=0.2, n_stars=n_stars, R=1.0)
+    y = np.array([0.25, 0.1])
+    images, certified = lens_images(_stars(model, range(4)), y, model.c, model.m)
+    assert certified.all()
+    assert np.bincount(images.rows, minlength=4).tolist() == [n_stars] * 4
+    assert np.all(images.signed < 0)
+    h = 1.5 + 2.0 * model.m * n_stars / np.hypot(*y)
+    for i in range(4):
+        grid = count_roots_2d(sample_realization(model, i), [(-h, h), (-h, h)], y, grid=128)
+        assert grid.count == n_stars
+        assert np.allclose(np.sort_complex(grid.points @ [1, 1j]),
+                           np.sort_complex(images.points[images.rows == i] @ [1, 1j]),
+                           atol=1e-9)
 
 
 def test_lens_images_residuals_and_parity_on_every_certified_field():
