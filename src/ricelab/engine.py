@@ -73,8 +73,9 @@ from .fields import (
     ShotNoiseModel,
     SpectralGaussian1D,
     SpectralGaussian2D,
+    _unit_bump,
 )
-from .rng import copy_position, mean_se, skip_doubles, stream, uniform_into
+from .rng import copy_position, mean_se, skip_doubles, stream
 
 DEFAULT_INNER_MC = 4096
 MIN_INNER_MC = 100
@@ -505,6 +506,11 @@ def _shotnoise_single_term(model: ShotNoiseModel, u: float,
     return fine, abs(fine - quad(n_nodes // 2))
 
 
+def _uniform_bits(unit: np.ndarray, low: float, high: float) -> np.ndarray:
+    """The doubles ``rng.uniform_into(gen, low, high, out)`` makes of ``unit``."""
+    return unit * (high - low) + low
+
+
 def _shotnoise_window_term(model: ShotNoiseModel, u: float, p: int, delta: float,
                            n_mc: int, rng) -> tuple[float, float, float]:
     """Window estimate of the p-impulse joint term: window hits weighted by |X'(t0)|.
@@ -512,56 +518,76 @@ def _shotnoise_window_term(model: ShotNoiseModel, u: float, p: int, delta: float
     Both window widths of the Richardson pair (delta, delta / 2) read one
     draw set: positions s and then amplitudes b, each (n_mc, p), from
     ``rng``, which ends past both.  Rows go through blocks of about
-    ``_SHARED_BLOCK`` draws.  Each block draws its positions and evaluates
-    the kernel; as b lies in [beta_low, beta_high] and the kernel is
-    nonnegative, X = sum b g lies in [beta_low, beta_high] * sum g, and a
-    block with no row whose range meets the wider window skips its
-    amplitudes, its rows keeping value +inf and slope 0.  So the cost is
-    all positions plus the amplitudes of the blocks that can land in the
-    window.  Slopes are evaluated only on the rows inside the wider window;
-    every other row, which neither window hits, gets 0.  Draws from
-    uniform(-eta, eta) satisfy |s| <= eta in floating point, so no row
-    leaves the kernel's support by rounding.  Returns (estimate, standard
-    error, bias), the bias being the Richardson correction.
+    ``_SHARED_BLOCK`` draws, filtered on the unit doubles U and V behind
+    s = -eta + 2 eta U and b = beta_low + (beta_high - beta_low) V.  The
+    kernel is g = 16 q with q = (U (1 - U))^2 (``fields._unit_bump``), so
+    X = sum b g lies in [beta_low, beta_high] * 16 sum q, and a block with
+    no row whose range meets the window skips its amplitudes.  Rows whose
+    sum of b q puts X within delta of u, up to a margin, are candidates,
+    and only they get the exact arithmetic, with the bits of
+    ``rng.uniform_into``, ``model.kernel`` and a row einsum; those inside
+    the window also get their slope from ``model.kernel_prime``.  So the
+    cost is every position and its filter, the amplitudes of the blocks
+    that can reach the window, exact kernels on a few rows, and per width
+    one reduction of a length-``n_mc`` array that is zero off the hits.
+    Returns (estimate, standard error, bias), the bias being the
+    Richardson correction.
     """
     positions = copy_position(rng)
     skip_doubles(rng, n_mc * p)  # rng now starts the amplitude section
-    # X = sum b g lies in [beta_low, beta_high] * sum g, so a row can land in
-    # the wider window only if sum g lies in (reach_lo, reach_hi); the
-    # relative margin is far above the rounding of either sum
-    reach_lo = (u - delta) / (model.beta_high * (1.0 + 1e-9))
-    reach_hi = (u + delta) / (model.beta_low * (1.0 - 1e-9))
+    low, high = model.beta_low, model.beta_high
+    # 16 q is within 16 eps of each evaluated kernel value and X lies in
+    # [0, p beta_high], so a row's filter sum is within 16 eps p beta_high,
+    # plus a few p ulps of p beta_high from rounding, of its exact X: the
+    # margin keeps every row the exact arithmetic puts in the window.  Rows
+    # whose sum of q lies outside (reach_lo, reach_hi) cannot be candidates;
+    # the relative margin is far above the rounding of the sums
+    reach = delta + 1e-9 * p * high
+    reach_lo = (u - reach) / (16.0 * high * (1.0 + 1e-9))
+    reach_hi = (u + reach) / (16.0 * low * (1.0 - 1e-9))
     step = max(1, _SHARED_BLOCK // p)
-    s_block = np.empty((step, p))
-    b_block = np.empty((step, p))
+    unit_s = np.empty((step, p))
+    unit_b = np.empty((step, p))
+    q_block = np.empty((step, p))
     ones = np.ones(p)
-    dist = np.full(n_mc, np.inf)
-    slopes = np.zeros(n_mc)
+    hit_rows, hit_dist, hit_weight = [], [], []
     unread = 0  # amplitude doubles passed over since the last block drawn
     for lo in range(0, n_mc, step):
         rows = min(step, n_mc - lo)
-        s = uniform_into(positions, -model.eta, model.eta, s_block[:rows])
-        g = model.kernel(s)
-        total = g @ ones  # row sums; far faster than g.sum(axis=1) for small p
+        us = positions.random(out=unit_s[:rows])
+        q = _unit_bump(us, out=q_block[:rows])
+        total = q @ ones  # row sums; far faster than q.sum(axis=1) for small p
         if not np.any((total > reach_lo) & (total < reach_hi)):
             unread += rows * p
             continue
         skip_doubles(rng, unread)
         unread = 0
-        b = uniform_into(rng, model.beta_low, model.beta_high, b_block[:rows])
-        d = np.abs(np.einsum("ij,ij->i", b, g) - u)
-        dist[lo:lo + rows] = d
+        ub = rng.random(out=unit_b[:rows])
+        approx = 16.0 * (low * total + (high - low) * np.einsum("ij,ij->i", ub, q))
+        cand = np.flatnonzero(np.abs(approx - u) < reach)
+        if cand.size == 0:
+            continue
+        s = _uniform_bits(us[cand], -model.eta, model.eta)
+        b = _uniform_bits(ub[cand], low, high)
+        d = np.abs(np.einsum("ij,ij->i", b, model.kernel(s)) - u)
         near = d < delta
-        slopes[lo + np.flatnonzero(near)] = np.einsum(
-            "ij,ij->i", b[near], model.kernel_prime(s[near]))
+        hit_rows.append(lo + cand[near])
+        hit_dist.append(d[near])
+        hit_weight.append(np.abs(np.einsum(
+            "ij,ij->i", b[near], model.kernel_prime(s[near]))))
     skip_doubles(rng, unread)
-    if unread == n_mc * p:
-        # no row can land in the window: every window draw is +0.0
+    if not any(r.size for r in hit_rows):
+        # no row lands in the window: every window draw is +0.0
         return 0.0, 0.0, 0.0
-    weight = np.abs(slopes)
+    rows_hit = np.concatenate(hit_rows)
+    dist = np.concatenate(hit_dist)
+    weight = np.concatenate(hit_weight)
 
     def window(width: float) -> tuple[float, float]:
-        return mean_se((dist < width) * weight * (1.0 / (2.0 * width)))
+        draws = np.zeros(n_mc)
+        hit = dist < width
+        draws[rows_hit[hit]] = weight[hit] * (1.0 / (2.0 * width))
+        return mean_se(draws)
 
     coarse, _ = window(delta)
     fine, se = window(delta / 2.0)
@@ -581,20 +607,25 @@ def shotnoise_rhs(model: ShotNoiseModel, box, u, *, p_max: int = 12,
     exact quadrature; higher terms use the window estimator with a
     Richardson width pair; the truncation tail is bounded by the largest
     observed per-impulse growth rate times the Poisson tail mass.  The cost
-    is the draws: all inner_mc * (p_max (p_max + 1) / 2 - 1) positions, plus
-    the amplitudes of the row blocks that can land in the window, which
-    grow rare as p grows: for the shot-crossings manifest entry at u = 0.5,
+    is the draws: every one of the inner_mc * (p_max (p_max + 1) / 2 - 1)
+    positions is drawn and filtered as a unit double, and amplitudes are
+    drawn only for the row blocks that can land in the window, which grow
+    rare as p grows: for the shot-crossings manifest entry at u = 0.5,
     every row up to p = 6, about half at p = 8 and a few percent at p = 10.
-    The stream's draws, and so the outputs, do not depend on which blocks
-    are skipped.
+    The exact kernel arithmetic runs only on the candidate rows the filter
+    keeps, about 13,000 of that entry's 15.4M positions.  The stream's
+    draws, and so the outputs, do not depend on which blocks are skipped or
+    which rows are candidates.
 
-    The level must be nonzero: the field value has an atom at zero (empty
-    influence window), so the density and the crossing rate are undefined
-    there.
+    The level must be finite and nonzero: the field value has an atom at
+    zero (empty influence window), so the density and the crossing rate
+    are undefined there.  The window width must be finite and positive.
     """
     u = float(u)
     if u == 0.0:
         raise DomainError("impulse-sum prediction is undefined at u = 0 (atom)")
+    if not math.isfinite(u):
+        raise DomainError(f"impulse-sum prediction needs a finite level, got {u}")
     arr = _box_array(box, 1)
     lo, hi = model.domain
     if arr[0, 0] < lo - 1e-12 or arr[0, 1] > hi + 1e-12:
@@ -605,8 +636,8 @@ def shotnoise_rhs(model: ShotNoiseModel, box, u, *, p_max: int = 12,
     inner_mc = _check_inner_mc(inner_mc)
     if delta is None:
         delta = 0.05 * abs(u)
-    if delta <= 0.0:
-        raise ConfigurationError("window width must be positive")
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ConfigurationError(f"window width must be positive and finite, got {delta}")
     lam = 2.0 * model.eta * model.intensity
     rng = stream(seed, "shot-window")
     joint_q, joint_qerr = _shotnoise_single_term(model, u, _SHOT_QUAD_NODES)
@@ -688,14 +719,22 @@ def _microlens_designated(model: MicrolensModel, nodes: np.ndarray, y: np.ndarra
     defl = np.zeros(shape, dtype=complex)  # sum 1/conj(z)
     curv = np.zeros(shape, dtype=complex)  # sum 1/conj(z)^2 = conj(sum 1/z^2)
     excluded = np.zeros(shape, dtype=bool)
+    # one set of work buffers for every mass: fresh temporaries per mass
+    # let the allocator trim and refault them, which made the call about
+    # 1.5 times slower under some heap layouts left by earlier allocations
+    z = np.empty(shape, dtype=complex)
+    r2 = np.empty(shape)
+    tmp = np.empty(shape)
+    near = np.empty(shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for xi_j in np.ascontiguousarray(xi.T):
-            z = x - xi_j
-            r2 = np.square(z.real) + np.square(z.imag)
-            excluded |= r2 <= eps2
-            p = z * (1.0 / r2)  # 1/conj(z)
-            defl += p
-            curv += p * p
+            np.subtract(x, xi_j, out=z)
+            np.square(z.real, out=r2)
+            r2 += np.square(z.imag, out=tmp)
+            excluded |= np.less_equal(r2, eps2, out=near)
+            np.multiply(z, np.divide(1.0, r2, out=tmp), out=z)  # 1/conj(z)
+            defl += z
+            curv += np.multiply(z, z, out=z)
         w = (model.c * x - (y[0] + 1j * y[1])) - m2 * defl
         w2 = np.square(w.real) + np.square(w.imag)
         excluded |= (w2 <= 1e-28) | (w2 >= m2 * m2 / eps2)  # |z*| <= _EPS_STAR

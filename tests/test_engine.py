@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from ricelab import engine
+from ricelab import engine, fields
 from ricelab.engine import (
     RhsEvaluation,
     _lens_ensemble,
@@ -37,10 +37,11 @@ from ricelab.fields import (
     SpectralGaussian2D,
     _bump,
     _bump_prime,
+    _unit_bump,
     sample_realization,
 )
 from ricelab.harness import ae_level_consistency
-from ricelab.rng import mean_se, stream
+from ricelab.rng import copy_position, mean_se, stream, uniform_into
 
 TWO_PI = 2.0 * math.pi
 
@@ -483,6 +484,20 @@ def test_shot_noise_rejects_the_atom():
         shotnoise_rhs(model, (1.0, 11.0), 0.0)
 
 
+@pytest.mark.parametrize("u, delta, error", [
+    (math.nan, None, DomainError), (math.inf, None, DomainError),
+    (-math.inf, None, DomainError), (0.5, math.nan, ConfigurationError),
+    (0.5, math.inf, ConfigurationError), (0.5, -1.0, ConfigurationError)])
+def test_shot_noise_rejects_non_finite_level_and_window(u, delta, error, monkeypatch):
+    # a NaN or infinite window once skipped every window block and returned
+    # the p = 1 term alone with mc_error 0; a NaN level ran every draw
+    drawn = []
+    monkeypatch.setattr(engine, "stream", lambda *a: drawn.append(a) or stream(*a))
+    with pytest.raises(error):
+        shotnoise_rhs(_shot_model(), (1.0, 11.0), u, delta=delta)
+    assert drawn == []
+
+
 def test_shot_noise_box_must_fit_domain():
     with pytest.raises(ConfigurationError):
         shotnoise_rhs(_shot_model(), (-1.0, 5.0), 0.5)
@@ -545,16 +560,24 @@ def _window_term_unblocked(model, u, p, delta, n_mc, rng):
 SHOT_CASES = [(0.5, 2, 20_000), (0.5, 16, 20_000), (1.3, 2, 20_000), (1.3, 16, 20_000),
               (2.5, 2, 20_000), (2.5, 16, 20_000), (0.5, 12, 1001),
               (-0.4, 12, 20_000), (4.0, 16, 20_000)]
+# (level, p_max, inner_mc, delta): windows far narrower than |u|, delta / |u|
+# about 1e-3 and 1e-6; u = 50 is reached from about p = 62 on.  At seed 1
+# the two 1e-3 widths lie one ulp above the exact distance of a row (p = 3
+# at u = 2.5, p = 65 at u = 50) whose unit-double filter sum lands one or
+# two ulps of u farther out, so a candidate test without its margin drops
+# a window hit
+SHOT_CASES += [(2.5, 16, 20_000, 0.0025058233977093285), (2.5, 16, 20_000, 2.5e-6),
+               (50.0, 80, 1000, 0.05417600622725872), (50.0, 80, 1000, 5e-5)]
 
 
 def _shot_outputs(model, seed):
     out = {}
-    for u, p_max, inner_mc in SHOT_CASES:
-        ev = shotnoise_rhs(model, (1.0, 11.0), u, p_max=p_max,
-                           inner_mc=inner_mc, seed=seed)
-        out[u, p_max, inner_mc] = [x.hex() for x in (ev.value, ev.mc_error,
-                                                     ev.quadrature_error,
-                                                     ev.detail["tail_bound"])]
+    for case in SHOT_CASES:
+        u, p_max, inner_mc, *delta = case
+        ev = shotnoise_rhs(model, (1.0, 11.0), u, p_max=p_max, inner_mc=inner_mc,
+                           seed=seed, delta=delta[0] if delta else None)
+        out[case] = [x.hex() for x in (ev.value, ev.mc_error, ev.quadrature_error,
+                                       ev.detail["tail_bound"])]
     return out
 
 
@@ -583,6 +606,21 @@ def test_shot_noise_skips_only_amplitude_blocks_out_of_reach(seed, u, skipped,
             "some": 0 < amplitudes < sections}[skipped]
 
 
+@pytest.mark.parametrize("u", [0.5, 4.0])
+def test_shot_noise_exact_kernel_runs_on_candidate_rows_only(u, monkeypatch):
+    # beyond the 4096 + 2048 midpoints of the single-impulse term, the exact
+    # kernel sees only the rows the unit-double filter keeps: about 0.05% of
+    # the positions at u = 0.5 and 3% at u = 4.0, where no amplitude block
+    # is skipped
+    points = []
+    bump = fields._bump
+    monkeypatch.setattr(fields, "_bump",
+                        lambda x, eta: (points.append(np.size(x)), bump(x, eta))[1])
+    shotnoise_rhs(_shot_model(), (1.0, 11.0), u, p_max=16, inner_mc=20_000, seed=1)
+    positions = 20_000 * sum(range(2, 17))
+    assert sum(points) - (4096 + 2048) < 0.05 * positions
+
+
 def test_shot_noise_prediction_memory_is_bounded():
     # blocks of draws keep this call near 8 MB; whole (inner_mc, p) arrays
     # of positions and amplitudes peak near 49 MB
@@ -609,6 +647,24 @@ def test_bump_kernels_equal_their_masked_forms():
         grid = x[:12].reshape(3, 4)
         assert _bump(grid, eta).shape == (3, 4)
         assert _bump(grid, eta).tobytes() == _bump_masked(grid, eta).tobytes()
+
+
+
+@pytest.mark.parametrize("eta", [0.7, 1e-3, 1e3])
+def test_unit_bump_is_the_bump_of_its_position(eta):
+    # the window filter reads the kernel as 16 (U (1 - U))^2 of the unit
+    # double U behind s = -eta + 2 eta U; its margin assumes the two agree
+    # within 16 eps, on the s that uniform_into and engine._uniform_bits make
+    gen = stream(7, "unit-bump")
+    unit = copy_position(gen).random(100_000)
+    s = uniform_into(gen, -eta, eta, np.empty(100_000))
+    assert engine._uniform_bits(unit, -eta, eta).tobytes() == s.tobytes()
+    unit = np.concatenate([np.linspace(0.0, 1.0, 400_001)[:-1], unit,
+                           [0.0, 0.5, 5e-324, np.nextafter(1.0, 0.0)]])
+    s = engine._uniform_bits(unit, -eta, eta)
+    err = np.abs(16.0 * _unit_bump(unit) - _bump(s, eta))
+    assert err.max() <= 16.0 * np.finfo(float).eps
+    assert 16.0 * _unit_bump(0.5) == _bump(0.0, eta) == 1.0
 
 
 # ---------------------------------------------------------------------------
