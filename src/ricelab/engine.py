@@ -537,12 +537,14 @@ def _shotnoise_window_term(model: ShotNoiseModel, u: float, p: int, delta: float
     skip_doubles(rng, n_mc * p)  # rng now starts the amplitude section
     low, high = model.beta_low, model.beta_high
     # 16 q is within 16 eps of each evaluated kernel value and X lies in
-    # [0, p beta_high], so a row's filter sum is within 16 eps p beta_high,
-    # plus a few p ulps of p beta_high from rounding, of its exact X: the
-    # margin keeps every row the exact arithmetic puts in the window.  Rows
-    # whose sum of q lies outside (reach_lo, reach_hi) cannot be candidates;
-    # the relative margin is far above the rounding of the sums
-    reach = delta + 1e-9 * p * high
+    # [0, p beta_high], so a row's filter sum differs from its exact X by
+    # a few ulps of p beta_high; subtracting u and comparing with delta
+    # round by ulps of |u| and of delta.  The candidate margin covers all
+    # three, so every row the exact arithmetic puts in the window is a
+    # candidate.  A row whose sum of q lies outside (reach_lo, reach_hi)
+    # cannot be a candidate; the relative margin is far above the rounding
+    # of the sums
+    reach = delta + 1e-9 * (abs(u) + delta + p * high)
     reach_lo = (u - reach) / (16.0 * high * (1.0 + 1e-9))
     reach_hi = (u + reach) / (16.0 * low * (1.0 - 1e-9))
     step = max(1, _SHARED_BLOCK // p)

@@ -649,12 +649,13 @@ def test_bump_kernels_equal_their_masked_forms():
         assert _bump(grid, eta).tobytes() == _bump_masked(grid, eta).tobytes()
 
 
-
 @pytest.mark.parametrize("eta", [0.7, 1e-3, 1e3])
-def test_unit_bump_is_the_bump_of_its_position(eta):
-    # the window filter reads the kernel as 16 (U (1 - U))^2 of the unit
-    # double U behind s = -eta + 2 eta U; its margin assumes the two agree
-    # within 16 eps, on the s that uniform_into and engine._uniform_bits make
+def test_unit_bump_is_the_kernel_of_its_position(eta):
+    # the window filter reads the model's kernel as 16 (U (1 - U))^2 of the
+    # unit double U behind s = -eta + 2 eta U; its margin assumes the two
+    # agree within 16 eps, on the s that uniform_into and
+    # engine._uniform_bits make
+    kernel = ShotNoiseModel(intensity=1.5, eta=eta, domain=(0.0, 12.0)).kernel
     gen = stream(7, "unit-bump")
     unit = copy_position(gen).random(100_000)
     s = uniform_into(gen, -eta, eta, np.empty(100_000))
@@ -662,9 +663,9 @@ def test_unit_bump_is_the_bump_of_its_position(eta):
     unit = np.concatenate([np.linspace(0.0, 1.0, 400_001)[:-1], unit,
                            [0.0, 0.5, 5e-324, np.nextafter(1.0, 0.0)]])
     s = engine._uniform_bits(unit, -eta, eta)
-    err = np.abs(16.0 * _unit_bump(unit) - _bump(s, eta))
+    err = np.abs(16.0 * _unit_bump(unit) - kernel(s))
     assert err.max() <= 16.0 * np.finfo(float).eps
-    assert 16.0 * _unit_bump(0.5) == _bump(0.0, eta) == 1.0
+    assert 16.0 * _unit_bump(0.5) == kernel(0.0) == 1.0
 
 
 # ---------------------------------------------------------------------------
