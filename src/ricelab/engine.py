@@ -19,9 +19,9 @@ several weighted and higher-order variants:
   (closed form),
 * :func:`shotnoise_rhs` -- root-count prediction for impulse-sum fields,
 * :func:`microlens_rhs` -- image-count prediction for point-mass deflection
-  fields; these two families are not Gaussian, so each kernel integrates
-  the density and the Jacobian jointly, as E[|det X'| ; X = u], in one
-  channel,
+  fields, one joint Monte Carlo over the masses and the image-plane point;
+  these two families are not Gaussian, so each kernel integrates the
+  density and the Jacobian jointly, as E[|det X'| ; X = u], in one channel,
 * :func:`second_factorial_moment_rhs` -- mean number of ordered root pairs.
 
 Integrating both sides against a bump in the level variable is a comparison
@@ -39,14 +39,14 @@ Conventions shared by every evaluator:
   families, which are not Gaussian.  Sampling obeys the keyed-stream
   contract of :mod:`ricelab.rng`.
 * Deterministic quadrature error and Monte Carlo standard error are tracked
-  separately and reported side by side in the result objects.  Where Monte
-  Carlo sits inside a quadrature (pair moments, image counts),
-  one reducer, ``_shared_draw_quadrature``, integrates every draw over the
-  rule: one set of draws serves every node of the fine and the coarse rule,
-  the standard error is the spread of each draw's integrated value, and the
-  fine-minus-coarse difference on the same draws is discretisation only.
-  Nodes go through the integrand in blocks of a fixed number of
-  (node, draw) pairs, so memory stays bounded for any rule.
+  separately and reported side by side in the result objects.  Monte Carlo
+  sits inside a quadrature only for pair moments, where
+  ``_shared_draw_quadrature`` integrates every draw over the lag rule: one
+  set of draws serves every node of each rule, the standard error is the
+  spread of each draw's integrated value, and the difference between rules
+  on the same draws is discretisation only.  Nodes go through the integrand
+  in blocks of a fixed number of (node, draw) pairs, so memory stays bounded
+  for any rule.
 * The Gaussian and squared-sum families are stationary, so the mean-measure
   prediction is a rate times the box volume, with no outer quadrature.
 """
@@ -79,19 +79,17 @@ from .rng import copy_position, mean_se, skip_doubles, stream
 
 DEFAULT_INNER_MC = 4096
 MIN_INNER_MC = 100
-# (node, draw) pairs per block of _shared_draw_quadrature, draws per row
+# (lag, draw) pairs per block of _shared_draw_quadrature, draws per row
 # block of _shotnoise_window_term, and (impulse, grid point) pairs per block
-# of the impulse-sum corpus (harness._impulse_values): timed on these five
-# users on a 2-core Xeon host, 2^14 was fastest or within noise for each (the
-# window term ran about 15% slower at 2^12 and at 2^15; 256 impulse-sum rows
-# on 2048 points took 0.018 s at 2^14, 30% more at 2^12, 5-10% more at 2^16).
-# Smaller blocks pay more per-block Python; at 2^15-2^16 the lens kernel ran
-# 30-55% slower, mostly not under a raised glibc mmap/trim threshold, so that
-# cost is page faults on freshly mapped temporaries, not cache size.
+# of the impulse-sum corpus (harness._impulse_values): timed on a 2-core Xeon
+# host, 2^14 was fastest or within noise for each (the window term ran about
+# 15% slower at 2^12 and at 2^15; 256 impulse-sum rows on 2048 points took
+# 0.018 s at 2^14, 30% more at 2^12, 5-10% more at 2^16).  Smaller blocks pay
+# more per-block Python.
 _SHARED_BLOCK = 1 << 14
 # midpoint nodes of the exact single-impulse shot-noise term
 _SHOT_QUAD_NODES = 4096
-# lens (draw, node) pairs with a mass this close to the node are excluded
+# lens samples with a mass this close to their image-plane point are excluded
 _EPS_STAR = 1e-6
 
 __all__ = [
@@ -187,11 +185,8 @@ def _shared_draw_quadrature(f, weights: np.ndarray, n_draws: int) -> np.ndarray:
     step = max(1, _SHARED_BLOCK // n_draws)
     for lo in range(0, weights.size, step):
         sl = slice(lo, lo + step)
-        # kept bound until the next block replaces it: freeing each result at
-        # once timed slower on the lens kernel
-        vals = f(sl)
         # np.dot, not @: a one-node block went through @ about 5x slower
-        per_draw += np.dot(weights[sl], vals)
+        per_draw += np.dot(weights[sl], f(sl))
     return per_draw
 
 
@@ -684,117 +679,73 @@ def _lens_ensemble(model: MicrolensModel, inner_mc: int, rng) -> np.ndarray:
     return model.R * np.sqrt(u[..., 0]) * np.exp(2j * math.pi * u[..., 1])
 
 
-def _microlens_designated(model: MicrolensModel, nodes: np.ndarray, y: np.ndarray,
+def _microlens_designated(model: MicrolensModel, x: np.ndarray, y: np.ndarray,
                           xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Designated-mass joint weights for every (draw, node) pair.
+    """Nearest-mass joint weight of each (image-plane point, draw) sample.
 
-    ``nodes`` is an (n_nodes, 2) array of image-plane points x and ``xi`` the
-    (n_draws, n_stars - 1) complex positions of the other masses from
-    :func:`_lens_ensemble`; every node sees the same draws.  In complex form
-    (x = x1 + i x2, offsets z = x - xi) the deflection map is
+    ``x`` holds the complex points x1 + i x2, one per sample, and ``xi`` the
+    (samples, n_stars - 1) complex positions of the other masses from
+    :func:`_lens_ensemble`.  With offsets z = x - xi the deflection map is
     eta(x) = c x - 2m sum 1/conj(z).  Given the other masses, eta(x) = y pins
     the designated offset z* = 2m / conj(w) with the excess deflection
     w = c x - y - 2m sum 1/conj(z), so the designated mass sits at x - z*.
     The change of variables carries the Jacobian |z*|^4 / (4 m^2), which
-    cancels the blow-up of the lens Jacobian near the designated mass.  It
-    does not bound the weight for n_stars >= 3: two other masses at distance
-    eps on opposite sides of a node cancel in w but add in sum 1/z^2, so the
-    weight grows like eps^-4 on a set of probability about eps^6 (the
-    manifest's lens-images prediction at seed 28 has a (draw, node) weight
-    of 4.0e5).  The mean is finite; the variance is not.
+    cancels the blow-up of the lens Jacobian near the designated mass.  Any
+    of the n_stars masses may be the designated one, so the weight counts
+    the sample n_stars times but only where the designated mass is the
+    nearest one to x: the nearest-mass indicators are a partition of unity.
+    They also bound the weight: |z*|^2 |sum 1/z^2| <= n_stars - 1, so
+    |z*|^4 |det J| / (4 m^2) <= c^2 |z*|^4 / (4 m^2) + n_stars^2.
 
-    Returns ``(weight, excluded)``, both (n_nodes, n_draws).  The weight is
-    the density factor |z*|^4 / (4 m^2) over the disk area times |det J|, with
-    the complex form det J = c^2 - (2m)^2 |sum 1/z^2 + 1/z*^2|^2 (Witt 1990),
-    or 0 where the designated mass falls off the disk.
-    ``excluded`` marks pairs with a mass, designated or not, within
-    ``_EPS_STAR`` of the node, or a vanishing excess deflection
-    (|w|^2 <= 1e-28); their weight is 0.  The other masses are added one at a
-    time into accumulators of the output's size: no array has more than two
-    axes.
+    Returns ``(weight, excluded)``, one entry per sample.  The weight is
+    n_stars times the density factor |z*|^4 / (4 m^2) over the disk area
+    times |det J|, with the complex form
+    det J = c^2 - (2m)^2 |sum 1/z^2 + 1/z*^2|^2 (Witt 1990), or 0 where the
+    designated mass is not the nearest or falls off the disk.  ``excluded``
+    marks samples with a mass, designated or not, within ``_EPS_STAR`` of x,
+    or a vanishing excess deflection (|w|^2 <= 1e-28); their weight is 0.
     """
     m2 = 2.0 * model.m
     eps2 = _EPS_STAR * _EPS_STAR
-    # (nodes, draws) layout: the draws axis is the long contiguous one
-    x = (nodes[:, 0] + 1j * nodes[:, 1])[:, None]
-    shape = (x.shape[0], xi.shape[0])
-    defl = np.zeros(shape, dtype=complex)  # sum 1/conj(z)
-    curv = np.zeros(shape, dtype=complex)  # sum 1/conj(z)^2 = conj(sum 1/z^2)
-    excluded = np.zeros(shape, dtype=bool)
-    # one set of work buffers for every mass: fresh temporaries per mass
-    # let the allocator trim and refault them, which made the call about
-    # 1.5 times slower under some heap layouts left by earlier allocations
-    z = np.empty(shape, dtype=complex)
-    r2 = np.empty(shape)
-    tmp = np.empty(shape)
-    near = np.empty(shape, dtype=bool)
+    defl = np.zeros(x.shape, dtype=complex)  # sum 1/conj(z)
+    curv = np.zeros(x.shape, dtype=complex)  # sum 1/conj(z)^2 = conj(sum 1/z^2)
+    nearest = np.full(x.shape, np.inf)  # min |z|^2 over the other masses
     with np.errstate(divide="ignore", invalid="ignore"):
-        for xi_j in np.ascontiguousarray(xi.T):
-            np.subtract(x, xi_j, out=z)
-            np.square(z.real, out=r2)
-            r2 += np.square(z.imag, out=tmp)
-            excluded |= np.less_equal(r2, eps2, out=near)
-            np.multiply(z, np.divide(1.0, r2, out=tmp), out=z)  # 1/conj(z)
+        for xi_j in xi.T:
+            z = x - xi_j
+            r2 = np.square(z.real) + np.square(z.imag)
+            np.minimum(nearest, r2, out=nearest)
+            z /= r2  # 1/conj(z)
             defl += z
-            curv += np.multiply(z, z, out=z)
+            curv += z * z
         w = (model.c * x - (y[0] + 1j * y[1])) - m2 * defl
         w2 = np.square(w.real) + np.square(w.imag)
-        excluded |= (w2 <= 1e-28) | (w2 >= m2 * m2 / eps2)  # |z*| <= _EPS_STAR
         g = m2 / w2
+        zs2 = m2 * g  # |z*|^2
+        excluded = (nearest <= eps2) | (w2 <= 1e-28) | (zs2 <= eps2)
         xs = x - g * w  # designated position x - z*, z* = 2m w / |w|^2
         outside = np.square(xs.real) + np.square(xs.imag) > model.R ** 2
-        weight = g * g * (1.0 / (math.pi * model.R ** 2))
+        weight = g * g * (model.n_stars / (math.pi * model.R ** 2))
         # 1/conj(z*)^2 = w^2 / (2m)^2, so (2m) |sum 1/z^2 + 1/z*^2| = |t|
         t = m2 * curv + w * w * (1.0 / m2)
         weight *= np.abs(model.c * model.c - np.square(t.real) - np.square(t.imag))
-    weight[excluded | outside] = 0.0
+    weight[excluded | outside | ~(zs2 < nearest)] = 0.0
     return weight, excluded
 
 
-def _region_nodes(region, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint nodes and weights for a disk or box region."""
-    if isinstance(region, Mapping) and region.get("kind") == "disk":
-        center = np.asarray(region["center"], dtype=float)
-        radius = float(region["radius"])
-        if radius <= 0.0:
-            raise ConfigurationError("disk radius must be positive")
-        n_r = nodes
-        n_t = 2 * nodes
-        # equal-area radial cells: uniform grid in r^2
-        s = (np.arange(n_r) + 0.5) / n_r
-        r = radius * np.sqrt(s)
-        theta = 2.0 * math.pi * (np.arange(n_t) + 0.5) / n_t
-        rr, tt = np.meshgrid(r, theta, indexing="ij")
-        pts = np.stack([center[0] + rr * np.cos(tt),
-                        center[1] + rr * np.sin(tt)], axis=-1).reshape(-1, 2)
-        w = np.full(pts.shape[0], math.pi * radius ** 2 / (n_r * n_t))
-        return pts, w
-    arr = _box_array(region, 2)
-    hx = (arr[0, 1] - arr[0, 0]) / nodes
-    hy = (arr[1, 1] - arr[1, 0]) / nodes
-    xs = arr[0, 0] + (np.arange(nodes) + 0.5) * hx
-    ys = arr[1, 0] + (np.arange(nodes) + 0.5) * hy
-    xx, yy = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.stack([xx, yy], axis=-1).reshape(-1, 2)
-    return pts, np.full(pts.shape[0], hx * hy)
-
-
-def microlens_rhs(model, y, region, *, quadrature=None,
-                  inner_mc: int = DEFAULT_INNER_MC, seed: int = 0) -> RhsEvaluation:
+def microlens_rhs(model, y, region, *, inner_mc: int = DEFAULT_INNER_MC,
+                  seed: int = 0) -> RhsEvaluation:
     """Predicted mean image count of source ``y`` over the region.
 
-    Averages the designated-mass integrand (:func:`_microlens_designated`)
-    over the point-mass ensemble (independent uniform positions on the
-    configuration disk) and over a midpoint rule on the region.  One set of
-    ``inner_mc`` ensemble draws serves every node of both the fine rule and
-    the half-resolution coarse rule, and each draw's integrated value is its
-    weighted sum over the nodes.  The value is the mean of the fine per-draw
-    integrals; ``mc_error`` is their standard deviation over sqrt(inner_mc),
-    the standard error of that mean with the correlation between nodes
-    included; ``quadrature_error`` is |fine - coarse| on the same draws, so it
-    measures discretisation only.  Requires a supercritical deflection
-    strength; subcritical configurations flip the Jacobian sign at infinity
-    and the designated-mass construction is not validated there.
+    A mean over ``inner_mc`` joint samples, each of the ``n_stars - 1`` other
+    masses (independent uniform positions on the configuration disk) and one
+    image-plane point x, uniform on the disk or box region.  A sample's
+    weight is the region's area times the nearest-mass weight of
+    :func:`_microlens_designated`, which is bounded, so the value is the mean
+    weight and ``mc_error`` its standard error; there is no node rule and no
+    quadrature error.  Requires a supercritical deflection strength;
+    subcritical configurations flip the Jacobian sign at infinity and the
+    designated-mass construction is not validated there.
     """
     if not isinstance(model, MicrolensModel):
         raise CapabilityError("expected a point-mass deflection model")
@@ -811,34 +762,30 @@ def microlens_rhs(model, y, region, *, quadrature=None,
         inside = bool(region_mask(img[None, :], region)[0])
         return RhsEvaluation(value=1.0 if inside else 0.0,
                              detail={"path": "deterministic", "image": img.tolist()})
-    nodes = _normalize_nodes(quadrature, 24)
     inner_mc = _check_inner_mc(inner_mc)
-    xi = _lens_ensemble(model, inner_mc, stream(seed, "lens-ensemble"))
-
-    def per_draw(pts: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, int]:
-        """Per-draw integrals over one rule, and the excluded (draw, node) pairs."""
-        excluded = 0
-
-        def joint(sl: slice) -> np.ndarray:
-            nonlocal excluded
-            weight, out = _microlens_designated(model, pts[sl], y, xi)
-            excluded += int(np.count_nonzero(out))
-            return weight
-
-        return _shared_draw_quadrature(joint, w, inner_mc), excluded
-
-    pts, w = _region_nodes(region, nodes)
-    fine, excluded = per_draw(pts, w)
-    coarse, _ = per_draw(*_region_nodes(region, max(nodes // 2, 2)))
-    value, mc_error = mean_se(fine)
+    rng = stream(seed, "lens-ensemble")
+    xi = _lens_ensemble(model, inner_mc, rng)
+    u = rng.uniform(size=(inner_mc, 2))
+    if isinstance(region, Mapping) and region.get("kind") == "disk":
+        radius = float(region["radius"])
+        if radius <= 0.0:
+            raise ConfigurationError("disk radius must be positive")
+        cx, cy = (float(v) for v in region["center"])
+        x = (cx + 1j * cy) + radius * np.sqrt(u[:, 0]) * np.exp(2j * math.pi * u[:, 1])
+        area = math.pi * radius ** 2
+    else:
+        arr = _box_array(region, 2)
+        pts = arr[:, 0] + u * (arr[:, 1] - arr[:, 0])
+        x = pts[:, 0] + 1j * pts[:, 1]
+        area = _box_volume(arr)
+    weight, excluded = _microlens_designated(model, x, y, xi)
+    value, mc_error = mean_se(area * weight)
     return RhsEvaluation(
         value=value,
-        quadrature_error=abs(value - float(coarse.mean())),
         mc_error=mc_error,
-        n_quadrature=pts.shape[0],
         n_mc=inner_mc,
-        detail={"excluded_samples": excluded, "eps_star": _EPS_STAR,
-                "nodes": nodes, "path": "shared-draws"},
+        detail={"excluded_samples": int(np.count_nonzero(excluded)),
+                "eps_star": _EPS_STAR, "path": "joint-draws"},
     )
 
 

@@ -10,7 +10,6 @@ from ricelab.engine import (
     RhsEvaluation,
     _lens_ensemble,
     _microlens_designated,
-    _region_nodes,
     conditional_jacobian_expectation,
     euler_char_expectation,
     kacrice_rhs,
@@ -40,7 +39,7 @@ from ricelab.fields import (
     _unit_bump,
     sample_realization,
 )
-from ricelab.harness import ae_level_consistency
+from ricelab.harness import ae_level_consistency, default_image_region
 from ricelab.rng import copy_position, mean_se, stream, uniform_into
 
 TWO_PI = 2.0 * math.pi
@@ -694,7 +693,7 @@ def test_lens_requires_supercritical_strength():
     with pytest.raises(CapabilityError):
         microlens_rhs(frozen, np.array([0.1, 0.0]),
                       {"kind": "disk", "center": [0, 0], "radius": 2.0},
-                      quadrature=6, inner_mc=200)
+                      inner_mc=200)
 
 
 def test_lens_prediction_plausible_for_small_field():
@@ -703,7 +702,6 @@ def test_lens_prediction_plausible_for_small_field():
         model,
         np.array([0.25, 0.1]),
         {"kind": "disk", "center": [0.0, 0.0], "radius": 1.97},
-        quadrature=24,
         inner_mc=2048,
         seed=7,
     )
@@ -742,62 +740,129 @@ def _lens_node_reference(model, x, y, rest, eps_star=1e-6):
     return np.where(ok & inside, weight, 0.0)
 
 
+def _lens_joint_samples(model, region, inner_mc, seed):
+    """The (x, other masses) pairs of ``microlens_rhs``, drawn in real form.
+
+    Returns the points as an (inner_mc, 2) array, the other masses as
+    (inner_mc, n_stars - 1, 2), and the region's area.
+    """
+    rng = stream(seed, "lens-ensemble")
+    u = rng.uniform(size=(inner_mc, model.n_stars - 1, 2))
+    r = model.R * np.sqrt(u[..., 0])
+    rest = np.stack([r * np.cos(2.0 * math.pi * u[..., 1]),
+                     r * np.sin(2.0 * math.pi * u[..., 1])], axis=-1)
+    v = rng.uniform(size=(inner_mc, 2))
+    if isinstance(region, dict):
+        rad = region["radius"] * np.sqrt(v[:, 0])
+        x = np.asarray(region["center"]) + np.column_stack(
+            [rad * np.cos(2.0 * math.pi * v[:, 1]), rad * np.sin(2.0 * math.pi * v[:, 1])])
+        area = math.pi * region["radius"] ** 2
+    else:
+        box = np.asarray(region, dtype=float)
+        x = box[:, 0] + v * (box[:, 1] - box[:, 0])
+        area = float(np.prod(box[:, 1] - box[:, 0]))
+    return x, rest, area
+
+
+def _complex(points):
+    return points[..., 0] + 1j * points[..., 1]
+
+
 def test_lens_complex_det_matches_frozen_system_jacobian():
     model = MicrolensModel(kappa_c=2.0, gamma=0.1, m=0.2, n_stars=4, R=1.0)
     rng = stream(3, "lens-det-test")
-    xi = _lens_ensemble(model, 40, rng)
-    nodes = rng.uniform(-0.8, 0.8, size=(5, 2))
+    xi = _lens_ensemble(model, 400, rng)
+    x = rng.uniform(-0.8, 0.8, size=(400, 2))
     y = np.array([0.25, 0.1])
-    joint, excluded = _microlens_designated(model, nodes, y, xi)
-    assert joint.shape == excluded.shape == (5, 40)
+    joint, excluded = _microlens_designated(model, _complex(x), y, xi)
+    assert joint.shape == excluded.shape == (400,)
     checked = 0
-    for j, i in zip(*np.nonzero(joint > 0.0)):
-        x = nodes[j]
+    for i in np.flatnonzero(joint > 0.0):
         rest = np.column_stack([xi[i].real, xi[i].imag])
         w = MicrolensSystem(model.kappa_c, model.gamma, model.m, rest,
-                            model.R).value(x) - y
+                            model.R).value(x[i]) - y
         # density of the designated position: (2m / |w|^2)^2 over the disk area
         dens = (2.0 * model.m / (w @ w)) ** 2 / (math.pi * model.R ** 2)
-        designated = x - 2.0 * model.m * w / (w @ w)
+        designated = x[i] - 2.0 * model.m * w / (w @ w)
         frozen = MicrolensSystem(model.kappa_c, model.gamma, model.m,
                                  np.vstack([rest, designated]), model.R)
-        assert np.allclose(frozen.value(x), y, rtol=0.0, atol=1e-12)
-        det = np.linalg.det(frozen.jacobian(x))
-        assert joint[j, i] / dens == pytest.approx(abs(det), rel=1e-12)
+        assert np.allclose(frozen.value(x[i]), y, rtol=0.0, atol=1e-12)
+        # only the mass nearest to x carries the sample, n_stars times
+        dist = np.hypot(*(x[i] - frozen.star_positions).T)
+        assert np.argmin(dist) == model.n_stars - 1
+        det = np.linalg.det(frozen.jacobian(x[i]))
+        assert joint[i] / (model.n_stars * dens) == pytest.approx(abs(det), rel=1e-12)
         checked += 1
     assert checked >= 50
 
 
-@pytest.mark.parametrize("n_stars", [1, 3])
-def test_lens_shared_draws_match_per_node_loop(n_stars):
-    model = MicrolensModel(kappa_c=2.0, gamma=0.0, m=0.2, n_stars=n_stars, R=1.0)
+# one mass of m = 0.2 has images only where |y + xi| >= 2 sqrt(2m / |c|)
+# (|xi| nearly 1): the lighter mass has them for most positions
+@pytest.mark.parametrize("n_stars, m", [(1, 0.05), (3, 0.2)], ids=["1", "3"])
+def test_lens_joint_samples_match_real_form_reference(n_stars, m):
+    model = MicrolensModel(kappa_c=2.0, gamma=0.0, m=m, n_stars=n_stars, R=1.0)
     y = np.array([0.25, 0.1])
     region = {"kind": "disk", "center": [0.0, 0.0], "radius": 1.97}
     inner_mc, seed = 512, 5
-    ev = microlens_rhs(model, y, region, quadrature=6, inner_mc=inner_mc, seed=seed)
-    u = stream(seed, "lens-ensemble").uniform(size=(inner_mc, n_stars - 1, 2))
-    r = model.R * np.sqrt(u[..., 0])
-    rest = np.stack([r * np.cos(2.0 * math.pi * u[..., 1]),
-                     r * np.sin(2.0 * math.pi * u[..., 1])], axis=-1)
+    ev = microlens_rhs(model, y, region, inner_mc=inner_mc, seed=seed)
+    x, rest, area = _lens_joint_samples(model, region, inner_mc, seed)
+    ref = np.array([_lens_node_reference(model, x[i], y, rest[i:i + 1])[0]
+                    for i in range(inner_mc)])
+    # the real-form designated offset z* = 2m w / |w|^2 against every other mass
+    z = x[:, None] - rest
+    r2 = np.sum(z * z, axis=-1)
+    w = model.c * x - y - 2.0 * model.m * np.sum(z / r2[..., None], axis=1)
+    zs2 = (2.0 * model.m) ** 2 / np.sum(w * w, axis=-1)
+    nearest = np.all(zs2[:, None] < r2, axis=1)
+    expected = ref * n_stars * area * nearest
+    weight, _ = _microlens_designated(model, _complex(x), y, _complex(rest))
+    assert area * weight == pytest.approx(expected, rel=1e-12, abs=1e-300)
+    assert np.count_nonzero(expected) > 40
+    assert ev.value == pytest.approx(expected.mean(), rel=1e-12)
+    # one x per draw: the standard error is the spread of the samples
+    assert ev.mc_error * math.sqrt(inner_mc) == pytest.approx(expected.std(ddof=1),
+                                                             rel=1e-12)
+    assert (ev.quadrature_error, ev.n_quadrature, ev.n_mc) == (0.0, 0, inner_mc)
+    assert ev.detail["path"] == "joint-draws"
 
-    def per_draw(nodes):
-        pts, w = _region_nodes(region, nodes)
-        total = np.zeros(inner_mc)
-        for x, wx in zip(pts, w):
-            total += wx * _lens_node_reference(model, x, y, rest)
-        return total
 
-    fine, coarse = per_draw(6), per_draw(3)
-    assert ev.value == pytest.approx(fine.mean(), rel=1e-12)
-    assert ev.quadrature_error == pytest.approx(abs(fine.mean() - coarse.mean()),
-                                                rel=1e-12, abs=1e-15)
-    # the standard error rests on the inner_mc independent per-draw integrals
-    assert ev.mc_error * math.sqrt(inner_mc) == pytest.approx(fine.std(ddof=1),
-                                                             rel=1e-12, abs=1e-15)
-    assert ev.n_mc == inner_mc and ev.n_quadrature == 72
-    assert ev.detail["path"] == "shared-draws" and ev.detail["nodes"] == 6
-    if n_stars == 1:
-        assert ev.mc_error == 0.0  # no ensemble left to average over
+def test_lens_weight_bounded_and_error_calibrated():
+    # the a11 model at its default region: the nearest-mass weight is at
+    # most n area / (pi R^2) (c^2 (rho + R)^4 / (4 m^2) + n^2), and over
+    # engine seeds the prediction spreads as its standard error says
+    model = MicrolensModel(kappa_c=2.0, gamma=0.0, m=0.2, n_stars=3, R=1.0)
+    y = np.array([0.25, 0.1])
+    region = default_image_region(model, y)
+    rho = region["radius"]
+    n, inner_mc = model.n_stars, 8192
+    values, errors, largest = [], [], 0.0
+    for seed in range(1, 31):
+        ev = microlens_rhs(model, y, region, inner_mc=inner_mc, seed=seed)
+        x, rest, area = _lens_joint_samples(model, region, inner_mc, seed)
+        weight, _ = _microlens_designated(model, _complex(x), y, _complex(rest))
+        assert area * weight.mean() == pytest.approx(ev.value, rel=1e-12)
+        largest = max(largest, area * weight.max())
+        values.append(ev.value)
+        errors.append(ev.mc_error)
+    bound = n * area / (math.pi * model.R ** 2) * (
+        model.c ** 2 * (rho + model.R) ** 4 / (4.0 * model.m ** 2) + n * n)
+    assert largest <= bound
+    assert np.std(values, ddof=1) <= 1.5 * np.median(errors)
+
+
+def test_lens_box_region_matches_disk():
+    # the box holds the default disk, which holds every image, so both
+    # regions predict the same count
+    model = MicrolensModel(kappa_c=2.0, gamma=0.0, m=0.2, n_stars=3, R=1.0)
+    y = np.array([0.25, 0.1])
+    disk = default_image_region(model, y)
+    rad = disk["radius"]
+    box = [[-rad, rad + 0.5], [-rad - 0.25, rad]]
+    on_disk = microlens_rhs(model, y, disk, inner_mc=8192, seed=2)
+    on_box = microlens_rhs(model, y, box, inner_mc=8192, seed=3)
+    assert on_box.detail["path"] == "joint-draws"
+    gap = abs(on_box.value - on_disk.value)
+    assert gap <= 3.0 * math.hypot(on_box.mc_error, on_disk.mc_error)
 
 
 # ---------------------------------------------------------------------------
