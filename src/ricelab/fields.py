@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -247,11 +247,27 @@ def _partial_rows(waves: np.ndarray, coef_cos, coef_sin, partials) -> np.ndarray
     return rows
 
 
-def _trig_sum(waves: np.ndarray, coef_cos, coef_sin, pts: np.ndarray, partials) -> np.ndarray:
-    """(len(partials), n) partial derivatives of one trigonometric sum at points (n, D)."""
+def _rows_of(real, waves: np.ndarray, partials) -> np.ndarray:
+    """The ``_partial_rows`` of a spectral realization, built on first use and kept.
+
+    They live in the realization's ``_rows`` cache, read-only, so the Newton
+    steps of a root search turn the coefficients once per partial set.
+    """
+    rows = real._rows.get(partials)
+    if rows is None:
+        rows = _partial_rows(waves, real.coef_cos, real.coef_sin, partials)
+        rows.flags.writeable = False
+        real._rows[partials] = rows
+    return rows
+
+
+def _trig_sum(waves: np.ndarray, rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """(len(rows), n) partial derivatives of one trigonometric sum at points (n, D).
+
+    ``rows`` are the sum's ``_partial_rows``.
+    """
     k = waves.shape[0]
-    rows = _partial_rows(waves, coef_cos, coef_sin, partials)
-    out = np.empty((len(partials), pts.shape[0]))
+    out = np.empty((rows.shape[0], pts.shape[0]))
     for lo, hi in _chunked_cols(pts.shape[0], 2 * k):
         table = _trig_table(waves, pts[lo:hi])
         # contracting the cos and sin halves apart keeps values bitwise equal to
@@ -260,8 +276,8 @@ def _trig_sum(waves: np.ndarray, coef_cos, coef_sin, pts: np.ndarray, partials) 
     return out
 
 
-def _trig_lattice(waves: np.ndarray, coef_cos, coef_sin, x0, x1, partials) -> np.ndarray:
-    """(len(partials), n0, n1) partials of one planar trigonometric sum on the lattice x0 x x1.
+def _trig_lattice(waves: np.ndarray, rows: np.ndarray, x0, x1) -> np.ndarray:
+    """(len(rows), n0, n1) partials of one planar trigonometric sum on the lattice x0 x x1.
 
     With a = w_k0 x and b = w_k1 y, cos(a + b) = cos a cos b - sin a sin b and
     sin(a + b) = sin a cos b + cos a sin b, so c cos + s sin at (x, y) is
@@ -269,7 +285,6 @@ def _trig_lattice(waves: np.ndarray, coef_cos, coef_sin, x0, x1, partials) -> np
     (O(K (n0 + n1)) trig calls) and one contraction over 2K per partial.
     """
     k = waves.shape[0]
-    rows = _partial_rows(waves, coef_cos, coef_sin, partials)
     t0 = _trig_table(waves[:, :1], x0.reshape(-1, 1))
     t1 = _trig_table(waves[:, 1:], x1.reshape(-1, 1))
     c, s = rows[:, :k, None], rows[:, k:, None]
@@ -289,7 +304,7 @@ _ORDERS = ((_VALUE, ()), (_GRADIENT, (2,)), (_HESSIAN, (2, 2)))
 def _eval_1d(real: "TrigRealization1D", t, partials):
     t = np.asarray(t, dtype=float)
     waves = real.model.frequencies[:, None]
-    out = _trig_sum(waves, real.coef_cos, real.coef_sin, t.reshape(-1, 1), partials)
+    out = _trig_sum(waves, _rows_of(real, waves, partials), t.reshape(-1, 1))
     return float(out[0, 0]) if t.ndim == 0 else out[0].reshape(t.shape)
 
 
@@ -297,8 +312,8 @@ def _eval_2d(real: "TrigRealization2D", pts, partials, shape: tuple):
     pts = np.asarray(pts, dtype=float)
     if pts.ndim == 0 or pts.shape[-1] != 2:
         raise ConfigurationError("points must have shape (..., 2)")
-    out = _trig_sum(real.model.wavevectors, real.coef_cos, real.coef_sin,
-                    pts.reshape(-1, 2), partials)
+    waves = real.model.wavevectors
+    out = _trig_sum(waves, _rows_of(real, waves, partials), pts.reshape(-1, 2))
     out = out.T.reshape((-1,) + shape)
     if pts.ndim > 1:
         return out
@@ -311,6 +326,8 @@ class TrigRealization1D:
     seed: int
     coef_cos: np.ndarray  # a_k * xi_k
     coef_sin: np.ndarray  # a_k * xi'_k
+    # _partial_rows by partial set, filled by _rows_of
+    _rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     d = 1
     D = 1
@@ -334,6 +351,8 @@ class TrigRealization2D:
     seed: int
     coef_cos: np.ndarray
     coef_sin: np.ndarray
+    # _partial_rows by partial set, filled by _rows_of
+    _rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     d = 1
     D = 2
@@ -360,8 +379,8 @@ class TrigRealization2D:
             raise CapabilityError(f"lattice derivatives go up to order 2, got {order!r}")
         partials, shape = _ORDERS[order]
         x0, x1 = (np.asarray(a, dtype=float).ravel() for a in axes)
-        out = _trig_lattice(self.model.wavevectors, self.coef_cos, self.coef_sin,
-                            x0, x1, partials)
+        waves = self.model.wavevectors
+        out = _trig_lattice(waves, _rows_of(self, waves, partials), x0, x1)
         return np.moveaxis(out, 0, -1).reshape((x0.size, x1.size) + shape)
 
 

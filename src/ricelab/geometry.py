@@ -231,6 +231,13 @@ def favard_measure(shape, n_lines: int, seed: int) -> tuple:
     Probability*, 1976) c_{2,1} times the offset window length times the
     count is unbiased for the length.  Chains and the same segments given
     separately give the same counts.  Returns (estimate, standard error).
+
+    Lines are drawn in chunks of ``_chunk_lines`` (normals, then offsets);
+    within a chunk the endpoints are projected and counted one tile of
+    ``_tile_lines`` lines at a time, so the (2S, tile) projections stay in
+    cache.  The tile never changes the draws, and tiles are cut where a
+    one-thread BLAS product over the whole chunk would switch kernel blocks,
+    so each line's projections, and hence the counts, stay bitwise the same.
     """
     segments = getattr(shape, "segments", None)
     if segments is None:
@@ -257,7 +264,8 @@ def favard_measure(shape, n_lines: int, seed: int) -> tuple:
     c21 = _crofton_c(2, 1)
     rng = stream(seed, "favard-lines")
     estimates = np.empty(n_lines)
-    chunk = _chunk_lines(ends.shape[0])
+    chunk, tile = _chunk_lines(2 * S), _tile_lines(2 * S)
+    crossings = np.empty(min(chunk, n_lines))
     for lo in range(0, n_lines, chunk):
         hi = min(lo + chunk, n_lines)
         k = hi - lo
@@ -267,11 +275,33 @@ def favard_measure(shape, n_lines: int, seed: int) -> tuple:
         wlo, whi = proj_corners.min(axis=0), proj_corners.max(axis=0)
         window = whi - wlo
         y = wlo + window * rng.random(k)
-        neg = ends @ normals.T < y  # (2S, k)
-        crossings = np.count_nonzero(neg[:S] != neg[S:], axis=0)
-        estimates[lo:hi] = c21 * window * crossings
+        for a, b in _tiles(k, tile):
+            neg = ends @ normals[a:b].T < y[a:b]  # (2S, b - a)
+            crossings[a:b] = np.count_nonzero(neg[:S] != neg[S:], axis=0)
+        estimates[lo:hi] = c21 * window * crossings[:k]
     return mean_se(estimates)
 
 
 def _chunk_lines(n_points: int) -> int:
     return max(1, 8_000_000 // max(n_points, 1))
+
+
+# Lines per tile come in whole multiples of this, from the start of a chunk:
+# BLAS kernels compute a block of product columns at a time, so a tile cut at
+# such a multiple gives each line the same arithmetic as the chunk's product.
+_TILE_ALIGN = 64
+
+
+def _tile_lines(n_points: int) -> int:
+    """Lines per tile: about 2^17 doubles (1 MB) of projections, at least one aligned block."""
+    return max(_TILE_ALIGN, (2**17 // max(n_points, 1)) // _TILE_ALIGN * _TILE_ALIGN)
+
+
+def _tiles(k: int, tile: int) -> list:
+    """(start, stop) tiles over k lines; a lone last line joins the tile before it.
+
+    A one-column product goes through a matrix-vector kernel that can round
+    differently from the matrix-matrix one of the chunk.
+    """
+    cuts = [0, *range(tile, k - 1, tile), k]
+    return list(zip(cuts, cuts[1:]))

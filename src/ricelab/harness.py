@@ -348,11 +348,6 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         if kind != "microlens":
             raise ConfigurationError("region applies to deflection models only")
         _check_region(cfg.region)
-    elif kind == "microlens" and model.c == 0.0:
-        # default_image_region bounds the images by |c| r against the stars' pull
-        raise ConfigurationError(
-            "1 - kappa_c + gamma = 0: with no linear term the images are not "
-            "bounded a priori, so the model needs an explicit region")
 
 
 def _check_box(box, D: int) -> None:
@@ -410,14 +405,21 @@ def default_image_region(model: MicrolensModel, y) -> dict:
 
     Outside radius r with |c| r^2 - (|c| R + |y|) r - (2 m N - |y| R) > 0 the
     deflection dominates the total pull of the masses toward any point of the
-    configuration disk, so no solution exists; the returned disk takes the
-    positive root of the quadratic plus a 10% margin.
+    configuration disk, so no solution exists.  At c = 0 an image solves
+    2m sum_j 1 / (x - xi_j) = -conj(y), a sum of N terms each at most
+    1 / (|x| - R) in modulus when |x| > R, so |x| <= R + 2 m N / |y| for
+    y != 0; at y = 0 the images are critical points of prod_j (x - xi_j),
+    which lie in the stars' convex hull (Gauss-Lucas), so |x| <= R.  The
+    returned disk takes that radius plus a 10% margin.
     """
     c = abs(model.c)
     yn = float(np.hypot(float(y[0]), float(y[1])))
-    b = c * model.R + yn
-    extra = max(2.0 * model.m * model.n_stars - yn * model.R, 0.0)
-    r = (b + math.sqrt(b * b + 4.0 * c * extra)) / (2.0 * c)
+    if c == 0.0:
+        r = model.R + (2.0 * model.m * model.n_stars / yn if yn > 0.0 else 0.0)
+    else:
+        b = c * model.R + yn
+        extra = max(2.0 * model.m * model.n_stars - yn * model.R, 0.0)
+        r = (b + math.sqrt(b * b + 4.0 * c * extra)) / (2.0 * c)
     return {"kind": "disk", "center": [0.0, 0.0], "radius": 1.1 * r}
 
 

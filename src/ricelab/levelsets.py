@@ -719,6 +719,10 @@ def nodal_length(realization, box, u: float, grid: int = 512) -> LevelCurve:
 
     The lattice values come from ``_lattice_values``: separable phases for
     spectral fields, so they agree with pointwise evaluation up to rounding.
+    Only the crossing cells (case not 0 or 15) are gathered, once, in raster
+    order; each table case and saddle branch is then selected from those
+    short arrays, so segments come out case by case in table order and in
+    raster order within a case (Lorensen & Cline, "Marching cubes", 1987).
     Vertices come from linear interpolation along cell edges; ambiguous
     (double-saddle) cells are resolved by evaluating the field pointwise at
     the cell center, which is exact for every model here.  Returns the
@@ -732,63 +736,51 @@ def nodal_length(realization, box, u: float, grid: int = 512) -> LevelCurve:
         raise ConfigurationError("resolution must be >= 2")
     # values only: marching squares never reads gradients on the lattice
     ax = _lattice_axes(b, res)
-    v = _lattice_values(realization, ax) - float(u)
+    v = _lattice_values(realization, ax)
+    u = float(u)
     hx, hy = (b[:, 1] - b[:, 0]) / (res - 1)
 
-    v0 = v[:-1, :-1]
-    v1 = v[1:, :-1]
-    v2 = v[1:, 1:]
-    v3 = v[:-1, 1:]
-    case = (
-        (v0 < 0).astype(np.int8)
-        + 2 * (v1 < 0).astype(np.int8)
-        + 4 * (v2 < 0).astype(np.int8)
-        + 8 * (v3 < 0).astype(np.int8)
-    )
-
-    segs = []
+    # v < u exactly when v - u < 0 (with gradual underflow, v - u is zero only
+    # at v == u), so only the corner values of crossing cells are shifted by u
+    below = (v < u).view(np.int8)
+    case = below[:-1, :-1] + 2 * below[1:, :-1] + 4 * below[1:, 1:] + 8 * below[:-1, 1:]
+    i, j = np.divmod(np.flatnonzero((case != 0) & (case != 15)), res - 1)
+    case = case[i, j]
+    corners = tuple(c - u for c in (v[i, j], v[i + 1, j], v[i + 1, j + 1], v[i, j + 1]))
     # exact lattice coordinates on both cell sides, so that the crossing on a
     # shared edge is computed bitwise identically from its two adjacent cells
-    X0 = np.broadcast_to(ax[0][:-1, None], v0.shape)
-    Y0 = np.broadcast_to(ax[1][None, :-1], v0.shape)
-    X1 = np.broadcast_to(ax[0][1:, None], v0.shape)
-    Y1 = np.broadcast_to(ax[1][None, 1:], v0.shape)
+    x0, x1 = ax[0][i], ax[0][i + 1]
+    y0, y1 = ax[1][j], ax[1][j + 1]
 
-    def emit(mask, pairs):
-        if not np.any(mask):
+    n_saddle = np.count_nonzero((case == 5) | (case == 10))
+    segments = np.empty((case.size + n_saddle, 2, 2))
+    filled = 0
+
+    def emit(cells, pairs):
+        nonlocal filled
+        if cells.size == 0:
             return
-        cv = [c[mask] for c in (v0, v1, v2, v3)]
-        x0, y0 = X0[mask], Y0[mask]
-        x1, y1 = X1[mask], Y1[mask]
+        cell = (x0[cells], y0[cells], x1[cells], y1[cells]) + tuple(c[cells] for c in corners)
         for ea, eb in pairs:
-            pax, pay = _edge_point(ea, x0, y0, x1, y1, *cv)
-            pbx, pby = _edge_point(eb, x0, y0, x1, y1, *cv)
-            segs.append(np.stack([np.column_stack([pax, pay]), np.column_stack([pbx, pby])], axis=1))
+            out = segments[filled:filled + cells.size]
+            out[:, 0, 0], out[:, 0, 1] = _edge_point(ea, *cell)
+            out[:, 1, 0], out[:, 1, 1] = _edge_point(eb, *cell)
+            filled += cells.size
 
     for idx, pairs in _MS_TABLE.items():
-        emit(case == idx, pairs)
+        emit(np.flatnonzero(case == idx), pairs)
 
     for idx, branches in _MS_SADDLE.items():
-        mask = case == idx
-        if np.any(mask):
-            cx = 0.5 * (X0[mask] + X1[mask])
-            cy = 0.5 * (Y0[mask] + Y1[mask])
-            centers = np.column_stack([cx, cy])
-            cvals = np.asarray(realization.value(centers), dtype=float) - float(u)
-            for which, sub in (("neg", cvals < 0.0), ("pos", ~(cvals < 0.0))):
-                m2 = mask.copy()
-                m2[mask] = sub
-                emit(m2, branches[which])
+        cells = np.flatnonzero(case == idx)
+        if cells.size:
+            centers = np.column_stack([0.5 * (x0[cells] + x1[cells]),
+                                       0.5 * (y0[cells] + y1[cells])])
+            neg = np.asarray(realization.value(centers), dtype=float) - u < 0.0
+            emit(cells[neg], branches["neg"])
+            emit(cells[~neg], branches["pos"])
 
-    if segs:
-        segments = np.concatenate(segs, axis=0)
-        lengths = np.linalg.norm(segments[:, 1] - segments[:, 0], axis=1)
-        keep = lengths > 0.0
-        segments = segments[keep]
-    else:
-        segments = np.zeros((0, 2, 2))
-
-    return LevelCurve(segments, float(u), float(max(hx, hy)))
+    lengths = np.linalg.norm(segments[:, 1] - segments[:, 0], axis=1)
+    return LevelCurve(segments[lengths > 0.0], u, float(max(hx, hy)))
 
 
 # ---------------------------------------------------------------------------

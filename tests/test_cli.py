@@ -251,17 +251,18 @@ def test_non_numeric_box_entry_exits_two(tmp_path, capsys, command, doc):
     assert "box bound must be a finite number" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["measure", "kacrice"])
-def test_lens_without_linear_term_or_region_exits_two(tmp_path, capsys, command):
-    # c = 1 - kappa_c + gamma = 0 gives no default image region: a config
-    # error, not a division by zero inside the run
+def test_lens_without_linear_term_measures_in_default_disk(tmp_path, capsys):
+    # c = 1 - kappa_c + gamma = 0 and no region: the default disk of radius
+    # 1.1 (R + 2mN/|y|), or 1.1 R at y = 0, holds all N (N - 1 at y = 0) images
     lens = {"kind": "microlens", "kappa_c": 1.0, "gamma": 0.0, "m": 0.2,
             "n_stars": 3, "R": 1.0}
-    doc = _exact_experiment(model=lens, levels=[[0.25, 0.1]], box=None, grid=64)
+    doc = _exact_experiment(model=lens, levels=[[0.25, 0.1], [0.0, 0.0]], box=None, grid=64)
     del doc["box"]
     cfg = _write(tmp_path, "exp.json", doc)
-    assert main([command, "--config", cfg]) == 2
-    assert "explicit region" in capsys.readouterr().err
+    assert main(["measure", "--config", cfg, "--seed", "1"]) in (0, 1)
+    out = json.loads(capsys.readouterr().out)
+    assert [row["lhs_mean"] for row in out["rows"]] == [3.0, 2.0]
+    assert out["extras"]["parity_unresolved"] == 0
 
 
 @pytest.mark.parametrize("region", [

@@ -1,8 +1,11 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ricelab import fields
 from ricelab.errors import (
     CapabilityError,
     ConfigurationError,
@@ -272,6 +275,46 @@ def test_trig2d_lattice_matches_pointwise_eval():
         r.lattice(axes, 3)
     with pytest.raises(CapabilityError):
         g.lattice(axes, 2)
+
+
+def test_cached_rows_evaluate_like_fresh_rows(monkeypatch):
+    # every evaluation reads the realization's cached rows; rows built afresh
+    # for each call give the same bits, and each partial set is built once
+    m2 = SpectralGaussian2D.isotropic_ring(7, 2.5)
+    m1 = SpectralGaussian1D.harmonics(9, seed=5)
+    pts = np.random.default_rng(4).uniform(-6.0, 6.0, size=(300, 2))
+    ts = np.linspace(-7.0, 11.0, 501)
+    axes = [np.linspace(-3.0, 5.0, 41), np.linspace(-1.0, 2.0, 17)]
+    cases = []
+    for seed in (2, 31):
+        r2, r1 = sample_realization(m2, seed), sample_realization(m1, seed)
+        cases += [(r2, (r2.value, r2.gradient, r2.hessian), pts),
+                  (r1, (r1.value, r1.derivative, r1.second_derivative), ts)]
+    built = []
+    monkeypatch.setattr(fields, "_partial_rows",
+                        lambda *a: built.append(a[-1]) or _partial_rows(*a))
+    for r, methods, at in cases:
+        first = [m(at) for m in methods] + [r.lattice(axes, o) for o in range(3) if r.D == 2]
+        again = [m(at) for m in methods] + [r.lattice(axes, o) for o in range(3) if r.D == 2]
+        r.__dict__["_rows"] = {}  # fresh rows for every call below
+        fresh = []
+        for m in methods:
+            fresh.append(m(at))
+            r.__dict__["_rows"] = {}
+        for o in range(3 if r.D == 2 else 0):
+            fresh.append(r.lattice(axes, o))
+            r.__dict__["_rows"] = {}
+        for a, b, c in zip(first, again, fresh):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+    # first use builds the value, first- and second-order sets once (lattices
+    # reuse them); then one build per fresh call: 3 + 6 per 2D, 3 + 3 per 1D
+    assert len(built) == 2 * (3 + 6) + 2 * (3 + 3)
+    r = sample_realization(m2, 7)
+    r.hessian(pts)
+    assert not r._rows[fields._HESSIAN].flags.writeable
+    clone = pickle.loads(pickle.dumps(r))
+    assert np.array_equal(clone.hessian(pts), r.hessian(pts))
+    assert "_rows" not in repr(r)
 
 
 def test_corpus_rows_match_per_wave_loop():

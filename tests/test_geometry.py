@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ricelab import geometry
 from ricelab.errors import ConfigurationError
 from ricelab.geometry import (
     Polyline,
@@ -17,7 +19,7 @@ from ricelab.geometry import (
     sample_haar_grassmann,
 )
 from ricelab.levelsets import LevelCurve
-from ricelab.rng import stream
+from ricelab.rng import mean_se, stream
 
 finite = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
 
@@ -205,3 +207,86 @@ def test_favard_rejects_too_few_lines():
     seg = Polyline([np.array([[0.0, 0.0], [1.0, 0.0]])])
     with pytest.raises(ConfigurationError):
         favard_measure(seg, 10, seed=0)
+
+
+def _dense_favard(shape, n_lines, seed):
+    """``favard_measure`` with one projection product over each whole chunk of lines.
+
+    The draws are the same chunk by chunk; only the tiling of the counts
+    differs, so the two must agree exactly.
+    """
+    segments = np.asarray(shape.segments, dtype=float)
+    S = segments.shape[0]
+    ends = np.concatenate([segments[:, 0], segments[:, 1]])
+    lo_c, hi_c = ends.min(axis=0), ends.max(axis=0)
+    corners = np.array([[lo_c[0], lo_c[1]], [lo_c[0], hi_c[1]],
+                        [hi_c[0], lo_c[1]], [hi_c[0], hi_c[1]]])
+    rng = stream(seed, "favard-lines")
+    estimates = np.empty(n_lines)
+    chunk = geometry._chunk_lines(2 * S)
+    for lo in range(0, n_lines, chunk):
+        hi = min(lo + chunk, n_lines)
+        normals = rng.standard_normal((hi - lo, 2))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        proj_corners = corners @ normals.T
+        wlo, whi = proj_corners.min(axis=0), proj_corners.max(axis=0)
+        window = whi - wlo
+        y = wlo + window * rng.random(hi - lo)
+        neg = ends @ normals.T < y
+        crossings = np.count_nonzero(neg[:S] != neg[S:], axis=0)
+        estimates[lo:hi] = geometry._crofton_c(2, 1) * window * crossings
+    return mean_se(estimates)
+
+
+def _walk(n_segments, seed):
+    return Polyline([np.cumsum(stream(seed, "test-walk").standard_normal((n_segments + 1, 2)),
+                               axis=0)])
+
+
+@pytest.mark.parametrize("n_segments", [1, 2, 63, 64, 65, 511, 512, 513, 1024, 1025, 3000])
+def test_favard_tiles_equal_dense_chunk_products(n_segments):
+    # the tile is 2^17 / 2S lines in multiples of 64: 65,536 lines at S = 1,
+    # 1,024 at S = 64, 64 from S = 1,024 on; the line counts below end chunks
+    # off the tile grid, one line past it, and (from S = 63 on) in a second chunk
+    shape = _walk(n_segments, n_segments)
+    chunk = geometry._chunk_lines(2 * n_segments)
+    tile = geometry._tile_lines(2 * n_segments)
+    counts = {1000, 1001, 4 * tile + 1, 3 * tile + 37, chunk + 129, chunk + 2 * tile + 1}
+    for n_lines in sorted(n for n in counts if 1000 <= n <= 200_000):
+        assert favard_measure(shape, n_lines, 3) == _dense_favard(shape, n_lines, 3)
+
+
+def test_favard_tiles_equal_dense_chunk_products_on_level_curves():
+    from ricelab.fields import SpectralGaussian2D, sample_realization
+    from ricelab.levelsets import nodal_length
+
+    model = SpectralGaussian2D.isotropic_ring(6, 3.0)
+    for seed in range(6):
+        curve = nodal_length(sample_realization(model, seed), [(0, 1), (0, 1)], 0.0, grid=256)
+        for n_lines in (1000, 20_011):
+            assert favard_measure(curve, n_lines, seed) == _dense_favard(curve, n_lines, seed)
+
+
+def test_favard_tiles_split_a_chunk_and_keep_a_lone_last_line():
+    tiles = list(geometry._tiles(257, 128))
+    assert tiles == [(0, 128), (128, 257)]
+    assert list(geometry._tiles(1, 64)) == [(0, 1)]
+    assert list(geometry._tiles(200, 64)) == [(0, 64), (64, 128), (128, 192), (192, 200)]
+    for n_points in (2, 128, 2048, 2050, 10**6):
+        tile = geometry._tile_lines(n_points)
+        assert tile % 64 == 0
+        assert tile == 64 or n_points * tile * 8 <= 2**20
+
+
+def test_favard_memory_stays_in_tiles():
+    # the a03 circle: 1,024 segments; one whole-chunk product of 3,906 lines
+    # and its comparisons took about 78 MB
+    theta = np.linspace(0.0, 2.0 * math.pi, 1025)
+    circle = Polyline([np.column_stack([np.cos(theta), np.sin(theta)])])
+    tracemalloc.start()
+    try:
+        favard_measure(circle, 10**5, seed=13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

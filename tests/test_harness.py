@@ -686,6 +686,26 @@ def test_default_image_region_contains_all_images():
         assert np.all(np.linalg.norm(rs.points, axis=1) <= rad)
 
 
+@pytest.mark.parametrize("n_stars", [1, 2, 3, 5])
+def test_default_image_region_holds_every_image_without_linear_term(n_stars):
+    # c = 0: |x| <= R + 2mN/|y| for y != 0, and |x| <= R at y = 0 (Gauss-Lucas);
+    # the bound itself holds, before the disk's 10% margin
+    from ricelab.fields import MicrolensModel, sample_realization
+    from ricelab.levelsets import lens_images
+
+    model = MicrolensModel(kappa_c=1.0, gamma=0.0, m=0.2, n_stars=n_stars, R=1.0)
+    stars = np.array([sample_realization(model, s).star_positions for s in range(200)])
+    for y, degree in (([0.25, 0.1], n_stars), ([0.0, 0.0], n_stars - 1),
+                      ([2.0, -1.5], n_stars), ([0.01, 0.0], n_stars)):
+        region = default_image_region(model, y)
+        assert region["kind"] == "disk" and region["center"] == [0.0, 0.0]
+        images, certified = lens_images(stars, np.array(y), model.c, model.m)
+        assert certified.all()
+        assert np.bincount(images.rows, minlength=200).tolist() == [degree] * 200
+        farthest = np.max(np.hypot(*images.points.T), initial=0.0)
+        assert farthest <= region["radius"] / 1.1 * (1.0 + 1e-12)
+
+
 def _count_images(system, box, y, region, grid0):
     """``(count, escalated, unresolved)`` of the reference grid counter.
 

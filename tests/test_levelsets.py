@@ -721,6 +721,102 @@ def test_nodal_length_needs_scalar_planar_field():
         nodal_length(_circle_line_system(), [(-1, 1), (-1, 1)], 0.0)
 
 
+def _full_mask_segments(realization, box, u, grid):
+    """Marching squares that masks the whole (grid - 1)^2 cell array once per case.
+
+    The straightforward form of ``nodal_length``: the reference its segments
+    must equal bit for bit, in the same order.
+    """
+    b = levelsets._box2d(box)
+    ax = levelsets._lattice_axes(b, grid)
+    v = levelsets._lattice_values(realization, ax) - float(u)
+    v0, v1, v2, v3 = v[:-1, :-1], v[1:, :-1], v[1:, 1:], v[:-1, 1:]
+    case = ((v0 < 0).astype(np.int8) + 2 * (v1 < 0).astype(np.int8)
+            + 4 * (v2 < 0).astype(np.int8) + 8 * (v3 < 0).astype(np.int8))
+    X0 = np.broadcast_to(ax[0][:-1, None], v0.shape)
+    Y0 = np.broadcast_to(ax[1][None, :-1], v0.shape)
+    X1 = np.broadcast_to(ax[0][1:, None], v0.shape)
+    Y1 = np.broadcast_to(ax[1][None, 1:], v0.shape)
+    segs = []
+
+    def emit(mask, pairs):
+        if not np.any(mask):
+            return
+        cv = [c[mask] for c in (v0, v1, v2, v3)]
+        x0, y0, x1, y1 = X0[mask], Y0[mask], X1[mask], Y1[mask]
+        for ea, eb in pairs:
+            pax, pay = levelsets._edge_point(ea, x0, y0, x1, y1, *cv)
+            pbx, pby = levelsets._edge_point(eb, x0, y0, x1, y1, *cv)
+            segs.append(np.stack([np.column_stack([pax, pay]),
+                                  np.column_stack([pbx, pby])], axis=1))
+
+    for idx, pairs in levelsets._MS_TABLE.items():
+        emit(case == idx, pairs)
+    for idx, branches in levelsets._MS_SADDLE.items():
+        mask = case == idx
+        if np.any(mask):
+            centers = np.column_stack([0.5 * (X0[mask] + X1[mask]), 0.5 * (Y0[mask] + Y1[mask])])
+            cvals = np.asarray(realization.value(centers), dtype=float) - float(u)
+            for which, sub in (("neg", cvals < 0.0), ("pos", ~(cvals < 0.0))):
+                m2 = mask.copy()
+                m2[mask] = sub
+                emit(m2, branches[which])
+    if not segs:
+        return np.zeros((0, 2, 2)), case
+    segments = np.concatenate(segs, axis=0)
+    keep = np.linalg.norm(segments[:, 1] - segments[:, 0], axis=1) > 0.0
+    return segments[keep], case
+
+
+def _checkerboard_saddles(res):
+    # cos(pi x / h) cos(pi y / h) alternates sign on the lattice nodes, so every
+    # cell is case 5 or 10; at the cell centres it vanishes, and the second term
+    # sends half of the centres of each case below the level and half above
+    h = 1.0 / (res - 1)
+
+    def val(pts):
+        p = np.atleast_2d(pts)
+        return (np.cos(np.pi * p[:, 0] / h) * np.cos(np.pi * p[:, 1] / h)
+                + 0.2 * np.cos(2.0 * np.pi * p[:, 0]))
+
+    return DeterministicField(value_fn=val, jacobian_fn=None, d=1, D=2)
+
+
+def _ring_field(seed):
+    return sample_realization(SpectralGaussian2D.isotropic_ring(6, 3.0), seed)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("u", [0.0, 0.6, -0.9])
+def test_nodal_length_segments_equal_full_mask_reference_on_ring_fields(seed, u):
+    real = _ring_field(fanout_seed(seed, "ring"))
+    curve = nodal_length(real, [(0, 2), (0, 2)], u, grid=256)
+    ref, _ = _full_mask_segments(real, [(0, 2), (0, 2)], u, 256)
+    assert ref.shape[0] > 100
+    assert np.array_equal(curve.segments, ref)
+    assert curve.length == float(np.sum(np.linalg.norm(ref[:, 1] - ref[:, 0], axis=1)))
+
+
+def test_nodal_length_segments_equal_full_mask_reference_without_crossings():
+    real = _ring_field(5)
+    curve = nodal_length(real, [(0, 1), (0, 1)], 50.0, grid=64)
+    ref, _ = _full_mask_segments(real, [(0, 1), (0, 1)], 50.0, 64)
+    assert curve.segments.shape == ref.shape == (0, 2, 2)
+    assert curve.length == 0.0
+
+
+def test_nodal_length_saddle_cells_equal_full_mask_reference():
+    field = _checkerboard_saddles(33)
+    curve = nodal_length(field, [(0, 1), (0, 1)], 0.0, grid=33)
+    ref, case = _full_mask_segments(field, [(0, 1), (0, 1)], 0.0, 33)
+    assert set(np.unique(case)) == {5, 10}
+    centres = (np.arange(32) + 0.5) / 32
+    below = field.value(np.column_stack([centres, centres])) < 0.0
+    assert below.any() and not below.all()  # both saddle branches are taken
+    assert ref.shape == (2 * 32 * 32, 2, 2)
+    assert np.array_equal(curve.segments, ref)
+
+
 def test_nodal_length_random_field_matches_line_probe():
     # cross-check marching squares against the random-line length estimate
     from ricelab.geometry import favard_measure
