@@ -91,6 +91,9 @@ _SHARED_BLOCK = 1 << 14
 _SHOT_QUAD_NODES = 4096
 # lens samples with a mass this close to their image-plane point are excluded
 _EPS_STAR = 1e-6
+# why a lens with c >= 0 gets no prediction; format with c
+SUBCRITICAL_LENS = ("image-count prediction requires a supercritical deflection "
+                    "(1 - kappa_c + gamma = {} >= 0)")
 
 __all__ = [
     "RhsEvaluation",
@@ -502,7 +505,7 @@ def _shotnoise_single_term(model: ShotNoiseModel, u: float,
 
 
 def _uniform_bits(unit: np.ndarray, low: float, high: float) -> np.ndarray:
-    """The doubles ``rng.uniform_into(gen, low, high, out)`` makes of ``unit``."""
+    """The doubles ``Generator.uniform(low, high, n)`` makes of the unit doubles ``unit``."""
     return unit * (high - low) + low
 
 
@@ -520,7 +523,7 @@ def _shotnoise_window_term(model: ShotNoiseModel, u: float, p: int, delta: float
     no row whose range meets the window skips its amplitudes.  Rows whose
     sum of b q puts X within delta of u, up to a margin, are candidates,
     and only they get the exact arithmetic, with the bits of
-    ``rng.uniform_into``, ``model.kernel`` and a row einsum; those inside
+    ``Generator.uniform``, ``model.kernel`` and a row einsum; those inside
     the window also get their slope from ``model.kernel_prime``.  So the
     cost is every position and its filter, the amplitudes of the blocks
     that can reach the window, exact kernels on a few rows, and per width
@@ -750,9 +753,7 @@ def microlens_rhs(model, y, region, *, inner_mc: int = DEFAULT_INNER_MC,
     if not isinstance(model, MicrolensModel):
         raise CapabilityError("expected a point-mass deflection model")
     if model.c >= 0.0:
-        raise CapabilityError(
-            "image-count prediction requires a supercritical deflection "
-            f"(1 - kappa_c + gamma = {model.c} >= 0)")
+        raise CapabilityError(SUBCRITICAL_LENS.format(model.c))
     y = np.asarray(y, dtype=float)
     if y.shape != (2,):
         raise ConfigurationError("source position must be a 2-vector")

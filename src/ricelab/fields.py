@@ -506,7 +506,7 @@ def _unit_bump(unit, out=None):
     """(U (1 - U))^2, a sixteenth of the bump at x = -eta + 2 eta U, for any eta.
 
     With r = 2U - 1, 1 - r^2 = 4U(1 - U).  Against ``_bump`` at the x that
-    ``rng.uniform_into(gen, -eta, eta, ...)`` makes of U, 16 times this is
+    ``Generator.uniform(-eta, eta, ...)`` makes of U, 16 times this is
     within 16 eps for every U in [0, 1): with u = eps / 2, r = x / eta is
     within 4u of 2U - 1, so 1 - r^2 is within 10u and the bump within 21u,
     while this form carries 5u of relative rounding on a value at most 1/16.

@@ -20,12 +20,13 @@ import os
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .engine import (
     _SHARED_BLOCK,
+    SUBCRITICAL_LENS,
     RhsEvaluation,
     euler_char_expectation,
     kacrice_rhs,
@@ -60,37 +61,10 @@ from .levelsets import (
 from .modelspec import SCHEMA_VERSION, model_from_doc
 from .rng import check_seed, fanout_seed, mean_se, stream, streams
 
-ESTIMATORS = ("roots", "length", "weighted", "local_time", "euler", "moment2")
-
-# model kinds each estimator accepts (doc "kind" strings)
-_COMPAT = {
-    "roots": {
-        "spectral_gaussian_1d",
-        "chi_square",
-        "shot_noise",
-        "microlens",
-        "gradient_field",
-    },
-    "length": {"spectral_gaussian_2d"},
-    "weighted": {"spectral_gaussian_1d", "gradient_field"},
-    "local_time": {"spectral_gaussian_1d", "chi_square"},
-    "euler": {"spectral_gaussian_1d", "spectral_gaussian_2d"},
-    "moment2": {"spectral_gaussian_1d"},
-}
-
-# estimators whose levels live in the plane rather than on the line
+# model kinds whose levels live in the plane rather than on the line
 _VECTOR_LEVEL_KINDS = {"microlens", "gradient_field"}
 
 _ID_PATTERN = re.compile(r"^[A-Za-z0-9._-]+$")
-
-def _auto_grid(estimator: str, kind: str) -> int:
-    if estimator == "length":
-        return 512
-    if estimator == "euler" and kind == "spectral_gaussian_2d":
-        return 256
-    if kind == "gradient_field":
-        return 256
-    return 2048
 
 
 def _is_scalar(x) -> bool:
@@ -146,10 +120,11 @@ class ExperimentConfig:
     ``n_lines`` > 0 adds a random-line length cross-check per realization
     ("length" only).  ``p_max`` and ``rhs_delta`` tune the shot-noise prediction,
     and ``inner_mc`` is the sample count of predictions that use Monte Carlo.
-    ``quadrature`` sizes the node rule of the "moment2" prediction.  Two keys
-    are accepted unread, for configs written when their predictions read
-    them: ``quadrature`` on deflection models with stars, and ``inner_mc`` on
-    the "euler" estimator.
+    ``quadrature`` sizes the node rule of the "moment2" prediction.  Three
+    keys are accepted unread, for configs written when they were read:
+    ``grid`` on deflection models, ``quadrature`` on deflection models with
+    stars, and ``inner_mc`` on the "euler" estimator.  Which keys each
+    (estimator, model kind) pair reads is declared once, in ``_METHODS``.
     """
 
     experiment_id: str
@@ -267,30 +242,17 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigurationError("model must be a serialized model document")
     model = model_from_doc(dict(cfg.model))
     kind = cfg.model.get("kind")
-    if kind not in _COMPAT[cfg.estimator]:
+    method = _METHODS.get((cfg.estimator, kind))
+    if method is None:
         raise ConfigurationError(
             f"estimator {cfg.estimator!r} does not apply to model kind {kind!r}")
+    accepts = method.accepts
+    if kind == "microlens" and model.n_stars == 0:
+        # no stars: one image at y / c, a prediction with nothing to sample
+        accepts = accepts - {"quadrature", "inner_mc"}
     # a value set away from its default where nothing reads it is an error
-    lens_mc = kind == "microlens" and model.n_stars > 0  # zero stars: deterministic
-    for key, readers, read in (
-            # lenses with stars still accept quadrature, unread: their
-            # prediction is one joint Monte Carlo with no node rule, and
-            # configs written when it had one set the key, the standard
-            # manifest's frozen benchmark copies among them.
-            ("quadrature", "the moment2 estimator",
-             cfg.estimator == "moment2" or lens_mc),
-            ("delta", "the local_time estimator", cfg.estimator == "local_time"),
-            ("n_lines", "the length estimator", cfg.estimator == "length"),
-            ("rhs_delta", "shot-noise models", kind == "shot_noise"),
-            ("p_max", "shot-noise models", kind == "shot_noise"),
-            # Monte Carlo predictions: moment2, shot-noise roots, and lenses
-            # with stars.  euler still accepts inner_mc, unread: configs
-            # written when it took draws set it, the standard manifest's
-            # frozen benchmark copies among them.
-            ("inner_mc", "Monte Carlo predictions",
-             cfg.estimator in ("euler", "moment2") or lens_mc
-             or (cfg.estimator == "roots" and kind == "shot_noise"))):
-        if not read and getattr(cfg, key) != ExperimentConfig.__dataclass_fields__[key].default:
+    for key, readers in _TUNING_KEYS.items():
+        if key not in accepts and getattr(cfg, key) != ExperimentConfig.__dataclass_fields__[key].default:
             raise ConfigurationError(f"{key} is read only by {readers}; estimator "
                                      f"{cfg.estimator!r} on model kind {kind!r} would ignore it")
 
@@ -573,22 +535,20 @@ def _fmt_level(level) -> str:
 
 _CORPUS_BLOCK = 256
 
-# line fields whose count estimators read one value matrix per block
-_CORPUS_KINDS = ("spectral_gaussian_1d", "chi_square", "shot_noise")
-_COUNT_ESTIMATORS = ("roots", "weighted", "moment2", "local_time")
-
-
 @dataclass(frozen=True)
 class _Prepared:
     """The seed-free part of one measurement, shared by all of its chunks.
 
-    ``ts`` and ``basis`` are set for line corpora only: ``ts`` is the grid
-    the counts read and ``basis`` its ``trig_basis_1d`` table (the base
-    field's for a squared sum; None for impulse sums, which have none).
+    ``grid`` is the config's, or else the pair's default (None for lenses,
+    which read none).  ``ts`` and ``basis`` are set for line corpora only:
+    ``ts`` is the grid the counts read and ``basis`` its ``trig_basis_1d``
+    table (the base field's for a squared sum; None for impulse sums, which
+    have none).
     """
 
     cfg: ExperimentConfig
     model: object
+    grid: Optional[int]
     ts: Optional[np.ndarray] = None
     basis: Optional[np.ndarray] = None
 
@@ -596,43 +556,24 @@ class _Prepared:
 def _prepare(cfg: ExperimentConfig) -> _Prepared:
     """Build the model, and for a line corpus its grid and basis, once."""
     model = model_from_doc(dict(cfg.model))
-    if cfg.estimator not in _COUNT_ESTIMATORS or cfg.model["kind"] not in _CORPUS_KINDS:
-        return _Prepared(cfg, model)
+    method = _METHODS[(cfg.estimator, cfg.model["kind"])]
+    grid = cfg.grid if cfg.grid is not None else method.grid
+    if method.measure is not _corpus_chunk:
+        return _Prepared(cfg, model, grid)
     lo, hi = float(cfg.box[0]), float(cfg.box[1])
-    grid = _grid_of(cfg)
     if cfg.estimator == "local_time":
         # occupation reads the cell midpoints lo + (i + 1/2) h, h = (hi - lo) / grid
         ts = lo + (np.arange(grid) + 0.5) * ((hi - lo) / grid)
     else:
         ts = np.linspace(lo, hi, grid)
-    return _Prepared(cfg, model, ts, _corpus_basis(model, ts))
+    return _Prepared(cfg, model, grid, ts, _corpus_basis(model, ts))
 
 
 def _chunk_lhs(prep: _Prepared, master_seed: int, lo: int, hi: int) -> dict:
     """Measure realizations lo..hi-1 of a prepared measurement; picklable for process pools."""
-    cfg, model = prep.cfg, prep.model
-    kind = cfg.model["kind"]
+    cfg = prep.cfg
     seeds = [fanout_seed(master_seed, cfg.experiment_id, i) for i in range(lo, hi)]
-    if cfg.estimator in _COUNT_ESTIMATORS:
-        if kind in _CORPUS_KINDS:
-            return _corpus_chunk(prep, seeds)
-        if kind == "microlens":
-            return _microlens_chunk(cfg, model, seeds)
-        if kind == "gradient_field":
-            return _gradient_roots_chunk(cfg, model, seeds)
-    if cfg.estimator == "length":
-        return _length_chunk(cfg, model, seeds, master_seed, lo)
-    if cfg.estimator == "euler":
-        if kind == "spectral_gaussian_1d":
-            return _euler_line_chunk(cfg, model, seeds)
-        return _euler_plane_chunk(cfg, model, seeds)
-    raise ConfigurationError(
-        f"no empirical path for estimator {cfg.estimator!r} on {kind!r}")
-
-
-def _grid_of(cfg: ExperimentConfig) -> int:
-    return cfg.grid if cfg.grid is not None else _auto_grid(
-        cfg.estimator, cfg.model["kind"])
+    return _METHODS[(cfg.estimator, cfg.model["kind"])].measure(prep, seeds, master_seed, lo)
 
 
 def _corpus_basis(model, ts) -> Optional[np.ndarray]:
@@ -716,11 +657,11 @@ def _upcrossing_counts(vals: np.ndarray, u: float) -> np.ndarray:
     return np.sum(below[:, :-1] & ~below[:, 1:], axis=1)
 
 
-def _corpus_chunk(prep: _Prepared, seeds) -> dict:
+def _corpus_chunk(prep: _Prepared, seeds, master_seed: int, lo: int) -> dict:
     """Score every level on one value matrix per block of line realizations."""
     cfg = prep.cfg
     if cfg.estimator == "local_time":
-        h = (float(cfg.box[1]) - float(cfg.box[0])) / _grid_of(cfg)
+        h = (float(cfg.box[1]) - float(cfg.box[0])) / prep.grid
 
         def score(vals, u):
             return local_time(vals, u, cfg.delta, h)
@@ -738,7 +679,7 @@ def _corpus_chunk(prep: _Prepared, seeds) -> dict:
     return {"values": out, "extras": {}}
 
 
-def _microlens_chunk(cfg, model, seeds) -> dict:
+def _microlens_chunk(prep: _Prepared, seeds, master_seed: int, lo: int) -> dict:
     """Image counts of every field at every level, by ``lens_images``.
 
     A field's count is its kept images strictly inside the search box and
@@ -746,6 +687,7 @@ def _microlens_chunk(cfg, model, seeds) -> dict:
     pairs whose roots did not converge or whose parities missed the
     theorem; they are counted with the images found.
     """
+    cfg, model = prep.cfg, prep.model
     stars = np.array([sample_realization(model, s).star_positions for s in seeds])
     out = np.empty((len(seeds), len(cfg.levels)))
     unresolved = 0
@@ -772,18 +714,33 @@ def _degree_tally(extras: dict, roots, signs: np.ndarray) -> None:
         extras["degree_mismatches"] += 1
 
 
-def _gradient_roots_chunk(cfg, model, seeds) -> dict:
-    grid = _grid_of(cfg)
+def _planar_chunk(prep: _Prepared, seeds, master_seed: int, lo: int) -> dict:
+    """Roots of gradient realizations by ``count_roots_2d``, each root set tallied by degree.
+
+    "roots" and "weighted" find the roots at every level and count them
+    ("weighted": those whose Hessian has ``k`` negative eigenvalues).
+    "euler" samples the gradient of a planar field, finds its roots once, at
+    0, and sums sign det Hess = (-1)^(2 - i) over those above each level:
+    extrema +1, saddles -1.
+    """
+    cfg = prep.cfg
+    euler = cfg.estimator == "euler"
+    model = GradientField(prep.model) if euler else prep.model
     k_sel = cfg.weight["k"] if cfg.estimator == "weighted" else None
+    targets = [(0.0, 0.0)] if euler else cfg.levels
     out = np.empty((len(seeds), len(cfg.levels)))
     extras = {"degree_mismatches": 0, "degree_unresolved": 0}
     for i, s in enumerate(seeds):
         real = sample_realization(model, s)
-        for j, lvl in enumerate(cfg.levels):
-            u = np.asarray(lvl, dtype=float)
-            roots = count_roots_2d(real, cfg.box, u, grid=grid)
-            _degree_tally(extras, roots, np.sign(roots.signed))
-            if k_sel is None:
+        for j, lvl in enumerate(targets):
+            roots = count_roots_2d(real, cfg.box, np.asarray(lvl, dtype=float), grid=prep.grid)
+            signs = np.sign(roots.signed)
+            _degree_tally(extras, roots, signs)
+            if euler:
+                vals = (np.asarray(real.scalar.value(roots.points), dtype=float)
+                        if roots.points.shape[0] else np.zeros(0))
+                out[i] = [np.sum(signs[vals > float(u)]) for u in cfg.levels]
+            elif k_sel is None:
                 out[i, j] = roots.points.shape[0]
             else:
                 out[i, j] = int(np.sum(_hessian_index(real.scalar, roots) == k_sel))
@@ -807,8 +764,8 @@ def _hessian_index(scalar, roots) -> np.ndarray:
     return idx
 
 
-def _length_chunk(cfg, model, seeds, master_seed, lo) -> dict:
-    grid = _grid_of(cfg)
+def _length_chunk(prep: _Prepared, seeds, master_seed: int, lo: int) -> dict:
+    cfg, model, grid = prep.cfg, prep.model, prep.grid
     nl = len(cfg.levels)
     out = np.empty((len(seeds), nl))
     extras = {}
@@ -835,14 +792,14 @@ def _length_chunk(cfg, model, seeds, master_seed, lo) -> dict:
     return {"values": out, "extras": extras}
 
 
-def _euler_line_chunk(cfg, model, seeds) -> dict:
+def _euler_line_chunk(prep: _Prepared, seeds, master_seed: int, lo: int) -> dict:
     """Signed critical-point count above each level, d = 1.
 
     Critical points of index i carry (-1)^(1 - i): interior maxima above the
     level +1, interior minima -1.  They are the roots of the derivative
     corpus of each block of realizations, found in one ``count_roots_1d``.
     """
-    grid = _grid_of(cfg)
+    cfg, model, grid = prep.cfg, prep.model, prep.grid
     out = np.empty((len(seeds), len(cfg.levels)))
     for blo in range(0, len(seeds), _CORPUS_BLOCK):
         block = seeds[blo:blo + _CORPUS_BLOCK]
@@ -856,27 +813,60 @@ def _euler_line_chunk(cfg, model, seeds) -> dict:
     return {"values": out, "extras": {}}
 
 
-def _euler_plane_chunk(cfg, model, seeds) -> dict:
-    """Signed critical-point count above each level, d = 2.
+@dataclass(frozen=True)
+class _Method:
+    """How one (estimator, model kind) pair is measured and configured.
 
-    Weight (-1)^(2 - i) = sign(det Hessian): extrema +1, saddles -1.
+    ``measure(prep, seeds, master_seed, lo)`` is its chunk function, ``grid``
+    its default grid, and ``accepts`` the keys of ``_TUNING_KEYS`` a config
+    of it may set away from their defaults.
     """
-    grid = _grid_of(cfg)
-    grad_model = GradientField(model)
-    out = np.empty((len(seeds), len(cfg.levels)))
-    extras = {"degree_mismatches": 0, "degree_unresolved": 0}
-    for i, s in enumerate(seeds):
-        grad = sample_realization(grad_model, s)
-        crit = count_roots_2d(grad, cfg.box, (0.0, 0.0), grid=grid)
-        pts = crit.points
-        signs = np.sign(crit.signed)
-        if pts.shape[0]:
-            vals = np.asarray(grad.scalar.value(pts), dtype=float)
-        _degree_tally(extras, crit, signs)
-        for j, u in enumerate(cfg.levels):
-            out[i, j] = (float(np.sum(signs[vals > float(u)]))
-                         if pts.shape[0] else 0.0)
-    return {"values": out, "extras": extras}
+
+    measure: Callable
+    grid: Optional[int]
+    accepts: frozenset = frozenset()
+
+
+# Every (estimator, model kind) pair the harness runs.  A new model is one
+# row here, its chunk function and its branch of _rhs_for_level.  A pair
+# accepts the keys its measurement or prediction reads, and three more are
+# accepted unread, kept for configs written when they were read (the
+# standard manifest's frozen benchmark copies among them): inner_mc on
+# euler, whose prediction became a closed form; quadrature on lenses, whose
+# prediction became one joint Monte Carlo with no node rule; and grid on
+# lenses (default None here), whose images are polynomial roots found
+# without one.  A lens without stars accepts neither quadrature nor inner_mc
+# (_validate_config).
+_METHODS = {
+    ("roots", "spectral_gaussian_1d"): _Method(_corpus_chunk, 2048),
+    ("roots", "chi_square"): _Method(_corpus_chunk, 2048),
+    ("roots", "shot_noise"): _Method(
+        _corpus_chunk, 2048, frozenset({"rhs_delta", "p_max", "inner_mc"})),
+    ("roots", "microlens"): _Method(
+        _microlens_chunk, None, frozenset({"quadrature", "inner_mc"})),
+    ("roots", "gradient_field"): _Method(_planar_chunk, 256),
+    ("length", "spectral_gaussian_2d"): _Method(_length_chunk, 512, frozenset({"n_lines"})),
+    ("weighted", "spectral_gaussian_1d"): _Method(_corpus_chunk, 2048),
+    ("weighted", "gradient_field"): _Method(_planar_chunk, 256),
+    ("local_time", "spectral_gaussian_1d"): _Method(_corpus_chunk, 2048, frozenset({"delta"})),
+    ("local_time", "chi_square"): _Method(_corpus_chunk, 2048, frozenset({"delta"})),
+    ("euler", "spectral_gaussian_1d"): _Method(_euler_line_chunk, 2048, frozenset({"inner_mc"})),
+    ("euler", "spectral_gaussian_2d"): _Method(_planar_chunk, 256, frozenset({"inner_mc"})),
+    ("moment2", "spectral_gaussian_1d"): _Method(
+        _corpus_chunk, 2048, frozenset({"quadrature", "inner_mc"})),
+}
+
+ESTIMATORS = tuple(dict.fromkeys(est for est, _kind in _METHODS))
+
+# config keys with a default that only some pairs read, and what reads them
+_TUNING_KEYS = {
+    "quadrature": "the moment2 estimator",
+    "delta": "the local_time estimator",
+    "n_lines": "the length estimator",
+    "rhs_delta": "shot-noise models",
+    "p_max": "shot-noise models",
+    "inner_mc": "Monte Carlo predictions",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -1014,8 +1004,9 @@ def run_experiment(config, master_seed: int = 0, workers: int = 1) -> Experiment
     if isinstance(config, Mapping):
         config = ExperimentConfig.from_doc(config)
     t0 = time.perf_counter()
-    measured = measure_only(config, master_seed, workers)
+    # the prediction first: a config it refuses is not measured at all
     predicted = predict_only(config, master_seed)
+    measured = measure_only(config, master_seed, workers)
     rows = []
     for lhs, rhs in zip(measured["rows"], predicted["rows"]):
         passed, z = verdict(lhs["lhs_mean"], lhs["lhs_se"], rhs["rhs_value"],
@@ -1048,11 +1039,17 @@ def measure_only(config, master_seed: int = 0, workers: int = 1) -> dict:
 
 
 def predict_only(config, master_seed: int = 0) -> dict:
-    """Prediction side alone: per-level values with both error channels."""
+    """Prediction side alone: per-level values with both error channels.
+
+    A subcritical lens (c = 1 - kappa_c + gamma >= 0) is a configuration
+    error here, before any draw: its images can be measured, not predicted.
+    """
     if isinstance(config, Mapping):
         config = ExperimentConfig.from_doc(config)
     master_seed = check_seed(master_seed)
     model = model_from_doc(dict(config.model))
+    if config.model["kind"] == "microlens" and model.c >= 0.0:
+        raise ConfigurationError(SUBCRITICAL_LENS.format(model.c))
     rows = []
     for j, level in enumerate(config.levels):
         seed = fanout_seed(master_seed, config.experiment_id + "#rhs", j)

@@ -4,10 +4,10 @@ Every stochastic routine in the package draws from a Philox generator keyed
 by a hash of (seed, index, tag).  Streams are therefore pure functions of
 their key: parallel and serial runs, and re-runs on other machines, produce
 byte-identical draws.  Because Philox is counter-based, a stream can also
-be copied and moved past draws it does not need without making them
-(:func:`copy_position`, :func:`skip_doubles`), and a loop over many seeds
-can re-key one generator instead of building one per seed
-(:func:`streams`).  This is the one module that constructs generators.
+be copied (:func:`copy_position`) and moved past draws it does not need
+without making them (:func:`skip_doubles`, by ``Philox.advance``), and a
+loop over many seeds can re-key one generator instead of building one per
+seed (:func:`streams`).  This is the one module that constructs generators.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-__all__ = ["stream", "streams", "copy_position", "skip_doubles", "uniform_into", "fanout_seed",
+__all__ = ["stream", "streams", "copy_position", "skip_doubles", "fanout_seed",
            "check_seed", "mean_se"]
 
 # 64-bit words Philox4x64 makes per counter step; each double takes one
@@ -96,8 +96,9 @@ def skip_doubles(gen: np.random.Generator, n: int) -> None:
     """Move the Philox generator ``gen`` past ``n`` doubles without drawing them.
 
     Afterwards its state, buffer included, is the one drawing ``n`` doubles
-    would leave: the counter jumps over whole steps, and the last one to four
-    words are drawn so that the buffer holds what the draws would have left.
+    would leave: ``advance`` jumps the counter over whole steps and empties
+    the buffer, and the last one to four words are drawn so that the buffer
+    holds what the draws would have left.
     """
     if n <= 0:
         return
@@ -109,25 +110,8 @@ def skip_doubles(gen: np.random.Generator, n: int) -> None:
         bit.state = state
         return
     steps, tail = divmod(n - buffered - 1, _PHILOX_WORDS)
-    words = state["state"]["counter"]
-    counter = sum(int(w) << (64 * i) for i, w in enumerate(words)) + steps
-    words[:] = [(counter >> (64 * i)) & _WORD for i in range(words.size)]
-    state["buffer_pos"] = _PHILOX_WORDS
-    bit.state = state
+    bit.advance(steps)
     gen.random(tail + 1)
-
-
-def uniform_into(gen: np.random.Generator, low: float, high: float,
-                 out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with the doubles ``gen.uniform(low, high, out.shape)`` would give.
-
-    Generator.uniform is low + (high - low) * random(), one double per entry,
-    so drawing into a reused buffer and scaling in place gives the same bits.
-    """
-    gen.random(out=out)
-    out *= high - low
-    out += low
-    return out
 
 
 def fanout_seed(master_seed: int, label: str, index: int = 0) -> int:

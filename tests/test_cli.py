@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from ricelab import cli
+from ricelab import cli, harness
 from ricelab.cli import main
 
 TWO_PI = 2.0 * math.pi
@@ -263,6 +263,27 @@ def test_lens_without_linear_term_measures_in_default_disk(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert [row["lhs_mean"] for row in out["rows"]] == [3.0, 2.0]
     assert out["extras"]["parity_unresolved"] == 0
+
+
+def test_subcritical_lens_prediction_exits_two_before_measuring(tmp_path, capsys,
+                                                               monkeypatch):
+    # c = 1 - kappa_c + gamma = 0.5: its images can be counted, not predicted;
+    # validate once measured every field and then exited 3
+    lens = {"kind": "microlens", "kappa_c": 0.5, "gamma": 0.0, "m": 0.2,
+            "n_stars": 3, "R": 1.0}
+    doc = _exact_experiment(model=lens, levels=[[0.25, 0.1]], grid=64)
+    del doc["box"]
+    cfg = _write(tmp_path, "exp.json", doc)
+    measured = []
+    with monkeypatch.context() as m:
+        m.setattr(harness, "measure_only", lambda *args, **kw: measured.append(args))
+        for command in ("kacrice", "validate"):
+            assert main([command, "--config", cfg, "--seed", "1"]) == 2
+            err = capsys.readouterr().err
+            assert "configuration error" in err and "supercritical deflection" in err
+    assert measured == []
+    assert main(["measure", "--config", cfg, "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"][0]["lhs_mean"] > 0.0
 
 
 @pytest.mark.parametrize("region", [

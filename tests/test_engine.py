@@ -40,7 +40,7 @@ from ricelab.fields import (
     sample_realization,
 )
 from ricelab.harness import ae_level_consistency, default_image_region
-from ricelab.rng import copy_position, mean_se, stream, uniform_into
+from ricelab.rng import copy_position, mean_se, stream
 
 TWO_PI = 2.0 * math.pi
 
@@ -652,12 +652,12 @@ def test_bump_kernels_equal_their_masked_forms():
 def test_unit_bump_is_the_kernel_of_its_position(eta):
     # the window filter reads the model's kernel as 16 (U (1 - U))^2 of the
     # unit double U behind s = -eta + 2 eta U; its margin assumes the two
-    # agree within 16 eps, on the s that uniform_into and
+    # agree within 16 eps, on the s that Generator.uniform and
     # engine._uniform_bits make
     kernel = ShotNoiseModel(intensity=1.5, eta=eta, domain=(0.0, 12.0)).kernel
     gen = stream(7, "unit-bump")
     unit = copy_position(gen).random(100_000)
-    s = uniform_into(gen, -eta, eta, np.empty(100_000))
+    s = gen.uniform(-eta, eta, 100_000)
     assert engine._uniform_bits(unit, -eta, eta).tobytes() == s.tobytes()
     unit = np.concatenate([np.linspace(0.0, 1.0, 400_001)[:-1], unit,
                            [0.0, 0.5, 5e-324, np.nextafter(1.0, 0.0)]])

@@ -240,6 +240,67 @@ def test_config_rejects_quadrature_nothing_reads():
             _cfg(**grad, **over, inner_mc=8192)
 
 
+_PLANE = {"box": [[0.0, 1.0], [0.0, 1.0]], "grid": 64}
+_GRAD = dict(_PLANE, model=model_to_doc(GradientField(model_from_doc(ANISO))),
+             levels=[[0.0, 0.0]])
+_LENS = {"levels": [[0.25, 0.1]], "box": None, "n_realizations": 30, "grid": 64}
+# Every (estimator, model kind) pair, a valid config of it, and the keys it
+# accepts away from their defaults: those its measurement or prediction
+# reads, and, unread, quadrature on lenses with stars and inner_mc on euler.
+KEY_MATRIX = [
+    ("roots", {}, set()),
+    ("roots", {"model": CHI2, "levels": [1.0]}, set()),
+    ("roots", {"model": SHOT, "levels": [0.5], "box": [1.0, 11.0]},
+     {"rhs_delta", "p_max", "inner_mc"}),
+    ("roots", dict(_LENS, model=LENS3), {"quadrature", "inner_mc"}),
+    ("roots", dict(_LENS, model=LENS0), set()),
+    ("roots", _GRAD, set()),
+    ("length", dict(_PLANE, model=RING), {"n_lines"}),
+    ("weighted", {"weight": "upcrossing"}, set()),
+    ("weighted", dict(_GRAD, weight={"kind": "index", "k": 1}), set()),
+    ("local_time", {"delta": 0.2}, {"delta"}),
+    ("local_time", {"model": CHI2, "levels": [1.0], "delta": 0.2}, {"delta"}),
+    ("euler", {}, {"inner_mc"}),
+    ("euler", dict(_PLANE, model=RING), {"inner_mc"}),
+    ("moment2", {"box": [0.0, 3.0]}, {"quadrature", "inner_mc"}),
+]
+_AWAY = {"quadrature": 16, "delta": 0.1, "n_lines": 1000, "rhs_delta": 0.05,
+         "p_max": 8, "inner_mc": 8192}
+
+
+def _pair_id(row):
+    estimator, over, _accepts = row
+    model = over.get("model", SINGLE)
+    stars = f"-{model['n_stars']}stars" if model["kind"] == "microlens" else ""
+    return f"{estimator}-{model['kind']}{stars}"
+
+
+@pytest.mark.parametrize("estimator, over, accepts", KEY_MATRIX,
+                         ids=[_pair_id(row) for row in KEY_MATRIX])
+def test_config_accepts_exactly_the_keys_its_pair_reads(estimator, over, accepts):
+    # grid is accepted everywhere: every pair reads it but lenses, which
+    # accept it unread
+    assert _cfg(estimator=estimator, **over).estimator == estimator
+    for key, value in _AWAY.items():
+        doc = dict(over, estimator=estimator, **{key: value})
+        if key in accepts:
+            assert getattr(_cfg(**doc), key) == value
+        else:
+            with pytest.raises(ConfigurationError, match=rf"^{key} is read only by"):
+                _cfg(**doc)
+
+
+def test_estimators_apply_to_the_matrix_pairs_only():
+    listed = {(est, over.get("model", SINGLE)["kind"]) for est, over, _ in KEY_MATRIX}
+    assert {est for est, _kind in listed} == set(harness.ESTIMATORS)
+    for _est, over, _accepts in KEY_MATRIX:
+        base = {k: v for k, v in over.items() if k not in ("weight", "delta")}
+        for est in harness.ESTIMATORS:
+            if (est, base.get("model", SINGLE)["kind"]) not in listed:
+                with pytest.raises(ConfigurationError, match="does not apply"):
+                    _cfg(estimator=est, **base)
+
+
 @pytest.mark.parametrize("k", [True, False, 1.0, "1", None])
 def test_index_weight_takes_only_integer_k(k):
     # True and 1.0 once ran as saddles and the report echoed "k": true
@@ -586,7 +647,7 @@ def test_euler_line_chunk_matches_per_realization_reference(monkeypatch, master_
                box=[0.0, 1.5], grid=256, inner_mc=1000)
     seeds = [fanout_seed(master_seed, "t", i) for i in range(23)]
     monkeypatch.setattr(harness, "_CORPUS_BLOCK", 8)
-    got = _euler_line_chunk(cfg, model, seeds)["values"]
+    got = _euler_line_chunk(_prepare(cfg), seeds, master_seed, 0)["values"]
     want, n_crit = _euler_line_reference(cfg, model, seeds)
     assert np.array_equal(got, want)
     assert 0 in n_crit and max(n_crit) >= 2

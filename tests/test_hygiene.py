@@ -28,7 +28,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from ricelab import cli, engine, fields, geometry, harness, rng
+from ricelab import cli, engine, fields, geometry, harness, modelspec, rng
 from ricelab.fields import (
     ChiSquareField,
     GradientField,
@@ -324,15 +324,18 @@ def test_cold_start_leaves_scipy_and_multiprocessing_unloaded():
     assert proc.stdout.splitlines() == ["[]", "True"]
 
 
-def test_benchmark_tracer_sees_one_prepared_measurement():
-    # install() raises KeyError if a traced harness name is no longer bound;
-    # a call that bypasses the harness namespace would leave its span out
+def _benchmark_tracer():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    from ricelab import fields, harness
+    return tracer
 
+
+def test_benchmark_tracer_sees_one_prepared_measurement():
+    # install() raises KeyError if a traced harness name is no longer bound;
+    # a call that bypasses the harness namespace would leave its span out
+    tracer = _benchmark_tracer()
     cfg = harness.ExperimentConfig(
         experiment_id="traced", estimator="roots", levels=[0.0], n_realizations=60,
         box=[0.0, 6.0], grid=256, model={"kind": "spectral_gaussian_1d",
@@ -349,3 +352,30 @@ def test_benchmark_tracer_sees_one_prepared_measurement():
     assert names.count("modelspec.model_from_doc") == 1
     assert names.count("fields.corpus") == 1 + 2
     assert names.count("rng.fanout_seed") == 60
+
+
+@pytest.mark.parametrize("estimator", ["euler", "roots"])
+def test_benchmark_tracer_reaches_planar_counts_and_predictions(estimator):
+    # a chunk function or prediction that bound count_roots_2d or an engine
+    # function at import would run untraced
+    tracer = _benchmark_tracer()
+    ring = SpectralGaussian2D.isotropic_ring(6, 3.0)
+    model, level, rhs = {
+        "euler": (ring, 0.0, "engine.euler_char_expectation"),
+        "roots": (GradientField(ring), [0.0, 0.0], "engine.kacrice_rhs"),
+    }[estimator]
+    cfg = harness.ExperimentConfig(
+        experiment_id="traced", estimator=estimator, levels=[level], n_realizations=30,
+        box=[[0.0, 1.0], [0.0, 1.0]], grid=32, model=modelspec.model_to_doc(model))
+    t = tracer.Tracer()
+    t.install()
+    try:
+        harness.measure_only(cfg, 1)
+        harness.predict_only(cfg, 1)
+    finally:
+        t.restore()
+    names = [span[0] for span in t.spans]
+    # one root set per realization: the critical points, or the one level
+    assert names.count("levelsets.count_roots_2d") == 30
+    assert names.count("fields.sample_realization") == 30
+    assert names.count(rhs) == 1

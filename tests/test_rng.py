@@ -11,7 +11,6 @@ from ricelab.rng import (
     skip_doubles,
     stream,
     streams,
-    uniform_into,
 )
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
@@ -141,14 +140,3 @@ def test_copied_position_draws_independently():
     assert gen.random(6).tobytes() == first.tobytes()
     assert copy.bit_generator is not gen.bit_generator
 
-
-@pytest.mark.parametrize("shape", [(1,), (7, 3), (1001, 5)])
-def test_uniform_into_matches_uniform_bitwise(shape):
-    gen, ref = stream(9, "u"), stream(9, "u")
-    gen.random(1)
-    ref.random(1)
-    out = np.empty(shape)
-    assert uniform_into(gen, -0.7, 0.7, out) is out
-    assert out.tobytes() == ref.uniform(-0.7, 0.7, size=shape).tobytes()
-    assert (uniform_into(gen, 0.5, 2.0, out).tobytes()
-            == ref.uniform(0.5, 2.0, size=shape).tobytes())
