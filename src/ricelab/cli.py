@@ -15,13 +15,12 @@ import sys
 import traceback
 
 from .errors import ConfigurationError, DomainError, RicelabError
-from .fields import config_number, sample_realization
+from .fields import box_array, config_number, sample_realization
 from .geometry import crofton_constant, crofton_identity_mc, normal_jacobian
 from .harness import (
     ExperimentConfig,
     ExperimentReport,
     LevelRow,
-    _check_box,
     emit_plot_data,
     load_manifest,
     measure_only,
@@ -29,7 +28,7 @@ from .harness import (
     run_experiment,
     run_suite,
 )
-from .levelsets import sample_grid
+from .levelsets import _grid_size, sample_grid
 from .modelspec import SCHEMA_VERSION, model_from_doc
 from .rng import fanout_seed, stream
 
@@ -84,11 +83,11 @@ def _cmd_simulate(args) -> int:
                                  '"grid", "count"}')
     model = model_from_doc(doc["model"])
     box = doc.get("box")
-    grid = config_number("grid", doc.get("grid", 256), integral=True)
+    grid = _grid_size(doc.get("grid", 256))
     count = config_number("count", doc.get("count", 1), integral=True)
     if box is None:
         raise ConfigurationError("simulate config needs a box")
-    _check_box(box, model.D)
+    box_array(box, model.D)
     if count < 1:
         raise ConfigurationError("count must be >= 1")
     out_dir = args.out or "."

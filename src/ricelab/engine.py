@@ -74,6 +74,7 @@ from .fields import (
     SpectralGaussian1D,
     SpectralGaussian2D,
     _unit_bump,
+    box_array,
 )
 from .rng import copy_position, mean_se, skip_doubles, stream
 
@@ -194,21 +195,8 @@ def _shared_draw_quadrature(f, weights: np.ndarray, n_draws: int) -> np.ndarray:
 
 
 def _box_volume(arr: np.ndarray) -> float:
-    """Volume of a box checked by :func:`_box_array`."""
+    """Volume of a box read by :func:`fields.box_array`."""
     return float(np.prod(arr[:, 1] - arr[:, 0]))
-
-
-def _box_array(box, expected_dim: int) -> np.ndarray:
-    arr = np.asarray(box, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.shape != (expected_dim, 2):
-        raise ConfigurationError(
-            f"box must have shape ({expected_dim}, 2), got {arr.shape}"
-        )
-    if np.any(arr[:, 1] <= arr[:, 0]):
-        raise ConfigurationError("box intervals must be increasing")
-    return arr
 
 
 def _gauss_pdf(x: float, var: float) -> float:
@@ -384,7 +372,7 @@ def kacrice_rhs(model, box, u) -> RhsEvaluation:
     :func:`shotnoise_rhs` and :func:`microlens_rhs`.
     """
     _refuse_joint_families(model, "kacrice_rhs")
-    arr = _box_array(box, model.D)
+    arr = box_array(box, model.D)
     vol = _box_volume(arr)
     rate = level_density(model, arr[:, 0], u) * conditional_jacobian_expectation(model, u)
     return RhsEvaluation(value=rate * vol, n_quadrature=1,
@@ -461,7 +449,7 @@ def euler_char_expectation(model, box, u) -> RhsEvaluation:
             "signed counts need a scalar Gaussian field with two derivatives")
     if det_lam <= 0.0:
         raise ModelError("degenerate gradient covariance")
-    vol = _box_volume(_box_array(box, d))
+    vol = _box_volume(box_array(box, d))
     lam0 = model.lambda0
     x = float(u) / math.sqrt(lam0)
     hermite = 1.0 if d == 1 else x
@@ -626,7 +614,7 @@ def shotnoise_rhs(model: ShotNoiseModel, box, u, *, p_max: int = 12,
         raise DomainError("impulse-sum prediction is undefined at u = 0 (atom)")
     if not math.isfinite(u):
         raise DomainError(f"impulse-sum prediction needs a finite level, got {u}")
-    arr = _box_array(box, 1)
+    arr = box_array(box, 1)
     lo, hi = model.domain
     if arr[0, 0] < lo - 1e-12 or arr[0, 1] > hi + 1e-12:
         raise ConfigurationError("box must lie inside the model domain")
@@ -775,7 +763,7 @@ def microlens_rhs(model, y, region, *, inner_mc: int = DEFAULT_INNER_MC,
         x = (cx + 1j * cy) + radius * np.sqrt(u[:, 0]) * np.exp(2j * math.pi * u[:, 1])
         area = math.pi * radius ** 2
     else:
-        arr = _box_array(region, 2)
+        arr = box_array(region, 2)
         pts = arr[:, 0] + u * (arr[:, 1] - arr[:, 0])
         x = pts[:, 0] + 1j * pts[:, 1]
         area = _box_volume(arr)
@@ -796,7 +784,7 @@ def region_mask(points: np.ndarray, region) -> np.ndarray:
         center = np.asarray(region["center"], dtype=float)
         rad = float(region["radius"])
         return np.sum((points - center) ** 2, axis=1) <= rad * rad
-    arr = _box_array(region, 2)
+    arr = box_array(region, 2)
     return np.all((points >= arr[:, 0]) & (points <= arr[:, 1]), axis=1)
 
 
@@ -823,7 +811,7 @@ def second_factorial_moment_rhs(model: SpectralGaussian1D, interval, u, *,
         raise CapabilityError("pair-count prediction needs a scalar line field")
     inner_mc = _check_inner_mc(inner_mc)
     nodes = _normalize_nodes(quadrature, 512)
-    arr = _box_array(interval, 1)
+    arr = box_array(interval, 1)
     T = float(arr[0, 1] - arr[0, 0])
     lam0 = model.lambda0
     u = float(u)

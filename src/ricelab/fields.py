@@ -36,8 +36,14 @@ def config_number(key: str, value, integral: bool):
     strings, lists, booleans, nan, inf and 30.9 realizations are errors, not
     values to coerce or truncate.
     """
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
+    # exact floats and ints skip the slower abstract-class test (bool is neither)
+    real = type(value) in (float, int) or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool))
+    try:
+        finite = real and math.isfinite(value)
+    except OverflowError:  # an int too large for a double
+        finite = False
+    if not finite:
         raise ConfigurationError(f"{key} must be a finite number, got {value!r}")
     if not integral:
         return float(value)
@@ -46,11 +52,37 @@ def config_number(key: str, value, integral: bool):
     return int(value)
 
 
+def _config_array(x, key: str) -> np.ndarray:
+    """``x`` as a float array of its own shape, every entry read by :func:`config_number`."""
+    entries = np.asarray(x, dtype=object)
+    return np.array([config_number(key, v, integral=False)
+                     for v in entries.flat]).reshape(entries.shape)
+
+
+def box_array(box, D: int, key: str = "box") -> np.ndarray:
+    """``box`` as a (D, 2) float array of [lo, hi] rows, or a ConfigurationError.
+
+    A line box may also be written flat, [lo, hi].  Every bound must be a
+    finite real (booleans and strings are errors, not 1.0 and 0.0), and
+    lo < hi on every axis.  ``key`` names the input in the error messages.
+    """
+    arr = _config_array(box, f"{key} bound")
+    if D == 1 and arr.ndim == 1:
+        arr = arr[None, :]
+    if arr.shape != (D, 2):
+        rows = ", ".join(f"[lo{i}, hi{i}]" for i in range(D))
+        form = "[lo, hi]" if D == 1 else f"[{rows}]"
+        raise ConfigurationError(f"{key} must be {form}, got {box!r}")
+    if not (arr[:, 0] < arr[:, 1]).all():
+        raise ConfigurationError(f"{key} must satisfy lo < hi on every axis, got {box!r}")
+    return arr
+
+
 def _as_1d_positive(x, name) -> np.ndarray:
-    a = np.asarray(x, dtype=float).ravel()
+    a = _config_array(x, name).ravel()
     if a.size == 0:
         raise ConfigurationError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(a)) or np.any(a <= 0):
+    if np.any(a <= 0):
         raise ConfigurationError(f"{name} must be positive, finite reals")
     return a
 
@@ -142,14 +174,14 @@ class SpectralGaussian2D:
     amplitudes: np.ndarray  # (K,)
 
     def __post_init__(self):
-        w = np.asarray(self.wavevectors, dtype=float)
+        w = _config_array(self.wavevectors, "wavevectors")
         a = _as_1d_positive(self.amplitudes, "amplitudes")
         if w.ndim != 2 or w.shape[1] != 2:
             raise ConfigurationError("wavevectors must have shape (K, 2)")
         if w.shape[0] != a.size:
             raise ConfigurationError("wavevectors and amplitudes must have equal length")
-        if not np.all(np.isfinite(w)) or np.any(np.linalg.norm(w, axis=1) == 0):
-            raise ConfigurationError("wavevectors must be finite and nonzero")
+        if np.any(np.linalg.norm(w, axis=1) == 0):
+            raise ConfigurationError("wavevectors must be nonzero")
         object.__setattr__(self, "wavevectors", w)
         object.__setattr__(self, "amplitudes", a)
 
@@ -393,6 +425,10 @@ class GradientField:
 
     base: SpectralGaussian2D
 
+    def __post_init__(self):
+        if not isinstance(self.base, SpectralGaussian2D):
+            raise ConfigurationError("gradient_field base must be spectral_gaussian_2d")
+
     d = 2
     D = 2
 
@@ -543,16 +579,16 @@ class ShotNoiseModel:
     beta_high: float = 1.5
 
     def __post_init__(self):
-        if self.eta <= 0 or not np.isfinite(self.eta):
+        for key in ("eta", "intensity", "beta_low", "beta_high"):
+            object.__setattr__(self, key, config_number(key, getattr(self, key), integral=False))
+        lo, hi = box_array(self.domain, 1, "domain")[0].tolist()
+        object.__setattr__(self, "domain", (lo, hi))
+        if self.eta <= 0:
             raise ConfigurationError("eta must be positive")
-        if self.intensity < 0 or not np.isfinite(self.intensity):
+        if self.intensity < 0:
             raise ConfigurationError("intensity must be nonnegative")
-        lo, hi = float(self.domain[0]), float(self.domain[1])
-        if not lo < hi:
-            raise ConfigurationError("domain must be a nonempty interval")
         if not 0 < self.beta_low < self.beta_high:
             raise ConfigurationError("impulse range must satisfy 0 < low < high")
-        object.__setattr__(self, "domain", (lo, hi))
 
     d = 1
     D = 1

@@ -45,6 +45,7 @@ from .fields import (
     ShotNoiseModel,
     SpectralGaussian1D,
     batch_coefficients,
+    box_array,
     config_number,
     sample_realization,
     shot_noise_impulses,
@@ -52,6 +53,7 @@ from .fields import (
 )
 from .geometry import favard_measure
 from .levelsets import (
+    _grid_size,
     count_roots_1d,
     count_roots_2d,
     lens_images,
@@ -287,9 +289,9 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigurationError("box is required (omitting it is allowed "
                                      "only for point-mass deflection models)")
     else:
-        _check_box(cfg.box, model.D)
+        box = box_array(cfg.box, model.D)
         if kind == "shot_noise":
-            lo, hi = float(cfg.box[0]), float(cfg.box[1])
+            lo, hi = box[0].tolist()
             dlo, dhi = model.domain
             if lo < dlo or hi > dhi:
                 raise ConfigurationError(
@@ -310,23 +312,6 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         if kind != "microlens":
             raise ConfigurationError("region applies to deflection models only")
         _check_region(cfg.region)
-
-
-def _check_box(box, D: int) -> None:
-    try:
-        arr = np.asarray(box, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"box {box!r} is not numeric") from exc
-    if D == 1:
-        if arr.shape != (2,) or not arr[0] < arr[1]:
-            raise ConfigurationError(f"1D box must be [lo, hi] with lo < hi, got {box!r}")
-    else:
-        if arr.shape != (2, 2) or not np.all(arr[:, 0] < arr[:, 1]):
-            raise ConfigurationError(
-                f"2D box must be [[lo0, hi0], [lo1, hi1]], got {box!r}")
-    # np.asarray turned true and "1" into 1.0; the entries themselves must be numbers
-    for v in (box if D == 1 else [v for pair in box for v in pair]):
-        config_number("box bound", v, integral=False)
 
 
 def _check_weight(weight, kind: str) -> None:
@@ -359,7 +344,7 @@ def _check_region(region) -> None:
         if config_number("region radius", region.get("radius"), integral=False) <= 0.0:
             raise ConfigurationError("disk region needs a positive radius")
         return
-    _check_box(region, 2)
+    box_array(region, 2)
 
 
 def default_image_region(model: MicrolensModel, y) -> dict:
@@ -395,10 +380,9 @@ def _lens_geometry(cfg: ExperimentConfig, model: MicrolensModel, level):
         rad = float(region["radius"])
         bound = [[cx - rad, cx + rad], [cy - rad, cy + rad]]
     else:
-        arr = np.asarray(region, dtype=float)
-        bound = arr.tolist()
+        bound = box_array(region, 2).tolist()
     if cfg.box is not None:
-        box = np.asarray(cfg.box, dtype=float)
+        box = box_array(cfg.box, 2)
     else:
         # pad so region-boundary images stay strictly inside the search box
         box = np.asarray(bound, dtype=float)
@@ -560,7 +544,7 @@ def _prepare(cfg: ExperimentConfig) -> _Prepared:
     grid = cfg.grid if cfg.grid is not None else method.grid
     if method.measure is not _corpus_chunk:
         return _Prepared(cfg, model, grid)
-    lo, hi = float(cfg.box[0]), float(cfg.box[1])
+    lo, hi = box_array(cfg.box, 1)[0].tolist()
     if cfg.estimator == "local_time":
         # occupation reads the cell midpoints lo + (i + 1/2) h, h = (hi - lo) / grid
         ts = lo + (np.arange(grid) + 0.5) * ((hi - lo) / grid)
@@ -661,7 +645,8 @@ def _corpus_chunk(prep: _Prepared, seeds, master_seed: int, lo: int) -> dict:
     """Score every level on one value matrix per block of line realizations."""
     cfg = prep.cfg
     if cfg.estimator == "local_time":
-        h = (float(cfg.box[1]) - float(cfg.box[0])) / prep.grid
+        lo, hi = box_array(cfg.box, 1)[0].tolist()
+        h = (hi - lo) / prep.grid
 
         def score(vals, u):
             return local_time(vals, u, cfg.delta, h)
@@ -880,7 +865,7 @@ def _gauss_cdf(x: float, var: float) -> float:
 
 def _local_time_rhs(model, box, u: float, delta: float) -> RhsEvaluation:
     """Exact prediction vol * P(|X - u| <= delta) / (2 delta) (stationary)."""
-    lo, hi = float(box[0]), float(box[1])
+    lo, hi = box_array(box, 1)[0].tolist()
     vol = hi - lo
     if isinstance(model, SpectralGaussian1D):
         prob = (_gauss_cdf(u + delta, model.lambda0)
@@ -1086,10 +1071,8 @@ def ae_level_consistency(model, box, levels, *, n_realizations: int = 1024,
     under correlated level counts.  ``grid`` and ``n_realizations`` follow
     the experiment-config rules: whole numbers, at least 2.
     """
-    grid = config_number("grid", grid, integral=True)
+    grid = _grid_size(grid)
     n_realizations = config_number("n_realizations", n_realizations, integral=True)
-    if grid < 2:
-        raise ConfigurationError("grid must be >= 2")
     if n_realizations < 2:
         raise ConfigurationError("need n_realizations >= 2 for a standard error")
     levels = np.asarray(levels, dtype=float)
@@ -1097,7 +1080,7 @@ def ae_level_consistency(model, box, levels, *, n_realizations: int = 1024,
         raise ConfigurationError("need a one-dimensional grid of >= 3 levels")
     if np.any(np.diff(levels) <= 0.0):
         raise ConfigurationError("levels must be strictly increasing")
-    _check_box(box, 1)
+    lo, hi = box_array(box, 1)[0].tolist()
     if g_center is None:
         g_center = 0.5 * (levels[0] + levels[-1])
     if g_width is None:
@@ -1111,7 +1094,7 @@ def ae_level_consistency(model, box, levels, *, n_realizations: int = 1024,
         raise CapabilityError(f"no level table for {type(model).__name__}")
     seeds = [int(s) for s in stream(seed, "level-table-seeds").integers(
         0, 2 ** 62, size=n_realizations)]
-    ts = np.linspace(float(box[0]), float(box[1]), grid)
+    ts = np.linspace(lo, hi, grid)
     values = _corpus_values(model, seeds, ts, _corpus_basis(model, ts))
 
     lhs = np.empty(levels.size)

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapabilityError, ConfigurationError
-from .fields import LineCorpus, _chunked_cols
+from .fields import LineCorpus, _chunked_cols, box_array, config_number
 
 __all__ = [
     "GridSample",
@@ -33,18 +33,12 @@ __all__ = [
 ]
 
 
-def _interval(box) -> tuple:
-    a = np.asarray(box, dtype=float).ravel()
-    if a.size != 2 or not a[0] < a[1]:
-        raise ConfigurationError(f"interval must be (lo, hi), got {box!r}")
-    return float(a[0]), float(a[1])
-
-
-def _box2d(box) -> np.ndarray:
-    a = np.asarray(box, dtype=float)
-    if a.shape != (2, 2) or not np.all(a[:, 0] < a[:, 1]):
-        raise ConfigurationError(f"2D box must be ((lo0,hi0),(lo1,hi1)), got {box!r}")
-    return a
+def _grid_size(grid) -> int:
+    """``grid``, the lattice points per axis, as a whole number >= 2."""
+    grid = config_number("grid", grid, integral=True)
+    if grid < 2:
+        raise ConfigurationError(f"grid must be >= 2, got {grid}")
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -109,28 +103,19 @@ def sample_grid(realization, box, resolution: int) -> GridSample:
     the exact reference for the separable lattice kernel that
     ``count_roots_2d`` and ``nodal_length`` read (``_lattice_values``).
     """
-    res = int(resolution)
-    if res < 2:
-        raise ConfigurationError("resolution must be >= 2")
+    res = _grid_size(resolution)
     D = realization.D
-    if D == 1:
-        lo, hi = _interval(box)
-        b = np.array([[lo, hi]])
-        ts = np.linspace(lo, hi, res)
-        vals = np.asarray(realization.value(ts), dtype=float)
-        grads = np.asarray(realization.jacobian(ts), dtype=float)
-        return GridSample(b, res, vals, grads.reshape(res, realization.d, 1), realization)
-    if D == 2:
-        b = _box2d(box)
-        pts = _lattice_points(_lattice_axes(b, res))
-        vals = np.asarray(realization.value(pts), dtype=float)
-        grads = np.asarray(realization.jacobian(pts), dtype=float)
-        d = realization.d
-        vshape = (res, res) if d == 1 else (res, res, d)
-        return GridSample(
-            b, res, vals.reshape(vshape), grads.reshape(res, res, d, 2), realization
-        )
-    raise CapabilityError(f"grids implemented for D <= 2, got D={D}")
+    if D > 2:
+        raise CapabilityError(f"grids implemented for D <= 2, got D={D}")
+    b = box_array(box, D)
+    axes = _lattice_axes(b, res)
+    pts = axes[0] if D == 1 else _lattice_points(axes)
+    vals = np.asarray(realization.value(pts), dtype=float)
+    grads = np.asarray(realization.jacobian(pts), dtype=float)
+    d = realization.d
+    shape = (res,) * D
+    return GridSample(b, res, vals.reshape(shape if d == 1 else shape + (d,)),
+                      grads.reshape(shape + (d, D)), realization)
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +197,8 @@ def count_roots_1d(realization, interval, u: float, grid: int = 2048) -> RootSet
     error.
     """
     corpus = realization if isinstance(realization, LineCorpus) else _OneRow(realization)
-    lo, hi = _interval(interval)
-    grid = int(grid)
-    if grid < 2:
-        raise ConfigurationError("resolution must be >= 2")
+    lo, hi = box_array(interval, 1)[0].tolist()
+    grid = _grid_size(grid)
     ts = np.linspace(lo, hi, grid)
     vals = corpus.values(ts) - u
     neg = vals < 0.0
@@ -403,10 +386,8 @@ def count_roots_2d(
     """
     if realization.d != 2 or realization.D != 2:
         raise CapabilityError("count_roots_2d needs d = D = 2")
-    b = _box2d(box)
-    grid = int(grid)
-    if grid < 2:
-        raise ConfigurationError("resolution must be >= 2")
+    b = box_array(box, 2)
+    grid = _grid_size(grid)
     u = np.asarray(u, dtype=float).reshape(2)
     ax = _lattice_axes(b, grid)
     h = float(max((b[0, 1] - b[0, 0]), (b[1, 1] - b[1, 0])) / (grid - 1))
@@ -730,10 +711,8 @@ def nodal_length(realization, box, u: float, grid: int = 512) -> LevelCurve:
     """
     if realization.d != 1 or realization.D != 2:
         raise CapabilityError("nodal_length needs a scalar field on R^2")
-    b = _box2d(box)
-    res = int(grid)
-    if res < 2:
-        raise ConfigurationError("resolution must be >= 2")
+    b = box_array(box, 2)
+    res = _grid_size(grid)
     # values only: marching squares never reads gradients on the lattice
     ax = _lattice_axes(b, res)
     v = _lattice_values(realization, ax)
@@ -811,14 +790,14 @@ def irregularity_scan(
     near-tangential level sets.  A regular level has none as eps_delta -> 0.
     """
     D = realization.D
+    axes = _lattice_axes(box_array(box, D), _grid_size(grid))
     if D == 1:
-        lo, hi = _interval(box)
-        pts = np.linspace(lo, hi, int(grid))
+        pts = axes[0]
         vals = np.asarray(realization.value(pts), dtype=float)
         dev = np.abs(vals - float(u))
         qpts = pts.reshape(-1, 1)
     else:
-        qpts = _lattice_points(_lattice_axes(_box2d(box), int(grid)))
+        qpts = _lattice_points(axes)
         vals = np.asarray(realization.value(qpts), dtype=float)
         if realization.d == 1:
             dev = np.abs(vals - float(u))

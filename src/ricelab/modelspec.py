@@ -2,6 +2,9 @@
 
 The document format is versioned and closed: every document carries
 schema_version and kind, and any unknown field is a configuration error.
+A document's fields are the dataclass fields of its kind's class in
+``_KINDS``, in class order, each required; the class validates the values.
+A ``base`` field holds a nested model document.
 
 kinds and their fields
 ----------------------
@@ -15,6 +18,7 @@ microlens           : kappa_c, gamma, m, n_stars int, R
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -31,54 +35,31 @@ from .fields import (
 
 SCHEMA_VERSION = 1
 
-_FIELDS = {
-    "spectral_gaussian_1d": {"frequencies", "amplitudes"},
-    "spectral_gaussian_2d": {"wavevectors", "amplitudes"},
-    "gradient_field": {"base"},
-    "chi_square": {"n", "base"},
-    "shot_noise": {"eta", "intensity", "domain", "beta_low", "beta_high"},
-    "microlens": {"kappa_c", "gamma", "m", "n_stars", "R"},
+_KINDS = {
+    "spectral_gaussian_1d": SpectralGaussian1D,
+    "spectral_gaussian_2d": SpectralGaussian2D,
+    "gradient_field": GradientField,
+    "chi_square": ChiSquareField,
+    "shot_noise": ShotNoiseModel,
+    "microlens": MicrolensModel,
 }
 
 
 def model_to_doc(model) -> dict:
     """Serialize a model to a plain JSON-ready dict."""
-    if isinstance(model, SpectralGaussian1D):
-        body = {
-            "kind": "spectral_gaussian_1d",
-            "frequencies": model.frequencies.tolist(),
-            "amplitudes": model.amplitudes.tolist(),
-        }
-    elif isinstance(model, SpectralGaussian2D):
-        body = {
-            "kind": "spectral_gaussian_2d",
-            "wavevectors": model.wavevectors.tolist(),
-            "amplitudes": model.amplitudes.tolist(),
-        }
-    elif isinstance(model, GradientField):
-        body = {"kind": "gradient_field", "base": model_to_doc(model.base)}
-    elif isinstance(model, ChiSquareField):
-        body = {"kind": "chi_square", "n": model.n, "base": model_to_doc(model.base)}
-    elif isinstance(model, ShotNoiseModel):
-        body = {
-            "kind": "shot_noise",
-            "eta": model.eta,
-            "intensity": model.intensity,
-            "domain": list(model.domain),
-            "beta_low": model.beta_low,
-            "beta_high": model.beta_high,
-        }
-    elif isinstance(model, MicrolensModel):
-        body = {
-            "kind": "microlens",
-            "kappa_c": model.kappa_c,
-            "gamma": model.gamma,
-            "m": model.m,
-            "n_stars": model.n_stars,
-            "R": model.R,
-        }
-    else:
+    kind = next((k for k, cls in _KINDS.items() if isinstance(model, cls)), None)
+    if kind is None:
         raise ConfigurationError(f"cannot serialize model type {type(model).__name__}")
+    body = {"kind": kind}
+    for f in dataclasses.fields(model):
+        value = getattr(model, f.name)
+        if f.name == "base":
+            value = model_to_doc(value)
+        elif isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif isinstance(value, tuple):
+            value = list(value)
+        body[f.name] = value
     body["schema_version"] = SCHEMA_VERSION
     return body
 
@@ -91,41 +72,23 @@ def model_from_doc(doc: dict):
     if version != SCHEMA_VERSION:
         raise ConfigurationError(f"unsupported schema_version {version!r}")
     kind = doc.get("kind")
-    if kind not in _FIELDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ConfigurationError(f"unknown model kind {kind!r}")
-    extra = set(doc) - _FIELDS[kind] - {"kind", "schema_version"}
+    cls = _KINDS[kind]
+    names = [f.name for f in dataclasses.fields(cls)]
+    extra = set(doc) - set(names) - {"kind", "schema_version"}
     if extra:
         raise ConfigurationError(f"unknown fields for {kind}: {sorted(extra)}")
-    missing = _FIELDS[kind] - set(doc)
+    missing = set(names) - set(doc)
     if missing:
         raise ConfigurationError(f"missing fields for {kind}: {sorted(missing)}")
     try:
-        if kind == "spectral_gaussian_1d":
-            return SpectralGaussian1D(doc["frequencies"], doc["amplitudes"])
-        if kind == "spectral_gaussian_2d":
-            return SpectralGaussian2D(np.asarray(doc["wavevectors"]), doc["amplitudes"])
-        if kind == "gradient_field":
-            base = model_from_doc(doc["base"])
-            if not isinstance(base, SpectralGaussian2D):
-                raise ConfigurationError("gradient_field base must be spectral_gaussian_2d")
-            return GradientField(base)
-        if kind == "chi_square":
-            return ChiSquareField(doc["n"], model_from_doc(doc["base"]))
-        if kind == "shot_noise":
-            return ShotNoiseModel(
-                doc["eta"],
-                doc["intensity"],
-                tuple(doc["domain"]),
-                doc["beta_low"],
-                doc["beta_high"],
-            )
-        if kind == "microlens":
-            return MicrolensModel(doc["kappa_c"], doc["gamma"], doc["m"], doc["n_stars"], doc["R"])
+        return cls(**{name: model_from_doc(doc[name]) if name == "base" else doc[name]
+                      for name in names})
     except ConfigurationError:
         raise
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigurationError(f"malformed {kind} document: {exc}") from exc
-    raise AssertionError("unreachable")
 
 
 def model_to_json(model) -> str:

@@ -77,11 +77,12 @@ def test_config_errors_exit_two(tmp_path, capsys):
 @pytest.mark.parametrize("over", [
     {"n_realizations": "many"}, {"grid": [4]}, {"z_crit": "x"},
     {"n_realizations": 30.9}, {"z_crit": math.inf}, {"abs_floor": math.nan},
-    {"grid": True},
+    {"grid": True}, {"n_realizations": 10 ** 400},
 ], ids=["text-count", "list-grid", "text-z", "fractional-count", "inf-z",
-        "nan-floor", "bool-grid"])
+        "nan-floor", "bool-grid", "huge-count"])
 def test_malformed_config_numbers_exit_two(tmp_path, capsys, over):
-    # these once crashed in int()/float() (exit 3) or were truncated (30.9 -> 30)
+    # these once crashed in int()/float() (exit 3) or were truncated (30.9 -> 30);
+    # a 401-digit JSON integer overflowed the finiteness test (exit 3)
     cfg = _write(tmp_path, "exp.json", _exact_experiment(**over))
     assert main(["validate", "--config", cfg]) == 2
     err = capsys.readouterr().err
@@ -91,25 +92,44 @@ def test_malformed_config_numbers_exit_two(tmp_path, capsys, over):
 LENS3 = {"kind": "microlens", "kappa_c": 2.0, "gamma": 0.0, "m": 0.2, "n_stars": 3, "R": 1.0}
 
 
+SHOT = {"kind": "shot_noise", "eta": 0.7, "intensity": 1.5, "domain": [0.0, 12.0],
+        "beta_low": 0.5, "beta_high": 1.5}
+
+
+def _model_with(key, value) -> dict:
+    """An experiment whose model document sets ``key`` to ``value``."""
+    if key == "n":
+        return _exact_experiment(model={"kind": "chi_square", "n": value, "base": PAIR},
+                                 levels=[1.0])
+    if key in SHOT:
+        return _exact_experiment(model=dict(SHOT, **{key: value}), levels=[0.5],
+                                 box=[1.0, 11.0])
+    if key in PAIR:
+        return _exact_experiment(model=dict(PAIR, **{key: value}))
+    return _exact_experiment(model=dict(LENS3, **{key: value}), levels=[[0.25, 0.1]],
+                             box=None)
+
+
 @pytest.mark.parametrize("key, value", [
     ("n_stars", 2.5), ("n_stars", True), ("gamma", math.nan), ("m", math.inf),
     ("R", math.nan), ("kappa_c", math.nan), ("n", 2.5),
+    ("domain", [0.0, math.inf]), ("domain", [0.0, 6.0, "x"]), ("beta_high", math.inf),
+    ("eta", True), ("frequencies", [True, 2.0]),
 ], ids=["fractional-stars", "bool-stars", "nan-gamma", "inf-mass", "nan-radius",
-        "nan-kappa", "fractional-chi2-n"])
+        "nan-kappa", "fractional-chi2-n", "inf-shot-domain", "long-shot-domain",
+        "inf-beta-high", "bool-eta", "bool-frequency"])
 def test_malformed_model_numbers_exit_two(tmp_path, capsys, key, value):
     # n_stars 2.5 and n 2.5 were truncated to 2, true taken as 1 star, and a
-    # nan kappa_c reached the prediction (exit 3)
-    if key == "n":
-        doc = _exact_experiment(model={"kind": "chi_square", "n": value, "base": PAIR},
-                                levels=[1.0])
-    else:
-        doc = _exact_experiment(model=dict(LENS3, **{key: value}), levels=[[0.25, 0.1]],
-                                box=None)
-    cfg = _write(tmp_path, "exp.json", doc)
+    # nan kappa_c reached the prediction (exit 3); a shot-noise domain bound
+    # of 1e400 (JSON for inf) crashed the Poisson draw (exit 3), a third
+    # domain entry and an infinite beta_high ran (exit 0), and true ran as
+    # eta 1 or frequency 1
+    cfg = _write(tmp_path, "exp.json", _model_with(key, value))
     for command in ("measure", "kacrice"):
         assert main([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and key in err
+        assert "box" not in err
 
 
 @pytest.mark.parametrize("estimator", ["roots", "local_time"])

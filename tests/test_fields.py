@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 
 import numpy as np
@@ -496,6 +497,44 @@ def test_model_doc_round_trip(model):
     again = model_from_doc(doc)
     assert model_to_doc(again) == doc
     assert model_to_doc(model_from_json(model_to_json(model))) == doc
+
+
+# the document format, pinned: key order of model_to_doc (nested base
+# documents included) and sha256 of the model_to_json text, per _all_models()
+_DOC_FORMAT = {
+    "SpectralGaussian1D": (
+        ["kind", "frequencies", "amplitudes", "schema_version"],
+        "3900e559a056ac9d1de4cd7218354172b5e2203b75c93e0bfd2b46bb6c209f3e"),
+    "SpectralGaussian2D": (
+        ["kind", "wavevectors", "amplitudes", "schema_version"],
+        "26449a0a0c628c644778f3665e574880b4e1aabdb09d90dd39b9f246929d689c"),
+    "GradientField": (
+        ["kind", ("base", ["kind", "wavevectors", "amplitudes", "schema_version"]),
+         "schema_version"],
+        "9c9072300972898367a809b14f98659514b31178b776ee65b6a371646b5cd3cc"),
+    "ChiSquareField": (
+        ["kind", "n", ("base", ["kind", "frequencies", "amplitudes", "schema_version"]),
+         "schema_version"],
+        "f5c888938d9c6372185cc449477fe6b992cec010e887d32851ed04816d33a3ae"),
+    "ShotNoiseModel": (
+        ["kind", "eta", "intensity", "domain", "beta_low", "beta_high", "schema_version"],
+        "5ca6c61079b27e650a5ec75dd7773d01ad27981c68f029d63928fefdd9c9cc9d"),
+    "MicrolensModel": (
+        ["kind", "kappa_c", "gamma", "m", "n_stars", "R", "schema_version"],
+        "0f81c69b2d48e45a91f30c621fb5e678b25d731bff6facb0b96f58de89a068d8"),
+}
+
+
+def _key_tree(doc: dict) -> list:
+    return [(k, _key_tree(v)) if isinstance(v, dict) else k for k, v in doc.items()]
+
+
+@pytest.mark.parametrize("model", _all_models(),
+                         ids=lambda m: type(m).__name__)
+def test_model_doc_format_is_pinned(model):
+    keys, text_sha = _DOC_FORMAT[type(model).__name__]
+    assert _key_tree(model_to_doc(model)) == keys
+    assert hashlib.sha256(model_to_json(model).encode()).hexdigest() == text_sha
 
 
 def test_model_doc_rejects_junk():

@@ -32,6 +32,8 @@ from ricelab import cli, engine, fields, geometry, harness, modelspec, rng
 from ricelab.fields import (
     ChiSquareField,
     GradientField,
+    MicrolensModel,
+    ShotNoiseModel,
     SpectralGaussian1D,
     SpectralGaussian2D,
 )
@@ -379,3 +381,16 @@ def test_benchmark_tracer_reaches_planar_counts_and_predictions(estimator):
     assert names.count("levelsets.count_roots_2d") == 30
     assert names.count("fields.sample_realization") == 30
     assert names.count(rhs) == 1
+
+
+def test_every_model_kind_is_one_modelspec_row():
+    # a kind that a method pairs with must be one _KINDS row, and every row's
+    # class must be one that sample_realization draws
+    assert {kind for _estimator, kind in harness._METHODS} <= set(modelspec._KINDS)
+    line = SpectralGaussian1D.harmonics(3, seed=1)
+    ring = SpectralGaussian2D.isotropic_ring(5, 2.0)
+    models = [line, ring, GradientField(ring), ChiSquareField(2, line),
+              ShotNoiseModel(0.5, 1.0, (0.0, 4.0)), MicrolensModel(2.0, 0.0, 0.2, 3, 1.0)]
+    assert {type(m) for m in models} == set(modelspec._KINDS.values())
+    for model in models:
+        fields.sample_realization(model, 1)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ricelab import fields, levelsets
+from ricelab.engine import euler_char_expectation, kacrice_rhs, second_factorial_moment_rhs
 from ricelab.errors import CapabilityError, ConfigurationError
 from ricelab.fields import (
     DeterministicField,
@@ -14,6 +15,7 @@ from ricelab.fields import (
     SpectralGaussian1D,
     SpectralGaussian2D,
     batch_coefficients,
+    box_array,
     sample_realization,
     trig_basis_1d,
 )
@@ -630,6 +632,41 @@ def test_sample_grid_rejects_degenerate_resolution():
         sample_grid(_paraboloid(), [(-1, 1), (-1, 1)], 1)
 
 
+_LINE = SpectralGaussian1D.harmonics(4, seed=1)
+_RING = SpectralGaussian2D.isotropic_ring(5, 2.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: kacrice_rhs(_LINE, [0.0, math.inf], 0.0),
+    lambda: euler_char_expectation(_LINE, [0.0, math.inf], 0.0),
+    lambda: second_factorial_moment_rhs(_LINE, [0.0, math.inf], 0.0),
+    lambda: count_roots_1d(sample_realization(_LINE, 3), (0.0, math.inf), 0.0),
+    lambda: nodal_length(sample_realization(_RING, 3), [(0.0, math.inf), (0.0, 1.0)], 0.0),
+    lambda: count_roots_2d(sample_realization(GradientField(_RING), 3),
+                           [(0.0, math.inf), (0.0, 1.0)], [0.0, 0.0]),
+], ids=["kacrice", "euler", "pairs", "roots-1d", "nodal-length", "roots-2d"])
+def test_non_finite_box_is_a_configuration_error(call):
+    # the predictions raised ModelError, a runtime error; count_roots_1d
+    # found 0 roots, nodal_length measured 0.0 and count_roots_2d raised a
+    # bare ValueError
+    with pytest.raises(ConfigurationError, match="box bound must be a finite number"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: count_roots_1d(_sine(), (0.0, 1.0), 0.0, grid=30.9),
+    lambda: nodal_length(_paraboloid(), [(-1, 1), (-1, 1)], 0.5, grid=64.5),
+    lambda: irregularity_scan(_sine(), (0.0, 1.0), 0.0, 0.1, 0.1, grid=1),
+    lambda: count_roots_2d(_circle_line_system(), [(-2, 2), (-2, 2)], [0.0, 0.0], grid=True),
+    lambda: sample_grid(_sine(), (0.0, 1.0), "64"),
+], ids=["roots-1d-fraction", "nodal-length-fraction", "scan-one-point", "roots-2d-bool",
+        "sample-grid-text"])
+def test_grid_must_be_a_whole_number_of_at_least_two(call):
+    # 30.9 ran as 30, 64.5 as 64, and grid 1 scanned a single point
+    with pytest.raises(ConfigurationError, match="grid"):
+        call()
+
+
 def test_grid_export_and_readback(tmp_path):
     gs = sample_grid(_paraboloid(), [(-1, 1), (-1, 1)], 17)
     sidecar_path = gs.export(str(tmp_path / "dump"))
@@ -727,7 +764,7 @@ def _full_mask_segments(realization, box, u, grid):
     The straightforward form of ``nodal_length``: the reference its segments
     must equal bit for bit, in the same order.
     """
-    b = levelsets._box2d(box)
+    b = box_array(box, 2)
     ax = levelsets._lattice_axes(b, grid)
     v = levelsets._lattice_values(realization, ax) - float(u)
     v0, v1, v2, v3 = v[:-1, :-1], v[1:, :-1], v[1:, 1:], v[:-1, 1:]
