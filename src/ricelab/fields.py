@@ -331,6 +331,7 @@ _GRADIENT = ((0,), (1,))
 _HESSIAN = ((0, 0), (0, 1), (1, 0), (1, 1))  # row-major entries of the 2x2 matrix
 # partials and pointwise result shape of the value, gradient and Hessian
 _ORDERS = ((_VALUE, ()), (_GRADIENT, (2,)), (_HESSIAN, (2, 2)))
+_GRADIENT_HESSIAN = _GRADIENT + _HESSIAN
 
 
 def _eval_1d(real: "TrigRealization1D", t, partials):
@@ -448,6 +449,15 @@ class GradientFieldRealization:
     def jacobian(self, pts):
         return self.scalar.hessian(pts)
 
+    def value_jacobian(self, pts):
+        """Value (n, 2) and Jacobian (n, 2, 2) at points (n, 2), from one phase table.
+
+        The scalar's gradient and Hessian rows go through one ``_trig_sum``;
+        they equal ``value(pts)`` and ``jacobian(pts)`` entry for entry.
+        """
+        out = _eval_2d(self.scalar, np.reshape(pts, (-1, 2)), _GRADIENT_HESSIAN, (6,))
+        return out[:, :2], out[:, 2:].reshape(-1, 2, 2)
+
     def lattice(self, axes, order: int = 0):
         """Value (order 0) or Jacobian (1) on a tensor lattice: the scalar's gradient or Hessian."""
         if order not in (0, 1):
@@ -561,6 +571,11 @@ def _bump_prime(x, eta):
     return np.where(np.abs(r) < 1.0, out, 0.0)
 
 
+# expected impulses per shot-noise realization; a draw of this size and its sort
+# order take 24 MB
+MAX_EXPECTED_IMPULSES = 1e6
+
+
 @dataclass(frozen=True)
 class ShotNoiseModel:
     """1D shot noise X(t) = sum_i beta_i g(t - tau_i).
@@ -570,6 +585,8 @@ class ShotNoiseModel:
     unit length; impulses beta are uniform on [beta_low, beta_high].
     Realizations place points on the domain padded by eta on both sides, so
     evaluation anywhere in the declared domain is free of boundary effects.
+    The expected number of points, intensity x (hi - lo + 2 eta), may not
+    exceed ``MAX_EXPECTED_IMPULSES``.
     """
 
     eta: float
@@ -589,6 +606,11 @@ class ShotNoiseModel:
             raise ConfigurationError("intensity must be nonnegative")
         if not 0 < self.beta_low < self.beta_high:
             raise ConfigurationError("impulse range must satisfy 0 < low < high")
+        expected = self.intensity * ((hi - lo) + 2.0 * self.eta)
+        if not expected <= MAX_EXPECTED_IMPULSES:
+            raise ConfigurationError(
+                f"intensity x (domain length + 2 eta) = {expected:.3g} expected impulses "
+                f"per realization exceeds {MAX_EXPECTED_IMPULSES:.0e}")
 
     d = 1
     D = 1

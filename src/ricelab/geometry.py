@@ -7,7 +7,9 @@ length estimator form the geometric half of every level-set formula check.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,12 +234,17 @@ def favard_measure(shape, n_lines: int, seed: int) -> tuple:
     count is unbiased for the length.  Chains and the same segments given
     separately give the same counts.  Returns (estimate, standard error).
 
-    Lines are drawn in chunks of ``_chunk_lines`` (normals, then offsets);
-    within a chunk the endpoints are projected and counted one tile of
-    ``_tile_lines`` lines at a time, so the (2S, tile) projections stay in
-    cache.  The tile never changes the draws, and tiles are cut where a
-    one-thread BLAS product over the whole chunk would switch kernel blocks,
-    so each line's projections, and hence the counts, stay bitwise the same.
+    Lines are drawn in chunks of ``_chunk_lines`` (normals, then offsets).
+    A curve of more than ``_BLOCK`` segments is cut into blocks of nearby
+    segments (``_segment_blocks``), and a line is tested exactly only
+    against the blocks whose bounding box it can reach: every other block
+    lies wholly on one side of it.  The exact test is the BLAS product
+    ``ends @ normals.T`` over a block's ends and the lines that reach it, in
+    tiles of ``_tile_lines`` lines; a smaller curve, or a chunk of one line,
+    is one block that every line reaches.  The shape of a product can change
+    which BLAS kernel rounds a projection, by an ulp at most, so a count
+    could differ from the one of a single product over the chunk only for a
+    line within an ulp of a segment end, which random lines do not meet.
     """
     segments = getattr(shape, "segments", None)
     if segments is None:
@@ -260,12 +267,14 @@ def favard_measure(shape, n_lines: int, seed: int) -> tuple:
             [hi_corner[0], hi_corner[1]],
         ]
     )
+    blocks = None
+    if S > _BLOCK and np.all(np.isfinite(ends)):
+        blocks = _segment_blocks(segments, lo_corner, hi_corner)
 
     c21 = _crofton_c(2, 1)
     rng = stream(seed, "favard-lines")
     estimates = np.empty(n_lines)
-    chunk, tile = _chunk_lines(2 * S), _tile_lines(2 * S)
-    crossings = np.empty(min(chunk, n_lines))
+    chunk = _chunk_lines(2 * S)
     for lo in range(0, n_lines, chunk):
         hi = min(lo + chunk, n_lines)
         k = hi - lo
@@ -275,10 +284,11 @@ def favard_measure(shape, n_lines: int, seed: int) -> tuple:
         wlo, whi = proj_corners.min(axis=0), proj_corners.max(axis=0)
         window = whi - wlo
         y = wlo + window * rng.random(k)
-        for a, b in _tiles(k, tile):
-            neg = ends @ normals[a:b].T < y[a:b]  # (2S, b - a)
-            crossings[a:b] = np.count_nonzero(neg[:S] != neg[S:], axis=0)
-        estimates[lo:hi] = c21 * window * crossings[:k]
+        if blocks is None or k == 1:  # one line: the whole curve's matrix-vector product
+            crossings = _dense_crossings(ends, normals, y)
+        else:
+            crossings = _pruned_crossings(blocks, normals, y)
+        estimates[lo:hi] = c21 * window * crossings
     return mean_se(estimates)
 
 
@@ -286,9 +296,67 @@ def _chunk_lines(n_points: int) -> int:
     return max(1, 8_000_000 // max(n_points, 1))
 
 
-# Lines per tile come in whole multiples of this, from the start of a chunk:
-# BLAS kernels compute a block of product columns at a time, so a tile cut at
-# such a multiple gives each line the same arithmetic as the chunk's product.
+_BLOCK = 32  # segments per block of the pruned count
+_BLOCK_TILES = 16  # midpoint tiles per axis that order segments into blocks
+# relative slack of a block's reach: far above the rounding of any projection
+_REACH_SLACK = 1e-12
+_TINY = sys.float_info.min
+
+
+def _hilbert_index(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """Position of tile (x, y) along the Hilbert curve over n x n tiles, n a power of two."""
+    d = np.zeros_like(x)
+    s = n // 2
+    while s:
+        rx, ry = (x & s) > 0, (y & s) > 0
+        d += s * s * ((3 * rx) ^ ry)
+        flip = rx & ~ry
+        x, y = np.where(flip, n - 1 - x, x), np.where(flip, n - 1 - y, y)
+        x, y = np.where(ry, x, y), np.where(ry, y, x)
+        s //= 2
+    return d
+
+
+@functools.cache
+def _tile_order() -> np.ndarray:
+    """Hilbert index of each of the ``_BLOCK_TILES``^2 tiles, built on first use."""
+    order = _hilbert_index(*np.indices((_BLOCK_TILES, _BLOCK_TILES)), _BLOCK_TILES)
+    order.flags.writeable = False
+    return order
+
+
+def _segment_blocks(segments: np.ndarray, lo_corner, hi_corner) -> tuple:
+    """Blocks of ``_BLOCK`` nearby segments: (their ends, box centres, box half-widths, slack).
+
+    Segments are ordered by the ``_BLOCK_TILES``^2 tile of their midpoint,
+    the tiles along a Hilbert curve so that consecutive tiles touch, and cut
+    into runs of ``_BLOCK``; the last run is filled up with segments of
+    length 0 at one of its ends, which no line crosses.  Block b's ends,
+    ``ends[b]``, are its starts, then its ends, as in the whole-curve array.
+    The order of the segments does not change an integer count.
+    """
+    S = segments.shape[0]
+    mid = 0.5 * (segments[:, 0] + segments[:, 1])
+    span = np.where(hi_corner > lo_corner, hi_corner - lo_corner, 1.0)
+    tile = np.minimum(((mid - lo_corner) * (_BLOCK_TILES / span)).astype(int), _BLOCK_TILES - 1)
+    order = np.argsort(_tile_order()[tile[:, 0], tile[:, 1]], kind="stable")
+    seg = np.empty((-(-S // _BLOCK) * _BLOCK, 2, 2))
+    seg[:S] = segments[order]
+    seg[S:] = seg[S - 1, 0]
+    ends = seg.reshape(-1, _BLOCK, 2, 2).transpose(0, 2, 1, 3).reshape(-1, 2 * _BLOCK, 2)
+    # coordinate by coordinate: numpy reduces over a 2-wide last axis slowly
+    xs, ys = ends[:, :, 0], ends[:, :, 1]
+    bmin = np.column_stack([xs.min(axis=1), ys.min(axis=1)])
+    bmax = np.column_stack([xs.max(axis=1), ys.max(axis=1)])
+    centre, half = 0.5 * (bmin + bmax), 0.5 * (bmax - bmin)
+    # |n| <= 1 componentwise, so this bounds the rounding of every projection
+    slack = _REACH_SLACK * (np.abs(centre) + half).sum(axis=1) + _TINY
+    return ends, centre, half, slack
+
+
+# Lines per tile come in whole multiples of this: BLAS kernels compute a block
+# of product columns at a time, and a tile cut at such a multiple keeps whole
+# kernel blocks (the columns of a last, partial block can round differently).
 _TILE_ALIGN = 64
 
 
@@ -305,3 +373,49 @@ def _tiles(k: int, tile: int) -> list:
     """
     cuts = [0, *range(tile, k - 1, tile), k]
     return list(zip(cuts, cuts[1:]))
+
+
+def _side_counts(ends: np.ndarray, normals: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The exact test: per line, the segments whose ends lie on opposite sides of it.
+
+    ``ends`` are m starts, then their m ends; one projection product over
+    all of them.
+    """
+    m = ends.shape[0] // 2
+    neg = ends @ normals.T < y  # (2m, lines)
+    return np.count_nonzero(neg[:m] != neg[m:], axis=0)
+
+
+def _dense_crossings(ends: np.ndarray, normals: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Crossings of every line with every segment, one tile of lines at a time."""
+    crossings = np.empty(normals.shape[0])
+    for a, b in _tiles(normals.shape[0], _tile_lines(ends.shape[0])):
+        crossings[a:b] = _side_counts(ends, normals[a:b], y[a:b])
+    return crossings
+
+
+def _pruned_crossings(blocks: tuple, normals: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Crossings of every line, tested exactly only against the blocks it can reach.
+
+    A block is out of a line's reach when the offset lies farther than
+    half-width . |n| plus the slack from the projected centre: then every
+    end of the block is on the same side of the line.  The lines that reach
+    a block are gathered once, in block order, with one spare row, so that a
+    block reached by one line still gets a two-column product.
+    """
+    ends, centre, half, slack = blocks
+    k = normals.shape[0]
+    reach = half @ np.abs(normals).T + slack[:, None]  # (B, k)
+    hit = np.flatnonzero(np.abs(y - centre @ normals.T) <= reach)
+    starts = np.searchsorted(hit, k * np.arange(len(ends) + 1)).tolist()
+    line = hit % k
+    spare = np.append(line, line[-1:])
+    nh, yh = normals[spare], y[spare]
+    counts = np.empty(line.size)
+    for b, (s, e) in enumerate(zip(starts, starts[1:])):
+        if s == e:
+            continue
+        for a, z in _tiles(e - s, _tile_lines(2 * _BLOCK)):
+            a, z = s + a, s + z
+            counts[a:z] = _side_counts(ends[b], nh[a:max(z, a + 2)], yh[a:max(z, a + 2)])[:z - a]
+    return np.bincount(line, weights=counts, minlength=k)

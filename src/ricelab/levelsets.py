@@ -320,16 +320,20 @@ def _boundary_degree(realization, axes, vals: np.ndarray, u: np.ndarray):
     less.  None when the path meets 0, or a step still turns by pi/2 or
     more after ``_MAX_HALVINGS`` halvings.
     """
-    node = np.arange(vals.shape[0] * vals.shape[1]).reshape(vals.shape[:2])
-    i, j = np.unravel_index(np.concatenate(
-        [node[:-1, 0], node[-1, :-1], node[:0:-1, -1], node[0, :0:-1]]), node.shape)
-    pa, fa = np.column_stack([axes[0][i], axes[1][j]]), vals[i, j]
-    pb, fb = np.roll(pa, -1, axis=0), np.roll(fa, -1, axis=0)
+    n0, n1 = vals.shape[:2]
+    up, across = np.arange(n0 - 1), np.arange(n1 - 1)
+    i = np.concatenate([up, np.full(n1 - 1, n0 - 1), n0 - 1 - up, np.zeros(n1 - 1, dtype=int)])
+    j = np.concatenate([np.zeros(n0 - 1, dtype=int), across, np.full(n0 - 1, n1 - 1), n1 - 1 - across])
+    # a step runs from pa to pb; each value's angle is taken once, and each
+    # value is tested for 0 when it is evaluated (``fresh``)
+    pa, fresh = np.column_stack([axes[0][i], axes[1][j]]), vals[i, j]
+    ang_a = np.arctan2(fresh[:, 1], fresh[:, 0])
+    pb, ang_b = np.roll(pa, -1, axis=0), np.roll(ang_a, -1)
     total = 0.0
     for depth in range(_MAX_HALVINGS + 1):
-        if np.any(np.all(fa == 0.0, axis=1)):
+        if np.any(np.all(fresh == 0.0, axis=1)):
             return None
-        turn = np.arctan2(fb[:, 1], fb[:, 0]) - np.arctan2(fa[:, 1], fa[:, 0])
+        turn = ang_b - ang_a
         turn = (turn + np.pi) % (2.0 * np.pi) - np.pi
         wide = np.abs(turn) >= 0.5 * np.pi
         total += float(np.sum(turn[~wide]))
@@ -337,23 +341,43 @@ def _boundary_degree(realization, axes, vals: np.ndarray, u: np.ndarray):
             return int(round(total / (2.0 * np.pi)))
         if depth == _MAX_HALVINGS:
             return None
-        pa, fa, pb, fb = pa[wide], fa[wide], pb[wide], fb[wide]
+        pa, ang_a, pb, ang_b = pa[wide], ang_a[wide], pb[wide], ang_b[wide]
         pm = 0.5 * (pa + pb)
-        fm = _values_off_singular(realization, pm).reshape(-1, 2) - u
-        pa, fa = np.concatenate([pa, pm]), np.concatenate([fa, fm])
-        pb, fb = np.concatenate([pm, pb]), np.concatenate([fm, fb])
+        fresh = _values_off_singular(realization, pm).reshape(-1, 2) - u
+        ang_m = np.arctan2(fresh[:, 1], fresh[:, 0])
+        pa, ang_a = np.concatenate([pa, pm]), np.concatenate([ang_a, ang_m])
+        pb, ang_b = np.concatenate([pm, pb]), np.concatenate([ang_m, ang_b])
 
 
 def _local_minima(norm: np.ndarray) -> np.ndarray:
-    """Lattice nodes no larger than any of their (up to) 8 neighbours."""
-    n0, n1 = norm.shape
-    padded = np.pad(norm, 1, constant_values=np.inf)
-    is_min = np.ones(norm.shape, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di or dj:
-                is_min &= norm <= padded[1 + di:1 + di + n0, 1 + dj:1 + dj + n1]
-    return is_min
+    """Lattice nodes no larger than any of their (up to) 8 neighbours.
+
+    A node is one when it equals the minimum of its 3 x 3 window, taken
+    over rows, then columns.  ``np.minimum`` propagates NaN, so, as for the
+    eight comparisons, a NaN anywhere in the window rules the node out.
+    """
+    low = norm.copy()
+    np.minimum(low[:, :-1], norm[:, 1:], out=low[:, :-1])
+    np.minimum(low[:, 1:], norm[:, :-1], out=low[:, 1:])
+    rows = low.copy()
+    np.minimum(low[:-1], rows[1:], out=low[:-1])
+    np.minimum(low[1:], rows[:-1], out=low[1:])
+    return norm == low
+
+
+def _any_corner(a: np.ndarray) -> np.ndarray:
+    """Per lattice cell, whether ``a`` holds at any of its four corners."""
+    return a[:-1, :-1] | a[1:, :-1] | a[1:, 1:] | a[:-1, 1:]
+
+
+def _brackets(vals: np.ndarray) -> np.ndarray:
+    """Cells where every component of ``vals`` (n0, n1, d) has min < 0 < max over the corners.
+
+    A corner holds both signs only among numbers, so a NaN corner rules the
+    cell out, as it does the minimum and maximum.
+    """
+    signs = _any_corner(vals < 0.0) & _any_corner(vals > 0.0) & ~_any_corner(np.isnan(vals))
+    return np.all(signs, axis=2)
 
 
 def count_roots_2d(
@@ -367,12 +391,15 @@ def count_roots_2d(
     """Newton root finding for planar systems X(t) = u.
 
     Seeds are the centres of the grid cells whose corner values bracket u in
-    both components, plus the lattice nodes where |X - u| is no larger than
-    at any of their 8 neighbours (tangential roots need not bracket).  All
-    seeds step together, each step capped at 4h; a seed retires once
-    |X - u| <= 1e-3 tol, or when its residual has not halved for 6
-    iterations in a row, and freezes at a singular point, on a singular
-    Jacobian, or far outside the box.  Points with residual <= tol strictly
+    both components (``_brackets``), plus the lattice nodes where |X - u| is
+    no larger than at any of their 8 neighbours (``_local_minima``;
+    tangential roots need not bracket).  All seeds step together, each step
+    capped at 4h; a seed retires once |X - u| <= 1e-3 tol, or when its
+    residual has not halved for 6 iterations in a row, and freezes at a
+    singular point, on a singular Jacobian, or far outside the box.  A step
+    takes value and Jacobian from one ``value_jacobian`` call where the
+    realization has one (a gradient field: one phase table for both), else
+    from ``value`` and ``jacobian``.  Points with residual <= tol strictly
     inside the box are deduplicated at radius h/2; the rest are discarded.
 
     ``degree`` is the winding number of X - u along the boundary nodes of the
@@ -394,12 +421,7 @@ def count_roots_2d(
     singular = _singular_points(realization)
     vals = _lattice_values(realization, ax) - u
 
-    def corner_bracket(comp):
-        v = vals[:, :, comp]
-        c = np.stack([v[:-1, :-1], v[1:, :-1], v[1:, 1:], v[:-1, 1:]])
-        return (c.min(axis=0) < 0.0) & (c.max(axis=0) > 0.0)
-
-    ci, cj = np.nonzero(corner_bracket(0) & corner_bracket(1))
+    ci, cj = np.nonzero(_brackets(vals))
     ni, nj = np.nonzero(_local_minima(np.hypot(vals[:, :, 0], vals[:, :, 1])))
     P = np.concatenate([
         np.column_stack([ax[0][ci] + 0.5 * (ax[0][1] - ax[0][0]),
@@ -407,39 +429,50 @@ def count_roots_2d(
         np.column_stack([ax[0][ni], ax[1][nj]]),
     ])
 
-    active = np.ones(P.shape[0], dtype=bool)
+    fused = getattr(realization, "value_jacobian", None)
+    # the seeds still stepping, with their last residual and stall count
+    idx = np.arange(P.shape[0])
     last = np.full(P.shape[0], np.inf)
     stalled = np.zeros(P.shape[0], dtype=int)
     cap = 4.0 * h
     span = np.max(b[:, 1] - b[:, 0])
+    far_lo, far_hi = b[:, 0] - span, b[:, 1] + span
     for _ in range(int(newton_iters)):
-        idx = np.nonzero(active)[0]
         if singular is not None:
-            hit = _near(P[idx], singular, 1e-16)
-            active[idx[hit]] = False
-            idx = idx[~hit]
+            go = ~_near(P[idx], singular, 1e-16)
+            idx, last, stalled = idx[go], last[go], stalled[go]
         if idx.size == 0:
             break
-        F = np.atleast_2d(realization.value(P[idx])) - u
+        Pk = P[idx]
+        if fused is None:
+            F = np.atleast_2d(realization.value(Pk)) - u
+        else:
+            F, J = fused(Pk)
+            F = F - u
         r = np.linalg.norm(F, axis=1)
-        stalled[idx] = np.where(r > 0.5 * last[idx], stalled[idx] + 1, 0)
-        last[idx] = r
-        done = (r <= 1e-3 * tol) | (stalled[idx] >= 6)
-        active[idx[done]] = False
-        idx, F = idx[~done], F[~done]
+        stalled = np.where(r > 0.5 * last, stalled + 1, 0)
+        go = ~((r <= 1e-3 * tol) | (stalled >= 6))
+        n_stepped = idx.size
+        idx, Pk, F, last, stalled = idx[go], Pk[go], F[go], r[go], stalled[go]
         if idx.size == 0:
             break
-        J = np.asarray(realization.jacobian(P[idx])).reshape(-1, 2, 2)
+        if fused is None or idx.size == 1 < n_stepped:
+            # a lone point's Jacobian is a matrix-vector product, which can
+            # round differently from the matrix-matrix one over all points
+            J = np.asarray(realization.jacobian(Pk)).reshape(-1, 2, 2)
+        else:
+            J = J[go]
         step = _batch_solve_2x2(J, F)
-        bad = ~np.all(np.isfinite(step), axis=1)
+        go = np.all(np.isfinite(step), axis=1)
         norm = np.linalg.norm(step, axis=1)
         big = norm > cap
-        step[big] *= (cap / norm[big])[:, None]
-        P[idx] -= step
-        active[idx[bad]] = False
-        # freeze points that wander far outside the box
-        out = np.any((P[idx] < b[:, 0] - span) | (P[idx] > b[:, 1] + span), axis=1)
-        active[idx[out]] = False
+        if big.any():
+            step[big] *= (cap / norm[big])[:, None]
+        Pk = Pk - step
+        P[idx] = Pk
+        # freeze points with no step, and points that wander far outside the box
+        go &= ~np.any((Pk < far_lo) | (Pk > far_hi), axis=1)
+        idx, last, stalled = idx[go], last[go], stalled[go]
 
     P = P[np.all((P > b[:, 0]) & (P < b[:, 1]), axis=1)]
     res = np.zeros(0)
@@ -447,21 +480,17 @@ def count_roots_2d(
         res = np.linalg.norm(np.atleast_2d(realization.value(P)) - u, axis=1)
         P, res = P[res <= tol], res[res <= tol]
 
-    kept_pts, kept_res = [], []
-    for i in np.lexsort((P[:, 1], P[:, 0])):
-        p = P[i]
-        if any(np.hypot(p[0] - q[0], p[1] - q[1]) < 0.5 * h for q in kept_pts):
+    kept = []
+    for i in np.lexsort((P[:, 1], P[:, 0])).tolist():
+        if kept and np.any(np.hypot(P[i, 0] - P[kept, 0], P[i, 1] - P[kept, 1]) < 0.5 * h):
             continue
-        kept_pts.append(p)
-        kept_res.append(res[i])
-    if kept_pts:
-        kp = np.asarray(kept_pts)
+        kept.append(i)
+    kp, kept_res = P[kept], res[kept]
+    signed = np.zeros(0)
+    if kept:
         J = np.asarray(realization.jacobian(kp)).reshape(-1, 2, 2)
         signed = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-    else:
-        kp = np.zeros((0, 2))
-        signed = np.zeros(0)
-    return RootSet(kp, signed, np.asarray(kept_res, dtype=float), u.copy(), 0.5 * h,
+    return RootSet(kp, signed, kept_res, u.copy(), 0.5 * h,
                    _boundary_degree(realization, ax, vals, u))
 
 

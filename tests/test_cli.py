@@ -114,16 +114,19 @@ def _model_with(key, value) -> dict:
     ("n_stars", 2.5), ("n_stars", True), ("gamma", math.nan), ("m", math.inf),
     ("R", math.nan), ("kappa_c", math.nan), ("n", 2.5),
     ("domain", [0.0, math.inf]), ("domain", [0.0, 6.0, "x"]), ("beta_high", math.inf),
-    ("eta", True), ("frequencies", [True, 2.0]),
+    ("eta", True), ("frequencies", [True, 2.0]), ("domain", [0.0, 1e300]),
+    ("intensity", 1e300),
 ], ids=["fractional-stars", "bool-stars", "nan-gamma", "inf-mass", "nan-radius",
         "nan-kappa", "fractional-chi2-n", "inf-shot-domain", "long-shot-domain",
-        "inf-beta-high", "bool-eta", "bool-frequency"])
+        "inf-beta-high", "bool-eta", "bool-frequency", "huge-shot-domain",
+        "huge-intensity"])
 def test_malformed_model_numbers_exit_two(tmp_path, capsys, key, value):
     # n_stars 2.5 and n 2.5 were truncated to 2, true taken as 1 star, and a
     # nan kappa_c reached the prediction (exit 3); a shot-noise domain bound
     # of 1e400 (JSON for inf) crashed the Poisson draw (exit 3), a third
     # domain entry and an infinite beta_high ran (exit 0), and true ran as
-    # eta 1 or frequency 1
+    # eta 1 or frequency 1; a finite domain of length 1e300, or intensity
+    # 1e300, asked the Poisson draw for more points than it can give (exit 3)
     cfg = _write(tmp_path, "exp.json", _model_with(key, value))
     for command in ("measure", "kacrice"):
         assert main([command, "--config", cfg]) == 2

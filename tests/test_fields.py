@@ -347,6 +347,20 @@ def test_gradient_field_realization_wires_through_the_scalar():
     assert np.array_equal(grad.jacobian(pts), grad.scalar.hessian(pts))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 257, 2049])
+def test_gradient_field_fused_evaluation_equals_separate_calls(n):
+    # one phase table for the gradient and Hessian rows gives the bits of
+    # the two separate calls, for one point (a matrix-vector product) too
+    base = SpectralGaussian2D(np.array([[3.0, 0.5], [0.7, 2.0], [-1.5, 2.5], [2.2, -1.0]]),
+                              np.full(4, 0.5))
+    grad = sample_realization(GradientField(base), n)
+    pts = np.random.default_rng(n).random((n, 2)) * 4.0 - 1.0
+    value, jac = grad.value_jacobian(pts)
+    assert value.shape == (n, 2) and jac.shape == (n, 2, 2)
+    assert np.array_equal(value, grad.value(pts))
+    assert np.array_equal(jac, grad.jacobian(pts))
+
+
 def test_chi_square_value_and_derivative_identities():
     base = SpectralGaussian1D.harmonics(6, seed=2)
     model = ChiSquareField(n=3, base=base)

@@ -212,8 +212,9 @@ def test_favard_rejects_too_few_lines():
 def _dense_favard(shape, n_lines, seed):
     """``favard_measure`` with one projection product over each whole chunk of lines.
 
-    The draws are the same chunk by chunk; only the tiling of the counts
-    differs, so the two must agree exactly.
+    The draws are the same chunk by chunk; only the tiling of the counts and
+    the blocks that a line is never tested against differ, so the two must
+    agree exactly.
     """
     segments = np.asarray(shape.segments, dtype=float)
     S = segments.shape[0]
@@ -256,13 +257,17 @@ def test_favard_tiles_equal_dense_chunk_products(n_segments):
         assert favard_measure(shape, n_lines, 3) == _dense_favard(shape, n_lines, 3)
 
 
-def test_favard_tiles_equal_dense_chunk_products_on_level_curves():
+def _ring_curve(seed, grid):
     from ricelab.fields import SpectralGaussian2D, sample_realization
     from ricelab.levelsets import nodal_length
 
     model = SpectralGaussian2D.isotropic_ring(6, 3.0)
+    return nodal_length(sample_realization(model, seed), [(0, 1), (0, 1)], 0.0, grid=grid)
+
+
+def test_favard_tiles_equal_dense_chunk_products_on_level_curves():
     for seed in range(6):
-        curve = nodal_length(sample_realization(model, seed), [(0, 1), (0, 1)], 0.0, grid=256)
+        curve = _ring_curve(seed, 256)
         for n_lines in (1000, 20_011):
             assert favard_measure(curve, n_lines, seed) == _dense_favard(curve, n_lines, seed)
 
@@ -276,6 +281,97 @@ def test_favard_tiles_split_a_chunk_and_keep_a_lone_last_line():
         tile = geometry._tile_lines(n_points)
         assert tile % 64 == 0
         assert tile == 64 or n_points * tile * 8 <= 2**20
+
+
+def _axis_lines(n):
+    # a horizontal and a vertical chain of n segments each: most blocks hold
+    # segments of one chain only, so their boxes have zero height or width
+    t = np.linspace(0.0, 1.0, n + 1)
+    return Polyline([np.column_stack([t, np.full(n + 1, 0.3)]),
+                     np.column_stack([np.full(n + 1, 0.7), t])])
+
+
+def _axis_grid(n):
+    # n horizontal and n vertical unit segments, each its own component
+    t = np.linspace(0.0, 1.0, n)
+    comps = [np.array([[0.0, v], [1.0, v]]) for v in t] + [np.array([[v, 0.0], [v, 1.0]]) for v in t]
+    return Polyline(comps)
+
+
+@pytest.mark.parametrize("shape, n_lines", [
+    (_axis_lines(100), 5000),
+    (_axis_grid(40), 3001),
+    (Polyline([np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 2.0]])]), 1000),
+    (_walk(31, 31), 4000),
+    (_walk(32, 32), 4000),
+    (_walk(33, 33), 4000),
+    # 2,000 segments: 2,000 lines a chunk, so four chunks and a one-line fifth
+    (_walk(2000, 2000), 4 * geometry._chunk_lines(4000) + 1),
+    (_ring_curve(2, 256), 1000),
+    (_ring_curve(3, 256), 20_011),
+    (_ring_curve(4, 512), 2000),
+    (_ring_curve(5, 512), 2000),
+], ids=["axis-lines", "axis-grid", "two-segments", "walk-31", "walk-32", "walk-33",
+        "five-chunks", "ring-256", "ring-256-many-lines", "ring-512", "ring-512-b"])
+def test_favard_pruned_count_equals_dense_oracle(shape, n_lines):
+    # block pruning never drops a crossing: the estimate equals the one of
+    # the whole-chunk product, and (estimate, SE) stay bitwise the same
+    for seed in (1, 2):
+        assert favard_measure(shape, n_lines, seed) == _dense_favard(shape, n_lines, seed)
+
+
+def test_favard_non_finite_curve_keeps_the_dense_count():
+    # an infinite end has no midpoint tile, so such a curve is not cut into
+    # blocks; its estimate is NaN, as the whole-chunk count gives
+    v = _walk(100, 5).components[0].copy()
+    v[50, 0] = np.inf
+    with np.errstate(invalid="ignore"):
+        est = favard_measure(Polyline([v]), 2000, 1)
+        assert np.isnan(est).all() and np.isnan(_dense_favard(Polyline([v]), 2000, 1)).all()
+
+
+def test_favard_exact_test_skips_most_pairs(monkeypatch):
+    # a bench ring-nodal-length curve (256^2 lattice, 1,000 lines): the
+    # exact per-segment test sees at most 40% of the (segment, line) pairs
+    pairs = []
+    side_counts = geometry._side_counts
+
+    def counting(ends, normals, y):
+        pairs.append(ends.shape[0] // 2 * normals.shape[0])
+        return side_counts(ends, normals, y)
+
+    monkeypatch.setattr(geometry, "_side_counts", counting)
+    curve = _ring_curve(1, 256)
+    est = favard_measure(curve, 1000, 7)
+    S = curve.segments.shape[0]
+    assert S > 8 * geometry._BLOCK
+    assert 0 < sum(pairs) <= 0.4 * S * 1000
+    monkeypatch.setattr(geometry, "_side_counts", side_counts)
+    assert est == _dense_favard(curve, 1000, 7)
+
+
+def test_favard_block_reach_keeps_lines_through_block_corners():
+    # each line passes through the end of one block that projects farthest
+    # along its normal (its offset is that projection, rounded as in the
+    # exact test), where the reach test is tight: the block must still be
+    # tested.  A reach without slack drops some of these lines
+    for seed in range(30):
+        rng = stream(seed, "test-reach")
+        seg = rng.random((100, 2, 2)) * 10.0 - 3.0
+        ends = np.concatenate([seg[:, 0], seg[:, 1]])
+        blocks = geometry._segment_blocks(seg, ends.min(axis=0), ends.max(axis=0))
+        k = 100  # block products of at most 100 lines round as two-line ones
+        normals = rng.standard_normal((k, 2))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        which, top = rng.integers(0, len(blocks[0]), k), rng.random(k) < 0.5
+        y = np.empty(k)
+        want = np.empty(k)
+        for j in range(k):
+            two = normals[[j, j]]
+            proj = (blocks[0][which[j]] @ two.T)[:, 0]
+            y[j] = proj.max() if top[j] else proj.min()
+            want[j] = geometry._side_counts(ends, two, y[[j, j]])[0]
+        assert np.array_equal(geometry._pruned_crossings(blocks, normals, y), want), seed
 
 
 def test_favard_memory_stays_in_tiles():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -372,6 +373,98 @@ def test_roots_2d_signed_determinant_matches_jacobian(make, box, u):
     assert n_roots > 0
 
 
+def _aniso_gradient(seed):
+    waves = np.array([[3.0, 0.5], [0.7, 2.0], [-1.5, 2.5], [2.2, -1.0], [0.3, -2.9]])
+    model = GradientField(SpectralGaussian2D(waves, np.full(5, 1.0 / np.sqrt(5.0))))
+    return sample_realization(model, seed)
+
+
+_RING_BOX = [(0.0, 2.0), (0.0, 2.0)]
+_LENS_BOX = [(-1.5, 1.5), (-1.5, 1.5)]
+_PINNED_ROOT_SETS = {
+    # (field, seed, box, level, grid): leading 16 hex digits of the sha256 of
+    # points, signed, residuals and degree, recorded before the Newton steps
+    # took value and Jacobian from one evaluation
+    ("ring", 0, 128, (0.0, 0.0)): "7863cf1903299e78",  # 3 roots, degree -1
+    ("ring", 1, 128, (0.0, 0.0)): "9926a15088302ee6",  # 3 roots, degree 1
+    ("ring", 2, 128, (0.0, 0.0)): "75217df2851a9fd2",  # 2 roots, degree -2
+    ("ring", 3, 128, (0.0, 0.0)): "2e0e739b5f77d552",  # 3 roots, degree 1
+    ("ring", 4, 128, (0.0, 0.0)): "3057bb5ad16eeb39",  # 3 roots, degree 1
+    ("ring", 5, 128, (0.0, 0.0)): "d429d9c477721f54",  # 4 roots, degree 0
+    ("ring", 6, 256, (0.0, 0.0)): "dd34b44e894c94dc",  # 3 roots, degree -1
+    ("ring", 7, 256, (0.0, 0.0)): "7d851acfb1f477a6",  # 3 roots, degree 1
+    ("ring", 8, 64, (0.3, -0.2)): "90110ef2afcdb4d2",  # 2 roots, degree 0
+    ("ring", 9, 64, (0.3, -0.2)): "4814d2191140388b",  # 4 roots, degree 0
+    ("ring", 10, 64, (0.3, -0.2)): "896a3ada87735374",  # 3 roots, degree 1
+    ("ring", 11, 64, (0.3, -0.2)): "03982643f8746886",  # 4 roots, degree 2
+    ("aniso", 0, 96, (0.0, 0.0)): "1ff5d5f7ae91fa47",  # 8 roots, degree 0
+    ("aniso", 1, 96, (0.0, 0.0)): "fde5f6e72df25572",  # 5 roots, degree -1
+    ("aniso", 2, 96, (0.0, 0.0)): "c80ff3fb18227f8e",  # 6 roots, degree 2
+    ("aniso", 3, 96, (0.0, 0.0)): "4e6ec589cea40678",  # 9 roots, degree -1
+    ("lens", 0, 64, (0.25, 0.1)): "bbc8473e52e32833",  # 2 roots, degree 1
+    ("lens", 1, 64, (0.25, 0.1)): "4f25bd12aa62aa55",  # 2 roots, degree 1
+    ("lens", 2, 64, (0.25, 0.1)): "a86b99b1fa473d0f",  # 2 roots, degree 1
+    ("lens", 3, 64, (0.25, 0.1)): "4b5fc4accb5894b8",  # 2 roots, degree 1
+}
+_PINNED_FIELDS = {
+    "ring": (_ring_gradient, _RING_BOX),
+    "aniso": (_aniso_gradient, [(0.0, 3.0), (0.0, 3.0)]),
+    "lens": (_three_star_lens, _LENS_BOX),
+}
+
+
+def _root_set_digest(rs) -> str:
+    h = hashlib.sha256()
+    for a in (rs.points, rs.signed, rs.residuals):
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    h.update(repr(rs.degree).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case", list(_PINNED_ROOT_SETS), ids=lambda c: "-".join(map(str, c[:3])))
+def test_roots_2d_root_sets_are_bitwise_pinned(case):
+    # gradient fields take value and Jacobian from one fused evaluation per
+    # Newton step, the lens its two calls; both must find the same bits
+    kind, seed, grid, u = case
+    make, box = _PINNED_FIELDS[kind]
+    rs = count_roots_2d(make(seed), box, u, grid=grid)
+    assert _root_set_digest(rs) == _PINNED_ROOT_SETS[case]
+
+
+def _stacked_brackets(v):
+    # the corner test as it was: the four corners stacked, then min and max
+    c = np.stack([v[:-1, :-1], v[1:, :-1], v[1:, 1:], v[:-1, 1:]])
+    return (c.min(axis=0) < 0.0) & (c.max(axis=0) > 0.0)
+
+
+def _compared_minima(norm):
+    # the local-minimum test as it was: eight comparisons with an inf border
+    n0, n1 = norm.shape
+    padded = np.pad(norm, 1, constant_values=np.inf)
+    is_min = np.ones(norm.shape, dtype=bool)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di or dj:
+                is_min &= norm <= padded[1 + di:1 + di + n0, 1 + dj:1 + dj + n1]
+    return is_min
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 7), (5, 3), (16, 16), (33, 9)])
+def test_roots_2d_seed_masks_equal_stacked_and_compared_forms(shape):
+    # lattices drawn from few values, so ties are common, with NaN, -0.0, +0.0
+    # and infinities; the boolean corner ORs and the 3 x 3 window minimum
+    # must give the old masks exactly
+    rng = np.random.default_rng(sum(shape))
+    values = np.array([np.nan, -np.inf, -1.5, -1.0, -0.0, 0.0, 1.0, 2.0, np.inf])
+    for _ in range(200):
+        v = rng.choice(values, size=shape + (2,),
+                       p=[0.05, 0.03, 0.1, 0.2, 0.1, 0.1, 0.2, 0.19, 0.03])
+        stacked = _stacked_brackets(v[:, :, 0]) & _stacked_brackets(v[:, :, 1])
+        assert np.array_equal(levelsets._brackets(v), stacked)
+        for norm in (v[:, :, 0], np.abs(v[:, :, 1])):
+            assert np.array_equal(levelsets._local_minima(norm), _compared_minima(norm))
+
+
 def test_roots_1d_signed_derivative_matches_jacobian():
     model = SpectralGaussian1D(frequencies=np.array([1.0, 2.5]),
                                amplitudes=np.array([0.6, 0.8]))
@@ -474,6 +567,56 @@ class _CountingRealization:
 
     def jacobian(self, pts):
         return self.real.jacobian(pts)
+
+
+class _CountingFused(_CountingRealization):
+    """A counting realization with the fused value-and-Jacobian call; logs every call in order."""
+
+    def __init__(self, real):
+        super().__init__(real)
+        self.calls = []
+
+    def value(self, pts):
+        self.calls.append(("value", np.atleast_2d(pts).shape[0]))
+        return self.real.value(pts)
+
+    def jacobian(self, pts):
+        self.calls.append(("jacobian", np.atleast_2d(pts).shape[0]))
+        return self.real.jacobian(pts)
+
+    def value_jacobian(self, pts):
+        self.calls.append(("fused", np.atleast_2d(pts).shape[0]))
+        return self.real.value_jacobian(pts)
+
+
+def test_roots_2d_newton_step_is_one_fused_evaluation(monkeypatch):
+    # each Newton step evaluates value and Jacobian together: one fused call
+    # per step (every step but possibly the last also solves).  Until the
+    # last step there is no value call, and a pointwise Jacobian only for a
+    # lone point left of several; then come the residual check, the signs
+    # of the roots and any boundary halvings
+    solves = []
+    solve = levelsets._batch_solve_2x2
+
+    def counting_solve(J, F):
+        solves.append(F.shape[0])
+        return solve(J, F)
+
+    monkeypatch.setattr(levelsets, "_batch_solve_2x2", counting_solve)
+    for seed in (1000, 1001, 1002, 1003):
+        real = _ring_gradient(seed)
+        counting = _CountingFused(real)
+        solves.clear()
+        rs = count_roots_2d(counting, _RING_BOX, (0.0, 0.0), grid=128)
+        kinds = [kind for kind, _ in counting.calls]
+        steps = kinds.count("fused")
+        last = len(kinds) - 1 - kinds[::-1].index("fused")
+        assert 4 <= steps and len(solves) <= steps <= len(solves) + 1
+        assert all(c == ("jacobian", 1) for c in counting.calls[:last] if c[0] != "fused")
+        assert counting.calls[last + 1][0] == "value"
+        assert ("jacobian", rs.count) in counting.calls[last + 1:] and rs.count > 0
+        plain = count_roots_2d(real, _RING_BOX, (0.0, 0.0), grid=128)
+        assert _root_set_digest(rs) == _root_set_digest(plain)
 
 
 def test_roots_2d_newton_work_bounded_by_roots_not_lattice():
