@@ -826,7 +826,14 @@ class DeterministicField:
 
 
 def sample_realization(model, seed: int):
-    """Draw the frozen realization of `model` determined by `seed`."""
+    """Draw the frozen realization of `model` determined by `seed`.
+
+    Each draws from ``stream(seed, tag)`` with its model's tag.  For many
+    seeds, ``batch_coefficients``, ``batch_stars`` and the impulse-sum corpus
+    (``harness._impulse_values``) draw the same numbers from one generator
+    re-keyed per seed (``rng.streams``), which costs about 1 us a seed
+    against 7 us for a new one.
+    """
     if isinstance(model, SpectralGaussian1D):
         rng = stream(seed, "trig-coeffs")
         xi = rng.standard_normal(2 * model.frequencies.size)
@@ -854,12 +861,21 @@ def sample_realization(model, seed: int):
         pts, beta = shot_noise_impulses(model, stream(seed, "shot-noise"))
         return ShotNoiseRealization(model, int(seed), pts, beta)
     if isinstance(model, MicrolensModel):
-        rng = stream(seed, "stars")
-        radii = model.R * np.sqrt(rng.random(model.n_stars))
-        ang = 2.0 * np.pi * rng.random(model.n_stars)
-        stars = np.column_stack([radii * np.cos(ang), radii * np.sin(ang)])
+        stars = np.empty((model.n_stars, 2))
+        _draw_stars(model, stream(seed, "stars"), stars)
         return MicrolensSystem(model.kappa_c, model.gamma, model.m, stars, model.R, int(seed))
     raise ConfigurationError(f"unknown model type {type(model).__name__}")
+
+
+def _draw_stars(model: MicrolensModel, gen, out: np.ndarray) -> None:
+    """One star field of ``model`` from ``gen`` into ``out`` (n_stars, 2): uniform on the disk.
+
+    The radii take the first n_stars doubles (R sqrt(U)), the angles the next.
+    """
+    radii = model.R * np.sqrt(gen.random(model.n_stars))
+    ang = 2.0 * np.pi * gen.random(model.n_stars)
+    np.multiply(radii, np.cos(ang), out=out[:, 0])
+    np.multiply(radii, np.sin(ang), out=out[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -885,6 +901,19 @@ def batch_coefficients(model, seeds) -> np.ndarray:
     for row, gen in zip(out, streams(seeds, "trig-coeffs")):
         gen.standard_normal(out=row)
     out *= np.concatenate([model.amplitudes, model.amplitudes])
+    return out
+
+
+def batch_stars(model: MicrolensModel, seeds) -> np.ndarray:
+    """Stack the star fields of many seeds, (len(seeds), n_stars, 2).
+
+    Field i is bit-identical to sample_realization(model, seeds[i]).star_positions:
+    both draw by ``_draw_stars``, here from one generator re-keyed per seed
+    (``rng.streams``) and with no ``MicrolensSystem`` built.
+    """
+    out = np.empty((len(seeds), model.n_stars, 2))
+    for stars, gen in zip(out, streams(seeds, "stars")):
+        _draw_stars(model, gen, stars)
     return out
 
 

@@ -166,9 +166,13 @@ def crofton_identity_mc(M, n: int, seed: int) -> tuple:
     chunk = max(1, 2_000_000 // (D * d))
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        Q = _haar_batch(D, d, hi - lo, rng)
-        prod = np.einsum("ij,njk->nik", A, Q)
-        vals[lo:hi] = np.abs(np.linalg.det(prod))
+        prod = A @ _haar_batch(D, d, hi - lo, rng)  # (n, d, d)
+        if d == 1:
+            vals[lo:hi] = np.abs(prod[:, 0, 0])
+        elif d == 2:
+            vals[lo:hi] = np.abs(prod[:, 0, 0] * prod[:, 1, 1] - prod[:, 0, 1] * prod[:, 1, 0])
+        else:
+            vals[lo:hi] = np.abs(np.linalg.det(prod))
     mean, se = mean_se(vals)
     return c * mean, c * se
 
@@ -258,7 +262,9 @@ def favard_measure(shape, n_lines: int, seed: int) -> tuple:
     segments = np.asarray(segments, dtype=float)
     S = segments.shape[0]
     ends = np.concatenate([segments[:, 0], segments[:, 1]])  # (2S, 2): starts, then ends
-    lo_corner, hi_corner = ends.min(axis=0), ends.max(axis=0)
+    # column by column: numpy reduces slowly over a 2-wide last axis
+    lo_corner = np.array([ends[:, 0].min(), ends[:, 1].min()])
+    hi_corner = np.array([ends[:, 0].max(), ends[:, 1].max()])
     corners = np.array(
         [
             [lo_corner[0], lo_corner[1]],

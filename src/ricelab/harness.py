@@ -45,6 +45,7 @@ from .fields import (
     ShotNoiseModel,
     SpectralGaussian1D,
     batch_coefficients,
+    batch_stars,
     box_array,
     config_number,
     sample_realization,
@@ -673,7 +674,7 @@ def _microlens_chunk(prep: _Prepared, seeds, master_seed: int, lo: int) -> dict:
     theorem; they are counted with the images found.
     """
     cfg, model = prep.cfg, prep.model
-    stars = np.array([sample_realization(model, s).star_positions for s in seeds])
+    stars = batch_stars(model, seeds)
     out = np.empty((len(seeds), len(cfg.levels)))
     unresolved = 0
     for j, lvl in enumerate(cfg.levels):

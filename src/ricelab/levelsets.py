@@ -349,20 +349,63 @@ def _boundary_degree(realization, axes, vals: np.ndarray, u: np.ndarray):
         pb, ang_b = np.concatenate([pm, pb]), np.concatenate([ang_m, ang_b])
 
 
-def _local_minima(norm: np.ndarray) -> np.ndarray:
-    """Lattice nodes no larger than any of their (up to) 8 neighbours.
+def _window_min(a: np.ndarray) -> np.ndarray:
+    """Minimum of each node's 3 x 3 window (clipped at the edges), over rows, then columns.
 
-    A node is one when it equals the minimum of its 3 x 3 window, taken
-    over rows, then columns.  ``np.minimum`` propagates NaN, so, as for the
-    eight comparisons, a NaN anywhere in the window rules the node out.
+    ``np.minimum`` propagates NaN, so a NaN anywhere in the window gives NaN.
     """
-    low = norm.copy()
-    np.minimum(low[:, :-1], norm[:, 1:], out=low[:, :-1])
-    np.minimum(low[:, 1:], norm[:, :-1], out=low[:, 1:])
+    low = a.copy()
+    np.minimum(low[:, :-1], a[:, 1:], out=low[:, :-1])
+    np.minimum(low[:, 1:], a[:, :-1], out=low[:, 1:])
     rows = low.copy()
     np.minimum(low[:-1], rows[1:], out=low[:-1])
     np.minimum(low[1:], rows[:-1], out=low[1:])
-    return norm == low
+    return low
+
+
+def _local_minima(norm: np.ndarray) -> np.ndarray:
+    """Lattice nodes no larger than any of their (up to) 8 neighbours.
+
+    A node is one when it equals the minimum of its 3 x 3 window; as for the
+    eight comparisons, a NaN anywhere in the window rules the node out.
+    """
+    return norm == _window_min(norm)
+
+
+# offsets of a node's 3 x 3 window, the node itself at _WINDOW_SELF
+_WINDOW = np.array([(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]).T
+_WINDOW_SELF = 4
+
+
+def _norm_minima(vals: np.ndarray) -> tuple:
+    """Indices (i, j) of the local minima of the norm of ``vals`` (n0, n1, 2), as ``_local_minima``.
+
+    The squared norms n2 preselect the candidates: a minimum of the norm
+    has n2 within rounding of its window's minimum, far inside the slack
+    of 1e-12 relative plus 1e-300 (for squares that underflow).  ``hypot``
+    then decides at each candidate against its 8 neighbours, with inf off
+    the lattice.  Where a square overflows, or a value is not finite, the
+    whole-lattice ``hypot`` decides.
+    """
+    v0, v1 = vals[:, :, 0], vals[:, :, 1]
+    n0, n1 = v0.shape
+    with np.errstate(over="ignore"):
+        n2 = v0 * v0 + v1 * v1
+        if not np.isfinite(n2.max()):
+            return np.nonzero(_local_minima(np.hypot(v0, v1)))
+        low = _window_min(n2)
+        low *= 1.0 + 1e-12
+    low += 1e-300
+    ci, cj = np.nonzero(n2 <= low)
+    i, j = ci[:, None] + _WINDOW[0], cj[:, None] + _WINDOW[1]
+    off = (i < 0) | (i >= n0) | (j < 0) | (j >= n1)
+    flat = i * n1 + j
+    flat[off] = 0
+    near = vals.reshape(-1, 2)[flat]
+    norm = np.hypot(near[..., 0], near[..., 1])
+    norm[off] = np.inf
+    keep = norm[:, _WINDOW_SELF] == norm.min(axis=1)
+    return ci[keep], cj[keep]
 
 
 def _any_corner(a: np.ndarray) -> np.ndarray:
@@ -392,7 +435,7 @@ def count_roots_2d(
 
     Seeds are the centres of the grid cells whose corner values bracket u in
     both components (``_brackets``), plus the lattice nodes where |X - u| is
-    no larger than at any of their 8 neighbours (``_local_minima``;
+    no larger than at any of their 8 neighbours (``_norm_minima``;
     tangential roots need not bracket).  All seeds step together, each step
     capped at 4h; a seed retires once |X - u| <= 1e-3 tol, or when its
     residual has not halved for 6 iterations in a row, and freezes at a
@@ -422,7 +465,7 @@ def count_roots_2d(
     vals = _lattice_values(realization, ax) - u
 
     ci, cj = np.nonzero(_brackets(vals))
-    ni, nj = np.nonzero(_local_minima(np.hypot(vals[:, :, 0], vals[:, :, 1])))
+    ni, nj = _norm_minima(vals)
     P = np.concatenate([
         np.column_stack([ax[0][ci] + 0.5 * (ax[0][1] - ax[0][0]),
                          ax[1][cj] + 0.5 * (ax[1][1] - ax[1][0])]),

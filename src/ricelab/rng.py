@@ -3,8 +3,10 @@
 Every stochastic routine in the package draws from a Philox generator keyed
 by a hash of (seed, index, tag).  Streams are therefore pure functions of
 their key: parallel and serial runs, and re-runs on other machines, produce
-byte-identical draws.  Because Philox is counter-based, a stream can also
-be copied (:func:`copy_position`) and moved past draws it does not need
+byte-identical draws.  A counter-based generator's whole state is its key
+and its counter, so a stream is built from the two words of its key alone
+(:class:`_KeyWords`), with no OS entropy drawn.  A stream can also be
+copied (:func:`copy_position`) and moved past draws it does not need
 without making them (:func:`skip_doubles`, by ``Philox.advance``), and a
 loop over many seeds can re-key one generator instead of building one per
 seed (:func:`streams`).  This is the one module that constructs generators.
@@ -12,6 +14,7 @@ seed (:func:`streams`).  This is the one module that constructs generators.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import operator
@@ -56,10 +59,45 @@ def _key(seed, suffix: bytes) -> int:
     return int.from_bytes(digest, "little")
 
 
+class _KeyWords:
+    """A 128-bit Philox key as the seed sequence of a new Philox.
+
+    Philox asks its seed sequence for ``generate_state(2, uint64)`` alone
+    and takes the two words as its key, with a zero counter and an empty
+    buffer: the state ``Philox(key=...)`` starts in, without the OS entropy
+    that constructor draws for a SeedSequence the key then overrides.  It
+    is registered as numpy's ``ISeedSequence`` when the first generator is
+    built (``_philox``), so that importing ricelab does not load numpy.random.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, key: int):
+        self.words = (key & _WORD, key >> 64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.array(self.words, dtype=np.uint64)
+
+
+@functools.cache
+def _register_key_words() -> None:
+    np.random.bit_generator.ISeedSequence.register(_KeyWords)
+
+
+def _philox(key: int) -> np.random.Philox:
+    _register_key_words()
+    return np.random.Philox(_KeyWords(key))
+
+
 def stream(seed: int, tag: str, index: int = 0) -> np.random.Generator:
-    """Deterministic Philox generator for (seed, tag, index)."""
-    key = _key(seed, _encode(tag) + _encode(int(index)))
-    return np.random.Generator(np.random.Philox(key=key))
+    """Deterministic Philox generator for (seed, tag, index).
+
+    Its state is the one of ``Philox(key=...)`` for the hashed key.  Its
+    seed sequence holds only that key, so ``spawn`` raises numpy's
+    TypeError: a spawned child would be keyed by entropy and could not be
+    drawn again.
+    """
+    return np.random.Generator(_philox(_key(seed, _encode(tag) + _encode(int(index)))))
 
 
 def streams(seeds, tag: str):
@@ -67,11 +105,12 @@ def streams(seeds, tag: str):
 
     The same generator is yielded every time, re-keyed: its Philox state is
     set to the seed's key, a zero counter and an empty buffer, which is the
-    state a new ``Philox(key=...)`` starts in.  Building a new Philox costs
-    an entropy-seeded SeedSequence it then discards, so a loop over many
-    seeds pays that once.  A yielded generator is valid until the next one.
+    state :func:`stream` builds.  Building a generator costs about 7 us and
+    re-keying one about 1 us, so a loop over many seeds builds one.  A
+    yielded generator is valid until the next one; like :func:`stream`'s,
+    it cannot ``spawn``.
     """
-    bit = np.random.Philox(key=0)
+    bit = _philox(0)
     gen = np.random.Generator(bit)
     key = np.zeros(2, dtype=np.uint64)
     zeros = np.zeros(_PHILOX_WORDS, dtype=np.uint64)
@@ -87,7 +126,7 @@ def streams(seeds, tag: str):
 
 def copy_position(gen: np.random.Generator) -> np.random.Generator:
     """A new generator at the position of the Philox generator ``gen``."""
-    bit = np.random.Philox(key=0)
+    bit = _philox(0)
     bit.state = gen.bit_generator.state
     return np.random.Generator(bit)
 
@@ -114,9 +153,22 @@ def skip_doubles(gen: np.random.Generator, n: int) -> None:
     gen.random(tail + 1)
 
 
+@functools.lru_cache(maxsize=64)
+def _fanout_prefix(master_seed: int, label: str):
+    return hashlib.blake2b(_encode(master_seed) + _encode(label), digest_size=16)
+
+
 def fanout_seed(master_seed: int, label: str, index: int = 0) -> int:
-    """Derive a child uint64 seed from (master seed, label, index)."""
-    return _key(master_seed, _encode(label) + _encode(int(index))) & _WORD
+    """Derive a child uint64 seed from (master seed, label, index).
+
+    The hash of (master seed, label) is kept for the next index: a cached
+    blake2b state that each call copies and feeds the index, which gives
+    the digest of the three parts hashed at once.  The seed is checked
+    before the cache, whose keys would take 5.0 for 5.
+    """
+    h = _fanout_prefix(check_seed(master_seed), label).copy()
+    h.update(_encode(int(index)))
+    return int.from_bytes(h.digest(), "little") & _WORD
 
 
 def mean_se(draws) -> tuple[float, float]:

@@ -24,11 +24,13 @@ from ricelab.fields import (
     SpectralGaussian2D,
     _partial_rows,
     batch_coefficients,
+    batch_stars,
     sample_realization,
     trig_basis_1d,
 )
 from ricelab.harness import _corpus_basis, _corpus_values
 from ricelab.modelspec import model_from_doc, model_from_json, model_to_doc, model_to_json
+from ricelab.rng import stream
 
 small_seeds = st.integers(min_value=0, max_value=2**32 - 1)
 times = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
@@ -473,6 +475,24 @@ def test_star_positions_stay_in_the_disk():
     sys = sample_realization(model, 3)
     assert sys.star_positions.shape == (40, 2)
     assert np.all(np.linalg.norm(sys.star_positions, axis=1) <= 1.5 + 1e-12)
+
+
+@pytest.mark.parametrize("n_stars", [0, 1, 3, 10])
+def test_batch_stars_bitwise_match_single_draws(n_stars):
+    # one re-keyed generator must draw each field as a stream of its own
+    # does, by the radius-then-angle rule of the star fields
+    model = MicrolensModel(kappa_c=2.0, gamma=0.1, m=0.2, n_stars=n_stars, R=1.3)
+    seeds = [0, 1, 7, 2**40, 2**64 - 1]
+    fields_ = batch_stars(model, seeds)
+    assert fields_.shape == (len(seeds), n_stars, 2)
+    for stars, s in zip(fields_, seeds):
+        assert stars.tobytes() == sample_realization(model, s).star_positions.tobytes()
+        gen = stream(s, "stars")
+        radii = model.R * np.sqrt(gen.random(n_stars))
+        ang = 2.0 * np.pi * gen.random(n_stars)
+        rule = np.column_stack([radii * np.cos(ang), radii * np.sin(ang)])
+        assert stars.tobytes() == rule.tobytes()
+    assert batch_stars(model, []).shape == (0, n_stars, 2)
 
 
 def test_deterministic_field_wraps_callables():

@@ -113,12 +113,26 @@ def test_crofton_constant_symmetry():
                 crofton_constant(D, D - m), rel=1e-12)
 
 
-@pytest.mark.parametrize("shape,seed", [((1, 2), 0), ((1, 3), 1), ((2, 3), 2)])
+@pytest.mark.parametrize("shape,seed", [((1, 2), 0), ((1, 3), 1), ((2, 3), 2), ((3, 4), 3)])
 def test_crofton_identity_monte_carlo(shape, seed):
     d, D = shape
     M = _matrix(d, D, seed)
     est, se = crofton_identity_mc(M, 120_000, seed=seed + 10)
     assert abs(est - normal_jacobian(M)) < 4 * se
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (1, 3), (2, 2), (2, 3), (2, 5), (3, 4)])
+def test_crofton_determinants_match_lapack(shape):
+    # |det(M Q)| by einsum and LAPACK, as the estimate was first written; the
+    # product and the closed forms for d <= 2 differ from it by rounding only
+    d, D = shape
+    M, n, seed = _matrix(d, D, 40 + D), 5000, 41
+    Q = geometry._haar_batch(D, d, n, stream(seed, "crofton-identity"))
+    vals = np.abs(np.linalg.det(np.einsum("ij,njk->nik", M, Q)))
+    want = mean_se(vals)
+    c = geometry._crofton_c(D, D - d)
+    got = crofton_identity_mc(M, n, seed)
+    assert got == pytest.approx((c * want[0], c * want[1]), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ bound in the module, or a stale entry would pass the import scan and break
 ``from module import *``.  Every Monte Carlo standard error comes from ``rng.mean_se``: no other
 function passes ``ddof``; only the three Monte Carlo predictions of
 ``engine`` call ``stream``, and the closed-form predictions draw from no
-stream; no module but ``rng`` names numpy's random module, and a line
-corpus re-keys one generator per block (``rng.streams``) instead of building
-one per realization.  Importing ricelab and running a line experiment
-loads neither scipy nor multiprocessing; scipy loads when a chi-square
-occupation prediction first needs it.  The benchmark's tracer
+stream; no module but ``rng`` names numpy's random module, no module
+builds a generator by ``Philox(key=...)`` or a ``SeedSequence`` (both draw
+OS entropy), and a line corpus re-keys one generator per block
+(``rng.streams``) instead of building one per realization, as the lens
+measurement does per chunk.  Importing ricelab loads no numpy.random, and
+running a line experiment loads neither scipy nor multiprocessing; scipy
+loads when a chi-square occupation prediction first needs it.  The benchmark's tracer
 (``perfbench/tracer.py``) wraps names bound in ``harness``, so each must
 stay bound there and be called through that namespace.
 """
@@ -225,6 +227,45 @@ def test_generators_are_built_in_rng_only():
     assert {name: lines for name, lines in sites.items() if lines} == {}
 
 
+def entropy_seeded_sites(source: str) -> list:
+    """Lines that call ``Philox`` with a ``key=`` argument, or call ``SeedSequence``.
+
+    Either builds a SeedSequence from OS entropy; a keyed stream needs only
+    its key.  Calls are matched by the called name, bare or as an attribute.
+    """
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "SeedSequence" or (
+                    name == "Philox" and any(kw.arg == "key" for kw in node.keywords)):
+                sites.append(node.lineno)
+    return sorted(sites)
+
+
+def test_entropy_scan_finds_keyed_philox_and_seed_sequences():
+    source = (
+        "import numpy as np\n"
+        "from numpy.random import Philox, SeedSequence\n"
+        "a = np.random.Philox(key=3)\n"
+        "b = Philox(counter=0, key=k)\n"
+        "c = np.random.SeedSequence(5)\n"
+        "d = SeedSequence()\n"
+        "e = np.random.Philox(words)\n"
+        '"""Philox(key=...) in a docstring"""\n'
+    )
+    assert entropy_seeded_sites(source) == [3, 4, 5, 6]
+
+
+def test_streams_are_built_from_their_key_words():
+    # Philox(key=...) draws OS entropy for a SeedSequence the key overrides
+    sites = {path.name: entropy_seeded_sites(path.read_text()) for path in MODULES}
+    assert {name: lines for name, lines in sites.items() if lines} == {}
+    assert type(rng.stream(1, "x").bit_generator.seed_seq) is rng._KeyWords
+    assert type(next(rng.streams([1], "x")).bit_generator.seed_seq) is rng._KeyWords
+
+
 def test_closed_form_predictions_take_no_draws(monkeypatch):
     def no_stream(*args, **kwargs):
         raise AssertionError("a closed-form prediction asked for random draws")
@@ -290,11 +331,26 @@ def test_line_corpora_rekey_one_generator_per_block(kind, monkeypatch):
     assert 0 < calls["streams"] <= blocks
 
 
+def test_lens_measurement_rekeys_one_generator(monkeypatch):
+    # star fields come from batch_stars: no stream and no MicrolensSystem per field
+    def refuse(*args, **kwargs):
+        raise AssertionError("a star field was drawn on its own")
+
+    monkeypatch.setattr(fields, "stream", refuse)
+    monkeypatch.setattr(harness, "sample_realization", refuse)
+    lens = {"experiment_id": "rekey-lens", "estimator": "roots", "levels": [[0.25, 0.1]],
+            "n_realizations": 30, "grid": 64,
+            "model": {"kind": "microlens", "kappa_c": 2.0, "gamma": 0.0, "m": 0.2,
+                      "n_stars": 3, "R": 1.0}}
+    assert harness.measure_only(lens, 1, workers=1)["rows"][0]["lhs_mean"] > 0
+
+
 COLD_START = textwrap.dedent("""
     import sys
 
     from ricelab.harness import measure_only, predict_only
 
+    print("numpy.random" in sys.modules)
     line = {"experiment_id": "cold", "estimator": "roots", "levels": [0.0],
             "n_realizations": 30, "box": [0.0, 6.0], "grid": 256,
             "model": {"kind": "spectral_gaussian_1d", "frequencies": [1.0, 2.5],
@@ -318,12 +374,12 @@ COLD_START = textwrap.dedent("""
 
 def test_cold_start_leaves_scipy_and_multiprocessing_unloaded():
     # the lens run adds the polynomial image search, which must not load
-    # numpy.polynomial either
+    # numpy.polynomial either; numpy.random loads with the first generator
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", COLD_START], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "True"]
+    assert proc.stdout.splitlines() == ["False", "[]", "True"]
 
 
 def _benchmark_tracer():

@@ -465,6 +465,33 @@ def test_roots_2d_seed_masks_equal_stacked_and_compared_forms(shape):
             assert np.array_equal(levelsets._local_minima(norm), _compared_minima(norm))
 
 
+def test_roots_2d_norm_minima_equal_the_whole_lattice_hypot():
+    # squared norms preselect, hypot decides: the seeds must be those of the
+    # eight comparisons over the whole hypot lattice, through ties, signed
+    # zeros, subnormal and overflowing squares, NaN and infinities
+    rng = np.random.default_rng(25)
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e-310, 1e-160,
+                        1e-150, 1.0, -1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-53, 1.5,
+                        1e154, -1e154, 1e200])
+    finite = special[3:-1]
+    for t in range(1600):
+        shape = (int(rng.integers(1, 24)), int(rng.integers(1, 24)), 2)
+        if t % 3 == 0:
+            v = rng.standard_normal(shape) * 10.0 ** rng.integers(-160, 150)
+        else:
+            v = rng.choice(special if t % 3 == 1 else finite, size=shape)
+        want = np.nonzero(_compared_minima(np.hypot(v[:, :, 0], v[:, :, 1])))
+        got = levelsets._norm_minima(v)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), v
+    # squares that underflow: the first node has the smaller norm, 0.6 + 0.6
+    # against 1.4 subnormal steps squared, but its squares round to 2 steps
+    # against 1; only the absolute slack keeps it a candidate
+    step = np.sqrt(5e-324)
+    x, y = np.sqrt(0.6) * step, np.sqrt(1.4) * step
+    got = levelsets._norm_minima(np.array([[[x, x], [y, 0.0]]]))
+    assert [a.tolist() for a in got] == [[0], [0]]
+
+
 def test_roots_1d_signed_derivative_matches_jacobian():
     model = SpectralGaussian1D(frequencies=np.array([1.0, 2.5]),
                                amplitudes=np.array([0.6, 0.8]))

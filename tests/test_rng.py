@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -140,3 +142,74 @@ def test_copied_position_draws_independently():
     assert gen.random(6).tobytes() == first.tobytes()
     assert copy.bit_generator is not gen.bit_generator
 
+
+def _blake2b_key(*parts) -> int:
+    # the key hash written out: each part as a 4-byte length and its bytes,
+    # ints as 16 little-endian bytes, hashed at once
+    data = b""
+    for part in parts:
+        b = part.encode("utf-8") if isinstance(part, str) else part.to_bytes(16, "little")
+        data += len(b).to_bytes(4, "little") + b
+    return int.from_bytes(hashlib.blake2b(data, digest_size=16).digest(), "little")
+
+
+def _keyed_philox(seed, tag, index=0):
+    return np.random.Generator(np.random.Philox(key=_blake2b_key(seed, tag, index)))
+
+
+def _same_draws(gen, ref):
+    assert _position(gen) == _position(ref)
+    assert gen.standard_normal(5).tobytes() == ref.standard_normal(5).tobytes()
+    gen.bit_generator.advance(3)
+    ref.bit_generator.advance(3)
+    assert _position(gen) == _position(ref)
+    assert gen.random(6).tobytes() == ref.random(6).tobytes()
+    assert _position(gen) == _position(ref)
+
+
+KEYED = [(seed, tag, index) for seed in RE_KEY_SEEDS
+         for tag, index in (("stars", 0), ("trig-coeffs", 0), ("favard-lines", 3),
+                            ("m", 2**40))]
+
+
+@pytest.mark.parametrize("seed,tag,index", KEYED)
+def test_streams_start_where_keyed_philox_starts(seed, tag, index):
+    # a generator built from its two key words has the whole state, and the
+    # draws, of the one Philox(key=...) builds; so has a re-keyed one and a copy
+    _same_draws(stream(seed, tag, index), _keyed_philox(seed, tag, index))
+    if index == 0:
+        _same_draws(next(streams([seed], tag)), _keyed_philox(seed, tag))
+    gen, ref = stream(seed, tag, index), _keyed_philox(seed, tag, index)
+    gen.random(3)
+    ref.random(3)
+    _same_draws(copy_position(gen), ref)
+
+
+def test_key_word_streams_refuse_to_spawn():
+    # a spawned child would be keyed by OS entropy, and could not be drawn again
+    for gen in (stream(1, "x"), next(streams([1], "x")), copy_position(stream(1, "x"))):
+        with pytest.raises(TypeError):
+            gen.spawn(1)
+        with pytest.raises(TypeError):
+            gen.bit_generator.spawn(1)
+
+
+def test_fanout_seed_equals_the_uncached_hash():
+    # repeated (seed, label) prefixes come from the cache, interleaved with others
+    pick = np.random.default_rng(4)
+    labels = ["exp", "chi2-component", "lens-images#rhs", "é"]
+    for _ in range(3000):
+        seed = [0, 1, 5, 2**64 - 1, int(pick.integers(2**63))][int(pick.integers(5))]
+        label = labels[int(pick.integers(len(labels)))]
+        index = int(pick.integers(0, 2**40))
+        assert fanout_seed(seed, label, index) == _blake2b_key(seed, label, index) & (2**64 - 1)
+
+
+def test_cached_fanout_prefix_still_checks_the_seed():
+    # 5.0 == 5 as a cache key: the seed is checked before the cache is asked
+    fanout_seed(5, "t")
+    fanout_seed(np.uint64(5), "t", 1)
+    for bad in (5.0, 5.5, -5, 2**64 + 5):
+        with pytest.raises(ConfigurationError):
+            fanout_seed(bad, "t")
+    assert fanout_seed(np.uint64(5), "t", 2) == fanout_seed(5, "t", 2)
