@@ -64,11 +64,10 @@ def standard_experiments() -> list:
          "box": [1.0, 11.0], "inner_mc": 200000},
         {"experiment_id": "lens-images", "model": lens,
          "levels": [[0.25, 0.1]], "estimator": "roots",
-         "n_realizations": 500, "grid": 64, "quadrature": 32,
-         "inner_mc": 8192},
+         "n_realizations": 500, "inner_mc": 8192},
         {"experiment_id": "lens-zero-star-control",
          "model": dict(lens, n_stars=0), "levels": [[0.25, 0.1]],
-         "estimator": "roots", "n_realizations": 100, "grid": 64},
+         "estimator": "roots", "n_realizations": 100},
     ]
 
 

@@ -13,9 +13,10 @@ import json
 import os
 import sys
 import traceback
+from dataclasses import fields
 
 from .errors import ConfigurationError, DomainError, RicelabError
-from .fields import box_array, config_number, sample_realization
+from .fields import box_array, config_count, sample_realization
 from .geometry import crofton_constant, crofton_identity_mc, normal_jacobian
 from .harness import (
     ExperimentConfig,
@@ -84,12 +85,10 @@ def _cmd_simulate(args) -> int:
     model = model_from_doc(doc["model"])
     box = doc.get("box")
     grid = _grid_size(doc.get("grid", 256))
-    count = config_number("count", doc.get("count", 1), integral=True)
+    count = config_count("count", doc.get("count", 1), 1)
     if box is None:
         raise ConfigurationError("simulate config needs a box")
     box_array(box, model.D)
-    if count < 1:
-        raise ConfigurationError("count must be >= 1")
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     for i in range(count):
@@ -182,12 +181,8 @@ def _cmd_plot_data(args) -> int:
 def _report_from_doc(doc: dict) -> ExperimentReport:
     try:
         cfg = ExperimentConfig.from_doc(doc["config"])
-        rows = tuple(LevelRow(
-            level=r["level"], lhs_mean=r["lhs_mean"], lhs_se=r["lhs_se"],
-            rhs_value=r["rhs_value"],
-            rhs_quadrature_error=r["rhs_quadrature_error"],
-            rhs_mc_error=r["rhs_mc_error"], z_score=r["z_score"],
-            passed=r["passed"]) for r in doc["rows"])
+        rows = tuple(LevelRow(**{f.name: r[f.name] for f in fields(LevelRow)})
+                     for r in doc["rows"])
         return ExperimentReport(config=cfg, master_seed=doc["master_seed"],
                                 rows=rows, extras=doc.get("extras", {}),
                                 passed=doc["passed"],

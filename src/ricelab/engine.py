@@ -49,13 +49,17 @@ Conventions shared by every evaluator:
   for any rule.
 * The Gaussian and squared-sum families are stationary, so the mean-measure
   prediction is a rate times the box volume, with no outer quadrature.
+* Each input has one rule, which experiment configs share, and it runs
+  before any draw: ``fields.level_value`` for levels, ``_sample_count``,
+  ``_node_count`` and ``_term_count`` for counts, ``fields.config_positive``
+  for widths, and :func:`parse_region` and :func:`parse_weight`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -63,7 +67,6 @@ from .errors import (
     CapabilityError,
     ConfigurationError,
     DegeneracyError,
-    DomainError,
     ModelError,
 )
 from .fields import (
@@ -75,11 +78,14 @@ from .fields import (
     SpectralGaussian2D,
     _unit_bump,
     box_array,
+    config_count,
+    config_number,
+    config_positive,
+    level_value,
 )
 from .rng import copy_position, mean_se, skip_doubles, stream
 
 DEFAULT_INNER_MC = 4096
-MIN_INNER_MC = 100
 # (lag, draw) pairs per block of _shared_draw_quadrature, draws per row
 # block of _shotnoise_window_term, and (impulse, grid point) pairs per block
 # of the impulse-sum corpus (harness._impulse_values): timed on a 2-core Xeon
@@ -161,22 +167,56 @@ class RhsEvaluation:
 # small shared helpers
 
 
-def _normalize_nodes(quadrature, default: int) -> int:
-    if quadrature is None:
-        return default
-    n = int(quadrature)
-    if n < 2:
-        raise ConfigurationError("quadrature needs at least 2 nodes")
-    return n
+def _sample_count(inner_mc) -> int:
+    """``inner_mc``, the draws of a Monte Carlo prediction: a whole number >= 100."""
+    return config_count("inner_mc", inner_mc, 100)
 
 
-def _check_inner_mc(inner_mc: int) -> int:
-    n = int(inner_mc)
-    if n < MIN_INNER_MC:
-        raise ConfigurationError(
-            f"inner_mc={n} is below the minimum of {MIN_INNER_MC}"
-        )
-    return n
+def _node_count(quadrature) -> int:
+    """``quadrature``, the lag nodes of the pair-moment prediction: a whole number >= 2."""
+    return config_count("quadrature", quadrature, 2)
+
+
+def _term_count(p_max) -> int:
+    """``p_max``, the impulse terms of :func:`shotnoise_rhs`: a whole number >= 2."""
+    return config_count("p_max", p_max, 2)
+
+
+def parse_region(region):
+    """A lens region document as ``(center, radius)`` of a disk, else as a (2, 2) box array.
+
+    A disk, {"kind": "disk", "center": [x, y], "radius": r}, needs a finite
+    2-vector center (parsed to a pair of floats) and a finite r > 0; any
+    other document is a box (:func:`fields.box_array`).  Every reader of a
+    region and the experiment config parse it here.
+    """
+    if not isinstance(region, Mapping):
+        return box_array(region, 2)
+    if region.get("kind") != "disk":
+        raise ConfigurationError(f"unknown region kind {region.get('kind')!r}")
+    center = region.get("center")
+    if not isinstance(center, Sequence) or isinstance(center, str) or len(center) != 2:
+        raise ConfigurationError("disk region needs a finite 2-vector center")
+    center = tuple(config_number("region center", v, integral=False) for v in center)
+    return center, config_positive("region radius", region.get("radius"))
+
+
+def parse_weight(weight) -> tuple:
+    """A weight document as ``(form, k)``: ("unit", None), ("upcrossing", None) or ("index", k).
+
+    The index form is {"kind": "index", "k": k}, k the integer 0, 1 or 2
+    (negative Hessian eigenvalues).  Which models a form applies to is for
+    each reader to say.
+    """
+    if isinstance(weight, str) and weight in ("unit", "upcrossing"):
+        return weight, None
+    if isinstance(weight, Mapping) and weight.get("kind") == "index":
+        k = weight.get("k")
+        if isinstance(k, bool) or not isinstance(k, int) or k not in (0, 1, 2):
+            raise ConfigurationError(f"index weight k must be the integer 0, 1, or 2, got {k!r}")
+        return "index", k
+    raise ConfigurationError(
+        f"weight must be 'unit', 'upcrossing', or {{'kind': 'index', 'k': k}}; got {weight!r}")
 
 
 def _shared_draw_quadrature(f, weights: np.ndarray, n_draws: int) -> np.ndarray:
@@ -239,31 +279,24 @@ def level_density(model, t, u) -> float:
     :func:`microlens_rhs`, integrate the density jointly with the Jacobian.
     """
     _refuse_joint_families(model, "level_density")
-    if isinstance(model, SpectralGaussian1D):
-        return _gauss_pdf(float(u), model.lambda0)
-    if isinstance(model, SpectralGaussian2D):
-        return _gauss_pdf(float(u), model.lambda0)
+    u = level_value(model, u)
+    if isinstance(model, (SpectralGaussian1D, SpectralGaussian2D)):
+        return _gauss_pdf(u, model.lambda0)
     if isinstance(model, GradientField):
-        uu = np.atleast_1d(np.asarray(u, dtype=float))
-        if uu.shape != (2,):
-            raise ConfigurationError("gradient-field level must be a 2-vector")
         lam = model.base.lambda2_matrix
         sign, logdet = np.linalg.slogdet(lam)
         if sign <= 0:
             raise ModelError("degenerate gradient covariance")
-        quad = float(uu @ np.linalg.solve(lam, uu))
+        quad = float(u @ np.linalg.solve(lam, u))
         return math.exp(-0.5 * quad - 0.5 * logdet) / (2.0 * math.pi)
     if isinstance(model, ChiSquareField):
-        uf = float(u)
-        if uf <= 0.0:
-            raise DomainError("squared-sum level density requires u > 0")
         n = model.n
         # push-forward over the sphere ||y||^2 = u: constant integrand
         # (2 pi)^{-n/2} e^{-u/2} divided by the gradient norm 2 sqrt(u),
         # times the sphere area.
-        area = _sphere_area(n, math.sqrt(uf))
-        dens = math.exp(-0.5 * uf) * (2.0 * math.pi) ** (-n / 2.0)
-        return area * dens / (2.0 * math.sqrt(uf))
+        area = _sphere_area(n, math.sqrt(u))
+        dens = math.exp(-0.5 * u) * (2.0 * math.pi) ** (-n / 2.0)
+        return area * dens / (2.0 * math.sqrt(u))
     raise CapabilityError(f"no level density for {type(model).__name__}")
 
 
@@ -285,6 +318,7 @@ def conditional_jacobian_expectation(model, u) -> float:
     are :func:`shotnoise_rhs` and :func:`microlens_rhs`.
     """
     _refuse_joint_families(model, "conditional_jacobian_expectation")
+    u = level_value(model, u)
     if isinstance(model, SpectralGaussian1D):
         # X' independent of X(t); E|X'| half-normal.
         return math.sqrt(2.0 * model.lambda2 / math.pi)
@@ -298,10 +332,7 @@ def conditional_jacobian_expectation(model, u) -> float:
     if isinstance(model, GradientField):
         return _abs_det_mean(model.base)
     if isinstance(model, ChiSquareField):
-        uf = float(u)
-        if uf <= 0.0:
-            raise DomainError("squared-sum conditioning requires u > 0")
-        return 2.0 * math.sqrt(uf) * conditional_jacobian_expectation(model.base, 0.0)
+        return 2.0 * math.sqrt(u) * conditional_jacobian_expectation(model.base, 0.0)
     raise CapabilityError(
         f"no conditional Jacobian rule for {type(model).__name__}"
     )
@@ -393,26 +424,22 @@ def weighted_kacrice_rhs(model, box, u, weight) -> RhsEvaluation:
     * ``{"kind": "index", "k": int}`` -- critical points of signature ``k``
       (gradient fields; ``k`` counts negative Hessian eigenvalues).
 
-    These are the forms an experiment config accepts; any other raises
+    These are the forms :func:`parse_weight` reads; any other raises
     :class:`ConfigurationError`.  Each is an exact share of :func:`kacrice_rhs`:
     upcrossings 1/2 (X' is symmetric), saddles 1/2 (E det H = 0), minima and
     maxima 1/4 each (H and -H have the same law).
     """
-    if weight == "unit":
+    form, k = parse_weight(weight)
+    if form == "unit":
         return kacrice_rhs(model, box, u)
-    if weight == "upcrossing":
+    if form == "upcrossing":
         if not isinstance(model, SpectralGaussian1D):
             raise CapabilityError("upcrossing weight needs a scalar line field")
         share, tag = 0.5, "upcrossing"
-    elif isinstance(weight, Mapping) and weight.get("kind") == "index":
-        k = weight.get("k")
-        if isinstance(k, bool) or not isinstance(k, int) or k not in (0, 1, 2):
-            raise ConfigurationError("signature index k must be the integer 0, 1, or 2")
+    else:
         if not isinstance(model, GradientField):
             raise CapabilityError("signature weights need a gradient field")
         share, tag = (0.25, 0.5, 0.25)[k], f"index-{k}"
-    else:
-        raise ConfigurationError(f"unknown weight specification {weight!r}")
     total = kacrice_rhs(model, box, u)
     return RhsEvaluation(value=share * total.value, detail={"weight": tag})
 
@@ -451,7 +478,7 @@ def euler_char_expectation(model, box, u) -> RhsEvaluation:
         raise ModelError("degenerate gradient covariance")
     vol = _box_volume(box_array(box, d))
     lam0 = model.lambda0
-    x = float(u) / math.sqrt(lam0)
+    x = level_value(model, u) / math.sqrt(lam0)
     hermite = 1.0 if d == 1 else x
     value = (vol * math.sqrt(det_lam) * (2.0 * math.pi) ** (-0.5 * (d + 1))
              * lam0 ** (-0.5 * d) * hermite * math.exp(-0.5 * x * x))
@@ -606,26 +633,15 @@ def shotnoise_rhs(model: ShotNoiseModel, box, u, *, p_max: int = 12,
     which rows are candidates.
 
     The level must be finite and nonzero: the field value has an atom at
-    zero (empty influence window), so the density and the crossing rate
-    are undefined there.  The window width must be finite and positive.
+    zero (empty influence window), so the density and the crossing rate are
+    undefined there.  The box must lie in the domain, and the window
+    half-width ``delta`` (a config's ``rhs_delta``; 0.05 |u| if None) > 0.
     """
-    u = float(u)
-    if u == 0.0:
-        raise DomainError("impulse-sum prediction is undefined at u = 0 (atom)")
-    if not math.isfinite(u):
-        raise DomainError(f"impulse-sum prediction needs a finite level, got {u}")
-    arr = box_array(box, 1)
-    lo, hi = model.domain
-    if arr[0, 0] < lo - 1e-12 or arr[0, 1] > hi + 1e-12:
-        raise ConfigurationError("box must lie inside the model domain")
-    vol = _box_volume(arr)
-    if p_max < 2:
-        raise ConfigurationError("p_max must be at least 2")
-    inner_mc = _check_inner_mc(inner_mc)
-    if delta is None:
-        delta = 0.05 * abs(u)
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise ConfigurationError(f"window width must be positive and finite, got {delta}")
+    u = level_value(model, u)
+    vol = _box_volume(model.check_box(box))
+    p_max = _term_count(p_max)
+    inner_mc = _sample_count(inner_mc)
+    delta = config_positive("rhs_delta", 0.05 * abs(u) if delta is None else delta)
     lam = 2.0 * model.eta * model.intensity
     rng = stream(seed, "shot-window")
     joint_q, joint_qerr = _shotnoise_single_term(model, u, _SHOT_QUAD_NODES)
@@ -742,31 +758,26 @@ def microlens_rhs(model, y, region, *, inner_mc: int = DEFAULT_INNER_MC,
         raise CapabilityError("expected a point-mass deflection model")
     if model.c >= 0.0:
         raise CapabilityError(SUBCRITICAL_LENS.format(model.c))
-    y = np.asarray(y, dtype=float)
-    if y.shape != (2,):
-        raise ConfigurationError("source position must be a 2-vector")
+    y = level_value(model, y)
     if model.n_stars == 0:
         # deterministic linear map: exactly one image at y / c
         img = y / model.c
         inside = bool(region_mask(img[None, :], region)[0])
         return RhsEvaluation(value=1.0 if inside else 0.0,
                              detail={"path": "deterministic", "image": img.tolist()})
-    inner_mc = _check_inner_mc(inner_mc)
+    inner_mc = _sample_count(inner_mc)
+    region = parse_region(region)
     rng = stream(seed, "lens-ensemble")
     xi = _lens_ensemble(model, inner_mc, rng)
     u = rng.uniform(size=(inner_mc, 2))
-    if isinstance(region, Mapping) and region.get("kind") == "disk":
-        radius = float(region["radius"])
-        if radius <= 0.0:
-            raise ConfigurationError("disk radius must be positive")
-        cx, cy = (float(v) for v in region["center"])
+    if isinstance(region, tuple):
+        (cx, cy), radius = region
         x = (cx + 1j * cy) + radius * np.sqrt(u[:, 0]) * np.exp(2j * math.pi * u[:, 1])
         area = math.pi * radius ** 2
     else:
-        arr = box_array(region, 2)
-        pts = arr[:, 0] + u * (arr[:, 1] - arr[:, 0])
+        pts = region[:, 0] + u * (region[:, 1] - region[:, 0])
         x = pts[:, 0] + 1j * pts[:, 1]
-        area = _box_volume(arr)
+        area = _box_volume(region)
     weight, excluded = _microlens_designated(model, x, y, xi)
     value, mc_error = mean_se(area * weight)
     return RhsEvaluation(
@@ -779,13 +790,12 @@ def microlens_rhs(model, y, region, *, inner_mc: int = DEFAULT_INNER_MC,
 
 
 def region_mask(points: np.ndarray, region) -> np.ndarray:
-    """Which of the (n, 2) ``points`` lie in a disk or box region (boundary included)."""
-    if isinstance(region, Mapping) and region.get("kind") == "disk":
-        center = np.asarray(region["center"], dtype=float)
-        rad = float(region["radius"])
-        return np.sum((points - center) ** 2, axis=1) <= rad * rad
-    arr = box_array(region, 2)
-    return np.all((points >= arr[:, 0]) & (points <= arr[:, 1]), axis=1)
+    """Which of the (n, 2) ``points`` lie in a disk or box region document (boundary included)."""
+    region = parse_region(region)
+    if isinstance(region, tuple):
+        center, rad = region
+        return np.sum((points - np.asarray(center)) ** 2, axis=1) <= rad * rad
+    return np.all((points >= region[:, 0]) & (points <= region[:, 1]), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -809,12 +819,12 @@ def second_factorial_moment_rhs(model: SpectralGaussian1D, interval, u, *,
     """
     if not isinstance(model, SpectralGaussian1D):
         raise CapabilityError("pair-count prediction needs a scalar line field")
-    inner_mc = _check_inner_mc(inner_mc)
-    nodes = _normalize_nodes(quadrature, 512)
+    inner_mc = _sample_count(inner_mc)
+    nodes = 512 if quadrature is None else _node_count(quadrature)
     arr = box_array(interval, 1)
     T = float(arr[0, 1] - arr[0, 0])
     lam0 = model.lambda0
-    u = float(u)
+    u = level_value(model, u)
 
     # degeneracy scan: the pair (X(s), X(t)) must stay nondegenerate for
     # tau in (0, T]

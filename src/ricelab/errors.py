@@ -2,7 +2,10 @@
 
 The CLI maps these onto exit codes: configuration problems exit 2, runtime
 failures (singularities, capability gaps, degeneracies) exit 3, and a clean
-run whose statistical verdict fails exits 1.
+run whose statistical verdict fails exits 1.  Each input rule has one
+function, beside the code that reads the value, and one error: a malformed
+document or a bad count or width is a ConfigurationError, a level outside
+its model's domain a DomainError, and both exit 2.
 """
 
 
@@ -15,7 +18,10 @@ class ConfigurationError(RicelabError):
 
 
 class DomainError(RicelabError):
-    """Arguments outside a routine's mathematical domain (e.g. chi-square level u <= 0)."""
+    """Arguments outside a routine's mathematical domain (e.g. chi-square level u <= 0).
+
+    Levels are checked by ``fields.level_value``.
+    """
 
 
 class CapabilityError(RicelabError):

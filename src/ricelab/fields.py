@@ -29,6 +29,13 @@ SCHEMA_VERSION = 1
 _CHUNK_BUDGET = 4_000_000
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number and not a boolean."""
+    # exact floats and ints skip the slower abstract-class test (bool is neither)
+    return type(value) in (float, int) or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool))
+
+
 def config_number(key: str, value, integral: bool):
     """``value`` as an int (``integral``) or a float, or a ConfigurationError.
 
@@ -36,11 +43,8 @@ def config_number(key: str, value, integral: bool):
     strings, lists, booleans, nan, inf and 30.9 realizations are errors, not
     values to coerce or truncate.
     """
-    # exact floats and ints skip the slower abstract-class test (bool is neither)
-    real = type(value) in (float, int) or (
-        isinstance(value, numbers.Real) and not isinstance(value, bool))
     try:
-        finite = real and math.isfinite(value)
+        finite = _is_real(value) and math.isfinite(value)
     except OverflowError:  # an int too large for a double
         finite = False
     if not finite:
@@ -50,6 +54,22 @@ def config_number(key: str, value, integral: bool):
     if value != int(value):
         raise ConfigurationError(f"{key} must be a whole number, got {value!r}")
     return int(value)
+
+
+def config_count(key: str, value, least: int) -> int:
+    """``value`` as a whole number of at least ``least``, or a ConfigurationError."""
+    n = config_number(key, value, integral=True)
+    if n < least:
+        raise ConfigurationError(f"{key} must be >= {least}, got {n}")
+    return n
+
+
+def config_positive(key: str, value) -> float:
+    """``value`` as a finite number > 0 (a width, a radius), or a ConfigurationError."""
+    x = config_number(key, value, integral=False)
+    if not x > 0.0:
+        raise ConfigurationError(f"{key} must be positive, got {x!r}")
+    return x
 
 
 def _config_array(x, key: str) -> np.ndarray:
@@ -478,9 +498,7 @@ class ChiSquareField:
     base: object  # SpectralGaussian1D or SpectralGaussian2D
 
     def __post_init__(self):
-        object.__setattr__(self, "n", config_number("n", self.n, integral=True))
-        if self.n < 2:
-            raise ConfigurationError("chi-square component count must be >= 2")
+        object.__setattr__(self, "n", config_count("n", self.n, 2))
         if not isinstance(self.base, (SpectralGaussian1D, SpectralGaussian2D)):
             raise ConfigurationError("chi-square base must be a spectral Gaussian model")
         if abs(self.base.lambda0 - 1.0) > 1e-9:
@@ -600,8 +618,7 @@ class ShotNoiseModel:
             object.__setattr__(self, key, config_number(key, getattr(self, key), integral=False))
         lo, hi = box_array(self.domain, 1, "domain")[0].tolist()
         object.__setattr__(self, "domain", (lo, hi))
-        if self.eta <= 0:
-            raise ConfigurationError("eta must be positive")
+        config_positive("eta", self.eta)
         if self.intensity < 0:
             raise ConfigurationError("intensity must be nonnegative")
         if not 0 < self.beta_low < self.beta_high:
@@ -644,6 +661,15 @@ class ShotNoiseModel:
                 f"[{lo}, {hi}]"
             )
         return t
+
+    def check_box(self, box) -> np.ndarray:
+        """``box`` (:func:`box_array`); a ConfigurationError unless inside the domain, exactly."""
+        arr = box_array(box, 1)
+        (lo, hi), (dlo, dhi) = arr[0].tolist(), self.domain
+        if lo < dlo or hi > dhi:
+            raise ConfigurationError(
+                f"box [{lo}, {hi}] exceeds the model domain [{dlo}, {dhi}]")
+        return arr
 
 
 def shot_noise_impulses(model: ShotNoiseModel, gen) -> tuple:
@@ -785,6 +811,41 @@ class MicrolensSystem:
         terms = (eye[None, None, :, :] - 2.0 * zz) / r2[..., None, None]
         out = self.c * eye[None, :, :] - 2.0 * self.m * np.sum(terms, axis=1)
         return out[0] if single else out
+
+
+# ---------------------------------------------------------------------------
+# Levels
+# ---------------------------------------------------------------------------
+
+
+def level_value(model, level):
+    """``level`` as the float (d = 1) or the 2-vector (d = 2) at which ``model`` is cut.
+
+    Every prediction and experiment config reads levels here.  A level that
+    is not a real number (for d = 2, a pair of them) is a ConfigurationError;
+    one outside the model's domain is a DomainError: levels are finite, a
+    squared-norm field is positive, and shot noise has an atom at u = 0.
+    """
+    if isinstance(level, np.ndarray):
+        level = level.tolist()
+    if model.d == 2:
+        if not (isinstance(level, (list, tuple)) and len(level) == 2
+                and all(_is_real(v) for v in level)):
+            raise ConfigurationError(
+                f"{type(model).__name__} takes planar levels [u1, u2], got {level!r}")
+        u = np.array([float(v) for v in level])
+    elif _is_real(level):
+        u = float(level)
+    else:
+        raise ConfigurationError(f"levels must be finite scalars, got {level!r}")
+    if not np.isfinite(u).all():
+        raise DomainError(f"levels must be finite, got {level!r}")
+    if isinstance(model, ChiSquareField) and u <= 0.0:
+        raise DomainError(
+            f"a squared-norm field is positive: levels must satisfy u > 0, got {u!r}")
+    if isinstance(model, ShotNoiseModel) and u == 0.0:
+        raise DomainError("the shot-noise value distribution has an atom at 0; pick u != 0")
+    return u
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
+from .fields import config_count
 from .rng import mean_se, stream
 
 __all__ = [
@@ -157,9 +158,7 @@ def crofton_identity_mc(M, n: int, seed: int) -> tuple:
     """
     A = _as_matrix(M)
     d, D = A.shape
-    n = int(n)
-    if n < 100:
-        raise ConfigurationError("need at least 100 samples")
+    n = config_count("samples", n, 100)
     c = _crofton_c(D, D - d)  # c_{D,0} = 1 covers the square case
     rng = stream(seed, "crofton-identity")
     vals = np.empty(n)
@@ -224,6 +223,11 @@ class Polyline:
         return np.concatenate(parts) if parts else np.zeros((0, 2, 2))
 
 
+def _line_count(n_lines) -> int:
+    """``n_lines``, the random lines of :func:`favard_measure`: a whole number >= 1000."""
+    return config_count("n_lines", n_lines, 1000)
+
+
 def favard_measure(shape, n_lines: int, seed: int) -> tuple:
     """Length of a planar piecewise-linear set by random line counting.
 
@@ -253,9 +257,7 @@ def favard_measure(shape, n_lines: int, seed: int) -> tuple:
     segments = getattr(shape, "segments", None)
     if segments is None:
         raise ConfigurationError("shape must be a Polyline or a LevelCurve")
-    n_lines = int(n_lines)
-    if n_lines < 1000:
-        raise ConfigurationError("need at least 10^3 lines")
+    n_lines = _line_count(n_lines)
     if shape.length == 0.0:
         return 0.0, 0.0
 

@@ -19,7 +19,8 @@ import math
 import os
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -28,9 +29,14 @@ from .engine import (
     _SHARED_BLOCK,
     SUBCRITICAL_LENS,
     RhsEvaluation,
+    _node_count,
+    _sample_count,
+    _term_count,
     euler_char_expectation,
     kacrice_rhs,
     microlens_rhs,
+    parse_region,
+    parse_weight,
     region_mask,
     second_factorial_moment_rhs,
     shotnoise_rhs,
@@ -47,12 +53,16 @@ from .fields import (
     batch_coefficients,
     batch_stars,
     box_array,
+    _is_real,
+    config_count,
     config_number,
+    config_positive,
+    level_value,
     sample_realization,
     shot_noise_impulses,
     trig_basis_1d,
 )
-from .geometry import favard_measure
+from .geometry import _line_count, favard_measure
 from .levelsets import (
     _grid_size,
     count_roots_1d,
@@ -64,15 +74,7 @@ from .levelsets import (
 from .modelspec import SCHEMA_VERSION, model_from_doc
 from .rng import check_seed, fanout_seed, mean_se, stream, streams
 
-# model kinds whose levels live in the plane rather than on the line
-_VECTOR_LEVEL_KINDS = {"microlens", "gradient_field"}
-
 _ID_PATTERN = re.compile(r"^[A-Za-z0-9._-]+$")
-
-
-def _is_scalar(x) -> bool:
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and math.isfinite(float(x)))
 
 
 def _as_plain(x):
@@ -127,7 +129,8 @@ class ExperimentConfig:
     keys are accepted unread, for configs written when they were read:
     ``grid`` on deflection models, ``quadrature`` on deflection models with
     stars, and ``inner_mc`` on the "euler" estimator.  Which keys each
-    (estimator, model kind) pair reads is declared once, in ``_METHODS``.
+    (estimator, model kind) pair reads is declared once, in ``_METHODS``,
+    and each value is checked by the rule of the function that reads it.
     """
 
     experiment_id: str
@@ -162,27 +165,10 @@ class ExperimentConfig:
     # -- serialization ------------------------------------------------------
 
     def to_doc(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "experiment",
-            "experiment_id": self.experiment_id,
-            "model": _as_plain(self.model),
-            "levels": _as_plain(self.levels),
-            "estimator": self.estimator,
-            "n_realizations": self.n_realizations,
-            "box": _as_plain(self.box),
-            "grid": self.grid,
-            "quadrature": self.quadrature,
-            "inner_mc": self.inner_mc,
-            "weight": _as_plain(self.weight),
-            "delta": self.delta,
-            "p_max": self.p_max,
-            "rhs_delta": self.rhs_delta,
-            "region": _as_plain(self.region),
-            "n_lines": self.n_lines,
-            "z_crit": self.z_crit,
-            "abs_floor": self.abs_floor,
-        }
+        """Plain JSON data: the schema version and kind, then every dataclass field."""
+        doc = {"schema_version": SCHEMA_VERSION, "kind": "experiment"}
+        doc.update((f.name, _as_plain(getattr(self, f.name))) for f in fields(self))
+        return doc
 
     @classmethod
     def from_doc(cls, doc: Mapping) -> "ExperimentConfig":
@@ -214,6 +200,10 @@ class ExperimentConfig:
 
 
 def _validate_config(cfg: ExperimentConfig) -> None:
+    """Check a config before any draw: its own rules here, every value a reader
+    checks by that reader's rule (``fields.level_value``, ``_KEY_RULES``,
+    ``ShotNoiseModel.check_box``, ``engine.parse_region``, ``engine.parse_weight``).
+    """
     if not cfg.experiment_id or not _ID_PATTERN.match(cfg.experiment_id):
         raise ConfigurationError(
             "experiment_id must be nonempty and use only [A-Za-z0-9._-]")
@@ -223,23 +213,10 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     if cfg.n_realizations < 30:
         raise ConfigurationError(
             "need n_realizations >= 30 for a meaningful standard error")
-    if cfg.inner_mc < 100:
-        raise ConfigurationError("inner_mc must be >= 100")
-    if cfg.grid is not None and cfg.grid < 2:
-        raise ConfigurationError("grid must be >= 2")
-    if cfg.quadrature is not None and cfg.quadrature < 2:
-        raise ConfigurationError("quadrature must be >= 2")
-    if cfg.p_max < 2:
-        raise ConfigurationError(
-            "p_max must be >= 2 (the shot-noise mixture needs a window term)")
     if cfg.z_crit <= 0:
         raise ConfigurationError("z_crit must be positive")
     if cfg.abs_floor < 0:
         raise ConfigurationError("abs_floor must be >= 0")
-    if cfg.rhs_delta is not None and cfg.rhs_delta <= 0:
-        raise ConfigurationError("rhs_delta must be positive")
-    if cfg.n_lines != 0 and cfg.n_lines < 1000:
-        raise ConfigurationError("n_lines is 0 (off) or >= 1000")
 
     if not isinstance(cfg.model, Mapping):
         raise ConfigurationError("model must be a serialized model document")
@@ -253,32 +230,22 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     if kind == "microlens" and model.n_stars == 0:
         # no stars: one image at y / c, a prediction with nothing to sample
         accepts = accepts - {"quadrature", "inner_mc"}
-    # a value set away from its default where nothing reads it is an error
-    for key, readers in _TUNING_KEYS.items():
-        if key not in accepts and getattr(cfg, key) != ExperimentConfig.__dataclass_fields__[key].default:
+    # a value left at its default is the reader's own; any other must be
+    # read by the pair (an error where nothing reads it) and pass its rule
+    for key, (readers, rule) in _KEY_RULES.items():
+        value = getattr(cfg, key)
+        if value == ExperimentConfig.__dataclass_fields__[key].default:
+            continue
+        if readers is not None and key not in accepts:
             raise ConfigurationError(f"{key} is read only by {readers}; estimator "
                                      f"{cfg.estimator!r} on model kind {kind!r} would ignore it")
+        rule(value)
 
     levels = cfg.levels
     if not isinstance(levels, Sequence) or isinstance(levels, (str, bytes)) or not levels:
         raise ConfigurationError("levels must be a nonempty list")
-    if kind in _VECTOR_LEVEL_KINDS:
-        for lvl in levels:
-            ok = (isinstance(lvl, Sequence) and len(lvl) == 2
-                  and all(_is_scalar(v) for v in lvl))
-            if not ok:
-                raise ConfigurationError(
-                    f"model kind {kind!r} takes planar levels [u1, u2], got {lvl!r}")
-    else:
-        for lvl in levels:
-            if not _is_scalar(lvl):
-                raise ConfigurationError(f"levels must be finite scalars, got {lvl!r}")
-        if kind == "chi_square" and min(levels) <= 0.0:
-            raise ConfigurationError(
-                "a squared-norm field is positive: levels must satisfy u > 0")
-        if kind == "shot_noise" and any(float(u) == 0.0 for u in levels):
-            raise ConfigurationError(
-                "the shot-noise value distribution has an atom at 0; pick u != 0")
+    for lvl in levels:
+        level_value(model, lvl)
 
     if kind == "chi_square" and model.D != 1 and cfg.estimator in ("roots", "local_time"):
         raise ConfigurationError(
@@ -289,63 +256,31 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         if kind != "microlens":
             raise ConfigurationError("box is required (omitting it is allowed "
                                      "only for point-mass deflection models)")
+    elif kind == "shot_noise":
+        model.check_box(cfg.box)
     else:
-        box = box_array(cfg.box, model.D)
-        if kind == "shot_noise":
-            lo, hi = box[0].tolist()
-            dlo, dhi = model.domain
-            if lo < dlo or hi > dhi:
-                raise ConfigurationError(
-                    f"box [{lo}, {hi}] exceeds the model domain [{dlo}, {dhi}]")
+        box_array(cfg.box, model.D)
 
     if cfg.estimator == "local_time":
-        if cfg.delta is None or cfg.delta <= 0:
-            raise ConfigurationError("local_time needs a window half-width delta > 0")
-        if kind == "chi_square" and cfg.delta >= min(float(u) for u in levels):
+        if cfg.delta is None:
+            raise ConfigurationError("local_time needs a window half-width delta")
+        if kind == "chi_square" and cfg.delta >= min(levels):
             raise ConfigurationError(
                 "local_time window [u - delta, u + delta] must stay positive "
                 "for a squared-norm field")
     if cfg.estimator == "weighted":
-        _check_weight(cfg.weight, kind)
+        # which weights a measurement can count is the pair's capability
+        form, _k = parse_weight(cfg.weight)
+        if form == "index" and kind != "gradient_field":
+            raise ConfigurationError("index weights need a gradient field")
+        if form != "index" and kind != "spectral_gaussian_1d":
+            raise ConfigurationError(f"weight {form!r} needs a scalar line field")
     elif cfg.weight is not None:
         raise ConfigurationError("weight applies to the 'weighted' estimator only")
     if cfg.region is not None:
         if kind != "microlens":
             raise ConfigurationError("region applies to deflection models only")
-        _check_region(cfg.region)
-
-
-def _check_weight(weight, kind: str) -> None:
-    if weight in ("unit", "upcrossing"):
-        if kind != "spectral_gaussian_1d":
-            raise ConfigurationError(f"weight {weight!r} needs a scalar line field")
-        return
-    if isinstance(weight, Mapping) and weight.get("kind") == "index":
-        if kind != "gradient_field":
-            raise ConfigurationError("index weights need a gradient field")
-        k = weight.get("k")
-        if isinstance(k, bool) or not isinstance(k, int) or k not in (0, 1, 2):
-            raise ConfigurationError("index weight k must be the integer 0, 1, or 2, "
-                                     f"got {k!r}")
-        return
-    raise ConfigurationError(
-        f"weight must be 'unit', 'upcrossing', or {{'kind': 'index', 'k': k}}; "
-        f"got {weight!r}")
-
-
-def _check_region(region) -> None:
-    if isinstance(region, Mapping):
-        if region.get("kind") != "disk":
-            raise ConfigurationError(f"unknown region kind {region.get('kind')!r}")
-        center = region.get("center")
-        if not isinstance(center, Sequence) or isinstance(center, str) or len(center) != 2:
-            raise ConfigurationError("disk region needs a finite 2-vector center")
-        for v in center:
-            config_number("region center", v, integral=False)
-        if config_number("region radius", region.get("radius"), integral=False) <= 0.0:
-            raise ConfigurationError("disk region needs a positive radius")
-        return
-    box_array(region, 2)
+        parse_region(cfg.region)
 
 
 def default_image_region(model: MicrolensModel, y) -> dict:
@@ -372,21 +307,17 @@ def default_image_region(model: MicrolensModel, y) -> dict:
 
 
 def _lens_geometry(cfg: ExperimentConfig, model: MicrolensModel, level):
-    """Resolve (region, search box) for one source position."""
-    region = cfg.region
-    if region is None:
-        region = default_image_region(model, level)
-    if isinstance(region, Mapping):
-        cx, cy = (float(v) for v in region["center"])
-        rad = float(region["radius"])
+    """Resolve (region document, search box) for one source position."""
+    region = cfg.region if cfg.region is not None else default_image_region(model, level)
+    bound = parse_region(region)
+    if isinstance(bound, tuple):
+        (cx, cy), rad = bound
         bound = [[cx - rad, cx + rad], [cy - rad, cy + rad]]
-    else:
-        bound = box_array(region, 2).tolist()
     if cfg.box is not None:
         box = box_array(cfg.box, 2)
     else:
         # pad so region-boundary images stay strictly inside the search box
-        box = np.asarray(bound, dtype=float)
+        box = np.array(bound, dtype=float)
         pad = 0.02 * np.max(box[:, 1] - box[:, 0])
         box[:, 0] -= pad
         box[:, 1] += pad
@@ -434,17 +365,10 @@ class LevelRow:
         return self.rhs_quadrature_error + self.rhs_mc_error
 
     def to_doc(self) -> dict:
-        return {
-            "level": _as_plain(self.level),
-            "lhs_mean": self.lhs_mean,
-            "lhs_se": self.lhs_se,
-            "rhs_value": self.rhs_value,
-            "rhs_quadrature_error": self.rhs_quadrature_error,
-            "rhs_mc_error": self.rhs_mc_error,
-            "rhs_total_error": self.rhs_total_error,
-            "z_score": self.z_score,
-            "passed": self.passed,
-        }
+        """Every dataclass field, and ``rhs_total_error``."""
+        doc = {f.name: _as_plain(getattr(self, f.name)) for f in fields(self)}
+        doc["rhs_total_error"] = self.rhs_total_error
+        return doc
 
 
 @dataclass(frozen=True)
@@ -652,7 +576,7 @@ def _corpus_chunk(prep: _Prepared, seeds, master_seed: int, lo: int) -> dict:
         def score(vals, u):
             return local_time(vals, u, cfg.delta, h)
     else:
-        up = cfg.estimator == "weighted" and cfg.weight == "upcrossing"
+        up = cfg.estimator == "weighted" and parse_weight(cfg.weight)[0] == "upcrossing"
         score = _upcrossing_counts if up else _sign_change_counts
     out = np.empty((len(seeds), len(cfg.levels)))
     for blo in range(0, len(seeds), _CORPUS_BLOCK):
@@ -712,7 +636,7 @@ def _planar_chunk(prep: _Prepared, seeds, master_seed: int, lo: int) -> dict:
     cfg = prep.cfg
     euler = cfg.estimator == "euler"
     model = GradientField(prep.model) if euler else prep.model
-    k_sel = cfg.weight["k"] if cfg.estimator == "weighted" else None
+    k_sel = parse_weight(cfg.weight)[1] if cfg.estimator == "weighted" else None
     targets = [(0.0, 0.0)] if euler else cfg.levels
     out = np.empty((len(seeds), len(cfg.levels)))
     extras = {"degree_mismatches": 0, "degree_unresolved": 0}
@@ -804,7 +728,7 @@ class _Method:
     """How one (estimator, model kind) pair is measured and configured.
 
     ``measure(prep, seeds, master_seed, lo)`` is its chunk function, ``grid``
-    its default grid, and ``accepts`` the keys of ``_TUNING_KEYS`` a config
+    its default grid, and ``accepts`` the keys of ``_KEY_RULES`` a config
     of it may set away from their defaults.
     """
 
@@ -844,14 +768,16 @@ _METHODS = {
 
 ESTIMATORS = tuple(dict.fromkeys(est for est, _kind in _METHODS))
 
-# config keys with a default that only some pairs read, and what reads them
-_TUNING_KEYS = {
-    "quadrature": "the moment2 estimator",
-    "delta": "the local_time estimator",
-    "n_lines": "the length estimator",
-    "rhs_delta": "shot-noise models",
-    "p_max": "shot-noise models",
-    "inner_mc": "Monte Carlo predictions",
+# Each count and width key: what reads it (None: every pair but lenses, which
+# accept it unread), and the rule its reader checks it with.
+_KEY_RULES = {
+    "grid": (None, _grid_size),
+    "quadrature": ("the moment2 estimator", _node_count),
+    "delta": ("the local_time estimator", partial(config_positive, "delta")),
+    "n_lines": ("the length estimator", _line_count),
+    "rhs_delta": ("shot-noise models", partial(config_positive, "rhs_delta")),
+    "p_max": ("shot-noise models", _term_count),
+    "inner_mc": ("Monte Carlo predictions", _sample_count),
 }
 
 
@@ -888,23 +814,22 @@ def _local_time_rhs(model, box, u: float, delta: float) -> RhsEvaluation:
 def _rhs_for_level(cfg: ExperimentConfig, model, level, seed: int):
     est = cfg.estimator
     kind = cfg.model["kind"]
+    u = level_value(model, level)
     if est == "local_time":
-        return _local_time_rhs(model, cfg.box, float(level), cfg.delta)
+        return _local_time_rhs(model, cfg.box, u, cfg.delta)
     if est == "euler":
-        return euler_char_expectation(model, cfg.box, float(level))
+        return euler_char_expectation(model, cfg.box, u)
     if est == "moment2":
-        return second_factorial_moment_rhs(model, cfg.box, float(level),
+        return second_factorial_moment_rhs(model, cfg.box, u,
                                            quadrature=cfg.quadrature,
                                            inner_mc=cfg.inner_mc, seed=seed)
     if kind == "shot_noise":
-        return shotnoise_rhs(model, cfg.box, float(level), p_max=cfg.p_max,
+        return shotnoise_rhs(model, cfg.box, u, p_max=cfg.p_max,
                              inner_mc=cfg.inner_mc, seed=seed,
                              delta=cfg.rhs_delta)
     if kind == "microlens":
         region, _box = _lens_geometry(cfg, model, level)
-        return microlens_rhs(model, np.asarray(level, dtype=float), region,
-                             inner_mc=cfg.inner_mc, seed=seed)
-    u = np.asarray(level, dtype=float) if kind == "gradient_field" else float(level)
+        return microlens_rhs(model, u, region, inner_mc=cfg.inner_mc, seed=seed)
     if est == "weighted":
         return weighted_kacrice_rhs(model, cfg.box, u, cfg.weight)
     return kacrice_rhs(model, cfg.box, u)
@@ -1073,9 +998,7 @@ def ae_level_consistency(model, box, levels, *, n_realizations: int = 1024,
     the experiment-config rules: whole numbers, at least 2.
     """
     grid = _grid_size(grid)
-    n_realizations = config_number("n_realizations", n_realizations, integral=True)
-    if n_realizations < 2:
-        raise ConfigurationError("need n_realizations >= 2 for a standard error")
+    n_realizations = config_count("n_realizations", n_realizations, 2)
     levels = np.asarray(levels, dtype=float)
     if levels.ndim != 1 or levels.size < 3:
         raise ConfigurationError("need a one-dimensional grid of >= 3 levels")
@@ -1086,8 +1009,7 @@ def ae_level_consistency(model, box, levels, *, n_realizations: int = 1024,
         g_center = 0.5 * (levels[0] + levels[-1])
     if g_width is None:
         g_width = 0.45 * (levels[-1] - levels[0])
-    if g_width <= 0.0:
-        raise ConfigurationError("bump width must be positive")
+    g_width = config_positive("bump width", g_width)
     rel = (levels - g_center) / g_width
     g = np.where(np.abs(rel) < 1.0, (1.0 - rel ** 2) ** 2, 0.0)
 
@@ -1262,7 +1184,7 @@ def emit_plot_data(reports: Sequence, quantity: str, path: str) -> str:
     rows = []
     for rep in reports:
         for r in rep.rows:
-            if not _is_scalar(r.level):
+            if not _is_real(r.level):
                 raise ConfigurationError("plot data needs scalar levels")
             rows.append((float(r.level), r.lhs_mean,
                          rep.config.z_crit * r.lhs_se, r.rhs_value,

@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapabilityError, ConfigurationError
-from .fields import LineCorpus, _chunked_cols, box_array, config_number
+from .errors import CapabilityError
+from .fields import LineCorpus, _chunked_cols, box_array, config_count, config_positive
 
 __all__ = [
     "GridSample",
@@ -35,10 +35,7 @@ __all__ = [
 
 def _grid_size(grid) -> int:
     """``grid``, the lattice points per axis, as a whole number >= 2."""
-    grid = config_number("grid", grid, integral=True)
-    if grid < 2:
-        raise ConfigurationError(f"grid must be >= 2, got {grid}")
-    return grid
+    return config_count("grid", grid, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -699,11 +696,10 @@ def local_time(values, u: float, delta: float, spacing: float) -> np.ndarray:
     stationary field its mean is the window length times
     P(|X - u| <= delta) / (2 delta).
     """
-    if delta <= 0:
-        raise ConfigurationError("delta must be positive")
+    delta = config_positive("delta", delta)
     hits = np.count_nonzero(np.abs(np.asarray(values, dtype=float) - float(u)) <= delta,
                             axis=-1)
-    return hits * float(spacing) / (2.0 * float(delta))
+    return hits * float(spacing) / (2.0 * delta)
 
 
 # ---------------------------------------------------------------------------

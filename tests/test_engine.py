@@ -500,6 +500,13 @@ def test_shot_noise_rejects_non_finite_level_and_window(u, delta, error, monkeyp
 def test_shot_noise_box_must_fit_domain():
     with pytest.raises(ConfigurationError):
         shotnoise_rhs(_shot_model(), (-1.0, 5.0), 0.5)
+    # containment is exact, as in the measurement's check_domain: a box that
+    # overhangs the domain by 1e-13 was once predicted and then refused
+    for box in ((-1e-13, 5.0), (1.0, 12.0 + 1e-12)):
+        with pytest.raises(ConfigurationError, match="exceeds the model domain"):
+            shotnoise_rhs(_shot_model(), box, 0.5)
+        with pytest.raises(DomainError):
+            _shot_model().check_domain(np.linspace(*box, 5))
 
 
 def test_shot_noise_truncation_is_reported_and_small():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ricelab import harness
+from ricelab import engine, geometry, harness, levelsets
+from ricelab.cli import main
 from ricelab.errors import ConfigurationError, DomainError
 from ricelab.fields import (
     DeterministicField,
@@ -127,9 +129,10 @@ def test_config_rejects_planar_chi_square_for_line_estimators():
 
 
 def test_config_level_domain_rules():
-    with pytest.raises(ConfigurationError):
+    # a level outside the model's domain is a DomainError, as in every prediction
+    with pytest.raises(DomainError, match="u > 0"):
         _cfg(model=CHI2, levels=[-0.5])
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(DomainError, match="atom at 0"):
         _cfg(model=SHOT, levels=[0.0], box=[1.0, 11.0])
     with pytest.raises(ConfigurationError):
         _cfg(model=SHOT, levels=[0.5], box=[-2.0, 5.0])  # box leaves the domain
@@ -310,6 +313,71 @@ def test_index_weight_takes_only_integer_k(k):
              estimator="weighted", weight={"kind": "index", "k": k})
 
 
+_M = model_from_doc  # the reader's view of a model document
+_REGION0 = {"kind": "disk", "center": [0.0, 0.0], "radius": 0.0}
+# One bad input per input rule: the config that carries it, and a call of a
+# function that reads the value.  Both must raise the same error, because
+# both apply the reader's one rule.
+RULES = [
+    ("chi-square-level", DomainError, dict(model=CHI2, levels=[-0.5]),
+     lambda: engine.kacrice_rhs(_M(CHI2), [0.0, TWO_PI], -0.5)),
+    ("shot-noise-atom", DomainError, dict(model=SHOT, levels=[0.0], box=[1.0, 11.0]),
+     lambda: engine.shotnoise_rhs(_M(SHOT), [1.0, 11.0], 0.0)),
+    ("infinite-level", DomainError, dict(levels=[math.inf]),
+     lambda: engine.kacrice_rhs(_M(SINGLE), [0.0, TWO_PI], math.inf)),
+    ("boolean-level", ConfigurationError, dict(levels=[True]),
+     lambda: engine.euler_char_expectation(_M(SINGLE), [0.0, TWO_PI], True)),
+    ("planar-level", ConfigurationError, dict(_LENS, model=LENS3, levels=[[0.25]]),
+     lambda: engine.microlens_rhs(_M(LENS3), [0.25], [[-2.0, 2.0], [-2.0, 2.0]])),
+    ("inner_mc", ConfigurationError,
+     dict(model=SHOT, levels=[0.5], box=[1.0, 11.0], inner_mc=50),
+     lambda: engine.shotnoise_rhs(_M(SHOT), [1.0, 11.0], 0.5, inner_mc=50)),
+    ("quadrature", ConfigurationError, dict(estimator="moment2", box=[0.0, 3.0], quadrature=1),
+     lambda: engine.second_factorial_moment_rhs(_M(SINGLE), [0.0, 3.0], 0.0, quadrature=1)),
+    ("p_max", ConfigurationError, dict(model=SHOT, levels=[0.5], box=[1.0, 11.0], p_max=1),
+     lambda: engine.shotnoise_rhs(_M(SHOT), [1.0, 11.0], 0.5, p_max=1)),
+    ("rhs_delta", ConfigurationError,
+     dict(model=SHOT, levels=[0.5], box=[1.0, 11.0], rhs_delta=-0.05),
+     lambda: engine.shotnoise_rhs(_M(SHOT), [1.0, 11.0], 0.5, delta=-0.05)),
+    ("delta", ConfigurationError, dict(estimator="local_time", delta=-0.1),
+     lambda: levelsets.local_time(np.zeros((1, 4)), 0.0, -0.1, 0.25)),
+    ("n_lines", ConfigurationError, dict(_PLANE, model=RING, estimator="length", n_lines=500),
+     lambda: geometry.favard_measure(geometry.Polyline([[[0.0, 0.0], [1.0, 0.0]]]), 500, 1)),
+    ("grid", ConfigurationError, dict(grid=1),
+     lambda: count_roots_1d(sample_realization(_M(SINGLE), 1), [0.0, TWO_PI], 0.0, grid=1)),
+    ("shot-noise-box", ConfigurationError, dict(model=SHOT, levels=[0.5], box=[-1.0, 11.0]),
+     lambda: engine.shotnoise_rhs(_M(SHOT), [-1.0, 11.0], 0.5)),
+    ("region", ConfigurationError, dict(_LENS, model=LENS3, region=_REGION0),
+     lambda: engine.microlens_rhs(_M(LENS3), [0.25, 0.1], _REGION0)),
+    ("region-mask", ConfigurationError, dict(_LENS, model=LENS3, region=_REGION0),
+     lambda: region_mask(np.zeros((1, 2)), _REGION0)),
+    ("weight-k", ConfigurationError,
+     dict(_GRAD, estimator="weighted", weight={"kind": "index", "k": 3}),
+     lambda: engine.weighted_kacrice_rhs(GradientField(_M(ANISO)), _PLANE["box"], [0.0, 0.0],
+                                         {"kind": "index", "k": 3})),
+    ("weight-form", ConfigurationError, dict(estimator="weighted", weight="sideways"),
+     lambda: engine.weighted_kacrice_rhs(_M(SINGLE), [0.0, TWO_PI], 0.0, "sideways")),
+]
+
+
+@pytest.mark.parametrize("error, over, read", [row[1:] for row in RULES],
+                         ids=[row[0] for row in RULES])
+def test_each_input_rule_has_one_message(tmp_path, capsys, error, over, read):
+    with pytest.raises(error) as at_config:
+        _cfg(**over)
+    with pytest.raises(error) as at_reader:
+        read()
+    assert type(at_config.value) is type(at_reader.value) is error
+    assert str(at_config.value) == str(at_reader.value)
+    doc = dict(experiment_id="t", model=SINGLE, levels=[0.0], estimator="roots",
+               n_realizations=40, box=[0.0, TWO_PI], grid=512)
+    doc.update(over)
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
+    assert main(["kacrice", "--config", str(path)]) == 2
+    assert f"configuration error: {at_config.value}" in capsys.readouterr().err
+
+
 def test_config_doc_round_trip_and_strictness():
     cfg = _cfg(levels=[0.0, 0.5])
     doc = cfg.to_doc()
@@ -324,6 +392,43 @@ def test_config_doc_round_trip_and_strictness():
     with pytest.raises(ConfigurationError):
         ExperimentConfig.from_json("{not json")
     assert ExperimentConfig.from_json(cfg.to_json()).to_doc() == doc
+
+
+# Configs across the estimators and their keys, each with the sha256 of its
+# to_json() as written when to_doc listed its keys by hand; the fields of
+# ExperimentConfig now write it, and the text must not move.
+_PINNED_CONFIGS = {
+    "line-roots": (
+        dict(levels=[0.0, 0.5]),
+        "04438a5327e1446f0ecc60cc57c2a2b3992e9343441bfa797dad6ae5626c289f"),
+    "chi2-occupation": (
+        dict(model=CHI2, levels=[1.0, 2.0], estimator="local_time", delta=0.2, grid=1024),
+        "68c2bfd226845de303f494e488cf40aef2cc9b9bdaaf634a8ec589e8497fdd0e"),
+    "shot-noise": (
+        dict(model=SHOT, levels=[0.5, -0.5], box=[1.0, 11.0], grid=None,
+             inner_mc=200_000, p_max=8, rhs_delta=0.05),
+        "099c2bf734fdc6d640b07baec3b6b411a8a403cd775542a75f42bcb04dc50145"),
+    "lens-disk": (
+        dict(_LENS, model=LENS3, quadrature=8, inner_mc=8192,
+             region={"kind": "disk", "center": [0.0, 0.5], "radius": 2.0}),
+        "a48e27a51f1686e9e85b006c60d5d08724eaaf59fe73553c83ea6c854da47ac1"),
+    "gradient-index": (
+        dict(_GRAD, estimator="weighted", weight={"kind": "index", "k": 1},
+             z_crit=4.0, abs_floor=0.0),
+        "e8ce15b28a73a4059a124cc03056fe6833edebaf96b9dc814b6242f9184f4f87"),
+    "length-lines": (
+        dict(_PLANE, model=RING, estimator="length", n_lines=1000),
+        "d8fd25f9874137f044a473bb01bf0474a1f93639e4fc3c01b523848e2f13a894"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_CONFIGS))
+def test_config_doc_format_is_pinned(name):
+    over, text_sha = _PINNED_CONFIGS[name]
+    cfg = _cfg(**over)
+    assert list(cfg.to_doc()) == ["schema_version", "kind"] + [
+        f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert hashlib.sha256(cfg.to_json().encode()).hexdigest() == text_sha
 
 
 def test_config_normalizes_numpy_payloads():

@@ -153,6 +153,42 @@ def test_standard_errors_come_from_mean_se_only():
     assert {name: s for name, s in sites.items() if s} == {"rng.py": ["mean_se"]}
 
 
+# config keys whose rule belongs to the function that reads the value
+READER_KEYS = {"inner_mc", "quadrature", "p_max", "rhs_delta", "delta", "n_lines", "grid"}
+
+
+def bound_sites(source: str, keys=READER_KEYS) -> list:
+    """(line, attribute) of every comparison of an attribute named in ``keys`` with a number."""
+    def is_number(node):
+        return (isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+                and not isinstance(node.value, bool))
+
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(map(is_number, operands)):
+                sites += [(node.lineno, op.attr) for op in operands
+                          if isinstance(op, ast.Attribute) and op.attr in keys]
+    return sorted(sites)
+
+
+def test_bound_scan_finds_numeric_comparisons_of_reader_keys():
+    source = (
+        "def f(cfg, n):\n"
+        "    if cfg.inner_mc < 100 or 2 > cfg.grid:\n"
+        "        pass\n"
+        "    ok = 0 < cfg.delta <= 1.5\n"
+        "    same = (cfg.grid is None, cfg.n_lines == n, cfg.z_crit <= 0, cfg.p_max == True)\n"
+    )
+    assert bound_sites(source) == [(2, "grid"), (2, "inner_mc"), (4, "delta")]
+
+
+def test_harness_leaves_every_count_and_width_bound_to_its_reader():
+    # a bound written in the harness would be a second copy of the reader's rule
+    assert bound_sites((SRC / "harness.py").read_text()) == []
+
+
 def stream_sites(source: str) -> list:
     """Top-level function names (``<module>`` otherwise) of calls to ``stream``."""
     tree = ast.parse(source)
