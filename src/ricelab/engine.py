@@ -98,9 +98,6 @@ _SHARED_BLOCK = 1 << 14
 _SHOT_QUAD_NODES = 4096
 # lens samples with a mass this close to their image-plane point are excluded
 _EPS_STAR = 1e-6
-# why a lens with c >= 0 gets no prediction; format with c
-SUBCRITICAL_LENS = ("image-count prediction requires a supercritical deflection "
-                    "(1 - kappa_c + gamma = {} >= 0)")
 
 __all__ = [
     "RhsEvaluation",
@@ -740,6 +737,18 @@ def _microlens_designated(model: MicrolensModel, x: np.ndarray, y: np.ndarray,
     return weight, excluded
 
 
+def _check_supercritical(model: MicrolensModel) -> None:
+    """ConfigurationError unless the lens is supercritical, c = 1 - kappa_c + gamma < 0.
+
+    Subcritical configurations flip the Jacobian sign at infinity and the
+    designated-mass construction is not validated there: their images can
+    be measured, not predicted.
+    """
+    if model.c >= 0.0:
+        raise ConfigurationError("image-count prediction requires a supercritical deflection "
+                                 f"(1 - kappa_c + gamma = {model.c} >= 0)")
+
+
 def microlens_rhs(model, y, region, *, inner_mc: int = DEFAULT_INNER_MC,
                   seed: int = 0) -> RhsEvaluation:
     """Predicted mean image count of source ``y`` over the region.
@@ -750,14 +759,12 @@ def microlens_rhs(model, y, region, *, inner_mc: int = DEFAULT_INNER_MC,
     weight is the region's area times the nearest-mass weight of
     :func:`_microlens_designated`, which is bounded, so the value is the mean
     weight and ``mc_error`` its standard error; there is no node rule and no
-    quadrature error.  Requires a supercritical deflection strength;
-    subcritical configurations flip the Jacobian sign at infinity and the
-    designated-mass construction is not validated there.
+    quadrature error.  Requires a supercritical deflection strength
+    (:func:`_check_supercritical`).
     """
     if not isinstance(model, MicrolensModel):
         raise CapabilityError("expected a point-mass deflection model")
-    if model.c >= 0.0:
-        raise CapabilityError(SUBCRITICAL_LENS.format(model.c))
+    _check_supercritical(model)
     y = level_value(model, y)
     if model.n_stars == 0:
         # deterministic linear map: exactly one image at y / c

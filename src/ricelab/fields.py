@@ -603,7 +603,8 @@ class ShotNoiseModel:
     unit length; impulses beta are uniform on [beta_low, beta_high].
     Realizations place points on the domain padded by eta on both sides, so
     evaluation anywhere in the declared domain is free of boundary effects.
-    The expected number of points, intensity x (hi - lo + 2 eta), may not
+    The domain is at least as long as the kernel's support, 2 eta, and the
+    expected number of points, intensity x (hi - lo + 2 eta), may not
     exceed ``MAX_EXPECTED_IMPULSES``.
     """
 
@@ -619,6 +620,10 @@ class ShotNoiseModel:
         lo, hi = box_array(self.domain, 1, "domain")[0].tolist()
         object.__setattr__(self, "domain", (lo, hi))
         config_positive("eta", self.eta)
+        if (hi - lo) < 2.0 * self.eta:
+            raise ConfigurationError(
+                f"shot-noise domain [{lo}, {hi}] smaller than kernel support 2 eta = "
+                f"{2.0 * self.eta}")
         if self.intensity < 0:
             raise ConfigurationError("intensity must be nonnegative")
         if not 0 < self.beta_low < self.beta_high:
@@ -680,8 +685,6 @@ def shot_noise_impulses(model: ShotNoiseModel, gen) -> tuple:
     ``stream(seed, "shot-noise")``; a corpus draws the same from ``streams``.
     """
     lo, hi = model.domain
-    if (hi - lo) < 2.0 * model.eta:
-        raise ConfigurationError("shot-noise domain smaller than kernel support")
     span = (hi - lo) + 2.0 * model.eta
     count = gen.poisson(model.intensity * span)
     pts = lo - model.eta + span * gen.random(count)

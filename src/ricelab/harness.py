@@ -27,8 +27,8 @@ import numpy as np
 
 from .engine import (
     _SHARED_BLOCK,
-    SUBCRITICAL_LENS,
     RhsEvaluation,
+    _check_supercritical,
     _node_count,
     _sample_count,
     _term_count,
@@ -625,9 +625,11 @@ def _degree_tally(extras: dict, roots, signs: np.ndarray) -> None:
 
 
 def _planar_chunk(prep: _Prepared, seeds, master_seed: int, lo: int) -> dict:
-    """Roots of gradient realizations by ``count_roots_2d``, each root set tallied by degree.
+    """Roots of a chunk's gradient realizations by ``count_roots_2d``, tallied field by field.
 
-    "roots" and "weighted" find the roots at every level and count them
+    One ``count_roots_2d`` call per level finds the roots of every field of
+    the chunk; each field's root set is then scored on its own.  "roots"
+    and "weighted" find the roots at every level and count them
     ("weighted": those whose Hessian has ``k`` negative eigenvalues).
     "euler" samples the gradient of a planar field, finds its roots once, at
     0, and sums sign det Hess = (-1)^(2 - i) over those above each level:
@@ -640,10 +642,10 @@ def _planar_chunk(prep: _Prepared, seeds, master_seed: int, lo: int) -> dict:
     targets = [(0.0, 0.0)] if euler else cfg.levels
     out = np.empty((len(seeds), len(cfg.levels)))
     extras = {"degree_mismatches": 0, "degree_unresolved": 0}
-    for i, s in enumerate(seeds):
-        real = sample_realization(model, s)
-        for j, lvl in enumerate(targets):
-            roots = count_roots_2d(real, cfg.box, np.asarray(lvl, dtype=float), grid=prep.grid)
+    reals = [sample_realization(model, s) for s in seeds]
+    for j, lvl in enumerate(targets):
+        found = count_roots_2d(reals, cfg.box, np.asarray(lvl, dtype=float), grid=prep.grid)
+        for i, (real, roots) in enumerate(zip(reals, found.split())):
             signs = np.sign(roots.signed)
             _degree_tally(extras, roots, signs)
             if euler:
@@ -959,8 +961,8 @@ def predict_only(config, master_seed: int = 0) -> dict:
         config = ExperimentConfig.from_doc(config)
     master_seed = check_seed(master_seed)
     model = model_from_doc(dict(config.model))
-    if config.model["kind"] == "microlens" and model.c >= 0.0:
-        raise ConfigurationError(SUBCRITICAL_LENS.format(model.c))
+    if config.model["kind"] == "microlens":
+        _check_supercritical(model)
     rows = []
     for j, level in enumerate(config.levels):
         seed = fanout_seed(master_seed, config.experiment_id + "#rhs", j)

@@ -105,15 +105,16 @@ def streams(seeds, tag: str):
 
     The same generator is yielded every time, re-keyed: its Philox state is
     set to the seed's key, a zero counter and an empty buffer, which is the
-    state :func:`stream` builds.  Building a generator costs about 7 us and
-    re-keying one about 1 us, so a loop over many seeds builds one.  A
-    yielded generator is valid until the next one; like :func:`stream`'s,
-    it cannot ``spawn``.
+    state :func:`stream` builds.  On a Xeon KVM guest (numpy 2.4), building
+    a generator takes about 5 us and setting a state about 0.6 us from
+    Python-int lists, against 1.3 us from uint64 arrays, so a loop over
+    many seeds builds one and sets lists.  A yielded generator is valid
+    until the next one; like :func:`stream`'s, it cannot ``spawn``.
     """
     bit = _philox(0)
     gen = np.random.Generator(bit)
-    key = np.zeros(2, dtype=np.uint64)
-    zeros = np.zeros(_PHILOX_WORDS, dtype=np.uint64)
+    key = [0, 0]
+    zeros = [0] * _PHILOX_WORDS
     state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
              "buffer": zeros, "buffer_pos": _PHILOX_WORDS, "has_uint32": 0, "uinteger": 0}
     suffix = _encode(tag) + _encode(0)

@@ -160,6 +160,18 @@ def test_impulse_sum_box_outside_domain_exits_two(tmp_path, capsys, box):
         assert "exceeds the model domain" in capsys.readouterr().err
 
 
+def test_shot_noise_domain_shorter_than_kernel_support_exits_two(tmp_path, capsys):
+    # domain [0, 1] is shorter than 2 eta = 1.4: kacrice once predicted it
+    # (exit 0) while measure and validate refused it at the first draw
+    shot = {"kind": "shot_noise", "eta": 0.7, "intensity": 1.5, "domain": [0.0, 1.0],
+            "beta_low": 0.5, "beta_high": 2.0}
+    cfg = _write(tmp_path, "exp.json", _exact_experiment(model=shot, levels=[0.5],
+                                                         box=[0.2, 0.8]))
+    for command in ("kacrice", "measure", "validate"):
+        assert main([command, "--config", cfg]) == 2
+        assert "smaller than kernel support" in capsys.readouterr().err
+
+
 def test_runtime_errors_exit_three(tmp_path, capsys):
     # degenerate pair prediction raises inside a structurally valid config
     doc = _exact_experiment(estimator="moment2")

@@ -661,7 +661,7 @@ def test_unit_bump_is_the_kernel_of_its_position(eta):
     # unit double U behind s = -eta + 2 eta U; its margin assumes the two
     # agree within 16 eps, on the s that Generator.uniform and
     # engine._uniform_bits make
-    kernel = ShotNoiseModel(intensity=1.5, eta=eta, domain=(0.0, 12.0)).kernel
+    kernel = ShotNoiseModel(intensity=1.5, eta=eta, domain=(0.0, 12.0 * max(1.0, eta))).kernel
     gen = stream(7, "unit-bump")
     unit = copy_position(gen).random(100_000)
     s = gen.uniform(-eta, eta, 100_000)
@@ -691,10 +691,11 @@ def test_lens_zero_star_prediction_is_deterministic():
 
 
 def test_lens_requires_supercritical_strength():
+    # a subcritical ensemble is a configuration error (exit 2), as in predict_only
     sub = MicrolensModel(kappa_c=0.5, gamma=0.0, m=0.2, n_stars=3, R=1.0)
-    with pytest.raises(CapabilityError):
+    with pytest.raises(ConfigurationError, match="supercritical deflection"):
         microlens_rhs(sub, np.zeros(2), {"kind": "disk", "center": [0, 0], "radius": 2.0})
-    # a frozen subcritical system (c = 0.8) is refused like its ensemble
+    # a frozen system (here subcritical, c = 0.8) is no ensemble to predict over
     frozen = sample_realization(
         MicrolensModel(kappa_c=0.2, gamma=0.0, m=0.05, n_stars=5, R=1.0), 4)
     with pytest.raises(CapabilityError):

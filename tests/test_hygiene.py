@@ -454,13 +454,16 @@ def test_benchmark_tracer_reaches_planar_counts_and_predictions(estimator):
     # function at import would run untraced
     tracer = _benchmark_tracer()
     ring = SpectralGaussian2D.isotropic_ring(6, 3.0)
-    model, level, rhs = {
-        "euler": (ring, 0.0, "engine.euler_char_expectation"),
-        "roots": (GradientField(ring), [0.0, 0.0], "engine.kacrice_rhs"),
+    # euler finds the critical points once, at 0, whatever its levels
+    model, levels, targets, rhs = {
+        "euler": (ring, [0.0], [[0.0, 0.0]], "engine.euler_char_expectation"),
+        "roots": (GradientField(ring), [[0.0, 0.0], [0.3, -0.2]], [[0.0, 0.0], [0.3, -0.2]],
+                  "engine.kacrice_rhs"),
     }[estimator]
+    box = [[0.0, 1.0], [0.0, 1.0]]
     cfg = harness.ExperimentConfig(
-        experiment_id="traced", estimator=estimator, levels=[level], n_realizations=30,
-        box=[[0.0, 1.0], [0.0, 1.0]], grid=32, model=modelspec.model_to_doc(model))
+        experiment_id="traced", estimator=estimator, levels=levels, n_realizations=60,
+        box=box, grid=32, model=modelspec.model_to_doc(model))
     t = tracer.Tracer()
     t.install()
     try:
@@ -469,10 +472,16 @@ def test_benchmark_tracer_reaches_planar_counts_and_predictions(estimator):
     finally:
         t.restore()
     names = [span[0] for span in t.spans]
-    # one root set per realization: the critical points, or the one level
-    assert names.count("levelsets.count_roots_2d") == 30
-    assert names.count("fields.sample_realization") == 30
-    assert names.count(rhs) == 1
+    # one corpus root set per chunk (two of 30 fields) and root level, whose
+    # traced root count is that of its fields' own root sets
+    roots = [span[4]["roots"] for span in t.spans if span[0] == "levelsets.count_roots_2d"]
+    assert len(roots) == 2 * len(targets)
+    fields_alone = [fields.sample_realization(GradientField(ring), rng.fanout_seed(1, "traced", i))
+                    for i in range(60)]
+    assert sum(roots) == sum(harness.count_roots_2d(real, box, u, grid=32).count
+                             for real in fields_alone for u in targets) > 0
+    assert names.count("fields.sample_realization") == 60
+    assert names.count(rhs) == len(levels)
 
 
 def test_every_model_kind_is_one_modelspec_row():

@@ -618,10 +618,11 @@ class _CountingFused(_CountingRealization):
 
 def test_roots_2d_newton_step_is_one_fused_evaluation(monkeypatch):
     # each Newton step evaluates value and Jacobian together: one fused call
-    # per step (every step but possibly the last also solves).  Until the
-    # last step there is no value call, and a pointwise Jacobian only for a
-    # lone point left of several; then come the residual check, the signs
-    # of the roots and any boundary halvings
+    # per step (every step but possibly the last also solves).  First come
+    # any boundary halvings, taken while the lattice is at hand; from the
+    # first step to the last there is no value call, and a pointwise
+    # Jacobian only for a lone point left of several; then come the residual
+    # check and the signs of the roots
     solves = []
     solve = levelsets._batch_solve_2x2
 
@@ -639,7 +640,9 @@ def test_roots_2d_newton_step_is_one_fused_evaluation(monkeypatch):
         steps = kinds.count("fused")
         last = len(kinds) - 1 - kinds[::-1].index("fused")
         assert 4 <= steps and len(solves) <= steps <= len(solves) + 1
-        assert all(c == ("jacobian", 1) for c in counting.calls[:last] if c[0] != "fused")
+        first = kinds.index("fused")
+        assert set(kinds[:first]) <= {"value"}
+        assert all(c == ("jacobian", 1) for c in counting.calls[first:last] if c[0] != "fused")
         assert counting.calls[last + 1][0] == "value"
         assert ("jacobian", rs.count) in counting.calls[last + 1:] and rs.count > 0
         plain = count_roots_2d(real, _RING_BOX, (0.0, 0.0), grid=128)
@@ -648,12 +651,115 @@ def test_roots_2d_newton_step_is_one_fused_evaluation(monkeypatch):
 
 def test_roots_2d_newton_work_bounded_by_roots_not_lattice():
     # 128^2 lattice, about 3 critical points: the first Newton step sees
-    # every seed, and there are tens, not one per few cells
+    # every seed, and there are tens, not one per few cells.  It is the
+    # largest pointwise call: boundary halvings before it take one point each
     for seed in (1000, 1001, 1002):
         counting = _CountingRealization(_ring_gradient(seed))
         rs = count_roots_2d(counting, [(0.0, 2.0), (0.0, 2.0)], (0.0, 0.0), grid=128)
-        assert 1 <= rs.count <= counting.value_points[0] <= 64
+        assert 1 <= rs.count <= max(counting.value_points) <= 64
         assert sum(counting.value_points) <= 64 * 8
+
+
+def _same_root_sets(reals, box, u, grid):
+    """The corpus root set of ``reals`` against each field's own, bit for bit; both returned."""
+    many = count_roots_2d(reals, box, u, grid=grid)
+    alone = [count_roots_2d(real, box, u, grid=grid) for real in reals]
+    assert many.degree == tuple(rs.degree for rs in alone)
+    assert many.rows.tolist() == [i for i, rs in enumerate(alone) for _ in range(rs.count)]
+    for part, rs in zip(many.split(), alone, strict=True):
+        assert _root_set_digest(part) == _root_set_digest(rs)
+        assert part.rows.tolist() == rs.rows.tolist() == [0] * rs.count
+    return many, alone
+
+
+def _hollow_ring_box_field():
+    # X(p) = p - (1, 1) on the boundary of [0, 2]^2 and NaN inside: no cell
+    # brackets and no node is a minimum, so there is no seed, yet the
+    # boundary winds once around 0
+    def val(p):
+        p = np.atleast_2d(p).astype(float)
+        edge = np.max(np.abs(p - 1.0), axis=1) >= 1.0
+        return np.where(edge[:, None], p - 1.0, np.nan)
+
+    return DeterministicField(value_fn=val, jacobian_fn=lambda p: np.broadcast_to(
+        np.eye(2), (np.atleast_2d(p).shape[0], 2, 2)).copy(), d=2, D=2)
+
+
+def test_roots_2d_corpus_evaluates_each_field_as_alone():
+    # every field of the corpus gets the calls it gets alone, in the same
+    # order and on as many points, though its seeds retire at steps of
+    # their own and some fields end with one active point
+    seeds = range(1000, 1008)
+    corpus = [_CountingFused(_ring_gradient(s)) for s in seeds]
+    many = count_roots_2d(corpus, _RING_BOX, (0.0, 0.0), grid=128)
+    steps = set()
+    for s, counted in zip(seeds, corpus):
+        alone = _CountingFused(_ring_gradient(s))
+        count_roots_2d(alone, _RING_BOX, (0.0, 0.0), grid=128)
+        assert counted.calls == alone.calls
+        steps.add([kind for kind, _ in alone.calls].count("fused"))
+    assert len(steps) > 1
+    assert sum(("jacobian", 1) in counted.calls for counted in corpus) > 1
+    _same_root_sets([_ring_gradient(s) for s in seeds], _RING_BOX, (0.0, 0.0), 128)
+    assert many.count > 0
+
+
+def test_roots_2d_corpus_with_a_field_without_seeds():
+    hollow = _hollow_ring_box_field()
+    alone = count_roots_2d(hollow, _RING_BOX, (0.0, 0.0), grid=64)
+    assert alone.count == 0 and alone.degree == 1
+    reals = [_ring_gradient(3), hollow, _ring_gradient(4), hollow]
+    many, _ = _same_root_sets(reals, _RING_BOX, (0.0, 0.0), 64)
+    assert many.degree[1] == many.degree[3] == 1
+    assert not np.isin(many.rows, [1, 3]).any()
+
+
+class _Massed:
+    """X(p) = p with point masses, where Newton seeds freeze; records its value calls."""
+
+    d = 2
+    D = 2
+
+    def __init__(self, masses):
+        self.star_positions = np.asarray(masses, dtype=float).reshape(-1, 2)
+        self.value_points = []
+
+    def value(self, p):
+        p = np.atleast_2d(p).astype(float)
+        self.value_points.append(p.shape[0])
+        return p
+
+    def jacobian(self, p):
+        return np.broadcast_to(np.eye(2), (np.atleast_2d(p).shape[0], 2, 2)).copy()
+
+
+def test_roots_2d_corpus_of_lens_fields_freezes_per_field():
+    reals = [_three_star_lens(s) for s in range(8)]
+    _, alone = _same_root_sets(reals, _LENS_BOX, (0.25, 0.1), 64)
+    assert all(rs.count > 0 for rs in alone)
+    _same_root_sets(reals + [_ring_gradient(0)], _LENS_BOX, (0.25, 0.1), 64)
+    # a mass at the root freezes its field's seeds once they reach it, one
+    # step before they would retire; the field without it steps once more
+    u = (0.3, -0.4)
+    pinned, free = _Massed([u]), _Massed([])
+    many = count_roots_2d([pinned, free], [(-1, 1), (-1, 1)], u, grid=32)
+    assert many.rows.tolist() == [0, 1]
+    for counted, masses in ((pinned, [u]), (free, [])):
+        alone = _Massed(masses)
+        count_roots_2d(alone, [(-1, 1), (-1, 1)], u, grid=32)
+        assert counted.value_points == alone.value_points
+    assert len(pinned.value_points) == len(free.value_points) - 1
+
+
+def test_roots_2d_corpus_of_one_field():
+    real = _aniso_gradient(1)
+    box = [(0.0, 3.0), (0.0, 3.0)]
+    one = count_roots_2d([real], box, (0.0, 0.0), grid=96)
+    rs = count_roots_2d(real, box, (0.0, 0.0), grid=96)
+    assert one.degree == (rs.degree,) and one.count == rs.count > 0
+    assert one.points.tobytes() == rs.points.tobytes()
+    assert _root_set_digest(one.split()[0]) == _root_set_digest(rs) == _PINNED_ROOT_SETS[
+        ("aniso", 1, 96, (0.0, 0.0))]
 
 
 def _fold(shift):
