@@ -522,7 +522,7 @@ def _uniform_bits(unit: np.ndarray, low: float, high: float) -> np.ndarray:
 
 
 def _shotnoise_window_term(model: ShotNoiseModel, u: float, p: int, delta: float,
-                           n_mc: int, rng) -> tuple[float, float, float]:
+                           n_mc: int, rng, draws: np.ndarray) -> tuple[float, float, float]:
     """Window estimate of the p-impulse joint term: window hits weighted by |X'(t0)|.
 
     Both window widths of the Richardson pair (delta, delta / 2) read one
@@ -531,17 +531,18 @@ def _shotnoise_window_term(model: ShotNoiseModel, u: float, p: int, delta: float
     ``_SHARED_BLOCK`` draws, filtered on the unit doubles U and V behind
     s = -eta + 2 eta U and b = beta_low + (beta_high - beta_low) V.  The
     kernel is g = 16 q with q = (U (1 - U))^2 (``fields._unit_bump``), so
-    X = sum b g lies in [beta_low, beta_high] * 16 sum q, and a block with
-    no row whose range meets the window skips its amplitudes.  Rows whose
-    sum of b q puts X within delta of u, up to a margin, are candidates,
-    and only they get the exact arithmetic, with the bits of
-    ``Generator.uniform``, ``model.kernel`` and a row einsum; those inside
-    the window also get their slope from ``model.kernel_prime``.  So the
-    cost is every position and its filter, the amplitudes of the blocks
-    that can reach the window, exact kernels on a few rows, and per width
-    one reduction of a length-``n_mc`` array that is zero off the hits.
-    Returns (estimate, standard error, bias), the bias being the
-    Richardson correction.
+    X = sum b g lies in [beta_low, beta_high] * 16 sum q, and only the rows
+    whose range meets the window can reach it.  A block draws amplitudes
+    for the span from its first such row to its last and skips the rest.
+    Reachable rows whose sum of b q puts X within delta of u, up to a
+    margin, are candidates, and only they get the exact arithmetic, with
+    the bits of ``Generator.uniform``, ``model.kernel`` and a row einsum;
+    those inside the window also get their slope from
+    ``model.kernel_prime``.  So the cost is every position and its filter,
+    the amplitudes of the reachable spans, exact kernels on a few rows, and
+    per width one reduction of ``draws``, a length-``n_mc`` array of +0.0
+    that takes the hits and is left as +0.0 again.  Returns (estimate,
+    standard error, bias), the bias being the Richardson correction.
     """
     positions = copy_position(rng)
     skip_doubles(rng, n_mc * p)  # rng now starts the amplitude section
@@ -559,35 +560,38 @@ def _shotnoise_window_term(model: ShotNoiseModel, u: float, p: int, delta: float
     reach_hi = (u + reach) / (16.0 * low * (1.0 - 1e-9))
     step = max(1, _SHARED_BLOCK // p)
     unit_s = np.empty((step, p))
-    unit_b = np.empty((step, p))
+    unit_b = np.empty(step * p)
     q_block = np.empty((step, p))
     ones = np.ones(p)
     hit_rows, hit_dist, hit_weight = [], [], []
-    unread = 0  # amplitude doubles passed over since the last block drawn
+    read = 0  # amplitude doubles drawn or skipped so far
     for lo in range(0, n_mc, step):
         rows = min(step, n_mc - lo)
         us = positions.random(out=unit_s[:rows])
         q = _unit_bump(us, out=q_block[:rows])
         total = q @ ones  # row sums; far faster than q.sum(axis=1) for small p
-        if not np.any((total > reach_lo) & (total < reach_hi)):
-            unread += rows * p
+        r = np.flatnonzero((total > reach_lo) & (total < reach_hi))
+        if r.size == 0:
             continue
-        skip_doubles(rng, unread)
-        unread = 0
-        ub = rng.random(out=unit_b[:rows])
-        approx = 16.0 * (low * total + (high - low) * np.einsum("ij,ij->i", ub, q))
-        cand = np.flatnonzero(np.abs(approx - u) < reach)
-        if cand.size == 0:
+        first, end = int(r[0]), int(r[-1]) + 1
+        skip_doubles(rng, (lo + first) * p - read)
+        ub = rng.random(out=unit_b[:(end - first) * p]).reshape(-1, p)
+        read = (lo + end) * p
+        ur = ub[r - first]
+        approx = 16.0 * (low * total[r] + (high - low) * np.einsum("ij,ij->i", ur, q[r]))
+        keep = np.abs(approx - u) < reach
+        if not keep.any():
             continue
+        cand = r[keep]
         s = _uniform_bits(us[cand], -model.eta, model.eta)
-        b = _uniform_bits(ub[cand], low, high)
+        b = _uniform_bits(ur[keep], low, high)
         d = np.abs(np.einsum("ij,ij->i", b, model.kernel(s)) - u)
         near = d < delta
         hit_rows.append(lo + cand[near])
         hit_dist.append(d[near])
         hit_weight.append(np.abs(np.einsum(
             "ij,ij->i", b[near], model.kernel_prime(s[near]))))
-    skip_doubles(rng, unread)
+    skip_doubles(rng, n_mc * p - read)
     if not any(r.size for r in hit_rows):
         # no row lands in the window: every window draw is +0.0
         return 0.0, 0.0, 0.0
@@ -596,10 +600,12 @@ def _shotnoise_window_term(model: ShotNoiseModel, u: float, p: int, delta: float
     weight = np.concatenate(hit_weight)
 
     def window(width: float) -> tuple[float, float]:
-        draws = np.zeros(n_mc)
-        hit = dist < width
-        draws[rows_hit[hit]] = weight[hit] * (1.0 / (2.0 * width))
-        return mean_se(draws)
+        inside = dist < width
+        hit = rows_hit[inside]
+        draws[hit] = weight[inside] * (1.0 / (2.0 * width))
+        out = mean_se(draws)
+        draws[hit] = 0.0
+        return out
 
     coarse, _ = window(delta)
     fine, se = window(delta / 2.0)
@@ -621,13 +627,16 @@ def shotnoise_rhs(model: ShotNoiseModel, box, u, *, p_max: int = 12,
     observed per-impulse growth rate times the Poisson tail mass.  The cost
     is the draws: every one of the inner_mc * (p_max (p_max + 1) / 2 - 1)
     positions is drawn and filtered as a unit double, and amplitudes are
-    drawn only for the row blocks that can land in the window, which grow
-    rare as p grows: for the shot-crossings manifest entry at u = 0.5,
-    every row up to p = 6, about half at p = 8 and a few percent at p = 10.
-    The exact kernel arithmetic runs only on the candidate rows the filter
-    keeps, about 13,000 of that entry's 15.4M positions.  The stream's
-    draws, and so the outputs, do not depend on which blocks are skipped or
-    which rows are candidates.
+    drawn only for each block's span of rows that can land in the window,
+    which grows rare as p grows: for the shot-crossings manifest entry at
+    u = 0.5 (stream seed 1), 4.37M of the 15.4M amplitude doubles, nearly
+    every row up to p = 5, 85% at p = 6, 36% at p = 7 and 6% at p = 8
+    (6.18M when whole blocks were drawn).  The exact kernel arithmetic runs
+    only on the candidate rows the filter keeps, about 13,000 of that
+    entry's 15.4M positions, and every window writes its hits into one
+    length-inner_mc buffer of the call.  The stream's draws, and so the
+    outputs, do not depend on which rows are skipped or which rows are
+    candidates.
 
     The level must be finite and nonzero: the field value has an atom at
     zero (empty influence window), so the density and the crossing rate are
@@ -643,8 +652,9 @@ def shotnoise_rhs(model: ShotNoiseModel, box, u, *, p_max: int = 12,
     rng = stream(seed, "shot-window")
     joint_q, joint_qerr = _shotnoise_single_term(model, u, _SHOT_QUAD_NODES)
     src = {1: (joint_q, 0.0, joint_qerr)}
+    draws = np.zeros(inner_mc)  # every window's draws, +0.0 between windows
     for p in range(2, p_max + 1):
-        est, se, bias = _shotnoise_window_term(model, u, p, delta, inner_mc, rng)
+        est, se, bias = _shotnoise_window_term(model, u, p, delta, inner_mc, rng, draws)
         src[p] = (max(est, 0.0), se, bias)
     pois = {p: math.exp(-lam) * lam ** p / math.factorial(p)
             for p in range(1, p_max + 1)}
@@ -849,6 +859,9 @@ def second_factorial_moment_rhs(model: SpectralGaussian1D, interval, u, *,
     rng = stream(seed, "pair-moment")
     z = rng.standard_normal((inner_mc, 2))
     z1, z2 = z.T.copy()  # contiguous rows
+    # (node, draw) blocks of _shared_draw_quadrature, shared by every rule
+    v1_block, v2_block, out_block = (
+        np.empty((max(1, _SHARED_BLOCK // inner_mc), inner_mc)) for _ in range(3))
 
     def per_draw(band: float, n_nodes: int) -> np.ndarray:
         """Per-draw midpoint rule on (band, T) of |V1 V2| times the pair density."""
@@ -877,9 +890,20 @@ def second_factorial_moment_rhs(model: SpectralGaussian1D, interval, u, *,
             a[:, None] for a in (mu1, mu2, sd1, rho * sd1, sd2, dens))
 
         def node_values(sl: slice) -> np.ndarray:
-            v1 = mu1[sl] + z1 * sd1[sl]
-            v2 = mu2[sl] + z1 * rho_sd1[sl] + z2 * sd2[sl]
-            return np.abs(v1 * v2) * dens[sl]
+            # mu1 + z1 sd1, mu2 + z1 rho_sd1 + z2 sd2 and |v1 v2| dens in the
+            # block buffers; IEEE + and * commute exactly, so an in-place sum
+            # with its operands swapped keeps the bits
+            n = dens[sl].shape[0]
+            v1, v2, out = v1_block[:n], v2_block[:n], out_block[:n]
+            np.multiply(z1, sd1[sl], out=v1)
+            v1 += mu1[sl]
+            np.multiply(z1, rho_sd1[sl], out=v2)
+            v2 += mu2[sl]
+            v2 += np.multiply(z2, sd2[sl], out=out)
+            np.multiply(v1, v2, out=out)
+            np.abs(out, out=out)
+            out *= dens[sl]
+            return out
 
         return _shared_draw_quadrature(node_values, 2.0 * (T - tau) * h, inner_mc)
 

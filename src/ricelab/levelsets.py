@@ -328,21 +328,21 @@ def _boundary_degree(realization, axes, vals: np.ndarray, u: np.ndarray):
     on ``axes``), counter-clockwise, each node once.  A step that turns by
     pi/2 or more cannot tell which way the path went round, so it is halved
     at its midpoint, evaluated pointwise, until every sub-step turns by
-    less.  None when the path meets 0, or a step still turns by pi/2 or
-    more after ``_MAX_HALVINGS`` halvings.
+    less.  None when the path meets 0 or a value that is not finite, or a
+    step still turns by pi/2 or more after ``_MAX_HALVINGS`` halvings.
     """
     n0, n1 = vals.shape[:2]
     up, across = np.arange(n0 - 1), np.arange(n1 - 1)
     i = np.concatenate([up, np.full(n1 - 1, n0 - 1), n0 - 1 - up, np.zeros(n1 - 1, dtype=int)])
     j = np.concatenate([np.zeros(n0 - 1, dtype=int), across, np.full(n0 - 1, n1 - 1), n1 - 1 - across])
     # a step runs from pa to pb; each value's angle is taken once, and each
-    # value is tested for 0 when it is evaluated (``fresh``)
+    # value is tested for 0 and for NaN or inf when it is evaluated (``fresh``)
     pa, fresh = np.column_stack([axes[0][i], axes[1][j]]), vals[i, j]
     ang_a = np.arctan2(fresh[:, 1], fresh[:, 0])
     pb, ang_b = np.roll(pa, -1, axis=0), np.roll(ang_a, -1)
     total = 0.0
     for depth in range(_MAX_HALVINGS + 1):
-        if np.any(np.all(fresh == 0.0, axis=1)):
+        if np.any(np.all(fresh == 0.0, axis=1)) or not np.isfinite(fresh).all():
             return None
         turn = ang_b - ang_a
         turn = (turn + np.pi) % (2.0 * np.pi) - np.pi

@@ -538,11 +538,12 @@ def _bump_prime_masked(x, eta):
     return np.where(np.abs(r) < 1.0, out, 0.0)
 
 
-def _window_term_unblocked(model, u, p, delta, n_mc, rng):
+def _window_term_unblocked(model, u, p, delta, n_mc, rng, draws):
     """The joint window term on whole (n_mc, p) arrays, slopes everywhere.
 
     Kept as the reference the blocked window term, which takes slopes only
-    inside the window, must reproduce bit for bit.
+    inside the window, must reproduce bit for bit.  It ignores the shared
+    window buffer ``draws``.
     """
     s = rng.uniform(-model.eta, model.eta, size=(n_mc, p))
     b = rng.uniform(model.beta_low, model.beta_high, size=(n_mc, p))
@@ -562,7 +563,8 @@ def _window_term_unblocked(model, u, p, delta, n_mc, rng):
 # (level, p_max, inner_mc): 20,000 draws split into several kernel blocks for
 # every p, with a partial last block; 1,001 draws, whose position and
 # amplitude sections end inside a four-double Philox step unless 4 divides p;
-# at -0.4 every amplitude block is skipped, at 0.5 some are, at 4.0 none are
+# at -0.4 every amplitude row is skipped, at 0.5 some blocks skip all their
+# rows, at 4.0 every block draws a span of rows
 SHOT_CASES = [(0.5, 2, 20_000), (0.5, 16, 20_000), (1.3, 2, 20_000), (1.3, 16, 20_000),
               (2.5, 2, 20_000), (2.5, 16, 20_000), (0.5, 12, 1001),
               (-0.4, 12, 20_000), (4.0, 16, 20_000)]
@@ -595,21 +597,76 @@ def test_shot_noise_predictions_are_bitwise_frozen(seed, monkeypatch):
     assert got == _shot_outputs(model, seed)
 
 
-@pytest.mark.parametrize("seed", [1, 3, 2**64 - 1])
-@pytest.mark.parametrize("u, skipped", [(-0.4, "all"), (0.5, "some"), (4.0, "none")])
-def test_shot_noise_skips_only_amplitude_blocks_out_of_reach(seed, u, skipped,
-                                                             monkeypatch):
-    # the frozen cases cover no, some and every amplitude block skipped;
-    # skip_doubles passes over each position section once, plus what it skips
-    passed = []
-    skip = engine.skip_doubles
+class _LoggedStream:
+    """A generator whose ``random`` calls are logged as ("draw", doubles)."""
+
+    def __init__(self, gen, log):
+        self.gen, self.log = gen, log
+
+    @property
+    def bit_generator(self):
+        return self.gen.bit_generator
+
+    def random(self, *args, **kwargs):
+        out = self.gen.random(*args, **kwargs)
+        self.log.append(("draw", out.size))
+        return out
+
+
+def _amplitude_sections(monkeypatch, u, seed, p_max, n_mc):
+    """Per p of one shotnoise_rhs call: its unit positions and amplitudes drawn.
+
+    The unit positions, an (n_mc, p) array, are drawn from a copy of the
+    generator at the start of the section (``copy_position``), and the
+    mask is True at each amplitude double that was drawn, not skipped.
+    """
+    log = []
+    copy, skip = engine.copy_position, engine.skip_doubles
+    monkeypatch.setattr(engine, "stream", lambda *a: _LoggedStream(stream(*a), log))
+    monkeypatch.setattr(engine, "copy_position",
+                        lambda gen: (log.append(("copy", copy(gen.gen))), copy(gen.gen))[1])
     monkeypatch.setattr(engine, "skip_doubles",
-                        lambda gen, n: (passed.append(n), skip(gen, n))[1])
-    shotnoise_rhs(_shot_model(), (1.0, 11.0), u, p_max=16, inner_mc=20_000, seed=seed)
-    sections = sum(20_000 * p for p in range(2, 17))
-    amplitudes = sum(passed) - sections
-    assert {"all": amplitudes == sections, "none": amplitudes == 0,
-            "some": 0 < amplitudes < sections}[skipped]
+                        lambda gen, n: (log.append(("skip", n)), skip(gen.gen, n))[1])
+    shotnoise_rhs(_shot_model(), (1.0, 11.0), u, p_max=p_max, inner_mc=n_mc, seed=seed)
+    starts = [i for i, (kind, _) in enumerate(log) if kind == "copy"] + [len(log)]
+    sections = []
+    for p, a, b in zip(range(2, p_max + 1), starts, starts[1:]):
+        assert log[a + 1] == ("skip", n_mc * p)  # past the positions section
+        drawn = np.zeros(n_mc * p, dtype=bool)
+        at = 0
+        for kind, n in log[a + 2:b]:
+            drawn[at:at + n] |= kind == "draw"
+            at += n
+        assert at == n_mc * p  # the generator ends past the amplitudes
+        sections.append((log[a][1].random((n_mc, p)), drawn.reshape(n_mc, p)))
+    return sections
+
+
+@pytest.mark.parametrize("seed", [1, 3, 2**64 - 1])
+@pytest.mark.parametrize("u, blocks", [(-0.4, "all"), (0.5, "some"), (4.0, "none")])
+def test_shot_noise_skips_only_amplitude_blocks_out_of_reach(seed, u, blocks,
+                                                             monkeypatch):
+    # a row can reach the window only if u lies within delta of its range
+    # [beta_low, beta_high] * 16 sum q; every such row draws its amplitudes.
+    # Each block draws the span from its first such row to its last, so it
+    # skips more than the whole blocks without one (``blocks``: all, some or
+    # none of them) hold
+    model, n_mc = _shot_model(), 20_000
+    delta = 0.05 * abs(u)
+    skipped = whole_blocks = 0
+    for units, drawn in _amplitude_sections(monkeypatch, u, seed, 16, n_mc):
+        p = units.shape[1]
+        total = 16.0 * _unit_bump(units).sum(axis=1)
+        reachable = ((model.beta_low * total < u + delta)
+                     & (model.beta_high * total > u - delta))
+        assert drawn[reachable].all()
+        assert (drawn.all(axis=1) | ~drawn.any(axis=1)).all()  # whole rows
+        skipped += (~drawn).sum()
+        step = engine._SHARED_BLOCK // p
+        whole_blocks += sum(p * reachable[lo:lo + step].size for lo in range(0, n_mc, step)
+                            if not reachable[lo:lo + step].any())
+    assert {"all": skipped == whole_blocks == n_mc * sum(range(2, 17)),
+            "some": skipped > whole_blocks > 0, "none": skipped > whole_blocks == 0}[blocks]
 
 
 @pytest.mark.parametrize("u", [0.5, 4.0])
@@ -962,6 +1019,31 @@ def test_pair_moment_shared_draws_match_per_node_loop():
         rel=1e-12, abs=1e-13 * est.value)
     assert est.detail == {"band": band, "nodes": nodes, "n_mc": inner_mc}
     assert (est.n_quadrature, est.n_mc, est.signed) == (nodes, inner_mc, True)
+
+
+# (freqs, amps, u, T, inner_mc, quadrature, seed) and .hex() of value, mc_error
+# and quadrature_error.  Blocks of the quadrature hold 16384 // inner_mc
+# nodes: 2 for 8192 draws, whose 512 and 256 nodes fill every block; the
+# other three rules end on a short block at both node counts (50 and 25
+# nodes in blocks of 16, 48 and 24 in blocks of 5, 37 and 18 in blocks of 8)
+PAIR_PINS = [
+    ((1.0, 2.5), None, 0.0, 2.0, 8192, None, 0,
+     ("0x1.8540b2978eeb9p-1", "0x1.7b88fe3844fd6p-7", "0x1.eaae733886aabp-14")),
+    ((1.0, 2.3), (0.8, 0.6), 0.4, 0.9, 1000, 50, 7,
+     ("0x1.0890561f1dd1dp-5", "0x1.7671e8ca808b8p-10", "0x1.e0ea088118d56p-16")),
+    ((1.0, 2.3), (0.8, 0.6), -1.1, 3.0, 3000, 48, 2**64 - 1,
+     ("0x1.4dffa71f8e01fp-1", "0x1.a35b9c51a0bb5p-7", "0x1.e6e8ec1317556p-11")),
+    ((0.5, 1.7, 3.1), None, 1.0, 1.5, 2048, 37, 3,
+     ("0x1.591f5383aa442p-2", "0x1.28d4d6e92883ep-7", "0x1.dee67d742e556p-12")),
+]
+
+
+@pytest.mark.parametrize("freqs, amps, u, T, inner_mc, quadrature, seed, pinned", PAIR_PINS)
+def test_pair_moment_predictions_are_bitwise_pinned(freqs, amps, u, T, inner_mc,
+                                                    quadrature, seed, pinned):
+    ev = second_factorial_moment_rhs(_line_model(freqs, amps), (0.0, T), u,
+                                     quadrature=quadrature, inner_mc=inner_mc, seed=seed)
+    assert tuple(x.hex() for x in (ev.value, ev.mc_error, ev.quadrature_error)) == pinned
 
 
 def test_pair_moment_grows_with_interval():

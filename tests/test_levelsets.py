@@ -851,6 +851,28 @@ def test_roots_2d_degree_halves_wide_boundary_steps(edge, degree):
     assert len(calls) <= 1 + 30 + 4
 
 
+@pytest.mark.parametrize("where, count", [("everywhere", 0), ("one-edge", 1), ("midpoint", 1)])
+def test_roots_2d_degree_is_unresolved_on_a_boundary_that_is_not_finite(where, count):
+    # X(p) = p - u on [0, 1]^2 at grid 8, NaN everywhere, on the edge x = 0
+    # only, or only at the halving midpoints: u = 0.999 on x makes a step
+    # along the edge x = 1 wide, and its midpoint is no lattice node
+    u = (0.4, 0.4) if where != "midpoint" else (0.999, 0.4)
+    nodes = np.linspace(0.0, 1.0, 8)
+
+    def val(p):
+        p = np.atleast_2d(p).astype(float)
+        nan = {"everywhere": np.ones(p.shape[0], dtype=bool), "one-edge": p[:, 0] == 0.0,
+               "midpoint": (p[:, 0] == 1.0) & ~np.isin(p[:, 1], nodes)}[where]
+        return np.where(nan[:, None], np.nan, p)
+
+    f = DeterministicField(value_fn=val, jacobian_fn=lambda p: np.broadcast_to(
+        np.eye(2), (np.atleast_2d(p).shape[0], 2, 2)).copy(), d=2, D=2)
+    rs = count_roots_2d(f, [(0.0, 1.0), (0.0, 1.0)], u, grid=8)
+    assert rs.degree is None
+    assert rs.count == count
+    assert count_roots_2d([f, f], [(0.0, 1.0), (0.0, 1.0)], u, grid=8).degree == (None, None)
+
+
 def test_roots_2d_degree_flags_missed_roots():
     # z^2 - eps^2 (complex form) has two roots of sign +1 at +/- eps; a grid
     # whose dedup radius h/2 exceeds 2 eps reports one, the boundary two
