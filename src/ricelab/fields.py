@@ -13,6 +13,7 @@ counter-based streams keyed by (seed, tag), see :mod:`ricelab.rng`.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -208,6 +209,11 @@ class SpectralGaussian2D:
     d = 1
     D = 2
 
+    @functools.cached_property
+    def _axis_tables(self) -> dict:
+        """Per-axis phase tables of lattices, filled by ``_axis_table``; not a model field."""
+        return {}
+
     @property
     def lambda0(self) -> float:
         return float(np.sum(self.amplitudes**2))
@@ -303,13 +309,19 @@ def _rows_of(real, waves: np.ndarray, partials) -> np.ndarray:
     """The ``_partial_rows`` of a spectral realization, built on first use and kept.
 
     They live in the realization's ``_rows`` cache, read-only, so the Newton
-    steps of a root search turn the coefficients once per partial set.
+    steps of a root search turn the coefficients once per partial set.  The
+    gradient and the Hessian are read from the rows of both together
+    (``_ROWS_WITHIN``): each row depends on its own partial only.
     """
     rows = real._rows.get(partials)
     if rows is None:
-        rows = _partial_rows(waves, real.coef_cos, real.coef_sin, partials)
-        rows.flags.writeable = False
-        real._rows[partials] = rows
+        whole, part = _ROWS_WITHIN.get(partials, (partials, slice(None)))
+        rows = real._rows.get(whole)
+        if rows is None:
+            rows = _partial_rows(waves, real.coef_cos, real.coef_sin, whole)
+            rows.flags.writeable = False
+            real._rows[whole] = rows
+        rows = real._rows[partials] = rows[part]
     return rows
 
 
@@ -328,20 +340,41 @@ def _trig_sum(waves: np.ndarray, rows: np.ndarray, pts: np.ndarray) -> np.ndarra
     return out
 
 
-def _trig_lattice(waves: np.ndarray, rows: np.ndarray, x0, x1) -> np.ndarray:
-    """(len(rows), n0, n1) partials of one planar trigonometric sum on the lattice x0 x x1.
+_AXIS_TABLES = 8  # per-axis phase tables a planar model keeps
+
+
+def _axis_table(model: SpectralGaussian2D, axis: int, x: np.ndarray) -> np.ndarray:
+    """``_trig_table`` of the wave components along ``axis`` at coordinates x, kept on the model.
+
+    The table depends only on the wavevectors and the coordinates, so every
+    field of a model reads the same one, read-only; the model keeps the last
+    ``_AXIS_TABLES`` in its ``_axis_tables``, keyed by axis and coordinates.
+    """
+    memo = model._axis_tables
+    key = (axis, x.tobytes())
+    table = memo.get(key)
+    if table is None:
+        table = _trig_table(model.wavevectors[:, axis:axis + 1], x.reshape(-1, 1))
+        table.flags.writeable = False
+        if len(memo) >= _AXIS_TABLES:
+            del memo[next(iter(memo))]
+        memo[key] = table
+    return table
+
+
+def _trig_lattice(rows: np.ndarray, t0: np.ndarray, t1: np.ndarray, out=None) -> np.ndarray:
+    """(len(rows), n0, n1) partials of one planar trigonometric sum on a lattice x0 x x1.
 
     With a = w_k0 x and b = w_k1 y, cos(a + b) = cos a cos b - sin a sin b and
     sin(a + b) = sin a cos b + cos a sin b, so c cos + s sin at (x, y) is
     (c cos a + s sin a) cos b + (s cos a - c sin a) sin b: per-axis tables
-    (O(K (n0 + n1)) trig calls) and one contraction over 2K per partial.
+    t0 and t1 (``_axis_table``) and one contraction over 2K per partial,
+    written to ``out`` when given.
     """
-    k = waves.shape[0]
-    t0 = _trig_table(waves[:, :1], x0.reshape(-1, 1))
-    t1 = _trig_table(waves[:, 1:], x1.reshape(-1, 1))
+    k = t0.shape[0] // 2
     c, s = rows[:, :k, None], rows[:, k:, None]
     left = np.concatenate([c * t0[:k] + s * t0[k:], s * t0[:k] - c * t0[k:]], axis=1)
-    return np.swapaxes(left, 1, 2) @ t1
+    return np.matmul(np.swapaxes(left, 1, 2), t1, out=out)
 
 
 _VALUE = ((),)
@@ -352,6 +385,9 @@ _HESSIAN = ((0, 0), (0, 1), (1, 0), (1, 1))  # row-major entries of the 2x2 matr
 # partials and pointwise result shape of the value, gradient and Hessian
 _ORDERS = ((_VALUE, ()), (_GRADIENT, (2,)), (_HESSIAN, (2, 2)))
 _GRADIENT_HESSIAN = _GRADIENT + _HESSIAN
+# partial sets that ``_rows_of`` reads from a larger set: (larger set, their rows in it)
+_ROWS_WITHIN = {_GRADIENT: (_GRADIENT_HESSIAN, slice(0, 2)),
+                _HESSIAN: (_GRADIENT_HESSIAN, slice(2, 6))}
 
 
 def _eval_1d(real: "TrigRealization1D", t, partials):
@@ -421,19 +457,22 @@ class TrigRealization2D:
 
     jacobian = gradient
 
-    def lattice(self, axes, order: int = 0):
+    def lattice(self, axes, order: int = 0, out=None):
         """Value (order 0), gradient (1) or Hessian (2) on the tensor lattice axes[0] x axes[1].
 
         Shape (n0, n1) + the pointwise result shape; entry [i, j] is the
         pointwise result at (axes[0][i], axes[1][j]) up to rounding, from
         separable phases (see ``_trig_lattice``) instead of one phase per node.
+        With ``out``, an (m, n0, n1) array for m entries a node, the lattice
+        is computed into it, and the result is a view of it.
         """
         if order not in (0, 1, 2):
             raise CapabilityError(f"lattice derivatives go up to order 2, got {order!r}")
         partials, shape = _ORDERS[order]
         x0, x1 = (np.asarray(a, dtype=float).ravel() for a in axes)
-        waves = self.model.wavevectors
-        out = _trig_lattice(waves, _rows_of(self, waves, partials), x0, x1)
+        rows = _rows_of(self, self.model.wavevectors, partials)
+        t0, t1 = _axis_table(self.model, 0, x0), _axis_table(self.model, 1, x1)
+        out = _trig_lattice(rows, t0, t1, out)
         return np.moveaxis(out, 0, -1).reshape((x0.size, x1.size) + shape)
 
 
@@ -478,11 +517,11 @@ class GradientFieldRealization:
         out = _eval_2d(self.scalar, np.reshape(pts, (-1, 2)), _GRADIENT_HESSIAN, (6,))
         return out[:, :2], out[:, 2:].reshape(-1, 2, 2)
 
-    def lattice(self, axes, order: int = 0):
+    def lattice(self, axes, order: int = 0, out=None):
         """Value (order 0) or Jacobian (1) on a tensor lattice: the scalar's gradient or Hessian."""
         if order not in (0, 1):
             raise CapabilityError(f"gradient-field lattices go up to order 1, got {order!r}")
-        return self.scalar.lattice(axes, order + 1)
+        return self.scalar.lattice(axes, order + 1, out)
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,8 @@ class Polyline:
             a = np.asarray(c, dtype=float)
             if a.ndim != 2 or a.shape[1] != 2 or a.shape[0] < 1:
                 raise ConfigurationError("each component needs shape (k, 2), k >= 1")
+            if not np.isfinite(a).all():
+                raise ConfigurationError("polyline vertices must be finite")
             comps.append(a)
         object.__setattr__(self, "components", tuple(comps))
 
@@ -287,7 +289,8 @@ def favard_measure(shape, n_lines: int, seed: int) -> tuple:
         hi = min(lo + chunk, n_lines)
         k = hi - lo
         normals = rng.standard_normal((k, 2))
-        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        nx, ny = normals[:, 0], normals[:, 1]
+        normals /= np.sqrt(nx * nx + ny * ny)[:, None]  # the 2-wide norm, column by column
         proj_corners = corners @ normals.T  # (4, k)
         wlo, whi = proj_corners.min(axis=0), proj_corners.max(axis=0)
         window = whi - wlo

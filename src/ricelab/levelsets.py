@@ -9,6 +9,7 @@ lives in the engine and harness modules.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -17,7 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapabilityError
-from .fields import LineCorpus, _chunked_cols, box_array, config_count, config_positive
+from .fields import (GradientFieldRealization, LineCorpus, _chunked_cols, box_array, config_count,
+                     config_positive)
 
 __all__ = [
     "GridSample",
@@ -88,8 +90,17 @@ class GridSample:
         return path
 
 
-def _lattice_axes(box: np.ndarray, res: int):
-    return [np.linspace(lo, hi, res) for lo, hi in box]
+def _lattice_axes(box: np.ndarray, res: int) -> tuple:
+    """The ``res`` lattice coordinates along each axis of ``box``: read-only, kept for reuse."""
+    return _axes_of(tuple(tuple(row) for row in np.asarray(box).tolist()), res)
+
+
+@functools.lru_cache(maxsize=16)
+def _axes_of(bounds: tuple, res: int) -> tuple:
+    axes = tuple(np.linspace(lo, hi, res) for lo, hi in bounds)
+    for a in axes:
+        a.flags.writeable = False
+    return axes
 
 
 def _lattice_points(axes) -> np.ndarray:
@@ -284,16 +295,19 @@ def _near(pts: np.ndarray, singular: np.ndarray, d2_max: float) -> np.ndarray:
     return d2 < d2_max
 
 
-def _lattice_values(realization, axes) -> np.ndarray:
+def _lattice_values(realization, axes, work: Optional["_SeedWork"] = None) -> np.ndarray:
     """Values on the tensor lattice axes[0] x axes[1]: shape (n0, n1), plus (d,) if d > 1.
 
     A realization with a ``lattice`` method (spectral fields) factors its
-    phases over the two axes; any other is evaluated pointwise, after nodes
-    that land on a singular point are moved off it by 1e-9.  The array is
-    the caller's own, so it may be changed in place.
+    phases over the two axes; a gradient field computes them into
+    ``work.vals`` when ``work`` is given.  Any other realization is evaluated
+    pointwise, after nodes that land on a singular point are moved off it
+    by 1e-9.  The array is the caller's own, so it may be changed in place.
     """
     lattice = getattr(realization, "lattice", None)
     if lattice is not None:
+        if work is not None and isinstance(realization, GradientFieldRealization):
+            return lattice(axes, out=work.vals)
         return lattice(axes)
     vals = np.array(_values_off_singular(realization, _lattice_points(axes)))
     shape = (axes[0].size, axes[1].size)
@@ -321,6 +335,16 @@ def _values_off_singular(realization, pts: np.ndarray) -> np.ndarray:
 _MAX_HALVINGS = 30  # of one boundary step: 2^-30 of a lattice cell
 
 
+@functools.lru_cache(maxsize=8)
+def _boundary_nodes(n0: int, n1: int) -> tuple:
+    """Indices (i, j) of the boundary nodes of an n0 x n1 lattice, counter-clockwise from (0, 0)."""
+    up, across = np.arange(n0 - 1), np.arange(n1 - 1)
+    i = np.concatenate([up, np.full(n1 - 1, n0 - 1), n0 - 1 - up, np.zeros(n1 - 1, dtype=int)])
+    j = np.concatenate([np.zeros(n0 - 1, dtype=int), across, np.full(n0 - 1, n1 - 1), n1 - 1 - across])
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def _boundary_degree(realization, axes, vals: np.ndarray, u: np.ndarray):
     """Turns of X - u around 0 along the box boundary, or None.
 
@@ -331,18 +355,15 @@ def _boundary_degree(realization, axes, vals: np.ndarray, u: np.ndarray):
     less.  None when the path meets 0 or a value that is not finite, or a
     step still turns by pi/2 or more after ``_MAX_HALVINGS`` halvings.
     """
-    n0, n1 = vals.shape[:2]
-    up, across = np.arange(n0 - 1), np.arange(n1 - 1)
-    i = np.concatenate([up, np.full(n1 - 1, n0 - 1), n0 - 1 - up, np.zeros(n1 - 1, dtype=int)])
-    j = np.concatenate([np.zeros(n0 - 1, dtype=int), across, np.full(n0 - 1, n1 - 1), n1 - 1 - across])
+    i, j = _boundary_nodes(*vals.shape[:2])
     # a step runs from pa to pb; each value's angle is taken once, and each
     # value is tested for 0 and for NaN or inf when it is evaluated (``fresh``)
     pa, fresh = np.column_stack([axes[0][i], axes[1][j]]), vals[i, j]
     ang_a = np.arctan2(fresh[:, 1], fresh[:, 0])
-    pb, ang_b = np.roll(pa, -1, axis=0), np.roll(ang_a, -1)
+    pb, ang_b = np.concatenate([pa[1:], pa[:1]]), np.concatenate([ang_a[1:], ang_a[:1]])
     total = 0.0
     for depth in range(_MAX_HALVINGS + 1):
-        if np.any(np.all(fresh == 0.0, axis=1)) or not np.isfinite(fresh).all():
+        if ((fresh[:, 0] == 0.0) & (fresh[:, 1] == 0.0)).any() or not np.isfinite(fresh).all():
             return None
         turn = ang_b - ang_a
         turn = (turn + np.pi) % (2.0 * np.pi) - np.pi
@@ -360,15 +381,44 @@ def _boundary_degree(realization, axes, vals: np.ndarray, u: np.ndarray):
         pb, ang_b = np.concatenate([pm, pb]), np.concatenate([ang_m, ang_b])
 
 
-def _window_min(a: np.ndarray) -> np.ndarray:
+class _SeedWork:
+    """Lattice-sized arrays of the seed phase, made once per ``count_roots_2d`` call.
+
+    Each field's lattice (``vals``, components outermost), squared norms,
+    window minima and masks are written over the last field's, so a corpus
+    allocates them once: freed and made again per field, they cost page
+    faults on hosts whose allocator hands such arrays back to the system.
+    """
+
+    def __init__(self, n0: int, n1: int):
+        self.vals = np.empty((2, n0, n1))
+        self.n2, self.low, self.rows = (np.empty((n0, n1)) for _ in range(3))
+        self.node, self.pair, self.corner, self.cells = (
+            np.empty(n0 * n1, dtype=bool) for _ in range(4))
+
+
+def _window_min(a: np.ndarray, low: Optional[np.ndarray] = None,
+                rows: Optional[np.ndarray] = None) -> np.ndarray:
     """Minimum of each node's 3 x 3 window (clipped at the edges), over rows, then columns.
 
     ``np.minimum`` propagates NaN, so a NaN anywhere in the window gives NaN.
+    The result goes to ``low`` and ``rows`` is scratch, both C-contiguous
+    arrays of a's shape, when they are given.  Within rows, the minimum runs
+    over the flat lattice, where the first and last columns take a neighbour
+    from the next or previous row; those two columns are then taken again.
     """
-    low = a.copy()
-    np.minimum(low[:, :-1], a[:, 1:], out=low[:, :-1])
-    np.minimum(low[:, 1:], a[:, :-1], out=low[:, 1:])
-    rows = low.copy()
+    n1 = a.shape[1]
+    low = np.empty(a.shape, a.dtype) if low is None else low
+    rows = np.empty(a.shape, a.dtype) if rows is None else rows
+    np.copyto(low, a)
+    if n1 > 1:
+        np.copyto(rows, a)
+        lf, rf = low.reshape(-1), rows.reshape(-1)
+        np.minimum(lf[:-1], rf[1:], out=lf[:-1])
+        np.minimum(lf[1:], rf[:-1], out=lf[1:])
+        np.minimum(a[:, 0], a[:, 1], out=low[:, 0])
+        np.minimum(a[:, -1], a[:, -2], out=low[:, -1])
+    np.copyto(rows, low)
     np.minimum(low[:-1], rows[1:], out=low[:-1])
     np.minimum(low[1:], rows[:-1], out=low[1:])
     return low
@@ -388,7 +438,7 @@ _WINDOW = np.array([(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]).T
 _WINDOW_SELF = 4
 
 
-def _norm_minima(vals: np.ndarray) -> tuple:
+def _norm_minima(vals: np.ndarray, work: Optional[_SeedWork] = None) -> tuple:
     """Indices (i, j) of the local minima of the norm of ``vals`` (n0, n1, 2), as ``_local_minima``.
 
     The squared norms n2 preselect the candidates: a minimum of the norm
@@ -396,18 +446,22 @@ def _norm_minima(vals: np.ndarray) -> tuple:
     of 1e-12 relative plus 1e-300 (for squares that underflow).  ``hypot``
     then decides at each candidate against its 8 neighbours, with inf off
     the lattice.  Where a square overflows, or a value is not finite, the
-    whole-lattice ``hypot`` decides.
+    whole-lattice ``hypot`` decides.  The lattice-sized arrays are
+    ``work``'s, when given.
     """
     v0, v1 = vals[:, :, 0], vals[:, :, 1]
     n0, n1 = v0.shape
+    work = _SeedWork(n0, n1) if work is None else work
+    n2, low = work.n2, work.low
     with np.errstate(over="ignore"):
-        n2 = v0 * v0 + v1 * v1
+        np.multiply(v0, v0, out=n2)
+        n2 += np.multiply(v1, v1, out=low)
         if not np.isfinite(n2.max()):
             return _nonzero_2d(_local_minima(np.hypot(v0, v1)))
-        low = _window_min(n2)
+        _window_min(n2, low, work.rows)
         low *= 1.0 + 1e-12
     low += 1e-300
-    ci, cj = _nonzero_2d(n2 <= low)
+    ci, cj = _nonzero_2d(np.less_equal(n2, low, out=work.node.reshape(n0, n1)))
     i, j = ci[:, None] + _WINDOW[0], cj[:, None] + _WINDOW[1]
     off = (i < 0) | (i >= n0) | (j < 0) | (j >= n1)
     flat = i * n1 + j
@@ -419,35 +473,56 @@ def _norm_minima(vals: np.ndarray) -> tuple:
     return ci[keep], cj[keep]
 
 
-def _any_corner(a: np.ndarray) -> np.ndarray:
-    """Per lattice cell, whether ``a`` holds at any of its four corners."""
-    return a[:-1, :-1] | a[1:, :-1] | a[1:, 1:] | a[:-1, 1:]
+def _any_corner(node: np.ndarray, n1: int, pair: np.ndarray, corner: np.ndarray) -> np.ndarray:
+    """Per cell k of the flat lattice, whether ``node`` holds at any of its four corners.
+
+    Cell (i, j) is node k = i n1 + j, with corners k, k + 1, k + n1 and
+    k + n1 + 1.  ``pair`` (length n0 n1 - 1) is scratch, and ``corner``
+    (length (n0 - 1) n1 - 1) receives the result.
+    """
+    np.logical_or(node[:-1], node[1:], out=pair)
+    return np.logical_or(pair[:corner.size], pair[n1:], out=corner)
 
 
-def _brackets(vals: np.ndarray) -> np.ndarray:
+def _brackets(vals: np.ndarray, work: Optional[_SeedWork] = None) -> np.ndarray:
     """Cells where every component of ``vals`` (n0, n1, d) has min < 0 < max over the corners.
 
     A corner holds both signs only among numbers, so a NaN corner rules the
-    cell out, as it does the minimum and maximum.
+    cell out, as it does the minimum and maximum.  The masks run over the
+    flat lattice (``_any_corner``), where the cells of the last column
+    (j = n1 - 1) are no cells; they are cut off, so the result is an
+    (n0 - 1, n1 - 1) view.  The masks are ``work``'s, when given.
     """
-    signs = _any_corner(vals < 0.0) & _any_corner(vals > 0.0) & ~_any_corner(np.isnan(vals))
-    return np.all(signs, axis=2)
+    n0, n1 = vals.shape[:2]
+    work = _SeedWork(n0, n1) if work is None else work
+    m = (n0 - 1) * n1 - 1  # cells up to the last one of the last row
+    node, grid = work.node, work.node.reshape(n0, n1)
+    pair, corner, cells = work.pair[:-1], work.corner[:m], work.cells[:m]
+    cells.fill(True)
+    for c in range(vals.shape[2]):
+        v = vals[:, :, c]
+        np.less(v, 0.0, out=grid)
+        cells &= _any_corner(node, n1, pair, corner)
+        np.greater(v, 0.0, out=grid)
+        cells &= _any_corner(node, n1, pair, corner)
+        np.isnan(v, out=grid)
+        cells &= np.logical_not(_any_corner(node, n1, pair, corner), out=corner)
+    return work.cells[:m + 1].reshape(n0 - 1, n1)[:, :-1]
 
 
-def _seeds_and_degree(realization, ax, u: np.ndarray) -> tuple:
+def _seeds_and_degree(realization, ax, u: np.ndarray, work: _SeedWork) -> tuple:
     """Newton seeds (n, 2) of one field and its boundary degree, from one lattice.
 
     The seeds are the centres of the cells whose corners bracket u in both
     components (``_brackets``), then the nodes where |X - u| is no larger
-    than at any of their 8 neighbours (``_norm_minima``).  The lattice is
-    dropped on return, so a corpus holds one lattice at a time; u is taken
-    off it in place, since a fresh lattice-sized array per field costs page
-    faults on hosts whose allocator hands such arrays back to the system.
+    than at any of their 8 neighbours (``_norm_minima``).  The lattice and
+    its masks live in ``work``, so a corpus holds one lattice at a time;
+    u is taken off it in place.
     """
-    vals = _lattice_values(realization, ax)
+    vals = _lattice_values(realization, ax, work)
     vals -= u
-    ci, cj = _nonzero_2d(_brackets(vals))
-    ni, nj = _norm_minima(vals)
+    ci, cj = _nonzero_2d(_brackets(vals, work))
+    ni, nj = _norm_minima(vals, work)
     seeds = np.concatenate([
         np.column_stack([ax[0][ci] + 0.5 * (ax[0][1] - ax[0][0]),
                          ax[1][cj] + 0.5 * (ax[1][1] - ax[1][0])]),
@@ -486,7 +561,7 @@ def _newton_2d(reals: list, P: np.ndarray, field: np.ndarray, u: np.ndarray,
     cap = 4.0 * h
     span = np.max(b[:, 1] - b[:, 0])
     far_lo, far_hi = b[:, 0] - span, b[:, 1] + span
-    for _ in range(int(newton_iters)):
+    for _ in range(newton_iters):
         counts = np.bincount(fid, minlength=nf)
         if any_singular:
             go = np.ones(idx.size, dtype=bool)
@@ -602,12 +677,15 @@ def count_roots_2d(
         raise CapabilityError("count_roots_2d needs d = D = 2")
     b = box_array(box, 2)
     grid = _grid_size(grid)
+    newton_iters = config_count("newton_iters", newton_iters, 1)
+    tol = config_positive("tol", tol)
     u = np.asarray(u, dtype=float).reshape(2)
     ax = _lattice_axes(b, grid)
     h = float(max((b[0, 1] - b[0, 0]), (b[1, 1] - b[1, 0])) / (grid - 1))
+    work = _SeedWork(grid, grid)
     seeds, degrees = [], []
     for real in reals:
-        p, degree = _seeds_and_degree(real, ax, u)
+        p, degree = _seeds_and_degree(real, ax, u, work)
         seeds.append(p)
         degrees.append(degree)
     P = np.concatenate(seeds + [np.zeros((0, 2))])
@@ -834,8 +912,9 @@ class LevelCurve:
     level: float
     spacing: float
 
-    @property
+    @functools.cached_property
     def length(self) -> float:
+        """Sum of the segment lengths, computed on first use and kept (segments do not change)."""
         if self.segments.size == 0:
             return 0.0
         return float(np.sum(np.linalg.norm(self.segments[:, 1] - self.segments[:, 0], axis=1)))

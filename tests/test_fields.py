@@ -280,6 +280,31 @@ def test_trig2d_lattice_matches_pointwise_eval():
         g.lattice(axes, 2)
 
 
+def test_trig2d_lattices_of_one_model_share_axis_tables_bitwise():
+    # the per-axis phase tables are kept on the model and read by each of
+    # its fields: a lattice taken after other fields' lattices equals one
+    # from a fresh copy of the model, bit for bit, at two grids; more axes
+    # than the model keeps evict the oldest tables
+    m = SpectralGaussian2D.isotropic_ring(7, 2.5)
+    grids = [[np.linspace(-3.0, 5.0, 41), np.linspace(-1.0, 2.0, 17)],
+             [np.linspace(0.0, 2.0, 64), np.linspace(0.0, 2.0, 64)]]
+    grids += [[np.linspace(0.0, 1.0, n), np.linspace(-1.0, 0.0, n)] for n in (8, 9, 10)]
+    for seed in (2, 31, 7):
+        r = sample_realization(m, seed)
+        for axes in grids[:2] + grids:
+            for order in range(3):
+                fresh = sample_realization(model_from_doc(model_to_doc(m)), seed)
+                assert np.array_equal(r.lattice(axes, order), fresh.lattice(axes, order))
+        assert 0 < len(m._axis_tables) <= fields._AXIS_TABLES
+    assert model_to_doc(m) == model_to_doc(SpectralGaussian2D.isotropic_ring(7, 2.5))
+    assert all(not t.flags.writeable for t in m._axis_tables.values())
+    # ``out`` receives the lattice, which equals the one made afresh
+    g = sample_realization(GradientField(m), 4)
+    out = np.empty((2, 64, 64))
+    got = g.lattice(grids[1], out=out)
+    assert np.shares_memory(got, out) and np.array_equal(got, g.lattice(grids[1]))
+
+
 def test_cached_rows_evaluate_like_fresh_rows(monkeypatch):
     # every evaluation reads the realization's cached rows; rows built afresh
     # for each call give the same bits, and each partial set is built once
@@ -309,9 +334,10 @@ def test_cached_rows_evaluate_like_fresh_rows(monkeypatch):
             r.__dict__["_rows"] = {}
         for a, b, c in zip(first, again, fresh):
             assert np.array_equal(a, b) and np.array_equal(a, c)
-    # first use builds the value, first- and second-order sets once (lattices
-    # reuse them); then one build per fresh call: 3 + 6 per 2D, 3 + 3 per 1D
-    assert len(built) == 2 * (3 + 6) + 2 * (3 + 3)
+    # first use builds each set once (lattices reuse them; a 2D gradient and
+    # Hessian share one set of both); then one build per fresh call: 2 + 6
+    # per 2D, 3 + 3 per 1D
+    assert len(built) == 2 * (2 + 6) + 2 * (3 + 3)
     r = sample_realization(m2, 7)
     r.hessian(pts)
     assert not r._rows[fields._HESSIAN].flags.writeable

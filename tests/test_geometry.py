@@ -336,12 +336,24 @@ def test_favard_pruned_count_equals_dense_oracle(shape, n_lines):
 
 def test_favard_non_finite_curve_keeps_the_dense_count():
     # an infinite end has no midpoint tile, so such a curve is not cut into
-    # blocks; its estimate is NaN, as the whole-chunk count gives
-    v = _walk(100, 5).components[0].copy()
-    v[50, 0] = np.inf
+    # blocks; its estimate is NaN, as the whole-chunk count gives.  A
+    # Polyline refuses the vertex, so the curve is a LevelCurve
+    segments = _walk(100, 5).segments.copy()
+    segments[49, 1, 0] = segments[50, 0, 0] = np.inf
+    curve = LevelCurve(segments, 0.0, 1.0)
     with np.errstate(invalid="ignore"):
-        est = favard_measure(Polyline([v]), 2000, 1)
-        assert np.isnan(est).all() and np.isnan(_dense_favard(Polyline([v]), 2000, 1)).all()
+        est = favard_measure(curve, 2000, 1)
+        assert np.isnan(est).all() and np.isnan(_dense_favard(curve, 2000, 1)).all()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_polyline_refuses_non_finite_vertices(bad):
+    # such a vertex made the length inf or NaN and the line count (nan, nan)
+    v = _walk(10, 2).components[0].copy()
+    v[4, 1] = bad
+    with pytest.raises(ConfigurationError, match="finite"):
+        Polyline([v[:3], v])
+    assert Polyline([v[:3]]).length > 0.0
 
 
 def test_favard_exact_test_skips_most_pairs(monkeypatch):

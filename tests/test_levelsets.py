@@ -702,6 +702,11 @@ def test_roots_2d_corpus_evaluates_each_field_as_alone():
     assert sum(("jacobian", 1) in counted.calls for counted in corpus) > 1
     _same_root_sets([_ring_gradient(s) for s in seeds], _RING_BOX, (0.0, 0.0), 128)
     assert many.count > 0
+    # at 256^2, each field's lattice, masks and minima are written over the
+    # last field's (one set of lattice-sized arrays per call)
+    wide, _ = _same_root_sets([_ring_gradient(s) for s in range(2000, 2012)],
+                              _RING_BOX, (0.0, 0.0), 256)
+    assert len(set(wide.rows.tolist())) > 8
 
 
 def test_roots_2d_corpus_with_a_field_without_seeds():
@@ -965,6 +970,20 @@ def test_grid_must_be_a_whole_number_of_at_least_two(call):
         call()
 
 
+@pytest.mark.parametrize("key, value, match", [
+    ("newton_iters", 0, "newton_iters must be >= 1"),
+    ("newton_iters", -3, "newton_iters must be >= 1"),
+    ("newton_iters", 2.5, "newton_iters must be a whole number"),
+    ("tol", -1.0, "tol must be positive"),
+    ("tol", math.nan, "tol must be a finite number"),
+], ids=["iters-zero", "iters-negative", "iters-fraction", "tol-negative", "tol-nan"])
+def test_roots_2d_newton_iters_and_tol_are_checked(key, value, match):
+    # each of these found 0 roots without an error (the degree still read
+    # 1), and 2.5 iterations ran as 2
+    with pytest.raises(ConfigurationError, match=match):
+        count_roots_2d(_ring_gradient(1), _RING_BOX, (0.0, 0.0), grid=64, **{key: value})
+
+
 def test_grid_export_and_readback(tmp_path):
     gs = sample_grid(_paraboloid(), [(-1, 1), (-1, 1)], 17)
     sidecar_path = gs.export(str(tmp_path / "dump"))
@@ -1043,6 +1062,16 @@ def test_nodal_length_refines_with_grid():
     ]
     assert errs[2] < errs[1] < errs[0]
     assert errs[2] < 1e-3
+
+
+def test_nodal_length_keeps_the_length_it_sums():
+    # the length is summed once and kept; it equals the sum taken afresh
+    curve = nodal_length(sample_realization(_RING, 4), [(0.0, 3.0), (0.0, 3.0)], 0.2, grid=96)
+    first = curve.length
+    segs = curve.segments
+    fresh = float(np.sum(np.linalg.norm(segs[:, 1] - segs[:, 0], axis=1)))
+    assert curve.segments.shape[0] > 20 and first > 0.0
+    assert curve.length is first and first == fresh
 
 
 def test_nodal_length_empty_level():
