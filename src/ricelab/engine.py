@@ -11,8 +11,8 @@ several weighted and higher-order variants:
 
 * :func:`kacrice_rhs` -- the plain mean-measure prediction for the stationary
   families (spectral Gaussian, gradient and squared-sum fields): the product
-  of :func:`level_density` and :func:`conditional_jacobian_expectation`,
-  which cover those families only,
+  of :func:`level_density` and :func:`conditional_jacobian_expectation`, the
+  model's own ``value_density`` and ``gradient_norm_mean``,
 * :func:`weighted_kacrice_rhs` -- predictions with a weight on the Jacobian
   ("unit", "upcrossing", or a signature index),
 * :func:`euler_char_expectation` -- signed critical-point count above a level
@@ -70,12 +70,10 @@ from .errors import (
     ModelError,
 )
 from .fields import (
-    ChiSquareField,
     GradientField,
     MicrolensModel,
     ShotNoiseModel,
     SpectralGaussian1D,
-    SpectralGaussian2D,
     _unit_bump,
     box_array,
     config_count,
@@ -236,33 +234,17 @@ def _box_volume(arr: np.ndarray) -> float:
     return float(np.prod(arr[:, 1] - arr[:, 0]))
 
 
-def _gauss_pdf(x: float, var: float) -> float:
-    if var <= 0.0:
-        raise ModelError("degenerate Gaussian variance")
-    return math.exp(-0.5 * x * x / var) / math.sqrt(2.0 * math.pi * var)
-
-
-def _sphere_area(n: int, radius: float) -> float:
-    """Surface area of the radius-``radius`` sphere in R^n."""
-    return 2.0 * math.pi ** (n / 2.0) * radius ** (n - 1) / math.gamma(n / 2.0)
-
-
 # ---------------------------------------------------------------------------
-# level density
+# rate factors of the stationary families
 
 
-def _refuse_joint_families(model, caller: str) -> None:
-    """Raise CapabilityError for the families whose prediction has its own entry point.
-
-    Impulse-sum and deflection models are not stationary Gaussian, so their
-    density and Jacobian are integrated together, in :func:`shotnoise_rhs`
-    and :func:`microlens_rhs`; they have no rate factors of their own.
-    """
-    own = {ShotNoiseModel: "shotnoise_rhs", MicrolensModel: "microlens_rhs"}.get(
-        type(model))
-    if own is not None:
-        raise CapabilityError(f"{caller} covers stationary families; "
-                              f"predict {type(model).__name__} with {own}")
+def _stationary(model, caller: str):
+    """``model`` if it has stationary rate factors, else a CapabilityError naming its rhs."""
+    if not hasattr(model, "value_density"):
+        own = getattr(model, "joint_prediction", None)
+        hint = f"; predict {type(model).__name__} with {own}" if own else ""
+        raise CapabilityError(f"{caller} covers stationary families{hint}")
+    return model
 
 
 def level_density(model, t, u) -> float:
@@ -271,34 +253,9 @@ def level_density(model, t, u) -> float:
     For Gaussian families this is exact.  For the squared-sum field the
     push-forward over the level sphere is evaluated in closed form (the
     Gaussian density and the surface gradient norm are constant on the
-    sphere).  Impulse-sum and deflection models raise
-    :class:`CapabilityError`: their predictions, :func:`shotnoise_rhs` and
-    :func:`microlens_rhs`, integrate the density jointly with the Jacobian.
+    sphere).  Other models raise :class:`CapabilityError` (:func:`_stationary`).
     """
-    _refuse_joint_families(model, "level_density")
-    u = level_value(model, u)
-    if isinstance(model, (SpectralGaussian1D, SpectralGaussian2D)):
-        return _gauss_pdf(u, model.lambda0)
-    if isinstance(model, GradientField):
-        lam = model.base.lambda2_matrix
-        sign, logdet = np.linalg.slogdet(lam)
-        if sign <= 0:
-            raise ModelError("degenerate gradient covariance")
-        quad = float(u @ np.linalg.solve(lam, u))
-        return math.exp(-0.5 * quad - 0.5 * logdet) / (2.0 * math.pi)
-    if isinstance(model, ChiSquareField):
-        n = model.n
-        # push-forward over the sphere ||y||^2 = u: constant integrand
-        # (2 pi)^{-n/2} e^{-u/2} divided by the gradient norm 2 sqrt(u),
-        # times the sphere area.
-        area = _sphere_area(n, math.sqrt(u))
-        dens = math.exp(-0.5 * u) * (2.0 * math.pi) ** (-n / 2.0)
-        return area * dens / (2.0 * math.sqrt(u))
-    raise CapabilityError(f"no level density for {type(model).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# conditional Jacobian expectation
+    return _stationary(model, "level_density").value_density(level_value(model, u))
 
 
 def conditional_jacobian_expectation(model, u) -> float:
@@ -307,82 +264,12 @@ def conditional_jacobian_expectation(model, u) -> float:
     Every stationary family has one: a stationary Gaussian value is
     independent of its derivative; the norm of an anisotropic planar gradient
     and |det Hess| of a gradient field, independent of the gradient, are
-    one-dimensional periodic quadratures.  For the squared-sum field
-    X = ||Y||^2, given ||Y||^2 = u the gradient 2 sum_j Y_j grad Y_j is exactly
-    N(0, 4u Lambda_2), so the value is 2 sqrt(u) times the base field's
-    (Worsley, *Adv. Appl. Probab.* 26, 1994).
-    Impulse-sum and deflection models have no rule here: their predictions
-    are :func:`shotnoise_rhs` and :func:`microlens_rhs`.
+    one-dimensional periodic quadratures; the squared-sum field's is 2 sqrt(u)
+    times its base field's.  Other models raise :class:`CapabilityError`
+    (:func:`_stationary`).
     """
-    _refuse_joint_families(model, "conditional_jacobian_expectation")
-    u = level_value(model, u)
-    if isinstance(model, SpectralGaussian1D):
-        # X' independent of X(t); E|X'| half-normal.
-        return math.sqrt(2.0 * model.lambda2 / math.pi)
-    if isinstance(model, SpectralGaussian2D):
-        lam = model.lambda2_matrix
-        if model.isotropic:
-            # ||grad X|| has the length-2 chi law
-            sigma = math.sqrt(lam[0, 0])
-            return sigma * math.sqrt(math.pi / 2.0)
-        return _gaussian_norm_mean(lam)
-    if isinstance(model, GradientField):
-        return _abs_det_mean(model.base)
-    if isinstance(model, ChiSquareField):
-        return 2.0 * math.sqrt(u) * conditional_jacobian_expectation(model.base, 0.0)
-    raise CapabilityError(
-        f"no conditional Jacobian rule for {type(model).__name__}"
-    )
-
-
-def _periodic_mean(f) -> float:
-    """Mean over phi in (0, pi/2) of a smooth function ``f`` of cos^2 phi.
-
-    Such an f is periodic, so the midpoint rule converges exponentially;
-    nodes double until two rules agree to 1e-14 relative.
-    """
-    n, prev = 32, math.inf
-    while True:
-        est = float(np.mean(f((np.arange(n) + 0.5) * (0.5 * math.pi / n))))
-        if abs(est - prev) <= 1e-14 * est or n >= 1 << 20:
-            return est
-        n, prev = 2 * n, est
-
-
-def _gaussian_norm_mean(cov: np.ndarray) -> float:
-    """E||Z|| for Z ~ N(0, cov) in the plane.
-
-    With a, b the eigenvalues of ``cov``,
-    E||Z|| = sqrt(2/pi) int_0^{pi/2} sqrt(a cos^2 phi + b sin^2 phi) dphi
-    (||z|| is a quarter of the integral of |<z, e_phi>| over the circle).
-    """
-    a, b = np.maximum(np.linalg.eigvalsh(cov), 0.0)
-    return math.sqrt(2.0 / math.pi) * 0.5 * math.pi * _periodic_mean(
-        lambda phi: np.sqrt(a * np.cos(phi) ** 2 + b * np.sin(phi) ** 2))
-
-
-def _abs_det_mean(base: SpectralGaussian2D) -> float:
-    """E|det Hess Y| at a point of the stationary planar field ``base``.
-
-    Whitened, det H = h11 h22 - h12^2 is l1 z1^2 - l2 z2^2 - l3 z3^2 for i.i.d.
-    standard normals z, with l1 = l2 + l3 since E det H = m_1122 - m_1212 = 0.
-    So E|det H| = 2 E[(l2 z2^2 + l3 z3^2 - l1 z1^2)^+]; in polar form
-    (z2, z3) = sqrt(2W) (cos phi, sin phi) with W ~ Exp(1), E[(W - a)^+] = e^-a
-    and E e^(-s z1^2) = (1 + 2s)^(-1/2) close the W and z1 integrals, leaving
-    4 mean_phi g^(3/2) / sqrt(g + l1), g = l2 cos^2 phi + l3 sin^2 phi.  For an
-    isotropic field it is 4 m_1122 / sqrt(3) (Longuet-Higgins 1957; Adler &
-    Taylor, *Random Fields and Geometry*, 2007, ch. 11).
-    """
-    # cov of (h11, h22, h12); the whitened form's eigenvalues are those of form @ cov
-    cov = base.hessian_fourth_moment.reshape(4, 4)[np.ix_([0, 3, 1], [0, 3, 1])]
-    form = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, -1.0]])
-    l2, l3 = np.maximum(-np.sort(np.linalg.eigvals(form @ cov).real)[:2], 0.0)
-
-    def integrand(phi):
-        g = l2 * np.cos(phi) ** 2 + l3 * np.sin(phi) ** 2
-        return g ** 1.5 / np.sqrt(g + l2 + l3)
-
-    return 4.0 * _periodic_mean(integrand)
+    return _stationary(model, "conditional_jacobian_expectation").gradient_norm_mean(
+        level_value(model, u))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +286,7 @@ def kacrice_rhs(model, box, u) -> RhsEvaluation:
     :class:`CapabilityError`; their predictions are
     :func:`shotnoise_rhs` and :func:`microlens_rhs`.
     """
-    _refuse_joint_families(model, "kacrice_rhs")
+    _stationary(model, "kacrice_rhs")
     arr = box_array(box, model.D)
     vol = _box_volume(arr)
     rate = level_density(model, arr[:, 0], u) * conditional_jacobian_expectation(model, u)
@@ -426,19 +313,26 @@ def weighted_kacrice_rhs(model, box, u, weight) -> RhsEvaluation:
     upcrossings 1/2 (X' is symmetric), saddles 1/2 (E det H = 0), minima and
     maxima 1/4 each (H and -H have the same law).
     """
+    share, tag = _weight_share(model, weight)
+    total = kacrice_rhs(model, box, u)
+    if tag is None:
+        return total
+    return RhsEvaluation(value=share * total.value, detail={"weight": tag})
+
+
+def _weight_share(model, weight) -> tuple:
+    """(share of :func:`kacrice_rhs`, tag) of a weight on ``model``, or a CapabilityError;
+    experiment configs check their weight here too."""
     form, k = parse_weight(weight)
     if form == "unit":
-        return kacrice_rhs(model, box, u)
+        return 1.0, None
     if form == "upcrossing":
         if not isinstance(model, SpectralGaussian1D):
             raise CapabilityError("upcrossing weight needs a scalar line field")
-        share, tag = 0.5, "upcrossing"
-    else:
-        if not isinstance(model, GradientField):
-            raise CapabilityError("signature weights need a gradient field")
-        share, tag = (0.25, 0.5, 0.25)[k], f"index-{k}"
-    total = kacrice_rhs(model, box, u)
-    return RhsEvaluation(value=share * total.value, detail={"weight": tag})
+        return 0.5, "upcrossing"
+    if not isinstance(model, GradientField):
+        raise CapabilityError("signature weights need a gradient field")
+    return (0.25, 0.5, 0.25)[k], f"index-{k}"
 
 
 # ---------------------------------------------------------------------------
@@ -464,15 +358,13 @@ def euler_char_expectation(model, box, u) -> RhsEvaluation:
     because the fourth spectral moments are symmetric in their indices
     (m_1122 = m_1212), so the Hessian's own covariance cancels.
     """
-    if isinstance(model, SpectralGaussian1D):
-        d, det_lam = 1, model.lambda2
-    elif isinstance(model, SpectralGaussian2D):
-        d, det_lam = 2, float(np.linalg.det(model.lambda2_matrix))
-    else:
+    det_lam = getattr(model, "lambda2_det", None)
+    if det_lam is None:
         raise CapabilityError(
             "signed counts need a scalar Gaussian field with two derivatives")
     if det_lam <= 0.0:
         raise ModelError("degenerate gradient covariance")
+    d = model.D
     vol = _box_volume(box_array(box, d))
     lam0 = model.lambda0
     x = level_value(model, u) / math.sqrt(lam0)
@@ -747,18 +639,6 @@ def _microlens_designated(model: MicrolensModel, x: np.ndarray, y: np.ndarray,
     return weight, excluded
 
 
-def _check_supercritical(model: MicrolensModel) -> None:
-    """ConfigurationError unless the lens is supercritical, c = 1 - kappa_c + gamma < 0.
-
-    Subcritical configurations flip the Jacobian sign at infinity and the
-    designated-mass construction is not validated there: their images can
-    be measured, not predicted.
-    """
-    if model.c >= 0.0:
-        raise ConfigurationError("image-count prediction requires a supercritical deflection "
-                                 f"(1 - kappa_c + gamma = {model.c} >= 0)")
-
-
 def microlens_rhs(model, y, region, *, inner_mc: int = DEFAULT_INNER_MC,
                   seed: int = 0) -> RhsEvaluation:
     """Predicted mean image count of source ``y`` over the region.
@@ -769,12 +649,16 @@ def microlens_rhs(model, y, region, *, inner_mc: int = DEFAULT_INNER_MC,
     weight is the region's area times the nearest-mass weight of
     :func:`_microlens_designated`, which is bounded, so the value is the mean
     weight and ``mc_error`` its standard error; there is no node rule and no
-    quadrature error.  Requires a supercritical deflection strength
-    (:func:`_check_supercritical`).
+    quadrature error.  A subcritical lens, c = 1 - kappa_c + gamma >= 0, is a
+    ConfigurationError: its Jacobian sign flips at infinity and the
+    designated-mass construction is not validated there, so its images can be
+    measured, not predicted.
     """
     if not isinstance(model, MicrolensModel):
         raise CapabilityError("expected a point-mass deflection model")
-    _check_supercritical(model)
+    if model.c >= 0.0:
+        raise ConfigurationError("image-count prediction requires a supercritical deflection "
+                                 f"(1 - kappa_c + gamma = {model.c} >= 0)")
     y = level_value(model, y)
     if model.n_stars == 0:
         # deterministic linear map: exactly one image at y / c

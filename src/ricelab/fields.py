@@ -9,6 +9,10 @@ counts and the integral formulas they are checked against commensurable.
 
 Realizations are immutable and reentrant; all randomness flows through
 counter-based streams keyed by (seed, tag), see :mod:`ricelab.rng`.
+
+Each model kind answers what predictions and measurements ask of it by its own
+methods (``sample``, ``value_density``, ``check_level`` and the rest; README,
+"A new model"), so that no caller branches on the kind.
 """
 
 from __future__ import annotations
@@ -21,10 +25,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CapabilityError, ConfigurationError, DomainError, SingularityError
+from .errors import CapabilityError, ConfigurationError, DomainError, ModelError, SingularityError
 from .rng import fanout_seed, stream, streams
-
-SCHEMA_VERSION = 1
 
 # Evaluation matrices are chunked to roughly this many doubles.
 _CHUNK_BUDGET = 4_000_000
@@ -113,8 +115,48 @@ def _as_1d_positive(x, name) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _periodic_mean(f) -> float:
+    """Mean over phi in (0, pi/2) of a smooth function ``f`` of cos^2 phi.
+
+    Such an f is periodic, so the midpoint rule converges exponentially;
+    nodes double until two rules agree to 1e-14 relative.
+    """
+    n, prev = 32, math.inf
+    while True:
+        est = float(np.mean(f((np.arange(n) + 0.5) * (0.5 * math.pi / n))))
+        if abs(est - prev) <= 1e-14 * est or n >= 1 << 20:
+            return est
+        n, prev = 2 * n, est
+
+
+def _gaussian_norm_mean(cov: np.ndarray) -> float:
+    """E||Z|| for Z ~ N(0, cov) in the plane.
+
+    With a, b the eigenvalues of ``cov``,
+    E||Z|| = sqrt(2/pi) int_0^{pi/2} sqrt(a cos^2 phi + b sin^2 phi) dphi
+    (||z|| is a quarter of the integral of |<z, e_phi>| over the circle).
+    """
+    a, b = np.maximum(np.linalg.eigvalsh(cov), 0.0)
+    return math.sqrt(2.0 / math.pi) * 0.5 * math.pi * _periodic_mean(
+        lambda phi: np.sqrt(a * np.cos(phi) ** 2 + b * np.sin(phi) ** 2))
+
+
+class _SpectralGaussian:
+    """The value law of both spectral Gaussian fields: N(0, lambda0), lambda0 = sum a_k^2."""
+
+    @property
+    def lambda0(self) -> float:
+        return float(np.sum(self.amplitudes**2))
+
+    def value_density(self, u: float) -> float:
+        var = self.lambda0
+        if var <= 0.0:
+            raise ModelError("degenerate Gaussian variance")
+        return math.exp(-0.5 * u * u / var) / math.sqrt(2.0 * math.pi * var)
+
+
 @dataclass(frozen=True)
-class SpectralGaussian1D:
+class SpectralGaussian1D(_SpectralGaussian):
     """Stationary Gaussian field X(t) = sum_k a_k (xi_k cos w_k t + xi'_k sin w_k t).
 
     Parameters
@@ -142,12 +184,10 @@ class SpectralGaussian1D:
     D = 1
 
     @property
-    def lambda0(self) -> float:
-        return float(np.sum(self.amplitudes**2))
-
-    @property
     def lambda2(self) -> float:
         return float(np.sum(self.amplitudes**2 * self.frequencies**2))
+
+    lambda2_det = lambda2  # of the 1 x 1 derivative covariance
 
     @property
     def lambda4(self) -> float:
@@ -183,9 +223,26 @@ class SpectralGaussian1D:
         freqs = np.sort(lo + (hi - lo) * rng.random(int(n)))
         return cls(freqs, np.full(int(n), 1.0 / np.sqrt(n)))
 
+    def sample(self, seed: int) -> "TrigRealization1D":
+        return _trig_realization(TrigRealization1D, self, seed)
+
+    def value_cdf(self, u: float) -> float:
+        return 0.5 * (1.0 + math.erf(u / math.sqrt(2.0 * self.lambda0)))
+
+    def gradient_norm_mean(self, u: float) -> float:
+        # X' is independent of X(t); E|X'| half-normal
+        return math.sqrt(2.0 * self.lambda2 / math.pi)
+
+    @property
+    def line_base(self) -> "SpectralGaussian1D":
+        return self
+
+    def corpus_values(self, seeds, rows) -> np.ndarray:
+        return rows(seeds)
+
 
 @dataclass(frozen=True)
-class SpectralGaussian2D:
+class SpectralGaussian2D(_SpectralGaussian):
     """Stationary planar Gaussian field from a finite set of plane waves.
 
     X(t) = sum_k a_k (xi_k cos<k_k, t> + xi'_k sin<k_k, t>), t in R^2.
@@ -215,10 +272,6 @@ class SpectralGaussian2D:
         return {}
 
     @property
-    def lambda0(self) -> float:
-        return float(np.sum(self.amplitudes**2))
-
-    @property
     def lambda2_matrix(self) -> np.ndarray:
         """Covariance of the gradient: sum a_k^2 k_k k_k^T."""
         a2 = self.amplitudes**2
@@ -237,6 +290,10 @@ class SpectralGaussian2D:
         if not self.isotropic:
             raise DomainError("gradient covariance is anisotropic; no scalar lambda2")
         return float(self.lambda2_matrix[0, 0])
+
+    @property
+    def lambda2_det(self) -> float:
+        return float(np.linalg.det(self.lambda2_matrix))
 
     @property
     def hessian_fourth_moment(self) -> np.ndarray:
@@ -262,6 +319,17 @@ class SpectralGaussian2D:
         ang = np.pi * (np.arange(n) + 0.5) / n
         waves = kappa * np.column_stack([np.cos(ang), np.sin(ang)])
         return cls(waves, np.full(n, 1.0 / np.sqrt(n)))
+
+    def sample(self, seed: int) -> "TrigRealization2D":
+        return _trig_realization(TrigRealization2D, self, seed)
+
+    def gradient_norm_mean(self, u: float) -> float:
+        lam = self.lambda2_matrix  # the gradient is independent of X(t)
+        if self.isotropic:
+            # ||grad X|| has the length-2 chi law
+            sigma = math.sqrt(lam[0, 0])
+            return sigma * math.sqrt(math.pi / 2.0)
+        return _gaussian_norm_mean(lam)
 
 
 def _chunked_cols(n_cols: int, n_rows: int):
@@ -409,6 +477,13 @@ def _eval_2d(real: "TrigRealization2D", pts, partials, shape: tuple):
     return float(out[0]) if shape == () else out[0]
 
 
+def _trig_realization(cls, model, seed: int):
+    """The ``cls`` realization of ``seed``: 2K normals of its stream times the amplitudes."""
+    k = model.amplitudes.size
+    xi = stream(seed, "trig-coeffs").standard_normal(2 * k)
+    return cls(model, int(seed), model.amplitudes * xi[:k], model.amplitudes * xi[k:])
+
+
 @dataclass(frozen=True)
 class TrigRealization1D:
     model: SpectralGaussian1D
@@ -476,6 +551,30 @@ class TrigRealization2D:
         return np.moveaxis(out, 0, -1).reshape((x0.size, x1.size) + shape)
 
 
+def _abs_det_mean(base: SpectralGaussian2D) -> float:
+    """E|det Hess Y| at a point of the stationary planar field ``base``.
+
+    Whitened, det H = h11 h22 - h12^2 is l1 z1^2 - l2 z2^2 - l3 z3^2 for i.i.d.
+    standard normals z, with l1 = l2 + l3 since E det H = m_1122 - m_1212 = 0.
+    So E|det H| = 2 E[(l2 z2^2 + l3 z3^2 - l1 z1^2)^+]; in polar form
+    (z2, z3) = sqrt(2W) (cos phi, sin phi) with W ~ Exp(1), E[(W - a)^+] = e^-a
+    and E e^(-s z1^2) = (1 + 2s)^(-1/2) close the W and z1 integrals, leaving
+    4 mean_phi g^(3/2) / sqrt(g + l1), g = l2 cos^2 phi + l3 sin^2 phi.  For an
+    isotropic field it is 4 m_1122 / sqrt(3) (Longuet-Higgins 1957; Adler &
+    Taylor, *Random Fields and Geometry*, 2007, ch. 11).
+    """
+    # cov of (h11, h22, h12); the whitened form's eigenvalues are those of form @ cov
+    cov = base.hessian_fourth_moment.reshape(4, 4)[np.ix_([0, 3, 1], [0, 3, 1])]
+    form = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    l2, l3 = np.maximum(-np.sort(np.linalg.eigvals(form @ cov).real)[:2], 0.0)
+
+    def integrand(phi):
+        g = l2 * np.cos(phi) ** 2 + l3 * np.sin(phi) ** 2
+        return g ** 1.5 / np.sqrt(g + l2 + l3)
+
+    return 4.0 * _periodic_mean(integrand)
+
+
 @dataclass(frozen=True)
 class GradientField:
     """The map t -> grad Y(t) of a scalar planar Gaussian field Y.
@@ -491,6 +590,20 @@ class GradientField:
 
     d = 2
     D = 2
+
+    def sample(self, seed: int) -> "GradientFieldRealization":
+        return GradientFieldRealization(self, int(seed), self.base.sample(seed))
+
+    def value_density(self, u: np.ndarray) -> float:
+        lam = self.base.lambda2_matrix
+        sign, logdet = np.linalg.slogdet(lam)
+        if sign <= 0:
+            raise ModelError("degenerate gradient covariance")
+        quad = float(u @ np.linalg.solve(lam, u))
+        return math.exp(-0.5 * quad - 0.5 * logdet) / (2.0 * math.pi)
+
+    def gradient_norm_mean(self, u: np.ndarray) -> float:
+        return _abs_det_mean(self.base)  # |det Hess Y|, independent of the gradient
 
 
 @dataclass(frozen=True)
@@ -548,6 +661,46 @@ class ChiSquareField:
     @property
     def D(self) -> int:
         return self.base.D
+
+    def check_level(self, u: float) -> None:
+        if u <= 0.0:
+            raise DomainError(
+                f"a squared-norm field is positive: levels must satisfy u > 0, got {u!r}")
+
+    def component_seeds(self, seed: int) -> list:
+        return [fanout_seed(seed, "chi2-component", j) for j in range(self.n)]
+
+    def sample(self, seed: int) -> "ChiSquareRealization":
+        comps = tuple(self.base.sample(s) for s in self.component_seeds(seed))
+        return ChiSquareRealization(self, int(seed), comps)
+
+    def value_density(self, u: float) -> float:
+        n = self.n
+        # push-forward over the sphere ||y||^2 = u: constant integrand
+        # (2 pi)^{-n/2} e^{-u/2} divided by the gradient norm 2 sqrt(u),
+        # times the sphere area.
+        area = 2.0 * math.pi ** (n / 2.0) * math.sqrt(u) ** (n - 1) / math.gamma(n / 2.0)
+        dens = math.exp(-0.5 * u) * (2.0 * math.pi) ** (-n / 2.0)
+        return area * dens / (2.0 * math.sqrt(u))
+
+    def value_cdf(self, u: float) -> float:
+        # imported here, not at module level: scipy costs more than all of ricelab
+        from scipy.special import gammainc
+
+        return float(gammainc(0.5 * self.n, u / 2.0))
+
+    def gradient_norm_mean(self, u: float) -> float:
+        # given ||Y||^2 = u the gradient 2 sum_j Y_j grad Y_j is exactly
+        # N(0, 4u Lambda_2) (Worsley, *Adv. Appl. Probab.* 26, 1994)
+        return 2.0 * math.sqrt(u) * self.base.gradient_norm_mean(0.0)
+
+    @property
+    def line_base(self):
+        return self.base
+
+    def corpus_values(self, seeds, rows) -> np.ndarray:
+        comp = rows([c for s in seeds for c in self.component_seeds(s)])
+        return np.sum(comp.reshape(len(seeds), self.n, -1) ** 2, axis=1)
 
 
 @dataclass(frozen=True)
@@ -675,6 +828,15 @@ class ShotNoiseModel:
 
     d = 1
     D = 1
+    joint_prediction = "shotnoise_rhs"
+
+    def check_level(self, u: float) -> None:
+        if u == 0.0:
+            raise DomainError("the shot-noise value distribution has an atom at 0; pick u != 0")
+
+    def sample(self, seed: int) -> "ShotNoiseRealization":
+        pts, beta = shot_noise_impulses(self, stream(seed, "shot-noise"))
+        return ShotNoiseRealization(self, int(seed), pts, beta)
 
     def kernel(self, x):
         return _bump(x, self.eta)
@@ -789,10 +951,16 @@ class MicrolensModel:
 
     d = 2
     D = 2
+    joint_prediction = "microlens_rhs"
 
     @property
     def c(self) -> float:
         return 1.0 - self.kappa_c + self.gamma
+
+    def sample(self, seed: int) -> "MicrolensSystem":
+        stars = np.empty((self.n_stars, 2))
+        _draw_stars(self, stream(seed, "stars"), stars)
+        return MicrolensSystem(self.kappa_c, self.gamma, self.m, stars, self.R, int(seed))
 
 
 @dataclass(frozen=True)
@@ -865,8 +1033,8 @@ def level_value(model, level):
 
     Every prediction and experiment config reads levels here.  A level that
     is not a real number (for d = 2, a pair of them) is a ConfigurationError;
-    one outside the model's domain is a DomainError: levels are finite, a
-    squared-norm field is positive, and shot noise has an atom at u = 0.
+    one outside the model's domain is a DomainError: levels are finite and
+    pass the model's ``check_level`` (squared norms are positive, shot noise not 0).
     """
     if isinstance(level, np.ndarray):
         level = level.tolist()
@@ -882,11 +1050,9 @@ def level_value(model, level):
         raise ConfigurationError(f"levels must be finite scalars, got {level!r}")
     if not np.isfinite(u).all():
         raise DomainError(f"levels must be finite, got {level!r}")
-    if isinstance(model, ChiSquareField) and u <= 0.0:
-        raise DomainError(
-            f"a squared-norm field is positive: levels must satisfy u > 0, got {u!r}")
-    if isinstance(model, ShotNoiseModel) and u == 0.0:
-        raise DomainError("the shot-noise value distribution has an atom at 0; pick u != 0")
+    check = getattr(model, "check_level", None)
+    if check is not None:
+        check(u)
     return u
 
 
@@ -929,7 +1095,7 @@ class DeterministicField:
 
 
 def sample_realization(model, seed: int):
-    """Draw the frozen realization of `model` determined by `seed`.
+    """Draw the frozen realization of `model` determined by `seed`: ``model.sample(seed)``.
 
     Each draws from ``stream(seed, tag)`` with its model's tag.  For many
     seeds, ``batch_coefficients``, ``batch_stars`` and the impulse-sum corpus
@@ -937,37 +1103,7 @@ def sample_realization(model, seed: int):
     re-keyed per seed (``rng.streams``), which costs about 1 us a seed
     against 7 us for a new one.
     """
-    if isinstance(model, SpectralGaussian1D):
-        rng = stream(seed, "trig-coeffs")
-        xi = rng.standard_normal(2 * model.frequencies.size)
-        k = model.frequencies.size
-        return TrigRealization1D(
-            model, int(seed), model.amplitudes * xi[:k], model.amplitudes * xi[k:]
-        )
-    if isinstance(model, SpectralGaussian2D):
-        rng = stream(seed, "trig-coeffs")
-        k = model.wavevectors.shape[0]
-        xi = rng.standard_normal(2 * k)
-        return TrigRealization2D(
-            model, int(seed), model.amplitudes * xi[:k], model.amplitudes * xi[k:]
-        )
-    if isinstance(model, GradientField):
-        inner = sample_realization(model.base, seed)
-        return GradientFieldRealization(model, int(seed), inner)
-    if isinstance(model, ChiSquareField):
-        comps = tuple(
-            sample_realization(model.base, fanout_seed(seed, "chi2-component", j))
-            for j in range(model.n)
-        )
-        return ChiSquareRealization(model, int(seed), comps)
-    if isinstance(model, ShotNoiseModel):
-        pts, beta = shot_noise_impulses(model, stream(seed, "shot-noise"))
-        return ShotNoiseRealization(model, int(seed), pts, beta)
-    if isinstance(model, MicrolensModel):
-        stars = np.empty((model.n_stars, 2))
-        _draw_stars(model, stream(seed, "stars"), stars)
-        return MicrolensSystem(model.kappa_c, model.gamma, model.m, stars, model.R, int(seed))
-    raise ConfigurationError(f"unknown model type {type(model).__name__}")
+    return model.sample(seed)
 
 
 def _draw_stars(model: MicrolensModel, gen, out: np.ndarray) -> None:
@@ -990,17 +1126,11 @@ def batch_coefficients(model, seeds) -> np.ndarray:
     """Stack [cos coeffs, sin coeffs] rows for many seeds.
 
     Row i is bit-identical to the coefficients of sample_realization(model,
-    seeds[i]); only the evaluation order differs in the batched products.
+    seeds[i]) of a spectral model; only the evaluation order differs.
     The normals of every row come from one generator re-keyed per seed
     (``rng.streams``), drawn in place and scaled by the amplitudes at once.
     """
-    if isinstance(model, SpectralGaussian1D):
-        k = model.frequencies.size
-    elif isinstance(model, SpectralGaussian2D):
-        k = model.wavevectors.shape[0]
-    else:
-        raise ConfigurationError("batched coefficients exist for spectral models only")
-    out = np.empty((len(seeds), 2 * k))
+    out = np.empty((len(seeds), 2 * model.amplitudes.size))
     for row, gen in zip(out, streams(seeds, "trig-coeffs")):
         gen.standard_normal(out=row)
     out *= np.concatenate([model.amplitudes, model.amplitudes])

@@ -28,10 +28,10 @@ import numpy as np
 from .engine import (
     _SHARED_BLOCK,
     RhsEvaluation,
-    _check_supercritical,
     _node_count,
     _sample_count,
     _term_count,
+    _weight_share,
     euler_char_expectation,
     kacrice_rhs,
     microlens_rhs,
@@ -42,7 +42,7 @@ from .engine import (
     shotnoise_rhs,
     weighted_kacrice_rhs,
 )
-from .errors import CapabilityError, ConfigurationError, RicelabError
+from .errors import CapabilityError, ConfigurationError, DomainError, RicelabError
 from .fields import (
     ChiSquareField,
     GradientField,
@@ -202,7 +202,7 @@ class ExperimentConfig:
 def _validate_config(cfg: ExperimentConfig) -> None:
     """Check a config before any draw: its own rules here, every value a reader
     checks by that reader's rule (``fields.level_value``, ``_KEY_RULES``,
-    ``ShotNoiseModel.check_box``, ``engine.parse_region``, ``engine.parse_weight``).
+    ``ShotNoiseModel.check_box``, ``engine._weight_share``).
     """
     if not cfg.experiment_id or not _ID_PATTERN.match(cfg.experiment_id):
         raise ConfigurationError(
@@ -226,8 +226,9 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     if method is None:
         raise ConfigurationError(
             f"estimator {cfg.estimator!r} does not apply to model kind {kind!r}")
+    lens = method.measure is _microlens_chunk  # images in a region, which gives the box
     accepts = method.accepts
-    if kind == "microlens" and model.n_stars == 0:
+    if lens and model.n_stars == 0:
         # no stars: one image at y / c, a prediction with nothing to sample
         accepts = accepts - {"quadrature", "inner_mc"}
     # a value left at its default is the reader's own; any other must be
@@ -247,16 +248,16 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     for lvl in levels:
         level_value(model, lvl)
 
-    if kind == "chi_square" and model.D != 1 and cfg.estimator in ("roots", "local_time"):
+    if method.measure is _corpus_chunk and model.D != 1:
         raise ConfigurationError(
-            f"estimator {cfg.estimator!r} needs a squared-norm field over a line base, "
-            f"got a base on R^{model.D}")
+            f"estimator {cfg.estimator!r} reads a line corpus: it needs a field over a "
+            f"line base, got one on R^{model.D}")
 
     if cfg.box is None:
-        if kind != "microlens":
+        if not lens:
             raise ConfigurationError("box is required (omitting it is allowed "
                                      "only for point-mass deflection models)")
-    elif kind == "shot_noise":
+    elif hasattr(model, "check_box"):  # a box inside the model's domain
         model.check_box(cfg.box)
     else:
         box_array(cfg.box, model.D)
@@ -264,23 +265,17 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     if cfg.estimator == "local_time":
         if cfg.delta is None:
             raise ConfigurationError("local_time needs a window half-width delta")
-        if kind == "chi_square" and cfg.delta >= min(levels):
-            raise ConfigurationError(
-                "local_time window [u - delta, u + delta] must stay positive "
-                "for a squared-norm field")
+        try:  # the lowest window [u - delta, u + delta] must lie in the model's levels
+            level_value(model, min(levels) - cfg.delta)
+        except DomainError as exc:
+            raise DomainError(f"local_time window below u = {min(levels)}: {exc}") from None
     if cfg.estimator == "weighted":
-        # which weights a measurement can count is the pair's capability
-        form, _k = parse_weight(cfg.weight)
-        if form == "index" and kind != "gradient_field":
-            raise ConfigurationError("index weights need a gradient field")
-        if form != "index" and kind != "spectral_gaussian_1d":
-            raise ConfigurationError(f"weight {form!r} needs a scalar line field")
+        try:  # the prediction's weight rule, which the measurement counts by too
+            _weight_share(model, cfg.weight)
+        except CapabilityError as exc:
+            raise ConfigurationError(str(exc)) from None
     elif cfg.weight is not None:
         raise ConfigurationError("weight applies to the 'weighted' estimator only")
-    if cfg.region is not None:
-        if kind != "microlens":
-            raise ConfigurationError("region applies to deflection models only")
-        parse_region(cfg.region)
 
 
 def default_image_region(model: MicrolensModel, y) -> dict:
@@ -486,35 +481,20 @@ def _chunk_lhs(prep: _Prepared, master_seed: int, lo: int, hi: int) -> dict:
 
 
 def _corpus_basis(model, ts) -> Optional[np.ndarray]:
-    """The trig table that turns a line corpus's coefficient rows into values at ts.
-
-    A squared sum uses its base field's table; impulse sums have none (None).
-    """
-    if isinstance(model, SpectralGaussian1D):
-        return trig_basis_1d(model, ts)
-    if isinstance(model, ChiSquareField):
-        return trig_basis_1d(model.base, ts)
-    return None
+    """The trig table of the model's ``line_base`` at ts; impulse sums have none (None)."""
+    base = getattr(model, "line_base", None)
+    return None if base is None else trig_basis_1d(base, ts)
 
 
 def _corpus_values(model, seeds, ts, basis) -> np.ndarray:
     """(m, T) value matrix at ts; row i is that of sample_realization(model, seeds[i]).
 
-    Spectral rows come from one coefficient-by-``basis`` product, ``basis``
-    being ``_corpus_basis(model, ts)``; impulse sums have no shared basis and
-    are summed impulse by impulse on the grid (``_impulse_values``).
+    The model's ``corpus_values`` combines line-base rows, coefficients @ ``basis``
+    (``_corpus_basis``); impulse sums are summed on the grid (``_impulse_values``).
     """
-    if isinstance(model, ShotNoiseModel):
+    if basis is None:
         return _impulse_values(model, seeds, ts)
-    if isinstance(model, SpectralGaussian1D):
-        return batch_coefficients(model, seeds) @ basis
-    if isinstance(model, ChiSquareField):
-        comp_seeds = [fanout_seed(s, "chi2-component", j)
-                      for s in seeds for j in range(model.n)]
-        comp = batch_coefficients(model.base, comp_seeds) @ basis
-        comp = comp.reshape(len(seeds), model.n, ts.size)
-        return np.sum(comp**2, axis=1)
-    raise ConfigurationError("batched values exist for line-field corpora only")
+    return model.corpus_values(seeds, lambda s: batch_coefficients(model.line_base, s) @ basis)
 
 
 def _impulse_values(model: ShotNoiseModel, seeds, ts) -> np.ndarray:
@@ -727,20 +707,62 @@ def _euler_line_chunk(prep: _Prepared, seeds, master_seed: int, lo: int) -> dict
 
 @dataclass(frozen=True)
 class _Method:
-    """How one (estimator, model kind) pair is measured and configured.
+    """How one (estimator, model kind) pair is measured, predicted and configured.
 
-    ``measure(prep, seeds, master_seed, lo)`` is its chunk function, ``grid``
-    its default grid, and ``accepts`` the keys of ``_KEY_RULES`` a config
-    of it may set away from their defaults.
+    ``measure(prep, seeds, master_seed, lo)`` is its chunk function, ``predict(cfg,
+    model, u, seed)`` its prediction at a level, ``grid`` its default grid, and
+    ``accepts`` the keys of ``_KEY_RULES`` a config of it may set away from their defaults.
     """
 
     measure: Callable
+    predict: Callable
     grid: Optional[int]
     accepts: frozenset = frozenset()
 
 
+# ---------------------------------------------------------------------------
+# Prediction side.  Each function predicts one level u of a config; each calls
+# its engine function through this module's namespace, when it runs.
+# ---------------------------------------------------------------------------
+
+
+def _stationary_rhs(cfg: ExperimentConfig, model, u, seed: int) -> RhsEvaluation:
+    return kacrice_rhs(model, cfg.box, u)
+
+
+def _weighted_rhs(cfg: ExperimentConfig, model, u, seed: int) -> RhsEvaluation:
+    return weighted_kacrice_rhs(model, cfg.box, u, cfg.weight)
+
+
+def _local_time_rhs(cfg: ExperimentConfig, model, u: float, seed: int) -> RhsEvaluation:
+    """Exact prediction vol * P(|X - u| <= delta) / (2 delta) (stationary)."""
+    lo, hi = box_array(cfg.box, 1)[0].tolist()
+    prob = model.value_cdf(u + cfg.delta) - model.value_cdf(u - cfg.delta)
+    return RhsEvaluation(value=(hi - lo) * prob / (2.0 * cfg.delta),
+                         detail={"path": "closed-form-cdf"})
+
+
+def _euler_rhs(cfg: ExperimentConfig, model, u: float, seed: int) -> RhsEvaluation:
+    return euler_char_expectation(model, cfg.box, u)
+
+
+def _moment2_rhs(cfg: ExperimentConfig, model, u: float, seed: int) -> RhsEvaluation:
+    return second_factorial_moment_rhs(model, cfg.box, u, quadrature=cfg.quadrature,
+                                       inner_mc=cfg.inner_mc, seed=seed)
+
+
+def _shot_rhs(cfg: ExperimentConfig, model, u: float, seed: int) -> RhsEvaluation:
+    return shotnoise_rhs(model, cfg.box, u, p_max=cfg.p_max, inner_mc=cfg.inner_mc,
+                         seed=seed, delta=cfg.rhs_delta)
+
+
+def _lens_rhs(cfg: ExperimentConfig, model, u, seed: int) -> RhsEvaluation:
+    region, _box = _lens_geometry(cfg, model, u)
+    return microlens_rhs(model, u, region, inner_mc=cfg.inner_mc, seed=seed)
+
+
 # Every (estimator, model kind) pair the harness runs.  A new model is one
-# row here, its chunk function and its branch of _rhs_for_level.  A pair
+# row here, its chunk function and its prediction function.  A pair
 # accepts the keys its measurement or prediction reads, and three more are
 # accepted unread, kept for configs written when they were read (the
 # standard manifest's frozen benchmark copies among them): inner_mc on
@@ -750,28 +772,33 @@ class _Method:
 # without one.  A lens without stars accepts neither quadrature nor inner_mc
 # (_validate_config).
 _METHODS = {
-    ("roots", "spectral_gaussian_1d"): _Method(_corpus_chunk, 2048),
-    ("roots", "chi_square"): _Method(_corpus_chunk, 2048),
+    ("roots", "spectral_gaussian_1d"): _Method(_corpus_chunk, _stationary_rhs, 2048),
+    ("roots", "chi_square"): _Method(_corpus_chunk, _stationary_rhs, 2048),
     ("roots", "shot_noise"): _Method(
-        _corpus_chunk, 2048, frozenset({"rhs_delta", "p_max", "inner_mc"})),
+        _corpus_chunk, _shot_rhs, 2048, frozenset({"rhs_delta", "p_max", "inner_mc"})),
     ("roots", "microlens"): _Method(
-        _microlens_chunk, None, frozenset({"quadrature", "inner_mc"})),
-    ("roots", "gradient_field"): _Method(_planar_chunk, 256),
-    ("length", "spectral_gaussian_2d"): _Method(_length_chunk, 512, frozenset({"n_lines"})),
-    ("weighted", "spectral_gaussian_1d"): _Method(_corpus_chunk, 2048),
-    ("weighted", "gradient_field"): _Method(_planar_chunk, 256),
-    ("local_time", "spectral_gaussian_1d"): _Method(_corpus_chunk, 2048, frozenset({"delta"})),
-    ("local_time", "chi_square"): _Method(_corpus_chunk, 2048, frozenset({"delta"})),
-    ("euler", "spectral_gaussian_1d"): _Method(_euler_line_chunk, 2048, frozenset({"inner_mc"})),
-    ("euler", "spectral_gaussian_2d"): _Method(_planar_chunk, 256, frozenset({"inner_mc"})),
+        _microlens_chunk, _lens_rhs, None, frozenset({"quadrature", "inner_mc", "region"})),
+    ("roots", "gradient_field"): _Method(_planar_chunk, _stationary_rhs, 256),
+    ("length", "spectral_gaussian_2d"): _Method(
+        _length_chunk, _stationary_rhs, 512, frozenset({"n_lines"})),
+    ("weighted", "spectral_gaussian_1d"): _Method(_corpus_chunk, _weighted_rhs, 2048),
+    ("weighted", "gradient_field"): _Method(_planar_chunk, _weighted_rhs, 256),
+    ("local_time", "spectral_gaussian_1d"): _Method(
+        _corpus_chunk, _local_time_rhs, 2048, frozenset({"delta"})),
+    ("local_time", "chi_square"): _Method(
+        _corpus_chunk, _local_time_rhs, 2048, frozenset({"delta"})),
+    ("euler", "spectral_gaussian_1d"): _Method(
+        _euler_line_chunk, _euler_rhs, 2048, frozenset({"inner_mc"})),
+    ("euler", "spectral_gaussian_2d"): _Method(
+        _planar_chunk, _euler_rhs, 256, frozenset({"inner_mc"})),
     ("moment2", "spectral_gaussian_1d"): _Method(
-        _corpus_chunk, 2048, frozenset({"quadrature", "inner_mc"})),
+        _corpus_chunk, _moment2_rhs, 2048, frozenset({"quadrature", "inner_mc"})),
 }
 
 ESTIMATORS = tuple(dict.fromkeys(est for est, _kind in _METHODS))
 
-# Each count and width key: what reads it (None: every pair but lenses, which
-# accept it unread), and the rule its reader checks it with.
+# Each count, width and region key: what reads it (None: every pair but lenses,
+# which accept it unread), and the rule its reader checks it with.
 _KEY_RULES = {
     "grid": (None, _grid_size),
     "quadrature": ("the moment2 estimator", _node_count),
@@ -780,61 +807,8 @@ _KEY_RULES = {
     "rhs_delta": ("shot-noise models", partial(config_positive, "rhs_delta")),
     "p_max": ("shot-noise models", _term_count),
     "inner_mc": ("Monte Carlo predictions", _sample_count),
+    "region": ("deflection models", parse_region),
 }
-
-
-# ---------------------------------------------------------------------------
-# Prediction side
-# ---------------------------------------------------------------------------
-
-
-def _gauss_cdf(x: float, var: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0 * var)))
-
-
-def _local_time_rhs(model, box, u: float, delta: float) -> RhsEvaluation:
-    """Exact prediction vol * P(|X - u| <= delta) / (2 delta) (stationary)."""
-    lo, hi = box_array(box, 1)[0].tolist()
-    vol = hi - lo
-    if isinstance(model, SpectralGaussian1D):
-        prob = (_gauss_cdf(u + delta, model.lambda0)
-                - _gauss_cdf(u - delta, model.lambda0))
-    elif isinstance(model, ChiSquareField):
-        # imported here, not at module level: scipy costs more than all of ricelab
-        from scipy.special import gammainc
-
-        half = 0.5 * model.n
-        prob = float(gammainc(half, (u + delta) / 2.0)
-                     - gammainc(half, (u - delta) / 2.0))
-    else:
-        raise ConfigurationError(
-            f"no occupation-density prediction for {type(model).__name__}")
-    return RhsEvaluation(value=vol * prob / (2.0 * delta),
-                         detail={"path": "closed-form-cdf"})
-
-
-def _rhs_for_level(cfg: ExperimentConfig, model, level, seed: int):
-    est = cfg.estimator
-    kind = cfg.model["kind"]
-    u = level_value(model, level)
-    if est == "local_time":
-        return _local_time_rhs(model, cfg.box, u, cfg.delta)
-    if est == "euler":
-        return euler_char_expectation(model, cfg.box, u)
-    if est == "moment2":
-        return second_factorial_moment_rhs(model, cfg.box, u,
-                                           quadrature=cfg.quadrature,
-                                           inner_mc=cfg.inner_mc, seed=seed)
-    if kind == "shot_noise":
-        return shotnoise_rhs(model, cfg.box, u, p_max=cfg.p_max,
-                             inner_mc=cfg.inner_mc, seed=seed,
-                             delta=cfg.rhs_delta)
-    if kind == "microlens":
-        region, _box = _lens_geometry(cfg, model, level)
-        return microlens_rhs(model, u, region, inner_mc=cfg.inner_mc, seed=seed)
-    if est == "weighted":
-        return weighted_kacrice_rhs(model, cfg.box, u, cfg.weight)
-    return kacrice_rhs(model, cfg.box, u)
 
 
 # ---------------------------------------------------------------------------
@@ -961,12 +935,11 @@ def predict_only(config, master_seed: int = 0) -> dict:
         config = ExperimentConfig.from_doc(config)
     master_seed = check_seed(master_seed)
     model = model_from_doc(dict(config.model))
-    if config.model["kind"] == "microlens":
-        _check_supercritical(model)
+    predict = _METHODS[(config.estimator, config.model["kind"])].predict
     rows = []
     for j, level in enumerate(config.levels):
         seed = fanout_seed(master_seed, config.experiment_id + "#rhs", j)
-        rhs = _rhs_for_level(config, model, level, seed)
+        rhs = predict(config, model, level_value(model, level), seed)
         rows.append({"level": _as_plain(level),
                      "rhs_value": float(rhs.value),
                      "rhs_quadrature_error": float(rhs.quadrature_error),
@@ -1007,6 +980,16 @@ def ae_level_consistency(model, box, levels, *, n_realizations: int = 1024,
     if np.any(np.diff(levels) <= 0.0):
         raise ConfigurationError("levels must be strictly increasing")
     lo, hi = box_array(box, 1)[0].tolist()
+    if not isinstance(model, (SpectralGaussian1D, ChiSquareField)) or model.D != 1:
+        raise CapabilityError(f"no level table for {type(model).__name__}")
+    # the level rule reads each level before any draw; a finite one it refuses has no level set
+    rhs = np.zeros(levels.size)
+    for i, lev in enumerate(levels):
+        try:
+            rhs[i] = kacrice_rhs(model, box, lev).value
+        except DomainError:
+            if not math.isfinite(lev):
+                raise
     if g_center is None:
         g_center = 0.5 * (levels[0] + levels[-1])
     if g_width is None:
@@ -1015,8 +998,6 @@ def ae_level_consistency(model, box, levels, *, n_realizations: int = 1024,
     rel = (levels - g_center) / g_width
     g = np.where(np.abs(rel) < 1.0, (1.0 - rel ** 2) ** 2, 0.0)
 
-    if not isinstance(model, (SpectralGaussian1D, ChiSquareField)) or model.D != 1:
-        raise CapabilityError(f"no level table for {type(model).__name__}")
     seeds = [int(s) for s in stream(seed, "level-table-seeds").integers(
         0, 2 ** 62, size=n_realizations)]
     ts = np.linspace(lo, hi, grid)
@@ -1026,9 +1007,6 @@ def ae_level_consistency(model, box, levels, *, n_realizations: int = 1024,
     lhs_se = np.empty(levels.size)
     for i, lev in enumerate(levels):
         lhs[i], lhs_se[i] = mean_se(_sign_change_counts(values, lev))
-
-    rhs = np.array([0.0 if isinstance(model, ChiSquareField) and lev <= 0.0
-                    else kacrice_rhs(model, box, lev).value for lev in levels])
 
     tw = _trapezoid_weights(levels)
     lhs_int = float(np.sum(tw * g * lhs))

@@ -18,8 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapabilityError
-from .fields import (GradientFieldRealization, LineCorpus, _chunked_cols, box_array, config_count,
-                     config_positive)
+from .fields import LineCorpus, _chunked_cols, box_array, config_count, config_positive
 
 __all__ = [
     "GridSample",
@@ -299,14 +298,14 @@ def _lattice_values(realization, axes, work: Optional["_SeedWork"] = None) -> np
     """Values on the tensor lattice axes[0] x axes[1]: shape (n0, n1), plus (d,) if d > 1.
 
     A realization with a ``lattice`` method (spectral fields) factors its
-    phases over the two axes; a gradient field computes them into
-    ``work.vals`` when ``work`` is given.  Any other realization is evaluated
+    phases over the two axes; one with d = 2 (a gradient field) computes them
+    into ``work.vals`` when ``work`` is given.  Any other realization is evaluated
     pointwise, after nodes that land on a singular point are moved off it
     by 1e-9.  The array is the caller's own, so it may be changed in place.
     """
     lattice = getattr(realization, "lattice", None)
     if lattice is not None:
-        if work is not None and isinstance(realization, GradientFieldRealization):
+        if work is not None and realization.d == 2:
             return lattice(axes, out=work.vals)
         return lattice(axes)
     vals = np.array(_values_off_singular(realization, _lattice_points(axes)))
@@ -960,12 +959,19 @@ def nodal_length(realization, box, u: float, grid: int = 512) -> LevelCurve:
     hx, hy = (b[:, 1] - b[:, 0]) / (res - 1)
 
     # v < u exactly when v - u < 0 (with gradual underflow, v - u is zero only
-    # at v == u), so only the corner values of crossing cells are shifted by u
-    below = (v < u).view(np.int8)
-    case = below[:-1, :-1] + 2 * below[1:, :-1] + 4 * below[1:, 1:] + 8 * below[:-1, 1:]
-    i, j = _nonzero_2d((case != 0) & (case != 15))
-    case = case[i, j]
-    corners = tuple(c - u for c in (v[i, j], v[i + 1, j], v[i + 1, j + 1], v[i, j + 1]))
+    # at v == u), so only the corner values of crossing cells are shifted by u.
+    # A cell crosses when some corner is below u and some is not (``_any_corner``)
+    n1 = v.shape[1]
+    flat = v.reshape(-1)
+    below = flat < u
+    pair = np.empty(flat.size - 1, dtype=bool)
+    crossing = _any_corner(below, n1, pair, np.empty(flat.size - n1 - 1, dtype=bool))
+    crossing &= _any_corner(np.logical_not(below), n1, pair, np.empty_like(crossing))
+    k = np.flatnonzero(crossing)
+    k = k[k % n1 != n1 - 1]  # the last column's k are no cells
+    i, j = np.divmod(k, n1)
+    case = below[k] + 2 * below[k + n1] + 4 * below[k + n1 + 1] + 8 * below[k + 1]
+    corners = tuple(flat[c] - u for c in (k, k + n1, k + n1 + 1, k + 1))
     # exact lattice coordinates on both cell sides, so that the crossing on a
     # shared edge is computed bitwise identically from its two adjacent cells
     x0, x1 = ax[0][i], ax[0][i + 1]

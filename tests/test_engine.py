@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from ricelab import engine, fields
+from ricelab import engine, fields, harness
 from ricelab.engine import (
     RhsEvaluation,
     _lens_ensemble,
@@ -335,17 +335,17 @@ def test_abs_det_mean_matches_monte_carlo(base):
     xi = stream(11, "abs-det-oracle").standard_normal((400_000, a.size)) * a
     h11, h22, h12 = (xi @ (w[:, i] * w[:, j]) for i, j in ((0, 0), (1, 1), (0, 1)))
     est, se = mean_se(np.abs(h11 * h22 - h12 ** 2))
-    assert abs(engine._abs_det_mean(base) - est) <= 3.0 * se
+    assert abs(fields._abs_det_mean(base) - est) <= 3.0 * se
 
 
 def test_abs_det_mean_isotropic_closed_form():
     # Longuet-Higgins: E|det H| = 4 m_1122 / sqrt(3) for an isotropic field
     ring = _ring_model()
     m1122 = ring.hessian_fourth_moment[0, 0, 1, 1]
-    assert engine._abs_det_mean(ring) == pytest.approx(4.0 * m1122 / math.sqrt(3.0),
+    assert fields._abs_det_mean(ring) == pytest.approx(4.0 * m1122 / math.sqrt(3.0),
                                                        rel=1e-12)
     # two independent axis waves: E|h11 h22| = E|h11| E|h22| = 2 / pi
-    assert engine._abs_det_mean(AXES2) == pytest.approx(2.0 / math.pi, rel=1e-12)
+    assert fields._abs_det_mean(AXES2) == pytest.approx(2.0 / math.pi, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -1085,3 +1085,19 @@ def test_level_table_validation():
         ae_level_consistency(model, (0.0, 1.0), [0.0, 1.0], n_realizations=64)
     with pytest.raises(ConfigurationError):
         ae_level_consistency(model, (0.0, 1.0), [0.0, 1.0, 0.5], n_realizations=64)
+
+
+@pytest.mark.parametrize("model", [_line_model(), ChiSquareField(2, _line_model())],
+                         ids=["line", "chi-square"])
+@pytest.mark.parametrize("levels", [[0.5, math.nan, 1.5], [0.5, 1.5, math.inf]],
+                         ids=["nan", "inf"])
+def test_level_table_reads_every_level_before_drawing(model, levels, monkeypatch):
+    # a NaN level passes the strictly-increasing check; every level must meet
+    # the model's level rule before the corpus of 1024 x 2048 values is drawn
+    def refuse(*args, **kwargs):
+        raise AssertionError("the corpus was drawn before every level was read")
+
+    monkeypatch.setattr(harness, "batch_coefficients", refuse)
+    monkeypatch.setattr(harness, "stream", refuse)
+    with pytest.raises(DomainError, match="finite"):
+        ae_level_consistency(model, (0.0, 6.0), levels)

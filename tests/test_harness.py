@@ -134,6 +134,9 @@ def test_config_level_domain_rules():
         _cfg(model=CHI2, levels=[-0.5])
     with pytest.raises(DomainError, match="atom at 0"):
         _cfg(model=SHOT, levels=[0.0], box=[1.0, 11.0])
+    # the occupation window [u - delta, u + delta] meets the same rule
+    with pytest.raises(DomainError, match=r"local_time window below u = 0\.1: .*u > 0"):
+        _cfg(model=CHI2, levels=[0.1, 1.0], estimator="local_time", delta=0.2)
     with pytest.raises(ConfigurationError):
         _cfg(model=SHOT, levels=[0.5], box=[-2.0, 5.0])  # box leaves the domain
 

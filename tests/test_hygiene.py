@@ -495,3 +495,85 @@ def test_every_model_kind_is_one_modelspec_row():
     assert {type(m) for m in models} == set(modelspec._KINDS.values())
     for model in models:
         fields.sample_realization(model, 1)
+
+
+def dispatch_sites(source: str, classes: set, kinds: set) -> list:
+    """(enclosing function, name) of each dispatch on a model or realization.
+
+    These are ``isinstance`` tests against a class in ``classes`` (bare or in
+    a tuple), and ``==`` or ``!=`` comparisons of a string in ``kinds`` or of
+    a name ``kind`` (a table lookup such as ``kind in _KINDS`` is none).
+    A function is named with its class, as ``Class.method``.
+    """
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            arg = node.args[1]
+            for elt in arg.elts if isinstance(arg, ast.Tuple) else [arg]:
+                if isinstance(elt, ast.Name) and elt.id in classes:
+                    sites.append((scope, elt.id))
+        elif isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+            for side in [node.left, *node.comparators]:
+                if isinstance(side, ast.Constant) and side.value in kinds:
+                    sites.append((scope, side.value))
+                elif isinstance(side, ast.Name) and side.id == "kind":
+                    sites.append((scope, "kind"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sites
+
+
+def test_dispatch_scan_finds_isinstance_and_kind_comparisons():
+    source = (
+        "class A:\n"
+        "    def f(self, m):\n"
+        "        return isinstance(m, (Line, int)) or isinstance(m, Other)\n"
+        "def g(doc, kind):\n"
+        "    if kind != doc['x'] or doc.get('kind') == 'line':\n"
+        "        return isinstance(doc, Plane)\n"
+        "    return 'line' in doc or kind is None\n"
+    )
+    assert dispatch_sites(source, {"Line", "Plane"}, {"line"}) == [
+        ("A.f", "Line"), ("g", "kind"), ("g", "line"), ("g", "Plane")]
+
+
+# The only isinstance tests on model and realization classes: capability
+# checks at entry points and the base checks of two constructors.  Each kind
+# answers everything else through its own methods, so a new kind touches no
+# dispatch chain.
+DISPATCH_SITES = {
+    "engine.py": [("_weight_share", "SpectralGaussian1D"), ("_weight_share", "GradientField"),
+                  ("microlens_rhs", "MicrolensModel"),
+                  ("second_factorial_moment_rhs", "SpectralGaussian1D")],
+    "fields.py": [("GradientField.__post_init__", "SpectralGaussian2D"),
+                  ("ChiSquareField.__post_init__", "SpectralGaussian1D"),
+                  ("ChiSquareField.__post_init__", "SpectralGaussian2D")],
+    "harness.py": [("ae_level_consistency", "SpectralGaussian1D"),
+                   ("ae_level_consistency", "ChiSquareField")],
+}
+
+
+def test_models_are_dispatched_by_method_not_by_kind():
+    classes = ({cls.__name__ for cls in modelspec._KINDS.values()}
+               | set(_benchmark_tracer().REALIZATION_CLASSES))
+    sites = {path.name: dispatch_sites(path.read_text(), classes, set(modelspec._KINDS))
+             for path in MODULES}
+    assert {name: found for name, found in sites.items() if found} == DISPATCH_SITES
+
+
+def test_benchmark_tracer_sees_every_eval_method_of_each_realization_class():
+    # the tracer wraps an eval method only where the class itself defines it,
+    # so one inherited from a base class would run untraced
+    tracer = _benchmark_tracer()
+    for name in tracer.REALIZATION_CLASSES:
+        cls = getattr(fields, name)
+        inherited = [meth for meth in tracer.EVAL_KIND
+                     if hasattr(cls, meth) and meth not in cls.__dict__]
+        assert inherited == [], name

@@ -585,8 +585,8 @@ class _CountingRealization:
         self.real = real
         self.value_points = []
 
-    def lattice(self, axes, order=0):
-        return self.real.lattice(axes, order)
+    def lattice(self, axes, order=0, out=None):
+        return self.real.lattice(axes, order, out)
 
     def value(self, pts):
         self.value_points.append(np.atleast_2d(pts).shape[0])
