@@ -160,6 +160,7 @@ def _cmd_suite(args) -> int:
         z = f" max|z|={row['max_abs_z']}" if row["max_abs_z"] else ""
         print(f"{row['experiment_id']}: {row['status']}{z}{detail}")
     print(f"{result.n_pass} pass, {result.n_fail} fail, {result.n_error} error")
+    print(f"{result.expected_chance_failures:.4f} failed rows expected by chance")
     if result.n_error:
         return EXIT_RUNTIME
     return EXIT_PASS if result.n_fail == 0 else EXIT_VERDICT

@@ -700,7 +700,8 @@ class ChiSquareField:
 
     def corpus_values(self, seeds, rows) -> np.ndarray:
         comp = rows([c for s in seeds for c in self.component_seeds(s)])
-        return np.sum(comp.reshape(len(seeds), self.n, -1) ** 2, axis=1)
+        np.square(comp, out=comp)
+        return np.sum(comp.reshape(len(seeds), self.n, -1), axis=1)
 
 
 @dataclass(frozen=True)
@@ -744,14 +745,15 @@ class ChiSquareRealization:
 # ---------------------------------------------------------------------------
 
 
-def _bump(x, eta):
-    """(1 - r^2)^2 for |r| < 1 and 0 elsewhere, r = x / eta, in one buffer.
+def _bump(x, eta, out=None):
+    """(1 - r^2)^2 for |r| < 1 and 0 elsewhere, r = x / eta, in one buffer (``out`` may be x).
 
     Bitwise equal to ``np.where(abs(r) < 1, (1 - r**2)**2, 0)``: 1 - r^2 is
     positive exactly when |r| < 1 in floating point, and ``fmax`` sends the
     rest, -inf from an overflowed r^2 and nan included, to +0.
     """
-    out = np.divide(np.asarray(x, dtype=float), eta, out=np.empty(np.shape(x)))
+    out = np.empty(np.shape(x)) if out is None else out
+    np.divide(np.asarray(x, dtype=float), eta, out=out)
     np.square(out, out=out)
     np.subtract(1.0, out, out=out)
     np.fmax(out, 0.0, out=out)
@@ -890,7 +892,7 @@ def shot_noise_impulses(model: ShotNoiseModel, gen) -> tuple:
     count = gen.poisson(model.intensity * span)
     pts = lo - model.eta + span * gen.random(count)
     beta = model.beta_low + (model.beta_high - model.beta_low) * gen.random(count)
-    order = np.argsort(pts)
+    order = pts.argsort()
     return pts[order], beta[order]
 
 
@@ -1171,14 +1173,16 @@ class LineCorpus:
     model: SpectralGaussian1D
     coefs: np.ndarray  # (m, 2K)
 
-    def _slopes(self, coefs) -> np.ndarray:
+    @functools.cached_property
+    def _slopes(self) -> np.ndarray:
+        """(m, 2K) coefficient rows of the derivatives X', built on first use and kept."""
         k = self.model.frequencies.size
         waves = self.model.frequencies[:, None]
-        return _partial_rows(waves, coefs[:, :k], coefs[:, k:], _FIRST)[0]
+        return _partial_rows(waves, self.coefs[:, :k], self.coefs[:, k:], _FIRST)[0]
 
     def derivative_corpus(self) -> "LineCorpus":
         """The corpus of the derivatives X' of every row."""
-        return LineCorpus(self.model, self._slopes(self.coefs))
+        return LineCorpus(self.model, self._slopes)
 
     def values(self, ts) -> np.ndarray:
         """(m, T) values of every row on the points ts."""
@@ -1193,11 +1197,10 @@ class LineCorpus:
 
     def derivative_at(self, rows, t) -> np.ndarray:
         """Derivative of row rows[i] at t[i], for each i."""
-        return self._at(self._slopes(self.coefs[rows]), t)
+        return self._at(self._slopes[rows], t)
 
     def value_slope_at(self, rows, t) -> tuple:
         """(value_at, derivative_at) of the pairs (rows[i], t[i]) from one trig table."""
-        coefs = self.coefs[rows]
         table = trig_basis_1d(self.model, t)
-        return (np.einsum("nk,kn->n", coefs, table),
-                np.einsum("nk,kn->n", self._slopes(coefs), table))
+        return (np.einsum("nk,kn->n", self.coefs[rows], table),
+                np.einsum("nk,kn->n", self._slopes[rows], table))

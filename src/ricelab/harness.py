@@ -50,6 +50,7 @@ from .fields import (
     MicrolensModel,
     ShotNoiseModel,
     SpectralGaussian1D,
+    _bump,
     batch_coefficients,
     batch_stars,
     box_array,
@@ -395,8 +396,16 @@ class ExperimentReport:
         }
 
     def to_doc(self) -> dict:
+        """``canonical_doc`` with the wall time and each row's ``detectable_rel_error``."""
+        from statistics import NormalDist  # not at import: it loads fractions and decimal
+
         doc = self.canonical_doc()
         doc["wall_time_s"] = self.wall_time_s
+        # the relative error of the prediction that fails the row with 90% probability
+        reach = self.config.z_crit + NormalDist().inv_cdf(0.9)
+        for d, r in zip(doc["rows"], self.rows):
+            err = math.hypot(r.lhs_se, r.rhs_total_error)
+            d["detectable_rel_error"] = reach * err / abs(r.rhs_value) if r.rhs_value else None
         return doc
 
     def to_json(self, canonical: bool = False) -> str:
@@ -505,7 +514,8 @@ def _impulse_values(model: ShotNoiseModel, seeds, ts) -> np.ndarray:
     of it, so each is evaluated on a fixed-width window of the grid (clipped
     into it) and the windows of a block of about ``_SHARED_BLOCK``
     (impulse, point) pairs are summed into their rows with one ``bincount``.
-    Window points outside the support add an exact +0.
+    Window points outside the support add an exact +0, and so would the
+    impulses dropped first, whose support ends a grid step or more off the grid.
     """
     draws = [shot_noise_impulses(model, gen) for gen in streams(seeds, "shot-noise")]
     ts = model.check_domain(ts)
@@ -516,34 +526,42 @@ def _impulse_values(model: ShotNoiseModel, seeds, ts) -> np.ndarray:
     h = (ts[-1] - ts[0]) / max(n_t - 1, 1)
     # one grid step of slack on each side absorbs the rounding of ts against ts[0] + j h
     width = n_t if h == 0.0 else min(n_t, math.ceil(2.0 * model.eta / h) + 3)
-    start = np.zeros(points.size, dtype=np.intp)
     if width < n_t:
+        reach = (points > ts[0] - h - model.eta) & (points < ts[-1] + h + model.eta)
+        rows, points, amps = rows[reach], points[reach], amps[reach]
         first = np.floor((points - model.eta - ts[0]) / h).astype(np.intp) - 1
-        np.clip(first, 0, n_t - width, out=start)
+        start = np.clip(first, 0, n_t - width, out=first)
+    else:
+        start = np.zeros(points.size, dtype=np.intp)
     windows = np.lib.stride_tricks.sliding_window_view(ts, width)
     offsets = np.arange(width)
-    out = np.zeros((len(seeds), n_t))
+    base = rows * n_t + start  # flat index of each window's first point, non-decreasing
+    out = np.zeros(len(seeds) * n_t)
     step = max(1, _SHARED_BLOCK // width)
     for lo in range(0, points.size, step):
         sl = slice(lo, lo + step)
-        vals = model.kernel(windows[start[sl]] - points[sl, None])
+        vals = windows[start[sl]] - points[sl, None]
+        _bump(vals, model.eta, out=vals)
         vals *= amps[sl, None]
-        r0, r1 = rows[lo], rows[sl][-1] + 1
-        flat = ((rows[sl] - r0) * n_t + start[sl])[:, None] + offsets
-        out[r0:r1] += np.bincount(flat.ravel(), vals.ravel(),
-                                  minlength=(r1 - r0) * n_t).reshape(r1 - r0, n_t)
-    return out
+        summed = np.bincount(((base[sl] - base[lo])[:, None] + offsets).ravel(), vals.ravel())
+        out[base[lo]:base[lo] + summed.size] += summed
+    return out.reshape(len(seeds), n_t)
+
+
+def _row_counts(steps: np.ndarray) -> np.ndarray:
+    """Row sums of 0/1 bytes, in an accumulator just wide enough for a row."""
+    return np.add.reduce(steps, axis=1, dtype=np.uint16 if steps.shape[1] < 2**16 else np.intp)
 
 
 def _sign_change_counts(vals: np.ndarray, u: float) -> np.ndarray:
     """Grid crossings of u per row: steps where (v < u) changes, as in count_roots_1d."""
-    below = vals < u
-    return np.sum(below[:, :-1] != below[:, 1:], axis=1)
+    below = (vals < u).view(np.uint8)
+    return _row_counts(below[:, :-1] ^ below[:, 1:])
 
 
 def _upcrossing_counts(vals: np.ndarray, u: float) -> np.ndarray:
-    below = vals < u
-    return np.sum(below[:, :-1] & ~below[:, 1:], axis=1)
+    below = (vals < u).view(np.uint8)
+    return _row_counts((below[:, :-1] > below[:, 1:]).view(np.uint8))
 
 
 def _corpus_chunk(prep: _Prepared, seeds, master_seed: int, lo: int) -> dict:
@@ -995,8 +1013,7 @@ def ae_level_consistency(model, box, levels, *, n_realizations: int = 1024,
     if g_width is None:
         g_width = 0.45 * (levels[-1] - levels[0])
     g_width = config_positive("bump width", g_width)
-    rel = (levels - g_center) / g_width
-    g = np.where(np.abs(rel) < 1.0, (1.0 - rel ** 2) ** 2, 0.0)
+    g = _bump(levels - g_center, g_width)
 
     seeds = [int(s) for s in stream(seed, "level-table-seeds").integers(
         0, 2 ** 62, size=n_realizations)]
@@ -1029,11 +1046,8 @@ def ae_level_consistency(model, box, levels, *, n_realizations: int = 1024,
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
-    w = np.zeros_like(x)
-    dx = np.diff(x)
-    w[:-1] += 0.5 * dx
-    w[1:] += 0.5 * dx
-    return w
+    half = 0.5 * np.diff(x)
+    return np.append(half, 0.0) + np.insert(half, 0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1058,6 +1072,12 @@ class SuiteResult:
     @property
     def n_error(self) -> int:
         return sum(e["status"] == "error" for e in self.entries)
+
+    @property
+    def expected_chance_failures(self) -> float:
+        """Expected chance failures: erfc(z_crit / sqrt 2) per row with a nonzero error budget."""
+        return sum(math.erfc(e["report"].config.z_crit / math.sqrt(2.0)) for e in self.entries
+                   if "report" in e for r in e["report"].rows if r.lhs_se or r.rhs_total_error)
 
     def summary_rows(self) -> list:
         rows = []

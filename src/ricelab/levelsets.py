@@ -970,8 +970,9 @@ def nodal_length(realization, box, u: float, grid: int = 512) -> LevelCurve:
     k = np.flatnonzero(crossing)
     k = k[k % n1 != n1 - 1]  # the last column's k are no cells
     i, j = np.divmod(k, n1)
-    case = below[k] + 2 * below[k + n1] + 4 * below[k + n1 + 1] + 8 * below[k + 1]
-    corners = tuple(flat[c] - u for c in (k, k + n1, k + n1 + 1, k + 1))
+    ids = (k, k + n1, k + n1 + 1, k + 1)  # the corners 0-3 of each cell
+    case = below[ids[0]] + 2 * below[ids[1]] + 4 * below[ids[2]] + 8 * below[ids[3]]
+    corners = tuple(flat[c] - u for c in ids)
     # exact lattice coordinates on both cell sides, so that the crossing on a
     # shared edge is computed bitwise identically from its two adjacent cells
     x0, x1 = ax[0][i], ax[0][i + 1]

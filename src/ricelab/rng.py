@@ -33,6 +33,8 @@ _WORD = 2**64 - 1
 
 def _encode(part) -> bytes:
     """One key part as a 4-byte length and its bytes (ints as 16 little-endian bytes)."""
+    if type(part) is int:  # its 4-byte length, 16, written out
+        return b"\x10\0\0\0" + part.to_bytes(16, "little")
     if isinstance(part, str):
         b = part.encode("utf-8")
     elif isinstance(part, (int, np.integer)):
@@ -44,6 +46,8 @@ def _encode(part) -> bytes:
 
 def check_seed(seed) -> int:
     """``seed`` as an int; :class:`ConfigurationError` unless it is a uint64."""
+    if type(seed) is int and 0 <= seed <= _WORD:
+        return seed
     try:
         value = operator.index(seed)
     except TypeError:
@@ -105,11 +109,11 @@ def streams(seeds, tag: str):
 
     The same generator is yielded every time, re-keyed: its Philox state is
     set to the seed's key, a zero counter and an empty buffer, which is the
-    state :func:`stream` builds.  On a Xeon KVM guest (numpy 2.4), building
-    a generator takes about 5 us and setting a state about 0.6 us from
-    Python-int lists, against 1.3 us from uint64 arrays, so a loop over
-    many seeds builds one and sets lists.  A yielded generator is valid
-    until the next one; like :func:`stream`'s, it cannot ``spawn``.
+    state :func:`stream` builds.  On a Xeon KVM guest (numpy 2.4) a new
+    generator takes about 5 us; here a seed costs about 1.6 us, of which
+    0.9 us is its key hash and 0.6 us setting a state from Python-int lists
+    (1.3 us from uint64 arrays).  A yielded generator is valid until the
+    next one; like :func:`stream`'s, it cannot ``spawn``.
     """
     bit = _philox(0)
     gen = np.random.Generator(bit)

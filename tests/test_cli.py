@@ -404,6 +404,26 @@ def test_suite_exit_codes_and_outputs(tmp_path, capsys):
     assert main(["suite", "--config", cfg3]) == 1
 
 
+def test_suite_prints_the_expected_chance_failures(tmp_path, capsys):
+    # erfc(z_crit / sqrt 2) for each row with an error budget: three rows at
+    # z_crit = 3 and one at 2.5; the exact row (no error on either side)
+    # cannot fail by chance
+    suite = {
+        "experiments": [
+            _exact_experiment(experiment_id="exact"),
+            _exact_experiment(experiment_id="sweep", model=PAIR, levels=[-0.5, 0.0, 0.5],
+                              box=[0.0, 6.0]),
+            _exact_experiment(experiment_id="loose", model=PAIR, box=[0.0, 6.0], z_crit=2.5),
+        ]
+    }
+    assert main(["suite", "--config", _write(tmp_path, "suite.json", suite)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    expected = 3 * math.erfc(3.0 / math.sqrt(2.0)) + math.erfc(2.5 / math.sqrt(2.0))
+    assert lines[-2] == "3 pass, 0 fail, 0 error"
+    assert lines[-1] == f"{expected:.4f} failed rows expected by chance"
+    assert lines[-1] == "0.0205 failed rows expected by chance"
+
+
 def test_plot_data_from_report_directory(tmp_path, capsys):
     suite = {
         "experiments": [

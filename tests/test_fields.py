@@ -201,6 +201,32 @@ def test_line_corpus_evaluates_like_realizations():
     assert slope.tobytes() == corpus.derivative_at(rows, ts).tobytes()
 
 
+def test_line_corpus_slope_rows_are_built_once_and_gathered_bitwise():
+    # the slope rows of the whole corpus, built once, gathered by row: bit for
+    # bit the rows and evaluations that turning the gathered coefficients gave
+    m = SpectralGaussian1D.harmonics(9, seed=5)
+    corpus = LineCorpus(m, batch_coefficients(m, [21, 22, 23, 24]))
+    k = m.frequencies.size
+    waves = m.frequencies[:, None]
+
+    def turned(coefs):
+        return _partial_rows(waves, coefs[:, :k], coefs[:, k:], ((0,),))[0]
+
+    assert corpus._slopes is corpus._slopes
+    assert corpus._slopes.tobytes() == turned(corpus.coefs).tobytes()
+    slopes = corpus.derivative_corpus()
+    assert slopes.coefs is corpus._slopes
+    ts = np.linspace(-2.0, 4.0, 63)
+    rows = (np.arange(ts.size) * 7) % 4
+    table = trig_basis_1d(m, ts)
+    for c in (corpus, slopes):
+        value, slope = c.value_slope_at(rows, ts)
+        assert value.tobytes() == np.einsum("nk,kn->n", c.coefs[rows], table).tobytes()
+        want = np.einsum("nk,kn->n", turned(c.coefs[rows]), table)
+        assert slope.tobytes() == want.tobytes()
+        assert c.derivative_at(rows, ts).tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # spectral sums against a plain per-wave loop
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -585,6 +586,33 @@ def test_report_doc_round_trip(tmp_path):
     assert report.max_abs_z >= 0.0
 
 
+MANIFEST = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "experiments.json"
+
+
+def test_report_rows_state_the_relative_error_they_detect():
+    # gauss1d-crossings of the standard manifest at seed 1: each row of
+    # to_doc() carries (z_crit + z_0.9) hypot(lhs_se, rhs error) / |rhs|,
+    # 4.28 times the combined error at z_crit = 3, or null at rhs 0; the
+    # canonical document is the one written before the bound was added
+    entry = next(e for e in json.loads(MANIFEST.read_text())["experiments"]
+                 if e["experiment_id"] == "gauss1d-crossings")
+    report = run_experiment(entry, master_seed=1)
+    canonical = report.to_json(canonical=True)
+    assert "detectable_rel_error" not in canonical
+    assert hashlib.sha256(canonical.encode()).hexdigest() == (
+        "e4390601b3a7036fe99ed8a01be0313d9c038128487d28ccdd612fe1ae631337")
+    rows = report.to_doc()["rows"]
+    assert len(rows) == len(report.rows) == 3
+    for doc, row in zip(rows, report.rows):
+        combined = math.hypot(row.lhs_se, row.rhs_total_error)
+        assert combined > 0.0
+        assert doc["detectable_rel_error"] == pytest.approx(
+            (3.0 + 1.2815515655446004) * combined / abs(row.rhs_value), rel=1e-12)
+    assert 0.027 < rows[0]["detectable_rel_error"] < 0.029  # 2.8% at u = 0
+    zero = dataclasses.replace(report, rows=(dataclasses.replace(report.rows[0], rhs_value=0.0),))
+    assert json.loads(zero.to_json())["rows"][0]["detectable_rel_error"] is None
+
+
 def test_measure_and_predict_only_documents():
     cfg = _cfg(model=PAIR, levels=[0.0], box=[0.0, 8.0], n_realizations=40)
     m = measure_only(cfg, master_seed=5)
@@ -713,6 +741,48 @@ def test_impulse_windows_match_the_dense_sum(model, box, grid):
         assert np.any(np.abs(points - end) < model.eta)  # straddles the end
     if box == (0.0, 12.0):
         assert np.any(points < lo) and np.any(points > hi)  # in the padding
+
+
+def test_impulse_windows_skip_impulses_beyond_the_grid():
+    # a short box deep in the domain: most impulses end a grid step or more
+    # beyond the grid and are dropped before blocking; the sums are still the
+    # dense ones, and a row whose every impulse is dropped is exactly zero
+    model = _impulse_model(eta=0.3)
+    seeds = [fanout_seed(3, "impulses", i) for i in range(60)]
+    ts = np.linspace(5.0, 6.0, 400)
+    got = _impulse_values(model, seeds, ts)
+    reals = [sample_realization(model, s) for s in seeds]
+    want = np.stack([r.value(ts) for r in reals])
+    assert np.max(np.abs(got - want)) <= 1e-12
+    for u in (0.3, 0.5, 1.3):
+        assert np.array_equal(_sign_change_counts(got, u), _sign_change_counts(want, u))
+    assert _sign_change_counts(want, 0.5).sum() > 0
+    h = ts[1] - ts[0]
+    reach = [np.abs(r.points - 5.5) < 0.5 + model.eta + h for r in reals]
+    assert sum(map(np.count_nonzero, reach)) < 0.25 * sum(r.points.size for r in reals)
+    empty = [i for i, mine in enumerate(reach) if not mine.any()]
+    assert empty and not got[empty].any() and not want[empty].any()
+
+
+@pytest.mark.parametrize("width", [2, 3, 517, 2**16 + 1])
+def test_crossing_counts_equal_the_diff_reference(width):
+    # values exactly at the level and NaN (never below it) beside normal draws;
+    # the widest grid alternates around the level, so a row counts 2**16
+    # crossings, one more than 16 bits hold
+    pick = np.random.default_rng(width)
+    shape = (2, width) if width > 2**16 else (40, width)
+    vals = pick.choice([0.0, 0.5, np.nan], size=shape)
+    normal = pick.random(shape) < 0.5
+    vals[normal] = pick.standard_normal(np.count_nonzero(normal))
+    if width > 2**16:
+        vals[0] = np.where(np.arange(width) % 2, 1.0, -1.0)
+    for u in (0.0, 0.5):
+        steps = np.diff((vals < u).astype(int), axis=1)
+        assert np.array_equal(_sign_change_counts(vals, u), np.count_nonzero(steps, axis=1))
+        assert np.array_equal(_upcrossing_counts(vals, u),
+                              np.count_nonzero(steps == -1, axis=1))
+    if width > 2**16:
+        assert _sign_change_counts(vals, 0.0)[0] == 2**16
 
 
 def test_impulse_windows_keep_the_domain_checks():

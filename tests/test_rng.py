@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from ricelab.errors import ConfigurationError
 from ricelab.rng import (
+    _encode,
+    _key,
     check_seed,
     copy_position,
     fanout_seed,
@@ -213,3 +215,25 @@ def test_cached_fanout_prefix_still_checks_the_seed():
         with pytest.raises(ConfigurationError):
             fanout_seed(bad, "t")
     assert fanout_seed(np.uint64(5), "t", 2) == fanout_seed(5, "t", 2)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, np.uint64(2**64 - 1), np.uint64(7), True])
+def test_int_fast_path_keys_equal_the_encoded_hash(seed):
+    # a Python int in [0, 2**64) skips check_seed; every other seed type goes
+    # through it, and both give the hash of the parts encoded one by one
+    value = int(seed)
+    suffix = _encode("trig-coeffs") + _encode(0)
+    assert _key(seed, suffix) == _blake2b_key(value, "trig-coeffs", 0)
+    assert _encode(seed) == (16).to_bytes(4, "little") + value.to_bytes(16, "little")
+    for index in (0, 5, 2**64 - 1, np.uint64(3), True):
+        want = _blake2b_key(value, "exp", int(index)) & (2**64 - 1)
+        assert fanout_seed(seed, "exp", index) == want
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64, 1.5, "3"])
+def test_int_fast_path_keys_refuse_what_check_seed_refuses(bad):
+    suffix = _encode("t") + _encode(0)
+    with pytest.raises(ConfigurationError):
+        _key(bad, suffix)
+    with pytest.raises(ConfigurationError):
+        fanout_seed(bad, "t", 1)
